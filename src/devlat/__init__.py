@@ -68,6 +68,7 @@ from .deviation import (
 )
 from .optim import (
     MinimizeResult,
+    NumericError,
     ObjectiveOracle,
     SolverConfig,
     brute_force_min,
@@ -77,9 +78,11 @@ from .sharing import (
     ResidualRiskReport,
     SharingProblem,
     SharingSolution,
+    infconv_split,
     infconv_value,
     proportional_share_factor,
     proportional_transfer,
+    radial_form,
     residual_check,
     solve_sharing,
 )

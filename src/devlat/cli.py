@@ -26,7 +26,7 @@ from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
     pair_to_dict, write_payoff_csv, write_process_csv
 from .lattice import JumpMeasure, Lattice, NoiseModel, RandomVariable, TimeGrid, \
     build_lattice
-from .optim import SolverConfig
+from .optim import NumericError, SolverConfig
 from .representation import AnalyticPayoff, RepresentingPair, assemble, represent
 from .sharing import SharingProblem, proportional_share_factor, solve_sharing
 
@@ -301,9 +301,6 @@ def cmd_share(cfg, lat, out_dir, seed, quiet):
     if isinstance(prob.x_a, AnalyticPayoff) or isinstance(prob.x_b, AnalyticPayoff):
         raise ConfigError("share: payoffs must be lattice payoffs")
     sol = solve_sharing(lat, prob)
-
-    d0_a = evaluate(lat, prob.driver_a, represent(lat, prob.x_a)).d0
-    d0_b = evaluate(lat, prob.driver_b, represent(lat, prob.x_b)).d0
     summary = {
         "command": "share",
         "seed": seed,
@@ -315,8 +312,8 @@ def cmd_share(cfg, lat, out_dir, seed, quiet):
         "certificate_gap": sol.certificate_gap,
         "max_residual": sol.max_residual,
         "infconv_D0": sol.infconv_d.d0,
-        "D0_a_standalone": d0_a,
-        "D0_b_standalone": d0_b,
+        "D0_a_standalone": sol.d0_a,
+        "D0_b_standalone": sol.d0_b,
     }
     with open(out_dir / "share_argmins.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -389,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         lat = _build_lattice(cfg)
         return _DISPATCH[args.command](cfg, lat, out_dir, seed, args.quiet)
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

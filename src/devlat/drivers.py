@@ -236,22 +236,24 @@ class InfConv:
     kind: str = field(default="infconv", init=False)
 
     def value(self, t, h, htilde, nu):
-        from .sharing import infconv_value
-
-        value, _ = infconv_value(self.a, self.b, t, h, htilde, nu, self.solver)
-        return value
+        return float(self.value_batch(t, h[None, :], htilde[None, :], nu)[0])
 
     def value_batch(self, t, H, Ht, nu):
-        return np.array([self.value(t, H[i], Ht[i], nu) for i in range(len(H))])
+        from .sharing import infconv_split
+
+        Z, Zt = infconv_split(self.a, self.b, t, H, Ht, nu, self.solver)
+        return self.a.value_batch(t, H - Z, Ht - Zt, nu) + self.b.value_batch(t, Z, Zt, nu)
 
     def subgradient(self, t, h, htilde, nu):
         # at an optimal split the two subdifferentials intersect; a selection
         # sitting at a kink returns the zero element there, so on every
         # coordinate the larger-magnitude entry of the two selections is the
         # one coming from the smooth side of the split
-        from .sharing import infconv_value
+        from .sharing import infconv_split
 
-        _, (z, zt) = infconv_value(self.a, self.b, t, h, htilde, nu, self.solver)
+        Z, Zt = infconv_split(self.a, self.b, t, h[None, :], htilde[None, :], nu,
+                              self.solver)
+        z, zt = Z[0], Zt[0]
         sa = self.a.subgradient(t, h - z, htilde - zt, nu)
         sb = self.b.subgradient(t, z, zt, nu)
         return np.where(np.abs(sa) >= np.abs(sb), sa, sb)

@@ -19,7 +19,6 @@ from .representation import RepresentingPair
 
 __all__ = [
     "canonical_json",
-    "write_json",
     "lattice_to_dict",
     "pair_to_dict",
     "write_process_csv",
@@ -49,10 +48,6 @@ def _canonical(obj):
 
 def canonical_json(obj) -> str:
     return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
-
-
-def write_json(path: Path, obj) -> None:
-    Path(path).write_text(canonical_json(obj))
 
 
 def lattice_to_dict(lat: Lattice) -> dict:

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "SolverConfig",
+    "NumericError",
     "ObjectiveOracle",
     "MinimizeResult",
     "minimize",
@@ -24,6 +25,10 @@ __all__ = [
 
 #: refuse exhaustive grids beyond this many evaluations
 BRUTE_FORCE_BUDGET = 20_000_000
+
+
+class NumericError(ValueError):
+    """A numeric quantity failed a configured threshold (exit code 2 in the CLI)."""
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,19 @@
 """Two-agent optimal risk sharing via pointwise inf-convolution of drivers.
 
-The total position's integrands are split node by node between the agents'
-penalties; the optimal split assembles into the transfer payoff, and the price
-comes from the counterparty's binding participation constraint at time zero.
-Transfers are unique only up to time-zero constants, so the assembled transfer
-is normalised to zero mean and the price reported separately.
+The total position's integrands are split between the agents' penalties one
+lattice level at a time; the optimal split assembles into the transfer payoff,
+and the price comes from the counterparty's binding participation constraint at
+time zero. Transfers are unique only up to time-zero constants, so the
+assembled transfer is normalised to zero mean and the price reported separately.
+
+``Variance``, ``NormCD`` and any ``Scaled`` nesting of them are a radial term in
+``|h|`` plus a radial term in ``||htilde||_nu``: quadratic ``q * r**2`` or
+linear ``c * r``. A pair of such drivers therefore splits into two 1-D
+inf-convolutions with closed forms (harmonic mean, cheaper slope, Huber), which
+are solved for a whole level at once. Scalings of one common base split at the
+fixed fraction ``gamma_b / (gamma_a + gamma_b)`` whatever the base. Only the
+other pairs outside the family (``CVaRJump``, ``Custom``, nested ``InfConv``)
+run the numeric solver, node by node.
 """
 
 from __future__ import annotations
@@ -15,17 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviation import DeviationProcess, evaluate
-from .drivers import DriverSpec, InfConv, Scaled, Variance, eval_driver
+from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance, eval_driver
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable, martingale
-from .optim import ObjectiveOracle, SolverConfig, minimize
+from .optim import NumericError, ObjectiveOracle, SolverConfig, minimize
 from .representation import RepresentingPair, assemble, represent
 
 __all__ = [
     "SharingProblem",
     "SharingSolution",
     "ResidualRiskReport",
+    "radial_form",
+    "infconv_split",
     "infconv_value",
+    "certificate_gaps",
     "solve_sharing",
+    "proportional_share_factor",
     "proportional_transfer",
     "residual_check",
 ]
@@ -50,7 +63,8 @@ class SharingSolution:
     per node; ``y_star`` is the zero-mean assembled optimal position of agent B
     and ``y_tilde_star = y_star - x_b`` the priced transfer. ``certificate_gap``
     is the largest directional-derivative violation of split optimality over
-    all nodes.
+    all nodes. ``d0_a``/``d0_b`` are each agent's time-zero deviation of its own
+    payoff before the transfer.
     """
 
     argmin_H: tuple[np.ndarray, ...]
@@ -63,77 +77,134 @@ class SharingSolution:
     certificate_gap: float
     du_a: float
     du_b: float
+    d0_a: float
+    d0_b: float
     max_residual: float
     total_pair: RepresentingPair
     jumps: JumpMeasure
     times: tuple[float, ...]
 
 
-def _scaling_decomposition(spec: DriverSpec) -> tuple[float, DriverSpec]:
-    gamma = 1.0
-    core = spec
+# -- closed forms for the radial driver family ------------------------------------
+
+#: one radial block term: ("quad", q) for q * r**2, or ("lin", c) for c * r
+Term = tuple[str, float]
+
+
+def _unscale(spec: DriverSpec) -> tuple[float, DriverSpec]:
+    """``(gamma, core)``: the product of the ``Scaled`` factors and the driver
+    they wrap."""
+    gamma, core = 1.0, spec
     while isinstance(core, Scaled):
         gamma *= core.gamma
         core = core.base
     return gamma, core
 
 
-def proportional_share_factor(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
-    """Counterparty share gamma_b / (gamma_a + gamma_b) when both drivers are
-    scalings of one common base; None otherwise."""
-    ga_gamma, ga_core = _scaling_decomposition(g_a)
-    gb_gamma, gb_core = _scaling_decomposition(g_b)
-    if ga_core == gb_core:
-        return gb_gamma / (ga_gamma + gb_gamma)
-    qa, qb = _as_quadratic(g_a), _as_quadratic(g_b)
-    if qa is not None and qb is not None:
-        return qa / (qa + qb)
-    return None
+def radial_form(spec: DriverSpec) -> tuple[float, Term, Term] | None:
+    """``(gamma, Brownian term, jump term)`` of a ``Variance`` or ``NormCD``
+    under any ``Scaled`` nesting, with ``gamma`` the product of the scalings.
 
-
-def _as_quadratic(spec: DriverSpec) -> float | None:
-    gamma, core = _scaling_decomposition(spec)
-    if isinstance(core, Variance):
-        return core.alpha / gamma
-    return None
-
-
-def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
-                  nu: JumpMeasure, cfg: SolverConfig | None = None,
-                  method: str = "auto") -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Pointwise inf-convolution inf_z { g_a(x - z) + g_b(z) } with its argmin.
-
-    Closed forms are used for a quadratic pair and for scalings of a common
-    base driver; everything else runs the numeric solver from the symmetric
-    midpoint, then polishes against the block-corner candidates (all-to-A,
-    all-to-B, and the mixed Brownian/jump corners), which renders piecewise
-    linear pairs exact.
+    ``Scaled`` divides a quadratic coefficient by gamma and leaves a linear one
+    alone (positive homogeneity). Drivers outside the family give None.
     """
-    cfg = cfg or SolverConfig()
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    ht = np.atleast_1d(np.asarray(htilde, dtype=float)) if nu.m else np.zeros(0)
-    d = h.shape[0]
+    gamma, core = _unscale(spec)
+    if isinstance(core, Variance):
+        q = core.alpha / gamma
+        return gamma, ("quad", q), ("quad", q)
+    if isinstance(core, NormCD):
+        return gamma, ("lin", core.c), ("lin", core.d)
+    return None
 
-    if method == "auto":
-        qa, qb = _as_quadratic(g_a), _as_quadratic(g_b)
-        if qa is not None and qb is not None:
-            rho = qa / (qa + qb)
-            z, zt = rho * h, rho * ht
-            value = (qa * qb / (qa + qb)) * (
-                float(h @ h) + float((ht * ht) @ nu.intensity_array)
-            )
-            return value, (z, zt)
-        ga_gamma, ga_core = _scaling_decomposition(g_a)
-        gb_gamma, gb_core = _scaling_decomposition(g_b)
-        if ga_core == gb_core:
-            share = gb_gamma / (ga_gamma + gb_gamma)
-            z, zt = share * h, share * ht
-            value = eval_driver(g_a, t, h - z, ht - zt, nu) + eval_driver(
-                g_b, t, z, zt, nu
-            )
-            return value, (z, zt)
-    elif method != "numeric":
-        raise ValueError("method must be 'auto' or 'numeric'")
+
+def _common_base_share(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
+    """``gamma_b / (gamma_a + gamma_b)`` when both drivers are scalings of one
+    base, else None. ``Scaled`` is the perspective ``gamma * g(x / gamma)``, so
+    for a convex base this split leaves both agents at ``x / (gamma_a +
+    gamma_b)`` and is optimal by Jensen's inequality."""
+    (gamma_a, core_a), (gamma_b, core_b) = _unscale(g_a), _unscale(g_b)
+    if core_a != core_b:
+        return None
+    return gamma_b / (gamma_a + gamma_b)
+
+
+def _fixed_share(ta: Term, tb: Term, tie: float) -> float | None:
+    """B's share fraction of a block when it does not depend on the radius."""
+    if ta[0] == tb[0] == "quad":
+        return ta[1] / (ta[1] + tb[1])
+    if ta[0] == tb[0] == "lin" and ta[1] == tb[1]:
+        return tie
+    return None
+
+
+def _block_share(ta: Term, tb: Term, tie: float, r: np.ndarray) -> np.ndarray:
+    """B's share fraction theta of a block, per row of radius ``r``.
+
+    quad+quad: q_a/(q_a+q_b); lin+lin: all to the cheaper side, ``tie`` on
+    equal slopes; quad+lin and lin+quad: the Huber split at the knee
+    c/(2q); zero radius: 0.
+    """
+    fixed = _fixed_share(ta, tb, tie)
+    if fixed is not None:
+        theta = np.full(r.shape, fixed)
+    elif ta[0] == tb[0]:
+        theta = np.full(r.shape, float(tb[1] < ta[1]))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if ta[0] == "quad":
+                theta = np.maximum(0.0, 1.0 - tb[1] / (2.0 * ta[1] * r))
+            else:
+                theta = np.minimum(1.0, ta[1] / (2.0 * tb[1] * r))
+    return np.where(r > 0.0, theta, 0.0)
+
+
+def _row_norms(a: np.ndarray, weights=None) -> np.ndarray:
+    # column by column, so a row's norm does not depend on the other rows
+    acc = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        sq = a[:, j] * a[:, j]
+        acc += sq if weights is None else sq * weights[j]
+    return np.sqrt(acc)
+
+
+def _radial_split(form_a, form_b, H: np.ndarray, Ht: np.ndarray,
+                  nu: JumpMeasure) -> tuple[np.ndarray, np.ndarray]:
+    (gamma_a, brown_a, jump_a), (gamma_b, brown_b, jump_b) = form_a, form_b
+    tie = gamma_b / (gamma_a + gamma_b)
+    theta = _block_share(brown_a, brown_b, tie, _row_norms(H))
+    theta_j = _block_share(jump_a, jump_b, tie, _row_norms(Ht, nu.intensity_array))
+    return theta[:, None] * H, theta_j[:, None] * Ht
+
+
+def proportional_share_factor(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
+    """B's share fraction when the optimal split hands B the same fixed
+    fraction of both blocks at every node: ``gamma_b / (gamma_a + gamma_b)``
+    for scalings of one base, ``q_a / (q_a + q_b)`` for other quadratic pairs;
+    None otherwise."""
+    common = _common_base_share(g_a, g_b)
+    if common is not None:
+        return common
+    form_a, form_b = radial_form(g_a), radial_form(g_b)
+    if form_a is None or form_b is None:
+        return None
+    (gamma_a, brown_a, jump_a), (gamma_b, brown_b, jump_b) = form_a, form_b
+    tie = gamma_b / (gamma_a + gamma_b)
+    brown = _fixed_share(brown_a, brown_b, tie)
+    if brown is None or brown != _fixed_share(jump_a, jump_b, tie):
+        return None
+    return brown
+
+
+# -- numeric inf-convolution for pairs without a closed form -----------------------
+
+
+def _numeric_infconv(g_a: DriverSpec, g_b: DriverSpec, t: float, h: np.ndarray,
+                     ht: np.ndarray, nu: JumpMeasure,
+                     cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Numeric solve from the symmetric midpoint, then polish against the
+    block-corner candidates (all-to-A, all-to-B, and the mixed Brownian/jump
+    corners), which renders piecewise linear pairs exact."""
+    d = h.shape[0]
 
     def split(zfull):
         return zfull[:d], zfull[d:]
@@ -160,73 +231,139 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
         if f < best_f or (f == best_f and float(cand @ cand) < float(best_x @ best_x)):
             best_f, best_x = f, cand
     z, zt = split(best_x)
-    return best_f, (z.copy(), zt.copy())
+    return z.copy(), zt.copy()
 
 
-def _certificate_gap(objective, point: np.ndarray) -> float:
-    """Directional-derivative test of split optimality at ``point``.
+# -- public inf-convolution ---------------------------------------------------------
 
-    The split is optimal exactly when no direction descends, which is the
-    finite-dimensional form of the two subdifferentials intersecting.
+
+def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
+                  Ht: np.ndarray, nu: JumpMeasure, cfg: SolverConfig | None = None,
+                  method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+    """B's optimal share ``(Z, Zt)`` of every row of a level's integrands
+    ``H`` (nodes, d) and ``Ht`` (nodes, m); A keeps ``(H - Z, Ht - Zt)``.
+
+    Pairs from the radial family are split in closed form for all rows at once
+    (``Z = theta_B * H``, ``Zt = theta_J * Ht``), and scalings of one common
+    base at the fixed fraction ``gamma_b / (gamma_a + gamma_b)``. Other pairs,
+    and ``method="numeric"``, solve row by row with the numeric minimiser.
     """
-    f0 = float(objective(point))
-    eps = 1e-7 * (1.0 + float(np.linalg.norm(point)))
-    worst = 0.0
-    for i in range(point.shape[0]):
-        for sign in (1.0, -1.0):
-            probe = point.copy()
-            probe[i] += sign * eps
-            slope = (float(objective(probe)) - f0) / eps
-            worst = max(worst, -slope)
-    return worst
+    if method not in ("auto", "numeric"):
+        raise ValueError("method must be 'auto' or 'numeric'")
+    H = np.asarray(H, dtype=float)
+    Ht = np.asarray(Ht, dtype=float)
+    if method == "auto":
+        form_a, form_b = radial_form(g_a), radial_form(g_b)
+        if form_a is not None and form_b is not None:
+            return _radial_split(form_a, form_b, H, Ht, nu)
+        common = _common_base_share(g_a, g_b)
+        if common is not None:
+            return common * H, common * Ht
+    cfg = cfg or SolverConfig()
+    Z, Zt = np.zeros_like(H), np.zeros_like(Ht)
+    for v in range(H.shape[0]):
+        Z[v], Zt[v] = _numeric_infconv(g_a, g_b, t, H[v], Ht[v], nu, cfg)
+    return Z, Zt
+
+
+def _split_objective(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
+                     Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
+                     nu: JumpMeasure) -> np.ndarray:
+    return g_a.value_batch(t, H - Z, Ht - Zt, nu) + g_b.value_batch(t, Z, Zt, nu)
+
+
+def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
+                  nu: JumpMeasure, cfg: SolverConfig | None = None,
+                  method: str = "auto") -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Pointwise inf-convolution inf_z { g_a(x - z) + g_b(z) } with its argmin.
+
+    Closed forms cover every pair of ``Variance``/``NormCD`` drivers under any
+    ``Scaled`` nesting, block by block (Brownian ``|h|``, jump
+    ``||htilde||_nu``), with B's share fraction theta of a block of radius r:
+
+    - quadratic with quadratic: ``theta = q_a / (q_a + q_b)`` (harmonic mean);
+    - linear with linear: all to the cheaper slope, and on equal slopes
+      ``theta = gamma_b / (gamma_a + gamma_b)``;
+    - quadratic A with linear B: ``theta = max(0, 1 - c_b / (2 q_a r))``, and
+      the mirror ``min(1, c_a / (2 q_b r))`` (Huber, a Moreau envelope);
+    - ``r = 0``: ``theta = 0``.
+
+    Scalings of one common base outside the family (``CVaRJump``, ``Custom``,
+    ``InfConv``) split at ``gamma_b / (gamma_a + gamma_b)``. Every other pair
+    runs the numeric solver with block-corner candidates; ``method="numeric"``
+    forces it for any pair and is the test oracle for the closed forms. The
+    value is the objective at the split (``infconv_split`` on one row).
+    """
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    ht = np.atleast_1d(np.asarray(htilde, dtype=float)) if nu.m else np.zeros(0)
+    H, Ht = h[None, :], ht[None, :]
+    Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg, method)
+    value = _split_objective(g_a, g_b, t, H, Ht, Z, Zt, nu)
+    return float(value[0]), (Z[0], Zt[0])
+
+
+def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
+                     Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
+                     nu: JumpMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Directional-derivative test of the split ``(Z, Zt)`` of every row of a
+    level; returns the objective at the split and each row's gap.
+
+    Each split ``(z, zt)`` is probed along every coordinate in both directions
+    with step ``eps = 1e-7 * (1 + |(z, zt)|)``; the row's gap is its steepest
+    descent slope (0 if none descends). A split is optimal exactly when no
+    direction descends, the finite-dimensional form of the two
+    subdifferentials intersecting. All rows and probes go through
+    ``value_batch`` call per driver.
+    """
+    d = H.shape[1]
+    points = np.hstack([Z, Zt])
+    n, p = points.shape
+    eps = 1e-7 * (1.0 + _row_norms(points))
+    steps = np.vstack([np.eye(p), -np.eye(p)])
+    probes = points + steps[:, None, :] * eps[:, None]
+    stack = np.vstack([points, probes.reshape(-1, p)])
+    k = 2 * p + 1
+    values = _split_objective(g_a, g_b, t, np.tile(H, (k, 1)), np.tile(Ht, (k, 1)),
+                             stack[:, :d], stack[:, d:], nu).reshape(k, n)
+    f0 = values[0]
+    return f0, np.max((f0 - values[1:]) / eps, axis=0, initial=0.0)
 
 
 def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
-    """Solve the sharing problem on a lattice: per-node splits, transfer, price.
+    """Solve the sharing problem on a lattice: per-level splits, transfer, price.
 
-    When representation residuals are nonzero (jump lattices) the solve runs on
-    the projected integrands and the largest residual is attached rather than
-    silently dropped; configure ``solver.residual_tolerance`` to make it fatal.
+    Each level is split with ``infconv_split`` and certified with
+    ``certificate_gaps``; the node values are the objective at the split. When
+    representation residuals are nonzero (jump lattices) the solve runs on the
+    projected integrands and the largest residual is attached rather than
+    silently dropped; configure ``solver.residual_tolerance`` to make it fatal
+    (``NumericError``).
     """
     if prob.x_a.level != lat.n_steps or prob.x_b.level != lat.n_steps:
         raise ValueError("sharing payoffs must be terminal")
     cfg = prob.solver
     nu = lat.noise.jumps
+    g_a, g_b = prob.driver_a, prob.driver_b
     total = prob.x_a + prob.x_b
     pair = represent(lat, total)
     max_res = pair.max_residual()
     if max_res > cfg.residual_tolerance:
-        raise ValueError(
+        raise NumericError(
             f"representation residual {max_res:.3g} exceeds the configured "
             f"threshold {cfg.residual_tolerance:.3g}"
         )
 
-    d = lat.noise.d
-    arg_H, arg_Ht, node_vals, gaps = [], [], [], []
+    arg_H, arg_Ht, node_vals, level_gaps = [], [], [], []
     for i in range(lat.n_steps):
-        t = lat.times[i]
-        nodes = lat.num_nodes(i)
-        zH = np.zeros((nodes, d))
-        zT = np.zeros((nodes, nu.m))
-        vals = np.zeros(nodes)
-        for v in range(nodes):
-            h = pair.H[i][v]
-            ht = pair.Htilde[i][v]
-            value, (z, zt) = infconv_value(
-                prob.driver_a, prob.driver_b, t, h, ht, nu, cfg
-            )
-            zH[v], zT[v], vals[v] = z, zt, value
-
-            def objective(zfull, h=h, ht=ht, t=t):
-                return prob.driver_a.value(t, h - zfull[:d], ht - zfull[d:], nu) \
-                    + prob.driver_b.value(t, zfull[:d], zfull[d:], nu)
-
-            gaps.append(_certificate_gap(objective, np.concatenate([z, zt])))
-        arg_H.append(zH)
-        arg_Ht.append(zT)
+        t, H, Ht = lat.times[i], pair.H[i], pair.Htilde[i]
+        Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
+        vals, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
+        level_gaps.append(np.max(gaps))
+        arg_H.append(Z)
+        arg_Ht.append(Zt)
         node_vals.append(vals)
 
-    certificate_gap = max(gaps) if gaps else 0.0
+    certificate_gap = float(np.max(level_gaps)) if level_gaps else 0.0
     attained = certificate_gap <= cfg.attain_tolerance and all(
         np.all(np.isfinite(v)) for v in node_vals
     )
@@ -254,12 +391,12 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     def mean(payoff):
         return float(martingale(lat, payoff).at(0)[0])
 
-    price = mean(y_tilde) - d0(prob.driver_b, prob.x_b + y_tilde) \
-        + d0(prob.driver_b, prob.x_b)
-    u_a_before = mean(prob.x_a) - d0(prob.driver_a, prob.x_a)
+    d0_a, d0_b = d0(prob.driver_a, prob.x_a), d0(prob.driver_b, prob.x_b)
+    price = mean(y_tilde) - d0(prob.driver_b, prob.x_b + y_tilde) + d0_b
+    u_a_before = mean(prob.x_a) - d0_a
     pos_a = prob.x_a - y_tilde + price
     u_a_after = mean(pos_a) - d0(prob.driver_a, pos_a)
-    u_b_before = mean(prob.x_b) - d0(prob.driver_b, prob.x_b)
+    u_b_before = mean(prob.x_b) - d0_b
     pos_b = prob.x_b + y_tilde - price
     u_b_after = mean(pos_b) - d0(prob.driver_b, pos_b)
 
@@ -274,6 +411,8 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
         certificate_gap=certificate_gap,
         du_a=u_a_after - u_a_before,
         du_b=u_b_after - u_b_before,
+        d0_a=d0_a,
+        d0_b=d0_b,
         max_residual=max_res,
         total_pair=pair,
         jumps=nu,

@@ -105,3 +105,23 @@ def grid_min_1d(f, lo, hi, step):
     vals = [f(x) for x in xs]
     k = int(np.argmin(vals))
     return xs[k], vals[k]
+
+
+def certificate_gap_by_node(objective, point):
+    """Directional-derivative test of split optimality at one node.
+
+    The split is optimal exactly when no direction descends, which is the
+    finite-dimensional form of the two subdifferentials intersecting. Probes
+    every coordinate both ways with step 1e-7 * (1 + |point|) and returns the
+    steepest descent slope, 0 if none descends.
+    """
+    f0 = float(objective(point))
+    eps = 1e-7 * (1.0 + float(np.linalg.norm(point)))
+    worst = 0.0
+    for i in range(point.shape[0]):
+        for sign in (1.0, -1.0):
+            probe = point.copy()
+            probe[i] += sign * eps
+            slope = (float(objective(probe)) - f0) / eps
+            worst = max(worst, -slope)
+    return worst

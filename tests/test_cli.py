@@ -4,9 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from devlat import RandomVariable, build_lattice, NoiseModel, TimeGrid
+from devlat import JumpMeasure, RandomVariable, SolverConfig, build_lattice, \
+    NoiseModel, TimeGrid, assemble, represent
 from devlat.cli import main
 from devlat.jsonio import write_payoff_csv
+from devlat.representation import RepresentingPair
+
+#: dyadic jump lattice of the sharing tests: d=1, marks (-1, 2), n=2
+JUMP_NOISE = {"d": 1, "jumps": {"marks": [-1.0, 2.0], "intensities": [0.25, 0.5]}}
 
 
 def _base_config(tmp_path, **extra):
@@ -200,6 +205,53 @@ def test_non_convergent_share_exits_2(tmp_path):
     assert code == 2
     doc = json.loads((tmp_path / "share_summary.json").read_text())
     assert doc["attained"] is False
+
+
+def test_knee_adjacent_norm_variance_share_attains(tmp_path):
+    # NormCD (+) Variance with the level-1 jump integrand at 0.99 of the Huber
+    # knee d/(2 alpha): the optimal split hands all jump risk to the Variance
+    # side, so the NormCD side sits at its kink while the Brownian block is
+    # interior. The iterative solver stalled here under the default budget.
+    lat = build_lattice(TimeGrid.uniform(2, 1.0),
+                        NoiseModel(1, JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))))
+    nu = lat.noise.jumps.intensity_array
+    c, d, alpha = 0.7, 1.1, 0.9
+    knee = d / (2.0 * alpha)
+    direction = np.array([0.6, -0.8])
+    at_knee = direction / math.sqrt(float(direction ** 2 @ nu)) * 0.99 * knee
+    H = (np.array([[0.9]]), np.full((6, 1), 0.8))
+    Ht = (np.array([[0.3, -0.2]]), np.vstack([at_knee] + [[0.4, 0.1]] * 5))
+    total = assemble(lat, RepresentingPair(0.0, H, Ht, (np.zeros(1), np.zeros(6))))
+    ratio = math.sqrt(float(represent(lat, total).Htilde[1][0] ** 2 @ nu)) / knee
+    assert 0.98 <= ratio <= 0.998
+    write_payoff_csv(tmp_path / "total.csv", total)
+    cfg = _base_config(
+        tmp_path,
+        lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE},
+        payoffs={"X": {"kind": "csv", "path": "total.csv"},
+                 "Z": {"kind": "expression", "expr": "0.0 * T"}},
+        drivers={"gn": {"kind": "norm_cd", "c": c, "d": d},
+                 "gv": {"kind": "variance", "alpha": alpha}},
+        share={"payoff_a": "X", "payoff_b": "Z", "driver_a": "gn", "driver_b": "gv"},
+    )
+    assert main(["share", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "share_summary.json").read_text())
+    assert doc["attained"] is True
+    assert doc["certificate_gap"] <= SolverConfig().attain_tolerance
+
+
+def test_residual_threshold_exits_2(tmp_path):
+    cfg = _base_config(
+        tmp_path,
+        lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE},
+        payoffs={"X": {"kind": "expression", "expr": "W**2 + N1"},
+                 "Y": {"kind": "expression", "expr": "W * N2"}},
+        solver={"residual_tolerance": 1e-12},
+        share={"payoff_a": "X", "payoff_b": "Y", "driver_a": "g", "driver_b": "g"},
+    )
+    out = tmp_path / "out"
+    assert main(["share", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not (out / "share_summary.json").exists()
 
 
 def test_seed_override(tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from devlat import (
+    CVaRJump,
+    Custom,
     InfConv,
     JumpMeasure,
     NormCD,
@@ -15,6 +17,7 @@ from devlat import (
     check_driver,
     conditional_variance,
     evaluate,
+    infconv_split,
     infconv_value,
     proportional_transfer,
     represent,
@@ -23,6 +26,8 @@ from devlat import (
     terminal_brownian,
 )
 from devlat.representation import RepresentingPair
+from devlat.sharing import certificate_gaps
+from oracles import certificate_gap_by_node
 
 EMPTY = JumpMeasure.empty()
 NU = JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7))
@@ -258,6 +263,25 @@ def test_proportional_share_factor():
     assert proportional_share_factor(Variance(1.0), NormCD(1.0, 0.0)) is None
 
 
+def test_common_base_pair_splits_without_the_minimiser(jump_lattice, rng, monkeypatch):
+    from devlat import proportional_share_factor, sharing
+
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("common-base pairs have a closed-form split")
+
+    monkeypatch.setattr(sharing, "minimize", no_minimize)
+    base = CVaRJump(0.4)
+    g_a, g_b = Scaled(1.0, base), Scaled(3.0, base)
+    assert proportional_share_factor(g_a, g_b) == 0.75
+    x_a = RandomVariable(rng.normal(size=jump_lattice.num_nodes(4)), 4)
+    x_b = RandomVariable(rng.normal(size=jump_lattice.num_nodes(4)), 4)
+    sol = solve_sharing(jump_lattice, SharingProblem(x_a, x_b, g_a, g_b))
+    assert sol.attained
+    for i in range(4):
+        assert np.array_equal(sol.argmin_H[i], 0.75 * sol.total_pair.H[i])
+        assert np.array_equal(sol.argmin_Ht[i], 0.75 * sol.total_pair.Htilde[i])
+
+
 def test_argmins_match_proportional_integrands(binomial4, rng):
     x_a = RandomVariable(rng.normal(size=16), 4)
     x_b = RandomVariable(rng.normal(size=16), 4)
@@ -267,3 +291,38 @@ def test_argmins_match_proportional_integrands(binomial4, rng):
     implied = represent(binomial4, proportional_transfer(1.0, 3.0, x_a, x_b) + x_b)
     for i in range(4):
         np.testing.assert_allclose(sol.argmin_H[i], implied.H[i], atol=1e-6)
+
+
+def _abs_custom():
+    def value(t, h, ht, nu):
+        return float(h @ h) + float(np.abs(ht) @ nu.intensity_array)
+
+    def subgradient(t, h, ht, nu):
+        return np.concatenate([2.0 * h, np.sign(ht) * nu.intensity_array])
+
+    return Custom(value, subgradient, name="quad_abs")
+
+
+@pytest.mark.parametrize("g_a, g_b", [
+    (NormCD(1.2, 0.7), Variance(0.9)),          # closed form
+    (NormCD(1.0, 0.5), CVaRJump(0.4)),          # numeric
+    (_abs_custom(), Scaled(2.0, Variance(1.0))),  # numeric
+], ids=["norm_var", "norm_cvar", "custom_var"])
+def test_level_certificate_matches_per_node_oracle(g_a, g_b, rng):
+    nodes, d = 4, 1
+    for _ in range(2):
+        H = rng.normal(size=(nodes, d))
+        Ht = rng.normal(size=(nodes, NU.m))
+        splits = [(rng.normal(size=H.shape), rng.normal(size=Ht.shape)),
+                  infconv_split(g_a, g_b, 0.0, H, Ht, NU)]
+        for Z, Zt in splits:
+            points = np.hstack([Z, Zt])
+            values, gaps = certificate_gaps(g_a, g_b, 0.0, H, Ht, Z, Zt, NU)
+            for v in range(nodes):
+                def objective(zfull, h=H[v], ht=Ht[v]):
+                    return g_a.value(0.0, h - zfull[:d], ht - zfull[d:], NU) \
+                        + g_b.value(0.0, zfull[:d], zfull[d:], NU)
+
+                want = certificate_gap_by_node(objective, points[v])
+                assert gaps[v] == pytest.approx(want, rel=1e-7, abs=1e-7)
+                assert values[v] == pytest.approx(objective(points[v]), rel=1e-12, abs=1e-12)
