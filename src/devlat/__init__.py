@@ -27,7 +27,6 @@ from .lattice import (
 )
 from .representation import (
     AnalyticPayoff,
-    IntegrandStep,
     RepresentationError,
     RepresentingPair,
     assemble,

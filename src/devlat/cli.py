@@ -10,8 +10,8 @@ byte-identical summaries.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import functools
 import json
 import sys
 import traceback
@@ -315,18 +315,12 @@ def cmd_share(cfg, lat, out_dir, seed, quiet):
         "D0_a_standalone": sol.d0_a,
         "D0_b_standalone": sol.d0_b,
     }
-    with open(out_dir / "share_argmins.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        d, m = lat.noise.d, lat.noise.jumps.m
-        w.writerow(["level", "node"]
-                   + [f"z{i + 1}" for i in range(d)]
-                   + [f"ztilde{j + 1}" for j in range(m)])
-        for level in range(lat.n_steps):
-            for node in range(lat.num_nodes(level)):
-                row = [level, node]
-                row += [repr(float(v)) for v in sol.argmin_H[level][node]]
-                row += [repr(float(v)) for v in sol.argmin_Ht[level][node]]
-                w.writerow(row)
+    d, m = lat.noise.d, lat.noise.jumps.m
+    write_process_csv(
+        out_dir / "share_argmins.csv",
+        [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)],
+        columns=[f"z{i + 1}" for i in range(d)] + [f"ztilde{j + 1}" for j in range(m)],
+    )
     if not quiet:
         print(f"wrote {out_dir / 'share_argmins.csv'}")
     write_payoff_csv(out_dir / "transfer.csv", sol.y_tilde_star)
@@ -367,7 +361,9 @@ _DISPATCH = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="devlat",
         description="Deviation evaluation and risk sharing on finite event lattices",
@@ -377,7 +373,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args.config)

@@ -1,15 +1,21 @@
 """Deterministic JSON/CSV emission and ingestion for lattices and payoffs.
 
-Floats are written through their shortest round-trip decimal form (at most 17
-significant digits), keys are sorted, and rows are emitted in index order, so
-identical inputs produce byte-identical artifacts.
+Floats are written through their shortest round-trip decimal form
+(``float.__repr__``), keys are sorted, and rows are emitted in index order, so
+identical inputs produce byte-identical artifacts. The JSON layout is that of
+``json.dumps(..., sort_keys=True, indent=2)``; CSV rows are those of a default
+``csv.writer`` (comma-separated, ``\\r\\n`` line ends).
+
+Per-node artifacts are emitted one level at a time: a level's rows are
+formatted by a single string template filled from its columns, never one
+Python object per node.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +24,7 @@ from .lattice import Lattice, RandomVariable
 from .representation import RepresentingPair
 
 __all__ = [
+    "ColumnTable",
     "canonical_json",
     "lattice_to_dict",
     "pair_to_dict",
@@ -26,28 +33,147 @@ __all__ = [
     "load_payoff_csv",
 ]
 
+_NON_FINITE = "non-finite float in JSON payload"
 
-def _canonical(obj):
+
+def _interleave(columns, n: int) -> tuple:
+    """Row-major cells of ``columns`` (each an (n,) or (n, k) array) as one
+    flat tuple of Python ints and floats."""
+    cols = []
+    for c in columns:
+        cols.extend(c.T if c.ndim == 2 else [c])
+    width = len(cols)
+    flat: list = [None] * (n * width)
+    for at, c in enumerate(cols):
+        flat[at::width] = c.tolist()
+    return tuple(flat)
+
+
+class ColumnTable:
+    """A JSON list of ``n`` flat objects held as columns.
+
+    ``columns`` maps each key to an (n,) array (a scalar per row) or an
+    (n, k) array (a list of k per row). Integer columns print as ints, float
+    columns as ``float.__repr__``. ``canonical_json`` renders it exactly as it
+    would the equivalent list of dicts, with one template per table.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = {k: np.asarray(v) for k, v in columns.items()}
+        shapes = {v.shape[0] for v in self.columns.values()}
+        if len(shapes) != 1:
+            raise ValueError("table columns must have one row count")
+        self.n = shapes.pop()
+
+    def _json(self, nl: str) -> str:
+        """The table's JSON text; ``nl`` as in ``_render``."""
+        if self.n == 0:
+            return "[]"
+        row_nl, cell_nl, item_nl = nl + "  ", nl + "    ", nl + "      "
+        fields, cols = [], []
+        for key in sorted(self.columns):
+            col = self.columns[key]
+            if col.dtype.kind in "iu":
+                slot = "%d"
+            elif col.dtype.kind == "f":
+                if not np.isfinite(col).all():
+                    raise ValueError(_NON_FINITE)
+                slot = "%r"
+            else:
+                raise TypeError(f"cannot serialise a {col.dtype} column")
+            if col.ndim == 1:
+                value = slot
+            elif col.shape[1] == 0:
+                value = "[]"
+            else:
+                value = "[" + item_nl + ("," + item_nl).join([slot] * col.shape[1]) \
+                    + cell_nl + "]"
+            fields.append(cell_nl + encode_basestring_ascii(key).replace("%", "%%")
+                          + ": " + value)
+            cols.append(col)
+        row = row_nl + "{" + ",".join(fields) + row_nl + "}"
+        return "[" + ",".join([row] * self.n) % _interleave(cols, self.n) + nl + "]"
+
+
+def _render(obj, nl: str, out: list) -> None:
+    """Append the indent-2, sorted-key JSON of ``obj`` to ``out``; ``nl`` is
+    the newline plus indentation of the line ``obj`` starts on."""
     if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        items = {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _render(items[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _render(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, (np.floating, float)):
         f = float(obj)
         if not math.isfinite(f):
-            raise ValueError("non-finite float in JSON payload")
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_canonical(v) for v in obj.tolist()]
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
+            raise ValueError(_NON_FINITE)
+        out.append(float.__repr__(f))
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.ndarray):
+        _render(obj.tolist(), nl, out)
+    elif isinstance(obj, ColumnTable):
+        out.append(obj._json(nl))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+    """``obj`` as indent-2 JSON with sorted keys and a trailing newline.
+
+    Accepts dicts (keys are stringified), lists, tuples, numpy arrays and
+    scalars, strings, bools, None and ``ColumnTable``s; a NaN or infinity
+    raises ``ValueError``.
+    """
+    out: list[str] = []
+    _render(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_rows(path: Path, header: list[str], blocks) -> None:
+    """CSV file with ``header`` and, for each block ``(prefix, values)``, one
+    row ``<prefix><row number>,<repr of each value>`` per row of the (n, k)
+    float array ``values``; ``prefix`` is literal text (e.g. ``"3,"``).
+
+    The bytes are those of a default ``csv.writer`` given ``repr(float)``
+    cells; NaN and infinities are written as ``nan``/``inf``. One template
+    fill per block.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for prefix, values in blocks:
+            n, k = values.shape
+            row = prefix + "%d" + ",%r" * k + "\r\n"
+            fh.write((row * n) % _interleave([np.arange(n), values], n))
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
@@ -82,43 +208,39 @@ def lattice_to_dict(lat: Lattice) -> dict:
 
 
 def pair_to_dict(pair: RepresentingPair) -> dict:
-    """Representing pair as nested lists: per level, per node, H/Htilde/residual."""
+    """Representing pair per level: the mean, and each level's nodes as a
+    ``ColumnTable`` with keys node, H, Htilde and residual."""
     return {
         "mean": pair.mean,
         "levels": [
             {
                 "level": i,
-                "nodes": [
-                    {
-                        "node": v,
-                        "H": pair.H[i][v].tolist(),
-                        "Htilde": pair.Htilde[i][v].tolist(),
-                        "residual": float(pair.residuals[i][v]),
-                    }
-                    for v in range(pair.H[i].shape[0])
-                ],
+                "nodes": ColumnTable({
+                    "node": np.arange(pair.H[i].shape[0]),
+                    "H": pair.H[i],
+                    "Htilde": pair.Htilde[i],
+                    "residual": pair.residuals[i],
+                }),
             }
             for i in range(pair.n_steps)
         ],
     }
 
 
-def write_process_csv(path: Path, values_per_level) -> None:
-    """Adapted-process dump with header level,node,value."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["level", "node", "value"])
-        for level, vals in enumerate(values_per_level):
-            for node, v in enumerate(vals):
-                out.writerow([level, node, repr(float(v))])
+def write_process_csv(path: Path, values_per_level, columns=("value",)) -> None:
+    """Per-node dump with header level,node,<columns>: one row per node, in
+    level then node order. Each level's values are (nodes,) for one column,
+    or (nodes, len(columns))."""
+    _write_rows(path, ["level", "node", *columns], (
+        (f"{level},", np.asarray(vals, dtype=float).reshape(len(vals), len(columns)))
+        for level, vals in enumerate(values_per_level)
+    ))
 
 
 def write_payoff_csv(path: Path, x: RandomVariable) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["leaf", "value"])
-        for leaf, v in enumerate(x.values):
-            out.writerow([leaf, repr(float(v))])
+    """Terminal payoff dump with header leaf,value."""
+    values = np.asarray(x.values, dtype=float)
+    _write_rows(path, ["leaf", "value"], [("", values.reshape(len(values), 1))])
 
 
 def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:

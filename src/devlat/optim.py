@@ -77,7 +77,8 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
     """Minimise a convex objective from ``init``.
 
     Phase one runs subgradient steps ``x -= (a / (1 + k)) * g`` with ``a``
-    calibrated from the initial subgradient norm, keeping the best iterate,
+    calibrated from the initial subgradient norm ``gnorm0`` (a subgradient
+    longer than ``gnorm0`` is scaled down to it), keeping the best iterate,
     and stops early when the best value stalls below ``cfg.tolerance`` over a
     window or a near-zero subgradient appears. Phase two polishes the best
     iterate with backtracking (Armijo) descent steps, which only ever accepts
@@ -96,15 +97,19 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
         converged = True
     else:
         a = (1.0 + float(np.linalg.norm(x))) / gnorm0
+        gnorm = gnorm0
         window_anchor = f_best
         for k in range(cfg.max_iterations):
             iterations = k + 1
-            x = x - (a / (1.0 + k)) * g
+            # no step is longer than the first one's scale allows: a steep
+            # subgradient met on the way is cut back to the norm gnorm0
+            x = x - (a / (1.0 + k)) * min(1.0, gnorm0 / gnorm) * g
             f = float(obj.evaluate(x))
             if _better(f, x, f_best, x_best):
                 f_best, x_best = f, x.copy()
             g = np.asarray(obj.subgradient(x), dtype=float)
-            if float(np.linalg.norm(g)) <= 1e-14 * scale:
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= 1e-14 * scale:
                 f_best, x_best = f, x.copy()
                 converged = True
                 break

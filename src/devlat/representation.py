@@ -18,7 +18,6 @@ import numpy as np
 from .lattice import Lattice, RandomVariable, TimeGrid, martingale
 
 __all__ = [
-    "IntegrandStep",
     "RepresentingPair",
     "AnalyticPayoff",
     "RepresentationError",
@@ -31,15 +30,6 @@ __all__ = [
 
 class RepresentationError(RuntimeError):
     """Normal equations could not be solved (degenerate step probabilities)."""
-
-
-@dataclass(frozen=True)
-class IntegrandStep:
-    """Integrands at one node: H against dW (per Brownian component) and
-    Htilde against the compensated jump indicators (per mark)."""
-
-    H: np.ndarray
-    Htilde: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,9 +49,6 @@ class RepresentingPair:
     @property
     def n_steps(self) -> int:
         return len(self.H)
-
-    def step(self, level: int, node: int) -> IntegrandStep:
-        return IntegrandStep(self.H[level][node], self.Htilde[level][node])
 
     def max_residual(self) -> float:
         return float(max(r.max() if r.size else 0.0 for r in self.residuals))

@@ -2,12 +2,17 @@
 
 Everything here recomputes quantities from definitions (path enumeration,
 candidate scans, finite differences) without touching the production code
-paths it is used to check.
+paths it is used to check. The artifact references at the end are the
+node-by-node JSON and CSV writers the level-batched emitters must match byte
+for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
+import math
 
 import numpy as np
 
@@ -125,3 +130,85 @@ def certificate_gap_by_node(objective, point):
             slope = (float(objective(probe)) - f0) / eps
             worst = max(worst, -slope)
     return worst
+
+
+def canonical_json_reference(obj):
+    """Indent-2, sorted-key JSON through the standard library encoder, with
+    numpy values converted and non-finite floats refused first."""
+
+    def canonical(o):
+        if isinstance(o, dict):
+            return {str(k): canonical(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [canonical(v) for v in o]
+        if isinstance(o, (np.floating, float)):
+            f = float(o)
+            if not math.isfinite(f):
+                raise ValueError("non-finite float in JSON payload")
+            return f
+        if isinstance(o, np.integer):
+            return int(o)
+        if isinstance(o, np.ndarray):
+            return [canonical(v) for v in o.tolist()]
+        if isinstance(o, (str, int, bool)) or o is None:
+            return o
+        raise TypeError(f"cannot serialise {type(o).__name__}")
+
+    return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"
+
+
+def pair_to_dict_reference(pair):
+    """Representing pair as nested lists of one dict per node."""
+    return {
+        "mean": pair.mean,
+        "levels": [
+            {
+                "level": i,
+                "nodes": [
+                    {
+                        "node": v,
+                        "H": pair.H[i][v].tolist(),
+                        "Htilde": pair.Htilde[i][v].tolist(),
+                        "residual": float(pair.residuals[i][v]),
+                    }
+                    for v in range(pair.H[i].shape[0])
+                ],
+            }
+            for i in range(pair.n_steps)
+        ],
+    }
+
+
+def process_csv_reference(path, values_per_level):
+    """level,node,value rows through csv.writer, one node at a time."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["level", "node", "value"])
+        for level, vals in enumerate(values_per_level):
+            for node, v in enumerate(vals):
+                out.writerow([level, node, repr(float(v))])
+
+
+def payoff_csv_reference(path, values):
+    """leaf,value rows through csv.writer, one leaf at a time."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["leaf", "value"])
+        for leaf, v in enumerate(values):
+            out.writerow([leaf, repr(float(v))])
+
+
+def argmins_csv_reference(path, lat, sol):
+    """share_argmins.csv rows through csv.writer, one node at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        d, m = lat.noise.d, lat.noise.jumps.m
+        w.writerow(["level", "node"]
+                   + [f"z{i + 1}" for i in range(d)]
+                   + [f"ztilde{j + 1}" for j in range(m)])
+        for level in range(lat.n_steps):
+            for node in range(lat.num_nodes(level)):
+                row = [level, node]
+                row += [repr(float(v)) for v in sol.argmin_H[level][node]]
+                row += [repr(float(v)) for v in sol.argmin_Ht[level][node]]
+                w.writerow(row)

@@ -261,3 +261,15 @@ def test_seed_override(tmp_path):
                  "--seed", "99", "--quiet"]) == 0
     doc = json.loads((tmp_path / "axioms.json").read_text())
     assert doc["seed"] == 99
+
+
+def test_consecutive_calls_do_not_share_arguments(tmp_path):
+    cfg = _base_config(tmp_path, axioms={"driver": "g", "payoffs": ["X", "Y"],
+                                         "mixtures": 5})
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["axioms", "--config", str(cfg), "--out", str(first),
+                 "--seed", "99", "--quiet"]) == 0
+    assert main(["axioms", "--config", str(cfg), "--out", str(second),
+                 "--quiet"]) == 0
+    assert json.loads((first / "axioms.json").read_text())["seed"] == 99
+    assert json.loads((second / "axioms.json").read_text())["seed"] == 7

@@ -2,6 +2,7 @@
 numeric oracle and against the algebra any inf-convolution satisfies."""
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -153,3 +154,18 @@ def test_numeric_only_outside_the_family():
     assert radial_form(Scaled(4.0, NormCD(1.0, 2.0))) == (4.0, ("lin", 1.0), ("lin", 2.0))
     assert radial_form(CVaRJump(0.5)) is None
     assert radial_form(Scaled(2.0, InfConv(Variance(1.0), Variance(1.0)))) is None
+
+
+def test_numeric_oracle_steps_stay_bounded():
+    # a near-zero Brownian integrand gives a tiny first subgradient and so a
+    # long step scale; uncapped, later steeper subgradients threw the iterates
+    # to overflow ("overflow encountered in matmul") before the best iterate
+    # and the block corners rescued the answer
+    args = (Variance(1.87), Variance(2.11), 0.0, np.array([1e-4]), np.array([0.0, 0.0]),
+            JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        numeric, _ = infconv_value(*args, SolverConfig(polish_iterations=1000),
+                                   method="numeric")
+    closed, _ = infconv_value(*args)
+    assert abs(numeric - closed) <= 1e-7 * abs(closed)
