@@ -27,7 +27,8 @@ from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
 from .lattice import JumpMeasure, Lattice, NoiseModel, RandomVariable, TimeGrid, \
     build_lattice
 from .optim import NumericError, SolverConfig
-from .representation import AnalyticPayoff, RepresentingPair, assemble, represent
+from .representation import AnalyticPayoff, RepresentationError, RepresentingPair, \
+    assemble, represent
 from .sharing import SharingProblem, proportional_share_factor, solve_sharing
 
 EXIT_OK = 0
@@ -142,7 +143,9 @@ def _expression_namespace(lat: Lattice) -> dict:
     return ns
 
 
-def _build_payoffs(cfg: dict, lat: Lattice, base_dir: Path) -> dict:
+def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
+    """Named payoffs of the config; a relative ``csv`` path is taken from the
+    config file's directory."""
     out: dict = {}
     ns = None
     for name, obj in (cfg.get("payoffs") or {}).items():
@@ -151,7 +154,7 @@ def _build_payoffs(cfg: dict, lat: Lattice, base_dir: Path) -> dict:
             if kind == "csv":
                 path = Path(_require(obj, "path", f"payoff {name!r}"))
                 if not path.is_absolute():
-                    path = base_dir / path
+                    path = config_dir / path
                 out[name] = load_payoff_csv(path, lat)
             elif kind == "expression":
                 if ns is None:
@@ -199,16 +202,16 @@ def _emit(path: Path, text: str, quiet: bool) -> None:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_build(cfg, lat, out_dir, seed, quiet):
+def cmd_build(cfg, lat, out_dir, seed, quiet, config_dir):
     _emit(out_dir / "lattice.json", canonical_json(lattice_to_dict(lat)), quiet)
     return EXIT_OK
 
 
-def cmd_deviation(cfg, lat, out_dir, seed, quiet):
+def cmd_deviation(cfg, lat, out_dir, seed, quiet, config_dir):
     block = _require(cfg, "deviation")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, out_dir)
+    payoffs = _build_payoffs(cfg, lat, config_dir)
     driver = _named(drivers, _require(block, "driver", "deviation"), "driver")
     payoff = _named(payoffs, _require(block, "payoff", "deviation"), "payoff")
     if isinstance(payoff, AnalyticPayoff):
@@ -240,11 +243,11 @@ def cmd_deviation(cfg, lat, out_dir, seed, quiet):
     return EXIT_OK
 
 
-def cmd_axioms(cfg, lat, out_dir, seed, quiet):
+def cmd_axioms(cfg, lat, out_dir, seed, quiet, config_dir):
     block = _require(cfg, "axioms")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, out_dir)
+    payoffs = _build_payoffs(cfg, lat, config_dir)
     driver = _named(drivers, _require(block, "driver", "axioms"), "driver")
     names = _require(block, "payoffs", "axioms")
     samples = [_named(payoffs, n, "payoff") for n in names]
@@ -259,11 +262,11 @@ def cmd_axioms(cfg, lat, out_dir, seed, quiet):
     return EXIT_OK
 
 
-def cmd_law_probe(cfg, lat, out_dir, seed, quiet):
+def cmd_law_probe(cfg, lat, out_dir, seed, quiet, config_dir):
     block = _require(cfg, "law_probe")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, out_dir)
+    payoffs = _build_payoffs(cfg, lat, config_dir)
     driver = _named(drivers, _require(block, "driver", "law_probe"), "driver")
 
     def pick(name, analytic):
@@ -286,11 +289,11 @@ def cmd_law_probe(cfg, lat, out_dir, seed, quiet):
     return EXIT_OK
 
 
-def cmd_share(cfg, lat, out_dir, seed, quiet):
+def cmd_share(cfg, lat, out_dir, seed, quiet, config_dir):
     block = _require(cfg, "share")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, out_dir)
+    payoffs = _build_payoffs(cfg, lat, config_dir)
     prob = SharingProblem(
         x_a=_named(payoffs, _require(block, "payoff_a", "share"), "payoff"),
         x_b=_named(payoffs, _require(block, "payoff_b", "share"), "payoff"),
@@ -334,7 +337,7 @@ def cmd_share(cfg, lat, out_dir, seed, quiet):
     return EXIT_OK
 
 
-def cmd_check_driver(cfg, lat, out_dir, seed, quiet):
+def cmd_check_driver(cfg, lat, out_dir, seed, quiet, config_dir):
     block = _require(cfg, "check_driver")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
@@ -385,8 +388,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out or cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         lat = _build_lattice(cfg)
-        return _DISPATCH[args.command](cfg, lat, out_dir, seed, args.quiet)
-    except NumericError as exc:
+        return _DISPATCH[args.command](cfg, lat, out_dir, seed, args.quiet,
+                                       Path(args.config).parent)
+    except (NumericError, RepresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ValueError) as exc:

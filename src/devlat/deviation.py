@@ -76,21 +76,26 @@ def _pair_for(lat: Lattice, pair: RepresentingPair) -> None:
         raise ValueError("driver/lattice dimension mismatch for the pair")
 
 
+def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
+    """Backward sum of per-node values times dt, zero at the horizon: each
+    node holds the conditional expectation of its children's sums plus its
+    own value * dt."""
+    vals = [np.zeros(lat.num_nodes(lat.n_steps))]
+    for i in range(lat.n_steps - 1, -1, -1):
+        cont = vals[0].reshape(-1, lat.branching) @ lat.step_probs(i)
+        vals.insert(0, cont + node_values[i] * lat.step_dt(i))
+    return tuple(vals)
+
+
 def evaluate(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
              source: str = "") -> DeviationProcess:
     """Backward accumulation: node value = E[child values] + g(t, H, Ht) * dt."""
     _pair_for(lat, pair)
     nu = lat.noise.jumps
-    n = lat.n_steps
-    vals: list[np.ndarray] = [np.zeros(lat.num_nodes(n))]
-    for i in range(n - 1, -1, -1):
-        cont = vals[0].reshape(-1, lat.branching) @ lat.step_probs(i)
-        g = np.asarray(
-            driver.value_batch(lat.times[i], pair.H[i], pair.Htilde[i], nu),
-            dtype=float,
-        )
-        vals.insert(0, cont + g * lat.step_dt(i))
-    return DeviationProcess(AdaptedProcess(tuple(vals)), driver, source)
+    g = [np.asarray(driver.value_batch(lat.times[i], pair.H[i], pair.Htilde[i], nu),
+                    dtype=float)
+         for i in range(lat.n_steps)]
+    return DeviationProcess(AdaptedProcess(_accumulate(lat, g)), driver, source)
 
 
 def _restrict_pair(pair: RepresentingPair, lo: int, hi: int) -> RepresentingPair:

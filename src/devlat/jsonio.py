@@ -13,8 +13,8 @@ Python object per node.
 
 from __future__ import annotations
 
-import csv
 import math
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -244,21 +244,34 @@ def write_payoff_csv(path: Path, x: RandomVariable) -> None:
 
 
 def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
-    """Read a terminal payoff written as leaf,value rows (any leaf order)."""
+    """Read a terminal payoff written as leaf,value rows (any leaf order).
+
+    Every row is one ``leaf,value`` pair of unquoted cells; blank lines are
+    skipped, and each leaf must appear exactly once. All cells are parsed in
+    one pass per column, then stored with one indexed assignment.
+    """
     leaves = lat.num_nodes(lat.n_steps)
-    values = np.full(leaves, np.nan)
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None or [h.strip() for h in header[:2]] != ["leaf", "value"]:
-            raise ValueError(f"{path}: expected header 'leaf,value'")
-        for row in rows:
-            if not row:
-                continue
-            leaf = int(row[0])
-            if not 0 <= leaf < leaves:
-                raise ValueError(f"{path}: leaf index {leaf} outside 0..{leaves - 1}")
-            values[leaf] = float(row[1])
-    if np.any(np.isnan(values)):
+    with open(path) as fh:
+        header = fh.readline()
+        body = fh.read()
+    if [h.strip() for h in header.rstrip("\n").split(",")[:2]] != ["leaf", "value"]:
+        raise ValueError(f"{path}: expected header 'leaf,value'")
+    rows = [row for row in body.split("\n") if row]
+    if set(map(str.count, rows, repeat(","))) - {1}:
+        raise ValueError(f"{path}: every row must be one 'leaf,value' pair")
+    cells = ",".join(rows).split(",") if rows else []
+    index = list(map(int, cells[0::2]))
+    if index and (min(index) < 0 or max(index) >= leaves):
+        first = next(k for k in index if not 0 <= k < leaves)
+        raise ValueError(f"{path}: leaf index {first} outside 0..{leaves - 1}")
+    leaf = np.array(index, dtype=np.int64)
+    values = np.array(list(map(float, cells[1::2])))
+    counts = np.bincount(leaf, minlength=leaves)
+    if np.any(counts > 1):
+        raise ValueError(
+            f"{path}: leaf {int(np.argmax(counts > 1))} appears more than once")
+    if np.any(counts == 0):
         raise ValueError(f"{path}: missing leaf values")
-    return RandomVariable(values, lat.n_steps)
+    out = np.empty(leaves)
+    out[leaf] = values
+    return RandomVariable(out, lat.n_steps)

@@ -162,8 +162,9 @@ class Lattice:
         d, m = noise.d, noise.jumps.m
         branching = (2 ** d) * (m + 1)
         n = grid.n_steps
+        steps = grid.steps
 
-        max_dt = max(grid.steps)
+        max_dt = max(steps)
         jump_mass = noise.jumps.total_intensity * max_dt
         if m > 0 and jump_mass > MAX_JUMP_MASS_PER_STEP + 1e-15:
             raise LatticeBuildError(
@@ -190,17 +191,29 @@ class Lattice:
         self.outcome_labels = labels
 
         nu = noise.jumps.intensity_array
-        self._dw: list[np.ndarray] = []
-        self._probs: list[np.ndarray] = []
-        for dt in grid.steps:
-            self._dw.append(signs * math.sqrt(dt))
+        onehot = np.eye(m + 1)[labels][:, 1:]
+        # one read-only set of step tables per distinct step length
+        tables: dict[float, tuple] = {}
+        for dt in steps:
+            if dt in tables:
+                continue
+            dw = signs * math.sqrt(dt)
             pj = np.concatenate(([1.0 - float(nu.sum()) * dt], nu * dt))
             probs = np.tile(pj, 2 ** d) / (2 ** d)
             if np.any(probs <= 0.0):
                 raise LatticeBuildError("nonpositive outcome probability")
             if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
                 raise LatticeBuildError("outcome probabilities do not sum to 1")
-            self._probs.append(probs)
+            phi = np.hstack([dw, onehot - nu * dt])
+            wphi = phi * probs[:, None]
+            basis = (phi, wphi, phi.T @ wphi)
+            for a in (dw, probs, *basis):
+                a.flags.writeable = False
+            tables[dt] = (dw, probs, basis)
+        self._dt = steps
+        self._dw = [tables[dt][0] for dt in steps]
+        self._probs = [tables[dt][1] for dt in steps]
+        self._basis = [tables[dt][2] for dt in steps]
 
     # -- structure -----------------------------------------------------------
 
@@ -227,7 +240,18 @@ class Lattice:
         return self._probs[level]
 
     def step_dt(self, level: int) -> float:
-        return self.grid.steps[level]
+        return self._dt[level]
+
+    def step_basis(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The step's noise basis ``phi`` (b, d+m), its probability-weighted
+        rows ``p * phi`` and the Gram matrix ``phi.T @ (p * phi)``.
+
+        ``phi`` is ``[dW^1..dW^d | Ntilde_1..Ntilde_m]`` per outcome, with
+        ``Ntilde_j(o) = 1{jump label of o == j} - intensity_j * dt``; every
+        column has zero mean under the outcome probabilities. Built once per
+        step length at construction; the arrays are read-only.
+        """
+        return self._basis[level]
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.n_steps:

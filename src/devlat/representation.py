@@ -61,12 +61,10 @@ def noise_basis(lat: Lattice, level: int) -> np.ndarray:
     """Per-outcome basis matrix [dW^1..dW^d | Ntilde_1..Ntilde_m], shape (b, d+m).
 
     Ntilde_j(o) = 1{jump label of o == j} - intensity_j * dt; every column has
-    zero mean under the step's outcome probabilities.
+    zero mean under the step's outcome probabilities. The lattice's cached,
+    read-only array (``Lattice.step_basis``).
     """
-    m = lat.noise.jumps.m
-    onehot = np.eye(m + 1)[lat.outcome_labels][:, 1:]
-    ntilde = onehot - lat.noise.jumps.intensity_array * lat.step_dt(level)
-    return np.hstack([lat.step_dw(level), ntilde])
+    return lat.step_basis(level)[0]
 
 
 def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
@@ -74,16 +72,15 @@ def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
 
     At each node, solves the weighted normal equations for the increment
     ``E[x|child] - E[x|node]`` against the step basis; the basis Gram matrix is
-    shared within a level, so the solve vectorises over nodes.
+    shared within a level (and cached on the lattice), so the solve vectorises
+    over nodes.
     """
     mart = martingale(lat, x)
     d = lat.noise.d
     H, Ht, res = [], [], []
     for i in range(lat.n_steps):
-        phi = noise_basis(lat, i)
+        phi, wphi, gram = lat.step_basis(i)
         p = lat.step_probs(i)
-        wphi = phi * p[:, None]
-        gram = phi.T @ wphi
         dm = mart.at(i + 1).reshape(-1, lat.branching) - mart.at(i)[:, None]
         try:
             beta = np.linalg.solve(gram, (dm @ wphi).T).T

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviation import DeviationProcess, evaluate
+from .deviation import DeviationProcess, _accumulate, evaluate
 from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance, eval_driver
-from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable, martingale
+from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, ObjectiveOracle, SolverConfig, minimize
 from .representation import RepresentingPair, assemble, represent
 
@@ -302,6 +302,29 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
     return float(value[0]), (Z[0], Zt[0])
 
 
+def _level_certificate(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
+                       Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
+                       nu: JumpMeasure) -> tuple[np.ndarray, ...]:
+    """``certificate_gaps`` plus A's and B's terms of the objective at the
+    split, ``g_a(H - Z, Ht - Zt)`` and ``g_b(Z, Zt)``, from the same driver
+    calls: returns ``(part_a, part_b, objective, gaps)``."""
+    d = H.shape[1]
+    points = np.hstack([Z, Zt])
+    n, p = points.shape
+    eps = 1e-7 * (1.0 + _row_norms(points))
+    steps = np.vstack([np.eye(p), -np.eye(p)])
+    probes = points + steps[:, None, :] * eps[:, None]
+    stack = np.vstack([points, probes.reshape(-1, p)])
+    k = 2 * p + 1
+    part_a = g_a.value_batch(t, np.tile(H, (k, 1)) - stack[:, :d],
+                             np.tile(Ht, (k, 1)) - stack[:, d:], nu)
+    part_b = g_b.value_batch(t, stack[:, :d], stack[:, d:], nu)
+    values = (part_a + part_b).reshape(k, n)
+    f0 = values[0]
+    gaps = np.max((f0 - values[1:]) / eps, axis=0, initial=0.0)
+    return part_a[:n], part_b[:n], f0, gaps
+
+
 def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
                      Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
                      nu: JumpMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -312,21 +335,10 @@ def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
     with step ``eps = 1e-7 * (1 + |(z, zt)|)``; the row's gap is its steepest
     descent slope (0 if none descends). A split is optimal exactly when no
     direction descends, the finite-dimensional form of the two
-    subdifferentials intersecting. All rows and probes go through
+    subdifferentials intersecting. All rows and probes go through one
     ``value_batch`` call per driver.
     """
-    d = H.shape[1]
-    points = np.hstack([Z, Zt])
-    n, p = points.shape
-    eps = 1e-7 * (1.0 + _row_norms(points))
-    steps = np.vstack([np.eye(p), -np.eye(p)])
-    probes = points + steps[:, None, :] * eps[:, None]
-    stack = np.vstack([points, probes.reshape(-1, p)])
-    k = 2 * p + 1
-    values = _split_objective(g_a, g_b, t, np.tile(H, (k, 1)), np.tile(Ht, (k, 1)),
-                             stack[:, :d], stack[:, d:], nu).reshape(k, n)
-    f0 = values[0]
-    return f0, np.max((f0 - values[1:]) / eps, axis=0, initial=0.0)
+    return _level_certificate(g_a, g_b, t, H, Ht, Z, Zt, nu)[2:]
 
 
 def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
@@ -338,6 +350,13 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     projected integrands and the largest residual is attached rather than
     silently dropped; configure ``solver.residual_tolerance`` to make it fatal
     (``NumericError``).
+
+    The price and the welfare changes come from the split itself, with no
+    further representation: B's post-transfer position ``y* - price`` has the
+    integrands ``(Z, Zt)`` and A's has ``(H - Z, Ht - Zt)``, so each agent's
+    deviation after the transfer is the backward sum of its own term of the
+    node objective, and the two sum to the inf-convolution. Only the total and
+    the two payoffs are represented.
     """
     if prob.x_a.level != lat.n_steps or prob.x_b.level != lat.n_steps:
         raise ValueError("sharing payoffs must be terminal")
@@ -353,31 +372,32 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
             f"threshold {cfg.residual_tolerance:.3g}"
         )
 
-    arg_H, arg_Ht, node_vals, level_gaps = [], [], [], []
+    arg_H, arg_Ht, level_gaps = [], [], []
+    node_vals, parts_a, parts_b = [], [], []
     for i in range(lat.n_steps):
         t, H, Ht = lat.times[i], pair.H[i], pair.Htilde[i]
         Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
-        vals, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
+        part_a, part_b, vals, gaps = _level_certificate(g_a, g_b, t, H, Ht, Z, Zt, nu)
         level_gaps.append(np.max(gaps))
         arg_H.append(Z)
         arg_Ht.append(Zt)
         node_vals.append(vals)
+        parts_a.append(part_a)
+        parts_b.append(part_b)
 
     certificate_gap = float(np.max(level_gaps)) if level_gaps else 0.0
     attained = certificate_gap <= cfg.attain_tolerance and all(
         np.all(np.isfinite(v)) for v in node_vals
     )
 
-    # deviation of the shared position, accumulated from the solved node values
-    dev_vals: list[np.ndarray] = [np.zeros(lat.num_nodes(lat.n_steps))]
-    for i in range(lat.n_steps - 1, -1, -1):
-        cont = dev_vals[0].reshape(-1, lat.branching) @ lat.step_probs(i)
-        dev_vals.insert(0, cont + node_vals[i] * lat.step_dt(i))
     infconv_d = DeviationProcess(
-        AdaptedProcess(tuple(dev_vals)),
+        AdaptedProcess(_accumulate(lat, node_vals)),
         InfConv(prob.driver_a, prob.driver_b, cfg),
         source="sharing",
     )
+    # each agent's time-zero deviation after the transfer
+    dev_a = float(_accumulate(lat, parts_a)[0][0])
+    dev_b = float(_accumulate(lat, parts_b)[0][0])
 
     zero_res = tuple(np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps))
     y_star = assemble(
@@ -385,20 +405,17 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     )
     y_tilde = y_star - prob.x_b
 
-    def d0(driver, payoff):
-        return evaluate(lat, driver, represent(lat, payoff)).d0
-
-    def mean(payoff):
-        return float(martingale(lat, payoff).at(0)[0])
-
-    d0_a, d0_b = d0(prob.driver_a, prob.x_a), d0(prob.driver_b, prob.x_b)
-    price = mean(y_tilde) - d0(prob.driver_b, prob.x_b + y_tilde) + d0_b
-    u_a_before = mean(prob.x_a) - d0_a
-    pos_a = prob.x_a - y_tilde + price
-    u_a_after = mean(pos_a) - d0(prob.driver_a, pos_a)
-    u_b_before = mean(prob.x_b) - d0_b
-    pos_b = prob.x_b + y_tilde - price
-    u_b_after = mean(pos_b) - d0(prob.driver_b, pos_b)
+    pair_a, pair_b = represent(lat, prob.x_a), represent(lat, prob.x_b)
+    d0_a = evaluate(lat, g_a, pair_a).d0
+    d0_b = evaluate(lat, g_b, pair_b).d0
+    mean_a, mean_b = pair_a.mean, pair_b.mean
+    # y* has zero mean, so E[y_tilde] = -mean_b; B ends up holding y* - price
+    # and A holds x_a - y_tilde + price
+    price = -mean_b - dev_b + d0_b
+    u_a_before = mean_a - d0_a
+    u_a_after = (mean_a + mean_b + price) - dev_a
+    u_b_before = mean_b - d0_b
+    u_b_after = -price - dev_b
 
     return SharingSolution(
         argmin_H=tuple(arg_H),

@@ -212,3 +212,55 @@ def argmins_csv_reference(path, lat, sol):
                 row += [repr(float(v)) for v in sol.argmin_H[level][node]]
                 row += [repr(float(v)) for v in sol.argmin_Ht[level][node]]
                 w.writerow(row)
+
+
+def sharing_pricing_by_representation(lat, prob, sol):
+    """Price and welfare changes of a sharing solution by re-representing
+    every position: five ``represent`` + ``evaluate`` round trips, on x_a, x_b,
+    x_b + y_tilde and both post-transfer positions, as the solver once priced.
+
+    Returns ``price``, ``du_a``, ``du_b`` and each agent's time-zero deviation
+    after the transfer, ``dev_a`` and ``dev_b``.
+    """
+    from devlat import evaluate, martingale, represent
+
+    def d0(driver, payoff):
+        return evaluate(lat, driver, represent(lat, payoff)).d0
+
+    def mean(payoff):
+        return float(martingale(lat, payoff).at(0)[0])
+
+    y_tilde = sol.y_tilde_star
+    d0_a, d0_b = d0(prob.driver_a, prob.x_a), d0(prob.driver_b, prob.x_b)
+    price = mean(y_tilde) - d0(prob.driver_b, prob.x_b + y_tilde) + d0_b
+    pos_a = prob.x_a - y_tilde + price
+    pos_b = prob.x_b + y_tilde - price
+    dev_a, dev_b = d0(prob.driver_a, pos_a), d0(prob.driver_b, pos_b)
+    du_a = (mean(pos_a) - dev_a) - (mean(prob.x_a) - d0_a)
+    du_b = (mean(pos_b) - dev_b) - (mean(prob.x_b) - d0_b)
+    return {"price": price, "du_a": du_a, "du_b": du_b,
+            "dev_a": dev_a, "dev_b": dev_b}
+
+
+def load_payoff_csv_reference(path, lat):
+    """leaf,value rows through csv.reader, one leaf at a time; a repeated leaf
+    keeps its last value."""
+    from devlat import RandomVariable
+
+    leaves = lat.num_nodes(lat.n_steps)
+    values = np.full(leaves, np.nan)
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None or [h.strip() for h in header[:2]] != ["leaf", "value"]:
+            raise ValueError(f"{path}: expected header 'leaf,value'")
+        for row in rows:
+            if not row:
+                continue
+            leaf = int(row[0])
+            if not 0 <= leaf < leaves:
+                raise ValueError(f"{path}: leaf index {leaf} outside 0..{leaves - 1}")
+            values[leaf] = float(row[1])
+    if np.any(np.isnan(values)):
+        raise ValueError(f"{path}: missing leaf values")
+    return RandomVariable(values, lat.n_steps)

@@ -6,9 +6,11 @@ import pytest
 
 from devlat import JumpMeasure, RandomVariable, SolverConfig, build_lattice, \
     NoiseModel, TimeGrid, assemble, represent
+import devlat.cli
+import devlat.sharing
 from devlat.cli import main
 from devlat.jsonio import write_payoff_csv
-from devlat.representation import RepresentingPair
+from devlat.representation import RepresentationError, RepresentingPair
 
 #: dyadic jump lattice of the sharing tests: d=1, marks (-1, 2), n=2
 JUMP_NOISE = {"d": 1, "jumps": {"marks": [-1.0, 2.0], "intensities": [0.25, 0.5]}}
@@ -146,6 +148,37 @@ def test_csv_payoff_ingestion(tmp_path):
                  "--quiet"]) == 0
     doc = json.loads((tmp_path / "deviation_summary.json").read_text())
     assert doc["D0"] > 0
+
+
+def test_relative_csv_path_is_read_from_the_config_directory(tmp_path):
+    config_dir, out = tmp_path / "config", tmp_path / "out"
+    config_dir.mkdir()
+    write_payoff_csv(config_dir / "payoff.csv",
+                     RandomVariable(np.arange(16, dtype=float) - 7.5, 4))
+    cfg = _base_config(
+        config_dir,
+        payoffs={"Z": {"kind": "csv", "path": "payoff.csv"}},
+        deviation={"payoff": "Z", "driver": "g"},
+    )
+    assert main(["deviation", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    assert (out / "deviation_summary.json").exists()
+
+
+@pytest.mark.parametrize("command, module", [
+    ("deviation", devlat.cli), ("share", devlat.sharing)])
+def test_representation_error_exits_2(tmp_path, monkeypatch, command, module):
+    def singular(lat, x):
+        raise RepresentationError("singular normal equations at level 0")
+
+    monkeypatch.setattr(module, "represent", singular)
+    cfg = _base_config(
+        tmp_path,
+        deviation={"payoff": "X", "driver": "g"},
+        share={"payoff_a": "X", "payoff_b": "Y", "driver_a": "gA", "driver_b": "gB"},
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
 
 
 def test_payoff_csv_validation(tmp_path):

@@ -1,6 +1,7 @@
 """Level-batched artifact emission against the one-node-at-a-time references
 in ``oracles``: the same bytes for JSON summaries, integrand tables and CSV
-dumps, and the same refusal of non-finite JSON floats."""
+dumps, and the same refusal of non-finite JSON floats. The one-pass payoff CSV
+loader against the row-by-row reference: the same bits in any row order."""
 
 import json
 from types import SimpleNamespace
@@ -15,10 +16,11 @@ from devlat import JumpMeasure, NoiseModel, RandomVariable, RepresentingPair, Sc
     SharingProblem, TimeGrid, Variance, build_lattice, represent, solve_sharing, \
     terminal_brownian
 from devlat.cli import main
-from devlat.jsonio import canonical_json, pair_to_dict, write_payoff_csv, \
-    write_process_csv
+from devlat.jsonio import canonical_json, load_payoff_csv, pair_to_dict, \
+    write_payoff_csv, write_process_csv
 from oracles import argmins_csv_reference, canonical_json_reference, \
-    pair_to_dict_reference, payoff_csv_reference, process_csv_reference
+    load_payoff_csv_reference, pair_to_dict_reference, payoff_csv_reference, \
+    process_csv_reference
 
 #: floats whose shortest repr is easy to get wrong: signed zero, the smallest
 #: subnormal, the first exponent form above 1e16 and a tiny normal
@@ -199,3 +201,70 @@ def test_share_artifacts_match_reference(tmp_path, noise):
         (tmp_path / "argmins_ref.csv").read_bytes()
     assert (tmp_path / "transfer.csv").read_bytes() == \
         (tmp_path / "transfer_ref.csv").read_bytes()
+
+
+#: payoff values whose decimal cells are easy to misparse: signed zeros, the
+#: smallest subnormals, 1e+-300 and values whose repr needs 17 digits
+LOAD_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+             0.1 + 0.2, 1 / 3, -2 / 3, 2.0 ** 0.5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), extra=st.lists(finite, max_size=8),
+       seed=st.integers(0, 2**32 - 1), cell=st.sampled_from(["%r", "%.17g"]),
+       newline=st.sampled_from(["\n", "\r\n"]), blanks=st.integers(0, 3))
+def test_payoff_csv_load_matches_reference(tmp_path_factory, n, extra, seed, cell,
+                                           newline, blanks):
+    lat = build_lattice(TimeGrid.uniform(n, 1.0), NoiseModel.brownian(1))
+    leaves = lat.num_nodes(n)
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(list(LOAD_POOL) + extra), size=leaves).tolist()
+    rows = [f"{leaf},{cell % values[leaf]}" for leaf in rng.permutation(leaves).tolist()]
+    for at in rng.integers(0, len(rows) + 1, size=blanks).tolist():
+        rows.insert(at, "")
+    path = tmp_path_factory.mktemp("load") / "payoff.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(["leaf,value", *rows]) + newline)
+
+    got = load_payoff_csv(path, lat).values
+    assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
+    assert got.tobytes() == np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    "",                                # header only
+    "-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n",
+    "0,1.0\n1,2.0\n2,3.0\n3,4.0\n2,5.0\n",   # duplicate leaf
+    "0,1.0\n1,2.0\n2.5,3.0\n3,4.0\n",  # non-integer leaf
+    "0,1.0\n1,2.0\n2,x\n3,4.0\n",      # non-float value
+    "0,1.0\n1,2.0\n2\n3,4.0\n",        # a row without a value
+    "0,1.0\n1,2.0\n2,3.0,7\n3,4.0\n",  # a row with an extra cell
+], ids=["header_only", "negative", "duplicate", "leaf_type", "value_type",
+        "short_row", "long_row"])
+def test_payoff_csv_rejects_malformed_rows(tmp_path, body):
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
+    path = tmp_path / "payoff.csv"
+    path.write_text("leaf,value\n" + body)
+    with pytest.raises(ValueError):
+        load_payoff_csv(path, lat)
+
+
+def test_payoff_csv_reports_first_leaf_out_of_range(tmp_path):
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
+    path = tmp_path / "payoff.csv"
+    path.write_text("leaf,value\n0,1.0\n7,2.0\n-3,3.0\n9,4.0\n")
+    with pytest.raises(ValueError, match="leaf index 7 outside 0..3"):
+        load_payoff_csv(path, lat)
+
+
+def test_duplicate_payoff_leaf_exits_1(tmp_path):
+    (tmp_path / "x.csv").write_text("leaf,value\n0,1.0\n1,2.0\n1,3.0\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "lattice": {"grid": {"n": 1, "horizon": 1.0}, "noise": {"d": 1}},
+        "payoffs": {"X": {"kind": "csv", "path": str(tmp_path / "x.csv")}},
+        "drivers": {"g": {"kind": "variance", "alpha": 1.0}},
+        "deviation": {"payoff": "X", "driver": "g"},
+    }))
+    assert main(["deviation", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 1
