@@ -10,6 +10,7 @@ byte-identical summaries.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import functools
 import json
@@ -115,14 +116,23 @@ def _parse_drivers(cfg: dict, solver: SolverConfig) -> dict:
     return out
 
 
+#: the numpy functions an expression payoff may call
+_EXPRESSION_FUNCTIONS = {
+    "abs": np.abs, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "sin": np.sin, "cos": np.cos, "maximum": np.maximum,
+    "minimum": np.minimum, "where": np.where,
+}
+
+_EXPRESSION_OPERATORS = (
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.UAdd, ast.USub,
+    ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+
+
 def _expression_namespace(lat: Lattice) -> dict:
     n = lat.n_steps
-    ns: dict = {
-        "T": lat.grid.horizon,
-        "abs": np.abs, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
-        "sin": np.sin, "cos": np.cos, "maximum": np.maximum,
-        "minimum": np.minimum, "where": np.where,
-    }
+    ns: dict = {"T": lat.grid.horizon, **_EXPRESSION_FUNCTIONS}
     w = lat.brownian_states(n)
     for i in range(lat.noise.d):
         ns[f"W{i + 1}"] = w[:, i]
@@ -143,6 +153,43 @@ def _expression_namespace(lat: Lattice) -> dict:
     return ns
 
 
+def _compile_expression(expr: str, ns: dict):
+    """Parse an expression payoff and refuse every construct outside its
+    grammar: names of the namespace, int and float literals, arithmetic and
+    comparison operators, and positional calls of ``_EXPRESSION_FUNCTIONS``.
+    Returns the compiled validated tree."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except (MemoryError, RecursionError) as exc:  # the parser's depth limits
+        raise ValueError("expression: nested too deeply") from exc
+    stack = [tree.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            continue
+        if isinstance(node, ast.Name) and node.id in ns \
+                and node.id not in _EXPRESSION_FUNCTIONS:
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPRESSION_OPERATORS):
+            stack += [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPRESSION_OPERATORS):
+            stack.append(node.operand)
+        elif isinstance(node, ast.Compare) \
+                and all(isinstance(op, _EXPRESSION_OPERATORS) for op in node.ops):
+            stack += [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _EXPRESSION_FUNCTIONS and not node.keywords \
+                and not any(isinstance(a, ast.Starred) for a in node.args):
+            stack += node.args
+        else:
+            text = ast.get_source_segment(expr, node) or type(node).__name__
+            raise ValueError(f"expression: {text[:60]!r} is not an allowed construct")
+    try:
+        return compile(tree, "<expression>", "eval")
+    except RecursionError as exc:
+        raise ValueError("expression: nested too deeply") from exc
+
+
 def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
     """Named payoffs of the config; a relative ``csv`` path is taken from the
     config file's directory."""
@@ -159,8 +206,9 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
             elif kind == "expression":
                 if ns is None:
                     ns = _expression_namespace(lat)
-                expr = _require(obj, "expr", f"payoff {name!r}")
-                values = eval(expr, {"__builtins__": {}}, dict(ns))
+                code = _compile_expression(
+                    _require(obj, "expr", f"payoff {name!r}"), ns)
+                values = eval(code, {"__builtins__": {}}, dict(ns))
                 values = np.broadcast_to(
                     np.asarray(values, dtype=float), (lat.num_nodes(lat.n_steps),)
                 ).copy()

@@ -21,12 +21,14 @@ from .lattice import (
     Lattice,
     RandomVariable,
     TimeGrid,
+    _martingale_levels,
     cond_exp,
     law,
     law_distance,
     martingale,
 )
-from .representation import AnalyticPayoff, RepresentingPair, assemble, represent
+from .representation import AnalyticPayoff, RepresentingPair, _project, assemble, \
+    represent
 
 __all__ = [
     "DeviationProcess",
@@ -80,7 +82,7 @@ def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
     """Backward sum of per-node values times dt, zero at the horizon: each
     node holds the conditional expectation of its children's sums plus its
     own value * dt."""
-    vals = [np.zeros(lat.num_nodes(lat.n_steps))]
+    vals = [np.zeros(len(node_values[-1]) * lat.branching)]
     for i in range(lat.n_steps - 1, -1, -1):
         cont = vals[0].reshape(-1, lat.branching) @ lat.step_probs(i)
         vals.insert(0, cont + node_values[i] * lat.step_dt(i))
@@ -91,11 +93,18 @@ def evaluate(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
              source: str = "") -> DeviationProcess:
     """Backward accumulation: node value = E[child values] + g(t, H, Ht) * dt."""
     _pair_for(lat, pair)
+    return DeviationProcess(AdaptedProcess(_deviation_levels(lat, driver, pair.H,
+                                                             pair.Htilde)),
+                            driver, source)
+
+
+def _deviation_levels(lat: Lattice, driver: DriverSpec, H, Ht) -> tuple:
+    """Per-level deviation values of per-level integrands ``H``, ``Ht``, which
+    may hold several payoffs side by side like ``_project``'s."""
     nu = lat.noise.jumps
-    g = [np.asarray(driver.value_batch(lat.times[i], pair.H[i], pair.Htilde[i], nu),
-                    dtype=float)
+    g = [np.asarray(driver.value_batch(lat.times[i], H[i], Ht[i], nu), dtype=float)
          for i in range(lat.n_steps)]
-    return DeviationProcess(AdaptedProcess(_accumulate(lat, g)), driver, source)
+    return _accumulate(lat, g)
 
 
 def _restrict_pair(pair: RepresentingPair, lo: int, hi: int) -> RepresentingPair:
@@ -231,8 +240,23 @@ class AxiomReport:
         )
 
 
+#: leaves of the convexity mixtures stacked into one pass of the level
+#: arithmetic; keeps the extra working memory under 1 MB
+_STACK_LEAVES = 1 << 14
+
+
 def _dev_at(lat, driver, x, level):
     return evaluate(lat, driver, represent(lat, x)).at(level)
+
+
+def _stacked_dev_at(lat, driver, X, level):
+    """``D_level`` of the terminal payoffs in the rows of ``X`` from one pass
+    of ``represent``'s and ``evaluate``'s level arithmetic over the payoffs
+    laid side by side. One row gives ``_dev_at``'s bits; with more rows the
+    normal equations are solved together, which can move the last bits."""
+    mart = _martingale_levels(lat, X.ravel(), lat.n_steps)
+    H, Ht, _ = _project(lat, mart)
+    return _deviation_levels(lat, driver, H, Ht)[level].reshape(len(X), -1)
 
 
 def axiom_report(lat: Lattice, driver: DriverSpec,
@@ -255,7 +279,9 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     nodes_t = lat.num_nodes(t)
     subtree = lat.branching ** (n - t)
 
-    devs = [_dev_at(lat, driver, x, t) for x in payoffs]
+    pairs = [represent(lat, x) for x in payoffs]
+    full = [evaluate(lat, driver, pair) for pair in pairs]
+    devs = [f.at(t) for f in full]
 
     # translation: constant and F_t-measurable integer shifts leave D_t unchanged
     translation = CheckOutcome(True)
@@ -274,10 +300,9 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     # positivity: D >= 0; zero exactly on subtree-measurable payoffs
     positivity = CheckOutcome(True)
     vacuous_only_if = True
-    for x, d in zip(payoffs, devs):
-        full = evaluate(lat, driver, represent(lat, x))
-        if any(float(v.min()) < 0.0 for v in full.values.values):
-            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in full.values.values))})
+    for x, d, f in zip(payoffs, devs, full):
+        if any(float(v.min()) < 0.0 for v in f.values.values):
+            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in f.values.values))})
             break
         zero_nodes = np.flatnonzero(d == 0.0)
         for v in zero_nodes:
@@ -299,23 +324,37 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
             positivity = CheckOutcome(True, vacuous=True,
                                       detail="only-if direction untriggered on constant-free samples")
 
-    # conditional convexity over measurable mixtures
+    # conditional convexity over measurable mixtures, in stacked chunks; the
+    # draws and the witness are those of one mixture at a time up to the
+    # first violation
     convexity = CheckOutcome(True)
-    for _ in range(mixtures):
-        i, j = rng.integers(0, len(payoffs), size=2)
-        lam_t = rng.uniform(size=nodes_t)
-        lam = np.repeat(lam_t, subtree)
-        mix = RandomVariable(lam * payoffs[i].values + (1 - lam) * payoffs[j].values, n)
-        lhs = _dev_at(lat, driver, mix, t)
-        rhs = lam_t * devs[i] + (1 - lam_t) * devs[j]
-        worst = float(np.max(lhs - rhs))
-        if worst > 1e-10:
+    values, dev_rows = np.stack([x.values for x in payoffs]), np.stack(devs)
+    chunk = max(1, _STACK_LEAVES // values.shape[1])
+    done = 0
+    while done < mixtures and convexity.passed:
+        k = min(chunk, mixtures - done)
+        state = rng.bit_generator.state
+        draws = [(rng.integers(0, len(payoffs), size=2), rng.uniform(size=nodes_t))
+                 for _ in range(k)]
+        i, j = np.array([ij for ij, _ in draws]).T
+        lam_t = np.array([lam for _, lam in draws])
+        lam = np.repeat(lam_t, subtree, axis=1)
+        lhs = _stacked_dev_at(lat, driver, lam * values[i] + (1 - lam) * values[j], t)
+        rhs = lam_t * dev_rows[i] + (1 - lam_t) * dev_rows[j]
+        worst = np.max(lhs - rhs, axis=1)
+        bad = np.flatnonzero(worst > 1e-10)
+        if bad.size:
+            r = bad[0]
             convexity = CheckOutcome(False, {
-                "payoffs": (int(i), int(j)),
-                "lambda_level": lam_t.tolist(),
-                "violation": worst,
+                "payoffs": (int(i[r]), int(j[r])),
+                "lambda_level": lam_t[r].tolist(),
+                "violation": float(worst[r]),
             })
-            break
+            rng.bit_generator.state = state
+            for _ in range(r + 1):
+                rng.integers(0, len(payoffs), size=2)
+                rng.uniform(size=nodes_t)
+        done += k
 
     # continuity proxy: bounded response to small payoff perturbations
     continuity = CheckOutcome(True)
@@ -334,9 +373,8 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     recursion = CheckOutcome(True)
     interior = rng.permutation(np.arange(1, n))[: max(0, n // 2)]
     part = [0, n] + [int(v) for v in interior]
-    pair0 = represent(lat, payoffs[0])
-    direct = evaluate(lat, driver, pair0)
-    rec = evaluate_recursive(lat, driver, pair0, part)
+    direct = full[0]
+    rec = evaluate_recursive(lat, driver, pairs[0], part)
     gap = max(
         float(np.max(np.abs(direct.at(i) - rec.at(i)))) for i in range(n + 1)
     )

@@ -62,6 +62,58 @@ def _check_level_a(a: float, nu: JumpMeasure) -> None:
         )
 
 
+def _loss_groups(a: float, Ht, nu: JumpMeasure) -> list[tuple]:
+    """Each row's jump losses ``-Ht`` from the largest down, one sorted
+    column at a time, with equal losses merged into one atom as ``np.unique``
+    merges them.
+
+    Returns ``(end, loss, above, upper)`` per column, each of shape (rows,):
+    ``end`` marks the rows whose atom closes at this column, ``loss`` is the
+    atom's value, ``above`` and ``upper`` the intensity mass strictly above
+    the atom and including it. Tied masses are summed in mark order and the
+    tail masses atom by atom (the order of a ``bincount`` over ``np.unique``),
+    so one-row and level-wide calls give the same bits.
+    """
+    Ht = np.asarray(Ht, dtype=float)
+    if Ht.ndim != 2 or Ht.shape[1] != nu.m:
+        raise ValueError(f"jump integrands must have shape (rows, {nu.m})")
+    _check_level_a(a, nu)
+    m, rows = nu.m, Ht.shape[0]
+    # ascending htilde is descending loss; a stable sort keeps ties in mark order
+    order = np.argsort(Ht, axis=1, kind="stable")
+    loss = -np.take_along_axis(Ht, order, axis=1)
+    mass = nu.intensity_array[order]
+    columns = []
+    above, group = np.zeros(rows), mass[:, 0]
+    for k in range(m):
+        end = loss[:, k] != loss[:, k + 1] if k + 1 < m else np.ones(rows, dtype=bool)
+        upper = above + group
+        columns.append((end, loss[:, k], above, upper))
+        if k + 1 < m:
+            above = np.where(end, upper, above)
+            group = np.where(end, mass[:, k + 1], group + mass[:, k + 1])
+    return columns
+
+
+def _var_rows(a: float, Ht, nu: JumpMeasure) -> np.ndarray:
+    columns = _loss_groups(a, Ht, nu)
+    q = columns[0][1]
+    for end, loss, above, _ in columns:
+        q = np.where(end & (above <= a), loss, q)
+    return q
+
+
+def _cvar_rows(a: float, Ht, nu: JumpMeasure) -> np.ndarray:
+    columns = _loss_groups(a, Ht, nu)
+    acc = np.zeros(len(columns[0][1]))
+    for end, loss, above, upper in columns:
+        width = np.minimum(upper, a) - above
+        # atoms with no width inside the tail add nothing (acc is never -0.0)
+        acc = acc + np.multiply(loss, width, out=np.zeros(len(acc)),
+                                where=end & (width > 0))
+    return acc / a
+
+
 def var_nu(a: float, htilde, nu: JumpMeasure) -> float:
     """Left quantile of the loss -htilde under the intensity measure.
 
@@ -70,19 +122,7 @@ def var_nu(a: float, htilde, nu: JumpMeasure) -> float:
     """
     ht = _as_vec(htilde)
     _check_dims(ht, nu)
-    _check_level_a(a, nu)
-    w = -ht
-    uvals, inv = np.unique(w, return_inverse=True)
-    umass = np.bincount(inv, weights=nu.intensity_array)
-    above = 0.0
-    quantile = uvals[-1]
-    for k in range(len(uvals) - 1, -1, -1):
-        if above <= a:
-            quantile = uvals[k]
-        else:
-            break
-        above += umass[k]
-    return float(quantile)
+    return float(_var_rows(a, ht[None, :], nu)[0])
 
 
 def cvar_nu(a: float, htilde, nu: JumpMeasure) -> float:
@@ -93,21 +133,7 @@ def cvar_nu(a: float, htilde, nu: JumpMeasure) -> float:
     """
     ht = _as_vec(htilde)
     _check_dims(ht, nu)
-    _check_level_a(a, nu)
-    w = -ht
-    uvals, inv = np.unique(w, return_inverse=True)
-    umass = np.bincount(inv, weights=nu.intensity_array)
-    acc = 0.0
-    mass_above = 0.0
-    for k in range(len(uvals) - 1, -1, -1):
-        upper = mass_above + umass[k]
-        width = min(upper, a) - mass_above
-        if width > 0:
-            acc += uvals[k] * width
-        mass_above = upper
-        if mass_above >= a:
-            break
-    return float(acc / a)
+    return float(_cvar_rows(a, ht[None, :], nu)[0])
 
 
 # -- driver kinds ----------------------------------------------------------------
@@ -186,7 +212,7 @@ class CVaRJump:
         return cvar_nu(self.a, htilde, nu)
 
     def value_batch(self, t, H, Ht, nu):
-        return np.array([cvar_nu(self.a, row, nu) for row in Ht])
+        return _cvar_rows(self.a, Ht, nu)
 
     def subgradient(self, t, h, htilde, nu):
         # tail-indicator weights: full mass strictly beyond the quantile, the
@@ -332,26 +358,23 @@ class ValidityReport:
 
 
 def _probe_points(nu: JumpMeasure, d: int, sample_count: int,
-                  rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Probe points as rows of ``(H (N, d), Ht (N, m))``: each Brownian axis
+    both ways, each jump axis both ways, each mark coordinate across the marks,
+    then ``sample_count`` draws of N(0, 2^2) per coordinate (h before htilde,
+    as one draw per point would take them)."""
     m = nu.m
-    pts = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        pts.append((e.copy(), np.zeros(m)))
-        pts.append((-e, np.zeros(m)))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        pts.append((np.zeros(d), e.copy()))
-        pts.append((np.zeros(d), -e))
-    if m:
-        marks = np.asarray(nu.marks, dtype=float)
-        for c in range(marks.shape[1]):
-            pts.append((np.zeros(d), marks[:, c].copy()))
-    for _ in range(sample_count):
-        pts.append((rng.normal(scale=2.0, size=d), rng.normal(scale=2.0, size=m)))
-    return pts
+
+    def axes(k):
+        out = np.empty((2 * k, k))
+        out[0::2], out[1::2] = np.eye(k), -np.eye(k)
+        return out
+
+    marks = np.asarray(nu.marks, dtype=float).T if m else np.empty((0, 0))
+    draws = rng.normal(scale=2.0, size=(sample_count, d + m))
+    H = np.concatenate([axes(d), np.zeros((2 * m + len(marks), d)), draws[:, :d]])
+    Ht = np.concatenate([np.zeros((2 * d, m)), axes(m), marks, draws[:, d:]])
+    return H, Ht
 
 
 def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
@@ -361,52 +384,67 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
 
     ``d`` fixes the Brownian-integrand dimension probed; deterministic probes
     (axes and the jump marks themselves) are included before random sampling.
+    Every probe point and every midpoint is evaluated through
+    ``value_batch``; the subgradient inequality takes one oracle call per
+    sampled pair. Random draws and witnesses are those of testing one point
+    or pair at a time and stopping at the first violation.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     t = 0.0
-    pts = _probe_points(nu, d, sample_count, rng)
+    H, Ht = _probe_points(nu, d, sample_count, rng)
+    count = len(H)
 
-    def ev(p):
-        return eval_driver(spec, t, p[0], p[1], nu)
+    def point(k):
+        return (H[k].copy(), Ht[k].copy())
 
     zero = (np.zeros(d), np.zeros(nu.m))
-    v0 = ev(zero)
+    v0 = eval_driver(spec, t, zero[0], zero[1], nu)
     zero_at_zero = CheckResult(v0 == 0.0, None if v0 == 0.0 else (zero, v0))
 
+    vals = np.asarray(spec.value_batch(t, H, Ht, nu), dtype=float)
     nonneg = CheckResult(True)
+    bad = np.flatnonzero(vals < 0)
+    if bad.size:
+        k = bad[0]
+        nonneg = CheckResult(False, (point(k), float(vals[k])),
+                             "negative value off the origin")
     zero_only = CheckResult(True)
-    for p in pts:
-        v = ev(p)
-        if v < 0 and nonneg.passed:
-            nonneg = CheckResult(False, (p, v), "negative value off the origin")
-        norm = float(np.linalg.norm(np.concatenate(p)))
-        if norm >= 1e-6 and v <= 1e-15 and zero_only.passed:
-            zero_only = CheckResult(False, (p, v), "vanishes away from the origin")
+    norms = np.linalg.norm(np.hstack([H, Ht]), axis=1)
+    bad = np.flatnonzero((norms >= 1e-6) & (vals <= 1e-15))
+    if bad.size:
+        k = bad[0]
+        zero_only = CheckResult(False, (point(k), float(vals[k])),
+                                "vanishes away from the origin")
 
+    state = rng.bit_generator.state
+    x, y = np.array([rng.integers(0, count, size=2) for _ in range(sample_count)]).T
+    lhs = np.asarray(spec.value_batch(t, (H[x] + H[y]) / 2.0, (Ht[x] + Ht[y]) / 2.0, nu),
+                     dtype=float)
+    rhs = 0.5 * (vals[x] + vals[y])
     convexity = CheckResult(True)
-    for _ in range(sample_count):
-        i, j = rng.integers(0, len(pts), size=2)
-        x, y = pts[i], pts[j]
-        mid = ((x[0] + y[0]) / 2.0, (x[1] + y[1]) / 2.0)
-        lhs = ev(mid)
-        rhs = 0.5 * (ev(x) + ev(y))
-        if lhs > rhs + 1e-10 * max(1.0, abs(rhs)):
-            convexity = CheckResult(False, (x, y, lhs, rhs), "midpoint rule violated")
-            break
+    bad = np.flatnonzero(lhs > rhs + 1e-10 * np.maximum(1.0, np.abs(rhs)))
+    if bad.size:
+        k = bad[0]
+        convexity = CheckResult(False, (point(x[k]), point(y[k]), float(lhs[k]),
+                                        float(rhs[k])), "midpoint rule violated")
+        # replay the draws up to the violation, where one-pair-at-a-time stops
+        rng.bit_generator.state = state
+        for _ in range(k + 1):
+            rng.integers(0, count, size=2)
 
     subgrad = CheckResult(True)
     try:
         for _ in range(sample_count):
-            i, j = rng.integers(0, len(pts), size=2)
-            x, y = pts[i], pts[j]
-            s = subgradient(spec, t, x[0], x[1], nu)
-            gap = ev(y) - ev(x) - float(
-                s @ np.concatenate([y[0] - x[0], y[1] - x[1]])
+            i, j = rng.integers(0, count, size=2)
+            s = subgradient(spec, t, H[i], Ht[i], nu)
+            gap = float(vals[j]) - float(vals[i]) - float(
+                s @ np.concatenate([H[j] - H[i], Ht[j] - Ht[i]])
             )
             if gap < -1e-8:
-                subgrad = CheckResult(False, (x, y, gap), "subgradient inequality violated")
+                subgrad = CheckResult(False, (point(i), point(j), gap),
+                                      "subgradient inequality violated")
                 break
     except ValueError as exc:
         subgrad = CheckResult(True, None, f"skipped: {exc}")
@@ -417,7 +455,7 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
         zero_only_at_zero=zero_only,
         convexity=convexity,
         subgradient_consistency=subgrad,
-        samples_used=len(pts),
+        samples_used=count,
     )
 
 

@@ -373,14 +373,25 @@ def _check_rv(lat: Lattice, x: RandomVariable) -> None:
 def martingale(lat: Lattice, x: RandomVariable) -> AdaptedProcess:
     """The process E[x | F_i] for all levels; broadcast above x's own level."""
     _check_rv(lat, x)
+    return AdaptedProcess(_martingale_levels(lat, x.values, x.level),
+                          measurable_level=x.level)
+
+
+def _martingale_levels(lat: Lattice, values: np.ndarray, level: int) -> tuple:
+    """Per-level arrays of E[x | F_i] for values measurable at ``level``.
+
+    ``values`` may also hold K payoffs side by side, payoff k's node v at
+    ``k * nodes + v``: children of an entry sit at ``entry * branching + o``
+    either way, so each block stays its own tree and level 0 holds K means.
+    """
     b = lat.branching
     vals: list[np.ndarray | None] = [None] * (lat.n_steps + 1)
-    vals[x.level] = x.values
-    for i in range(x.level, lat.n_steps):
+    vals[level] = values
+    for i in range(level, lat.n_steps):
         vals[i + 1] = np.repeat(vals[i], b)
-    for i in range(x.level - 1, -1, -1):
+    for i in range(level - 1, -1, -1):
         vals[i] = vals[i + 1].reshape(-1, b) @ lat.step_probs(i)
-    return AdaptedProcess(tuple(vals), measurable_level=x.level)
+    return tuple(vals)
 
 
 def cond_exp(lat: Lattice, x: RandomVariable, level: int) -> AdaptedProcess:
@@ -439,16 +450,13 @@ def law(lat: Lattice, x: RandomVariable, merge_tol: float | None = None) -> Dist
     v, w = x.values[order], p[order]
     if merge_tol is None:
         merge_tol = 1e-9 * float(v[-1] - v[0])
+    # an atom closes wherever the next sorted value is more than merge_tol away
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(v) > merge_tol) + 1, [len(v)]))
     atoms, probs = [], []
-    i = 0
-    while i < len(v):
-        j = i + 1
-        while j < len(v) and v[j] - v[j - 1] <= merge_tol:
-            j += 1
+    for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         mass = float(w[i:j].sum())
         atoms.append(float(np.dot(v[i:j], w[i:j]) / mass))
         probs.append(mass)
-        i = j
     return Distribution(np.array(atoms), np.array(probs))
 
 
@@ -470,6 +478,7 @@ def permute_paths(lat: Lattice, x: RandomVariable, rng: np.random.Generator) -> 
 
     At every node, outcomes are permuted only within groups of equal edge
     probability, so the result has the same law as ``x`` by construction.
+    Each level draws one ``rng.random((nodes, branching))`` block of sort keys.
     """
     _check_rv(lat, x)
     if x.level != lat.n_steps:
@@ -477,15 +486,15 @@ def permute_paths(lat: Lattice, x: RandomVariable, rng: np.random.Generator) -> 
     b = lat.branching
     sigma = np.zeros(1, dtype=np.int64)
     for i in range(lat.n_steps):
-        probs = lat.step_probs(i)
-        groups = [np.flatnonzero(probs == q) for q in np.unique(probs)]
-        nxt = np.empty(len(sigma) * b, dtype=np.int64)
-        for v in range(len(sigma)):
-            pi = np.arange(b)
-            for g in groups:
-                pi[g] = g[rng.permutation(len(g))]
-            nxt[v * b : (v + 1) * b] = sigma[v] * b + pi
-        sigma = nxt
+        # outcome slots sorted by group; each node fills them with its own
+        # outcomes sorted by (group, random key), so every outcome lands on a
+        # slot of its own probability group
+        group = np.unique(lat.step_probs(i), return_inverse=True)[1]
+        slots = np.argsort(group, kind="stable")
+        keys = rng.random((len(sigma), b))
+        pi = np.empty((len(sigma), b), dtype=np.int64)
+        pi[:, slots] = np.lexsort((keys, np.broadcast_to(group, keys.shape)), axis=-1)
+        sigma = (sigma[:, None] * b + pi).ravel()
     return RandomVariable(x.values[sigma], x.level)
 
 

@@ -76,12 +76,20 @@ def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
     over nodes.
     """
     mart = martingale(lat, x)
+    H, Ht, res = _project(lat, mart.values)
+    return RepresentingPair(float(mart.at(0)[0]), H, Ht, res)
+
+
+def _project(lat: Lattice, mart: tuple) -> tuple[tuple, tuple, tuple]:
+    """Integrands and residuals of the per-level conditional means ``mart``.
+    Rows never mix, so ``mart`` may hold several payoffs side by side
+    (``lattice._martingale_levels``)."""
     d = lat.noise.d
     H, Ht, res = [], [], []
     for i in range(lat.n_steps):
         phi, wphi, gram = lat.step_basis(i)
         p = lat.step_probs(i)
-        dm = mart.at(i + 1).reshape(-1, lat.branching) - mart.at(i)[:, None]
+        dm = mart[i + 1].reshape(-1, lat.branching) - mart[i][:, None]
         try:
             beta = np.linalg.solve(gram, (dm @ wphi).T).T
         except np.linalg.LinAlgError as exc:
@@ -92,7 +100,7 @@ def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
         H.append(beta[:, :d])
         Ht.append(beta[:, d:])
         res.append(np.sqrt(np.clip((remainder * remainder) @ p, 0.0, None)))
-    return RepresentingPair(float(mart.at(0)[0]), tuple(H), tuple(Ht), tuple(res))
+    return tuple(H), tuple(Ht), tuple(res)
 
 
 def _check_pair(lat: Lattice, pair: RepresentingPair) -> None:

@@ -4,7 +4,8 @@ Everything here recomputes quantities from definitions (path enumeration,
 candidate scans, finite differences) without touching the production code
 paths it is used to check. The artifact references at the end are the
 node-by-node JSON and CSV writers the level-batched emitters must match byte
-for byte.
+for byte, followed by the one-row, one-point and one-node loops that the
+batched quantiles, laws, permutations, driver checks and axiom probes replace.
 """
 
 from __future__ import annotations
@@ -264,3 +265,292 @@ def load_payoff_csv_reference(path, lat):
     if np.any(np.isnan(values)):
         raise ValueError(f"{path}: missing leaf values")
     return RandomVariable(values, lat.n_steps)
+
+
+def var_nu_reference(a, htilde, nu):
+    """Left quantile of the loss -htilde: the ``np.unique`` atoms walked from
+    the largest down, one Python step per atom."""
+    ht = np.atleast_1d(np.asarray(htilde, dtype=float))
+    w = -ht
+    uvals, inv = np.unique(w, return_inverse=True)
+    umass = np.bincount(inv, weights=nu.intensity_array)
+    above = 0.0
+    quantile = uvals[-1]
+    for k in range(len(uvals) - 1, -1, -1):
+        if above <= a:
+            quantile = uvals[k]
+        else:
+            break
+        above += umass[k]
+    return float(quantile)
+
+
+def cvar_nu_reference(a, htilde, nu):
+    """Tail average of the loss -htilde at level ``a``: the ``np.unique``
+    atoms with ``bincount`` masses, walked from the largest down one Python
+    step per atom."""
+    ht = np.atleast_1d(np.asarray(htilde, dtype=float))
+    w = -ht
+    uvals, inv = np.unique(w, return_inverse=True)
+    umass = np.bincount(inv, weights=nu.intensity_array)
+    acc = 0.0
+    mass_above = 0.0
+    for k in range(len(uvals) - 1, -1, -1):
+        upper = mass_above + umass[k]
+        width = min(upper, a) - mass_above
+        if width > 0:
+            acc += uvals[k] * width
+        mass_above = upper
+        if mass_above >= a:
+            break
+    return float(acc / a)
+
+
+def law_reference(lat, x, merge_tol=None):
+    """Law of a payoff with a while loop over the sorted leaves: an atom
+    grows while the next value is within ``merge_tol`` of the last one."""
+    from devlat import Distribution
+
+    p = lat.node_probabilities(x.level)
+    order = np.argsort(x.values, kind="stable")
+    v, w = x.values[order], p[order]
+    if merge_tol is None:
+        merge_tol = 1e-9 * float(v[-1] - v[0])
+    atoms, probs = [], []
+    i = 0
+    while i < len(v):
+        j = i + 1
+        while j < len(v) and v[j] - v[j - 1] <= merge_tol:
+            j += 1
+        mass = float(w[i:j].sum())
+        atoms.append(float(np.dot(v[i:j], w[i:j]) / mass))
+        probs.append(mass)
+        i = j
+    return Distribution(np.array(atoms), np.array(probs))
+
+
+def permute_paths_reference(lat, x, rng):
+    """Probability-preserving path permutation, node by node: at every node
+    each group of equal edge probability is shuffled by ``rng.permutation``."""
+    from devlat import RandomVariable
+
+    b = lat.branching
+    sigma = np.zeros(1, dtype=np.int64)
+    for i in range(lat.n_steps):
+        probs = lat.step_probs(i)
+        groups = [np.flatnonzero(probs == q) for q in np.unique(probs)]
+        nxt = np.empty(len(sigma) * b, dtype=np.int64)
+        for v in range(len(sigma)):
+            pi = np.arange(b)
+            for g in groups:
+                pi[g] = g[rng.permutation(len(g))]
+            nxt[v * b : (v + 1) * b] = sigma[v] * b + pi
+        sigma = nxt
+    return RandomVariable(x.values[sigma], x.level)
+
+
+def _probe_points_reference(nu, d, sample_count, rng):
+    m = nu.m
+    pts = []
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = 1.0
+        pts.append((e.copy(), np.zeros(m)))
+        pts.append((-e, np.zeros(m)))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        pts.append((np.zeros(d), e.copy()))
+        pts.append((np.zeros(d), -e))
+    if m:
+        marks = np.asarray(nu.marks, dtype=float)
+        for c in range(marks.shape[1]):
+            pts.append((np.zeros(d), marks[:, c].copy()))
+    for _ in range(sample_count):
+        pts.append((rng.normal(scale=2.0, size=d), rng.normal(scale=2.0, size=m)))
+    return pts
+
+
+def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
+    """Sampled driver validity, one scalar ``eval_driver`` call per probe
+    point, midpoint and pair end, stopping each loop at its first violation."""
+    from devlat.drivers import CheckResult, ValidityReport, eval_driver, subgradient
+
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    rng = np.random.default_rng(seed)
+    t = 0.0
+    pts = _probe_points_reference(nu, d, sample_count, rng)
+
+    def ev(p):
+        return eval_driver(spec, t, p[0], p[1], nu)
+
+    zero = (np.zeros(d), np.zeros(nu.m))
+    v0 = ev(zero)
+    zero_at_zero = CheckResult(v0 == 0.0, None if v0 == 0.0 else (zero, v0))
+
+    nonneg = CheckResult(True)
+    zero_only = CheckResult(True)
+    for p in pts:
+        v = ev(p)
+        if v < 0 and nonneg.passed:
+            nonneg = CheckResult(False, (p, v), "negative value off the origin")
+        norm = float(np.linalg.norm(np.concatenate(p)))
+        if norm >= 1e-6 and v <= 1e-15 and zero_only.passed:
+            zero_only = CheckResult(False, (p, v), "vanishes away from the origin")
+
+    convexity = CheckResult(True)
+    for _ in range(sample_count):
+        i, j = rng.integers(0, len(pts), size=2)
+        x, y = pts[i], pts[j]
+        mid = ((x[0] + y[0]) / 2.0, (x[1] + y[1]) / 2.0)
+        lhs = ev(mid)
+        rhs = 0.5 * (ev(x) + ev(y))
+        if lhs > rhs + 1e-10 * max(1.0, abs(rhs)):
+            convexity = CheckResult(False, (x, y, lhs, rhs), "midpoint rule violated")
+            break
+
+    subgrad = CheckResult(True)
+    try:
+        for _ in range(sample_count):
+            i, j = rng.integers(0, len(pts), size=2)
+            x, y = pts[i], pts[j]
+            s = subgradient(spec, t, x[0], x[1], nu)
+            gap = ev(y) - ev(x) - float(
+                s @ np.concatenate([y[0] - x[0], y[1] - x[1]])
+            )
+            if gap < -1e-8:
+                subgrad = CheckResult(False, (x, y, gap), "subgradient inequality violated")
+                break
+    except ValueError as exc:
+        subgrad = CheckResult(True, None, f"skipped: {exc}")
+
+    return ValidityReport(
+        nonnegativity=nonneg,
+        zero_at_zero=zero_at_zero,
+        zero_only_at_zero=zero_only,
+        convexity=convexity,
+        subgradient_consistency=subgrad,
+        samples_used=len(pts),
+    )
+
+
+def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50):
+    """The axiom probe suite with one ``represent`` + ``evaluate`` pass per
+    payoff probed, convexity mixtures included."""
+    from devlat import RandomVariable, evaluate, evaluate_recursive, represent
+    from devlat.deviation import AxiomReport, CheckOutcome
+
+    def _dev_at(lat, driver, x, level):
+        return evaluate(lat, driver, represent(lat, x)).at(level)
+
+    if len(payoffs) < 2:
+        raise ValueError("need at least two sample payoffs")
+    rng = np.random.default_rng(seed)
+    n = lat.n_steps
+    t = n // 2 if level is None else level
+    lat._check_level(t)
+    nodes_t = lat.num_nodes(t)
+    subtree = lat.branching ** (n - t)
+
+    devs = [_dev_at(lat, driver, x, t) for x in payoffs]
+
+    # translation: constant and F_t-measurable integer shifts leave D_t unchanged
+    translation = CheckOutcome(True)
+    for x, d in zip(payoffs, devs):
+        const = float(rng.integers(1, 6))
+        shift_t = rng.integers(-5, 6, size=nodes_t).astype(float)
+        for m in (np.full(x.values.shape, const), np.repeat(shift_t, subtree)):
+            d_shifted = _dev_at(lat, driver, RandomVariable(x.values + m, n), t)
+            if not np.array_equal(d_shifted, d):
+                gap = float(np.max(np.abs(d_shifted - d)))
+                translation = CheckOutcome(False, {"max_abs_gap": gap})
+                break
+        if not translation.passed:
+            break
+
+    # positivity: D >= 0; zero exactly on subtree-measurable payoffs
+    positivity = CheckOutcome(True)
+    vacuous_only_if = True
+    for x, d in zip(payoffs, devs):
+        full = evaluate(lat, driver, represent(lat, x))
+        if any(float(v.min()) < 0.0 for v in full.values.values):
+            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in full.values.values))})
+            break
+        zero_nodes = np.flatnonzero(d == 0.0)
+        for v in zero_nodes:
+            leaf_vals = x.values[v * subtree : (v + 1) * subtree]
+            vacuous_only_if = False
+            if float(leaf_vals.max() - leaf_vals.min()) != 0.0:
+                positivity = CheckOutcome(False, {"node": int(v), "level": t},
+                                          detail="zero deviation on a non-constant subtree")
+                break
+        if not positivity.passed:
+            break
+    if positivity.passed:
+        measurable = RandomVariable(
+            np.repeat(rng.integers(-5, 6, size=nodes_t).astype(float), subtree), n
+        )
+        if float(np.max(np.abs(_dev_at(lat, driver, measurable, t)))) != 0.0:
+            positivity = CheckOutcome(False, detail="nonzero deviation of a measurable payoff")
+        elif vacuous_only_if:
+            positivity = CheckOutcome(True, vacuous=True,
+                                      detail="only-if direction untriggered on constant-free samples")
+
+    # conditional convexity over measurable mixtures
+    convexity = CheckOutcome(True)
+    for _ in range(mixtures):
+        i, j = rng.integers(0, len(payoffs), size=2)
+        lam_t = rng.uniform(size=nodes_t)
+        lam = np.repeat(lam_t, subtree)
+        mix = RandomVariable(lam * payoffs[i].values + (1 - lam) * payoffs[j].values, n)
+        lhs = _dev_at(lat, driver, mix, t)
+        rhs = lam_t * devs[i] + (1 - lam_t) * devs[j]
+        worst = float(np.max(lhs - rhs))
+        if worst > 1e-10:
+            convexity = CheckOutcome(False, {
+                "payoffs": (int(i), int(j)),
+                "lambda_level": lam_t.tolist(),
+                "violation": worst,
+            })
+            break
+
+    # continuity proxy: bounded response to small payoff perturbations
+    continuity = CheckOutcome(True)
+    x = payoffs[0]
+    d_base = devs[0]
+    noise = rng.normal(size=x.values.shape)
+    scale = max(1.0, float(np.max(np.abs(x.values)))) * max(1.0, float(np.max(np.abs(noise))))
+    for eps in (1e-3, 1e-5):
+        d_pert = _dev_at(lat, driver, RandomVariable(x.values + eps * noise, n), t)
+        resp = float(np.max(np.abs(d_pert - d_base)))
+        if resp > 100.0 * eps * scale:
+            continuity = CheckOutcome(False, {"eps": eps, "response": resp})
+            break
+
+    # recursion against the block evaluator on a random partition
+    recursion = CheckOutcome(True)
+    interior = rng.permutation(np.arange(1, n))[: max(0, n // 2)]
+    part = [0, n] + [int(v) for v in interior]
+    pair0 = represent(lat, payoffs[0])
+    direct = evaluate(lat, driver, pair0)
+    rec = evaluate_recursive(lat, driver, pair0, part)
+    gap = max(
+        float(np.max(np.abs(direct.at(i) - rec.at(i)))) for i in range(n + 1)
+    )
+    if gap > 1e-12:
+        recursion = CheckOutcome(False, {"partition": sorted(part), "max_gap": gap})
+
+    # local property on a random measurable set
+    locality = CheckOutcome(True)
+    mask_t = rng.integers(0, 2, size=nodes_t).astype(float)
+    mask = np.repeat(mask_t, subtree)
+    glued = RandomVariable(mask * payoffs[0].values + (1 - mask) * payoffs[1].values, n)
+    lhs = _dev_at(lat, driver, glued, t)
+    rhs = mask_t * devs[0] + (1 - mask_t) * devs[1]
+    worst = float(np.max(np.abs(lhs - rhs)))
+    if worst > 1e-10:
+        locality = CheckOutcome(False, {"mask_level": mask_t.tolist(), "max_gap": worst})
+
+    return AxiomReport(translation, positivity, convexity, continuity,
+                       recursion, locality, level=t, samples=mixtures, seed=seed)

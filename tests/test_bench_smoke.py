@@ -1,14 +1,18 @@
-"""A few ``share`` jobs of the benchmark workloads, run through the CLI and
-checked by the benchmark's own oracles (``perfbench/workloads.py``, imported
-as it is): a change the benchmark would reject fails here first."""
+"""A few jobs of the benchmark workloads, run through the CLI (or, for
+``permute_law``, the library call) and checked by the benchmark's own oracles
+(``perfbench/workloads.py``, imported as it is): a change the benchmark would
+reject fails here first."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from devlat.cli import main
+import devlat
+from devlat.cli import _compile_expression, _expression_namespace, main
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -38,3 +42,56 @@ def test_share_pool_entry_meets_the_benchmark_oracle(tmp_path, workload, kind, i
     prep = wl.prepare(wl.Job(workload, kind, idx), tmp_path, out)
     assert main(prep.argv) == 0
     assert prep.check(out) is None
+
+
+@pytest.mark.parametrize("kind, idx", [
+    ("cvar_deviation", 0),
+    ("axioms", 1),
+    ("law_probe", 2),
+    ("check_driver", 3),
+])
+def test_jump_probes_pool_entry_meets_the_benchmark_oracle(tmp_path, kind, idx):
+    wl = _workloads()
+    out = tmp_path / "out"
+    out.mkdir()
+    prep = wl.prepare(wl.Job("jump-probes", kind, idx), tmp_path, out)
+    assert main(prep.argv) == 0
+    assert prep.check(out) is None
+
+
+def _lattice(spec):
+    marks = tuple((mark,) for mark in spec.marks)
+    return devlat.build_lattice(
+        devlat.TimeGrid.uniform(spec.n, spec.horizon),
+        devlat.NoiseModel(1, devlat.JumpMeasure(marks, spec.intensities)),
+    )
+
+
+def test_permute_law_pool_entry_meets_the_benchmark_oracle(tmp_path):
+    wl = _workloads()
+    prep = wl.prepare(wl.Job("jump-probes", "permute_law", 4), tmp_path, tmp_path)
+    result = prep.library(devlat, _lattice(wl.WORKLOADS["jump-probes"].lattice))
+    assert prep.check(result) is None
+
+
+@pytest.mark.parametrize("workload", ["dev-wide", "jump-probes"])
+def test_pool_expressions_evaluate_as_before(tmp_path, workload):
+    """Every expression payoff of the pool gives the values of evaluating the
+    raw string under empty builtins, the former path, bit for bit."""
+    wl = _workloads()
+    spec = wl.WORKLOADS[workload]
+    ns = _expression_namespace(_lattice(spec.lattice))
+    seen = 0
+    for kind in spec.kinds:
+        for idx in range(spec.pool):
+            prep = wl.prepare(wl.Job(workload, kind, idx), tmp_path, tmp_path)
+            if prep.argv is None:
+                continue
+            cfg = json.loads(Path(prep.argv[prep.argv.index("--config") + 1]).read_text())
+            for payoff in cfg.get("payoffs", {}).values():
+                expr = payoff["expr"]
+                got = eval(_compile_expression(expr, ns), {"__builtins__": {}}, dict(ns))
+                want = eval(expr, {"__builtins__": {}}, dict(ns))
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), expr
+                seen += 1
+    assert seen >= spec.pool

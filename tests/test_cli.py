@@ -306,3 +306,47 @@ def test_consecutive_calls_do_not_share_arguments(tmp_path):
                  "--quiet"]) == 0
     assert json.loads((first / "axioms.json").read_text())["seed"] == 99
     assert json.loads((second / "axioms.json").read_text())["seed"] == 7
+
+
+# -- expression payoffs -----------------------------------------------------------
+
+#: the README's and the tests' expressions, and one use of every allowed function
+#: and operator
+EXPRESSIONS = [
+    "W", "W**2", "-W", "+W", "W + C1", "W - C2", "0.0 * T", "W**2 + N1", "W * N2",
+    "(2)*W + (-1)*N1 + (0)*N2 + (3)*W**2 + (-2)*W*N1",
+    "(0.25)*W + (-0.1)*W**2 + (1.2)*maximum(W - (-0.3), 0)",
+    "abs(W) + exp(-W) + log(2 + abs(W)) + sqrt(1 + W**2)",
+    "sin(W) * cos(N1) / (1 + N2)", "minimum(W, 1) + where(W > 0, W, -W)",
+    "(W >= 0) * 1.5 + (W <= 0) - (N1 == 1) + (N2 != 0) + (W < 1) * (W > -1)",
+    "W // 2 + W % 3 + 7 // 2 + 1e-3 * T",
+]
+
+
+@pytest.mark.parametrize("expr", EXPRESSIONS)
+def test_expression_payoffs_evaluate_as_before(expr):
+    lat = build_lattice(TimeGrid.uniform(3, 1.0),
+                        NoiseModel(1, JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))))
+    ns = devlat.cli._expression_namespace(lat)
+    code = devlat.cli._compile_expression(expr, ns)
+    got = eval(code, {"__builtins__": {}}, dict(ns))
+    # the former evaluation: the raw string under empty builtins
+    want = eval(expr, {"__builtins__": {}}, dict(ns))
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__bases__", "(lambda: 0)()", "W.__class__", "W.sum()",
+    "__import__('os')", "foo(W)", "np.sin(W)", "abs", "exp", "[W][0]", "{1: W}[1]",
+    "W if 1 else W", "True + W", "None", "'W'", "1j * W", "maximum(W, x=0)",
+    "sin(*[W])", "W @ W", "(W > 0) & (N1 > 0)", "~N1", "not W", "W and W",
+    "x := W", "-" * 100_000 + "W", "W[0]", "f'{W}'", "...",
+])
+def test_expression_constructs_off_the_list_exit_1(tmp_path, expr):
+    cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0},
+                                          "noise": JUMP_NOISE},
+                       payoffs={"X": {"kind": "expression", "expr": expr}},
+                       deviation={"payoff": "X", "driver": "g"})
+    out = tmp_path / "out"
+    assert main(["deviation", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert list(out.iterdir()) == []

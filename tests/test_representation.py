@@ -2,20 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devlat import (
     AnalyticPayoff,
+    CVaRJump,
+    JumpMeasure,
     NoiseModel,
+    NormCD,
     RandomVariable,
     RepresentingPair,
+    Scaled,
     TimeGrid,
+    Variance,
     assemble,
     build_lattice,
+    evaluate,
+    evaluate_recursive,
     lift_analytic,
     noise_basis,
     represent,
     terminal_brownian,
 )
+from devlat.deviation import _stacked_dev_at
 
 from oracles import enumerate_paths
 
@@ -164,3 +174,82 @@ def test_assemble_shape_mismatch(binomial4, binomial2):
     pair = _zero_pair(binomial2)
     with pytest.raises(ValueError):
         assemble(binomial4, pair)
+
+
+# -- properties on random lattices (d in {1, 2}, m in {0, 2}) -------------------------
+
+
+@st.composite
+def lattices(draw):
+    d, m = draw(st.sampled_from([(1, 0), (2, 0), (1, 2), (2, 2)]))
+    n = draw(st.integers(1, 3 if d + m < 4 else 2))
+    intensities = draw(st.sampled_from([(0.25, 0.5), (0.3, 0.7), (0.5, 0.5)]))
+    jumps = JumpMeasure(((-1.0,), (2.0,)), intensities) if m else JumpMeasure.empty()
+    # quarter steps keep every jump mass per step under the 1/2 cap
+    return build_lattice(TimeGrid.uniform(n, 0.25 * n), NoiseModel(d, jumps))
+
+
+def _random_pair(lat, rng):
+    d, m = lat.noise.d, lat.noise.jumps.m
+    sizes = [lat.num_nodes(i) for i in range(lat.n_steps)]
+    return RepresentingPair(
+        float(rng.normal()),
+        tuple(rng.normal(size=(k, d)) for k in sizes),
+        tuple(rng.normal(size=(k, m)) for k in sizes),
+        tuple(np.zeros(k) for k in sizes),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1))
+def test_represent_inverts_assemble(lat, seed):
+    pair = _random_pair(lat, np.random.default_rng(seed))
+    back = represent(lat, assemble(lat, pair))
+    assert back.mean == pytest.approx(pair.mean, abs=1e-12)
+    for i in range(lat.n_steps):
+        np.testing.assert_allclose(back.H[i], pair.H[i], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(back.Htilde[i], pair.Htilde[i], rtol=0, atol=1e-10)
+        assert back.residuals[i].max() <= 1e-10
+
+
+def _drivers(lat):
+    out = [Variance(1.3), NormCD(1.0, 0.5), Scaled(2.0, Variance(0.7))]
+    if lat.noise.jumps.m:
+        out.append(CVaRJump(0.5))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1))
+def test_evaluate_is_the_block_recursion(lat, seed):
+    rng = np.random.default_rng(seed)
+    n = lat.n_steps
+    x = RandomVariable(rng.normal(size=lat.num_nodes(n)), n)
+    pair = represent(lat, x)
+    cuts = rng.permutation(np.arange(1, n))[: rng.integers(0, n)]
+    partition = [0, n, *map(int, cuts)]
+    for driver in _drivers(lat):
+        direct = evaluate(lat, driver, pair)
+        rec = evaluate_recursive(lat, driver, pair, partition)
+        scale = max(1.0, float(np.max(np.abs(direct.at(0)))))
+        for i in range(n + 1):
+            np.testing.assert_allclose(rec.at(i), direct.at(i), rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_stacked_payoffs_match_single_calls(lat, seed, k):
+    rng = np.random.default_rng(seed)
+    n = lat.n_steps
+    X = rng.normal(size=(k, lat.num_nodes(n)))
+    level = int(rng.integers(0, n + 1))
+    for driver in _drivers(lat):
+        single = np.stack([
+            evaluate(lat, driver, represent(lat, RandomVariable(row, n))).at(level)
+            for row in X
+        ])
+        stacked = _stacked_dev_at(lat, driver, X, level)
+        scale = max(1.0, float(np.max(np.abs(single))))
+        np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12 * scale)
+        # one payoff runs exactly the single call's arithmetic
+        assert _stacked_dev_at(lat, driver, X[:1], level).tobytes() == single[:1].tobytes()
