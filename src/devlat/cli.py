@@ -14,6 +14,8 @@ import ast
 import dataclasses
 import functools
 import json
+import math
+import operator
 import sys
 import traceback
 from pathlib import Path
@@ -123,11 +125,15 @@ _EXPRESSION_FUNCTIONS = {
     "minimum": np.minimum, "where": np.where,
 }
 
-_EXPRESSION_OPERATORS = (
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
-    ast.UAdd, ast.USub,
-    ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
-)
+#: the operators an expression payoff may use, with their float semantics
+_EXPRESSION_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+    ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
+}
 
 
 def _expression_namespace(lat: Lattice) -> dict:
@@ -153,37 +159,69 @@ def _expression_namespace(lat: Lattice) -> dict:
     return ns
 
 
+def _literal_value(node: ast.AST, args: list, expr: str) -> float:
+    """The value in floats of a subtree made of literals only, from its
+    operands' values; a raising, complex or non-finite result is refused."""
+    try:
+        with np.errstate(all="raise"):
+            if isinstance(node, ast.Constant):
+                value = float(node.value)
+            elif isinstance(node, ast.Compare):
+                value = float(all(_EXPRESSION_OPERATORS[type(op)](a, b)
+                                  for op, a, b in zip(node.ops, args, args[1:])))
+            elif isinstance(node, ast.Call):
+                value = _EXPRESSION_FUNCTIONS[node.func.id](*args)
+            else:
+                value = _EXPRESSION_OPERATORS[type(node.op)](*args)
+        if not isinstance(value, complex) and math.isfinite(value):
+            return float(value)
+        problem = f"gives {value}"
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        problem = f"raises {type(exc).__name__}: {exc}"
+    text = ast.get_source_segment(expr, node) or type(node).__name__
+    raise ValueError(f"expression: {text[:60]!r} {problem}; need a finite real number")
+
+
 def _compile_expression(expr: str, ns: dict):
     """Parse an expression payoff and refuse every construct outside its
     grammar: names of the namespace, int and float literals, arithmetic and
     comparison operators, and positional calls of ``_EXPRESSION_FUNCTIONS``.
+    Every subtree made of literals only is evaluated once in floats and must
+    give a finite real number, which refuses ``1/0``, ``10**400``,
+    ``(-8)**(1/3)`` and power towers such as ``9**9**9**9`` before they run.
     Returns the compiled validated tree."""
     try:
         tree = ast.parse(expr, mode="eval")
     except (MemoryError, RecursionError) as exc:  # the parser's depth limits
         raise ValueError("expression: nested too deeply") from exc
-    stack = [tree.body]
+    order, stack = [], [tree.body]
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            continue
         if isinstance(node, ast.Name) and node.id in ns \
                 and node.id not in _EXPRESSION_FUNCTIONS:
             continue
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPRESSION_OPERATORS):
-            stack += [node.left, node.right]
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPRESSION_OPERATORS):
-            stack.append(node.operand)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            operands = []
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)) \
+                and type(node.op) in _EXPRESSION_OPERATORS:
+            operands = [node.left, node.right] if isinstance(node, ast.BinOp) \
+                else [node.operand]
         elif isinstance(node, ast.Compare) \
-                and all(isinstance(op, _EXPRESSION_OPERATORS) for op in node.ops):
-            stack += [node.left, *node.comparators]
+                and all(type(op) in _EXPRESSION_OPERATORS for op in node.ops):
+            operands = [node.left, *node.comparators]
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in _EXPRESSION_FUNCTIONS and not node.keywords \
                 and not any(isinstance(a, ast.Starred) for a in node.args):
-            stack += node.args
+            operands = node.args
         else:
             text = ast.get_source_segment(expr, node) or type(node).__name__
             raise ValueError(f"expression: {text[:60]!r} is not an allowed construct")
+        order.append((node, operands))
+        stack += operands
+    literal: dict = {}  # node -> float value of a literal-only subtree
+    for node, operands in reversed(order):  # operands before their node
+        if all(o in literal for o in operands):
+            literal[node] = _literal_value(node, [literal[o] for o in operands], expr)
     try:
         return compile(tree, "<expression>", "eval")
     except RecursionError as exc:
@@ -209,6 +247,8 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
                 code = _compile_expression(
                     _require(obj, "expr", f"payoff {name!r}"), ns)
                 values = eval(code, {"__builtins__": {}}, dict(ns))
+                if np.iscomplexobj(values):
+                    raise ValueError("expression: the payoff is complex")
                 values = np.broadcast_to(
                     np.asarray(values, dtype=float), (lat.num_nodes(lat.n_steps),)
                 ).copy()
@@ -226,7 +266,8 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
                 )
         except ConfigError:
             raise
-        except (OSError, SyntaxError, TypeError, ValueError, NameError) as exc:
+        except (ArithmeticError, OSError, SyntaxError, TypeError, ValueError,
+                NameError) as exc:
             raise ConfigError(f"payoff {name!r}: {exc}") from exc
     return out
 

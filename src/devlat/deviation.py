@@ -27,8 +27,8 @@ from .lattice import (
     law_distance,
     martingale,
 )
-from .representation import AnalyticPayoff, RepresentingPair, _project, assemble, \
-    represent
+from .representation import AnalyticPayoff, RepresentingPair, _check_pair, _project, \
+    assemble, represent
 
 __all__ = [
     "DeviationProcess",
@@ -70,14 +70,6 @@ class DeviationProcess:
         return float(self.values.at(0)[0])
 
 
-def _pair_for(lat: Lattice, pair: RepresentingPair) -> None:
-    if pair.n_steps != lat.n_steps:
-        raise ValueError("pair does not cover the lattice")
-    d, m = lat.noise.d, lat.noise.jumps.m
-    if pair.H[0].shape[1] != d or pair.Htilde[0].shape[1] != m:
-        raise ValueError("driver/lattice dimension mismatch for the pair")
-
-
 def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
     """Backward sum of per-node values times dt, zero at the horizon: each
     node holds the conditional expectation of its children's sums plus its
@@ -92,7 +84,7 @@ def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
 def evaluate(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
              source: str = "") -> DeviationProcess:
     """Backward accumulation: node value = E[child values] + g(t, H, Ht) * dt."""
-    _pair_for(lat, pair)
+    _check_pair(lat, pair)
     return DeviationProcess(AdaptedProcess(_deviation_levels(lat, driver, pair.H,
                                                              pair.Htilde)),
                             driver, source)

@@ -265,10 +265,10 @@ class InfConv:
         return float(self.value_batch(t, h[None, :], htilde[None, :], nu)[0])
 
     def value_batch(self, t, H, Ht, nu):
-        from .sharing import infconv_split
+        from .sharing import _split_objective, infconv_split
 
         Z, Zt = infconv_split(self.a, self.b, t, H, Ht, nu, self.solver)
-        return self.a.value_batch(t, H - Z, Ht - Zt, nu) + self.b.value_batch(t, Z, Zt, nu)
+        return _split_objective(self.a, self.b, t, H, Ht, Z, Zt, nu)
 
     def subgradient(self, t, h, htilde, nu):
         # at an optimal split the two subdifferentials intersect; a selection

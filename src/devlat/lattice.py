@@ -351,10 +351,6 @@ class AdaptedProcess:
     def at(self, level: int) -> np.ndarray:
         return self.values[level]
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.values)
-
     def as_random_variable(self) -> RandomVariable:
         if self.measurable_level is None:
             raise ValueError("process has no recorded measurability level")

@@ -53,9 +53,6 @@ class RepresentingPair:
     def max_residual(self) -> float:
         return float(max(r.max() if r.size else 0.0 for r in self.residuals))
 
-    def with_mean(self, mean: float) -> "RepresentingPair":
-        return RepresentingPair(float(mean), self.H, self.Htilde, self.residuals)
-
 
 def noise_basis(lat: Lattice, level: int) -> np.ndarray:
     """Per-outcome basis matrix [dW^1..dW^d | Ntilde_1..Ntilde_m], shape (b, d+m).

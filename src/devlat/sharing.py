@@ -6,25 +6,28 @@ and the price comes from the counterparty's binding participation constraint at
 time zero. Transfers are unique only up to time-zero constants, so the
 assembled transfer is normalised to zero mean and the price reported separately.
 
-``Variance``, ``NormCD`` and any ``Scaled`` nesting of them are a radial term in
-``|h|`` plus a radial term in ``||htilde||_nu``: quadratic ``q * r**2`` or
-linear ``c * r``. A pair of such drivers therefore splits into two 1-D
-inf-convolutions with closed forms (harmonic mean, cheaper slope, Huber), which
-are solved for a whole level at once. Scalings of one common base split at the
-fixed fraction ``gamma_b / (gamma_a + gamma_b)`` whatever the base. Only the
-other pairs outside the family (``CVaRJump``, ``Custom``, nested ``InfConv``)
-run the numeric solver, node by node.
+One split plan (``_split_plan``) decides how a pair splits, and both the
+solver and ``proportional_share_factor`` read it. Scalings of one common base
+split first, at the fixed fraction ``gamma_b / (gamma_a + gamma_b)`` whatever
+the base. Otherwise ``Variance``, ``NormCD`` and any ``Scaled`` nesting of them
+are a radial term in ``|h|`` plus a radial term in ``||htilde||_nu``:
+quadratic ``q * r**2`` or linear ``c * r``. A pair of such drivers therefore
+splits into two 1-D inf-convolutions with closed forms (harmonic mean, cheaper
+slope, Huber), which are solved for a whole level at once. Only the other pairs
+(``CVaRJump``, ``Custom``, nested ``InfConv``) run the numeric solver, node by
+node.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deviation import DeviationProcess, _accumulate, evaluate
-from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance, eval_driver
+from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, ObjectiveOracle, SolverConfig, minimize
 from .representation import RepresentingPair, assemble, represent
@@ -82,7 +85,6 @@ class SharingSolution:
     max_residual: float
     total_pair: RepresentingPair
     jumps: JumpMeasure
-    times: tuple[float, ...]
 
 
 # -- closed forms for the radial driver family ------------------------------------
@@ -117,45 +119,42 @@ def radial_form(spec: DriverSpec) -> tuple[float, Term, Term] | None:
     return None
 
 
-def _common_base_share(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
-    """``gamma_b / (gamma_a + gamma_b)`` when both drivers are scalings of one
-    base, else None. ``Scaled`` is the perspective ``gamma * g(x / gamma)``, so
-    for a convex base this split leaves both agents at ``x / (gamma_a +
-    gamma_b)`` and is optimal by Jensen's inequality."""
+#: B's share fraction of one block: a number when it does not depend on the
+#: radius, else a function of the rows' radii
+Rule = float | Callable[[np.ndarray], np.ndarray]
+
+
+def _block_rule(ta: Term, tb: Term, tie: float) -> Rule:
+    """B's rule for one block of a radial pair: quad+quad ``q_a / (q_a +
+    q_b)``; lin+lin all to the cheaper slope, ``tie`` on equal slopes;
+    quad+lin and lin+quad the Huber split at the knee ``c / (2q)``."""
+    (kind_a, a), (kind_b, b) = ta, tb
+    if kind_a == kind_b == "quad":
+        return a / (a + b)
+    if kind_a == kind_b:
+        return tie if a == b else lambda r: np.full(r.shape, float(b < a))
+    if kind_a == "quad":
+        return lambda r: np.maximum(0.0, 1.0 - b / (2.0 * a * r))
+    return lambda r: np.minimum(1.0, a / (2.0 * b * r))
+
+
+def _split_plan(g_a: DriverSpec, g_b: DriverSpec) -> tuple[Rule, Rule] | None:
+    """How the pair splits: B's rule for the Brownian block and for the jump
+    block, or None when only the numeric solver applies.
+
+    Scalings of one common base come first, at ``gamma_b / (gamma_a +
+    gamma_b)`` whatever the base: ``Scaled`` is the perspective ``gamma *
+    g(x / gamma)``, so for a convex base this split leaves both agents at ``x /
+    (gamma_a + gamma_b)`` and is optimal by Jensen's inequality. Other pairs of
+    the radial family get one rule per block (``_block_rule``)."""
     (gamma_a, core_a), (gamma_b, core_b) = _unscale(g_a), _unscale(g_b)
-    if core_a != core_b:
+    tie = gamma_b / (gamma_a + gamma_b)
+    if core_a == core_b:
+        return tie, tie
+    form_a, form_b = radial_form(g_a), radial_form(g_b)
+    if form_a is None or form_b is None:
         return None
-    return gamma_b / (gamma_a + gamma_b)
-
-
-def _fixed_share(ta: Term, tb: Term, tie: float) -> float | None:
-    """B's share fraction of a block when it does not depend on the radius."""
-    if ta[0] == tb[0] == "quad":
-        return ta[1] / (ta[1] + tb[1])
-    if ta[0] == tb[0] == "lin" and ta[1] == tb[1]:
-        return tie
-    return None
-
-
-def _block_share(ta: Term, tb: Term, tie: float, r: np.ndarray) -> np.ndarray:
-    """B's share fraction theta of a block, per row of radius ``r``.
-
-    quad+quad: q_a/(q_a+q_b); lin+lin: all to the cheaper side, ``tie`` on
-    equal slopes; quad+lin and lin+quad: the Huber split at the knee
-    c/(2q); zero radius: 0.
-    """
-    fixed = _fixed_share(ta, tb, tie)
-    if fixed is not None:
-        theta = np.full(r.shape, fixed)
-    elif ta[0] == tb[0]:
-        theta = np.full(r.shape, float(tb[1] < ta[1]))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if ta[0] == "quad":
-                theta = np.maximum(0.0, 1.0 - tb[1] / (2.0 * ta[1] * r))
-            else:
-                theta = np.minimum(1.0, ta[1] / (2.0 * tb[1] * r))
-    return np.where(r > 0.0, theta, 0.0)
+    return _block_rule(form_a[1], form_b[1], tie), _block_rule(form_a[2], form_b[2], tie)
 
 
 def _row_norms(a: np.ndarray, weights=None) -> np.ndarray:
@@ -167,32 +166,26 @@ def _row_norms(a: np.ndarray, weights=None) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _radial_split(form_a, form_b, H: np.ndarray, Ht: np.ndarray,
-                  nu: JumpMeasure) -> tuple[np.ndarray, np.ndarray]:
-    (gamma_a, brown_a, jump_a), (gamma_b, brown_b, jump_b) = form_a, form_b
-    tie = gamma_b / (gamma_a + gamma_b)
-    theta = _block_share(brown_a, brown_b, tie, _row_norms(H))
-    theta_j = _block_share(jump_a, jump_b, tie, _row_norms(Ht, nu.intensity_array))
-    return theta[:, None] * H, theta_j[:, None] * Ht
+def _share_block(rule: Rule, X: np.ndarray, weights=None) -> np.ndarray:
+    """B's share of every row of a block under its plan rule; a
+    radius-dependent rule gives nothing at zero radius."""
+    if not callable(rule):
+        return rule * X
+    r = _row_norms(X, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(r > 0.0, rule(r), 0.0)
+    return theta[:, None] * X
 
 
 def proportional_share_factor(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
-    """B's share fraction when the optimal split hands B the same fixed
-    fraction of both blocks at every node: ``gamma_b / (gamma_a + gamma_b)``
-    for scalings of one base, ``q_a / (q_a + q_b)`` for other quadratic pairs;
-    None otherwise."""
-    common = _common_base_share(g_a, g_b)
-    if common is not None:
-        return common
-    form_a, form_b = radial_form(g_a), radial_form(g_b)
-    if form_a is None or form_b is None:
+    """B's share fraction when the split plan hands B one fixed fraction of
+    both blocks at every node, so that ``infconv_split`` returns exactly
+    ``(f * H, f * Ht)``: ``gamma_b / (gamma_a + gamma_b)`` for scalings of one
+    base, ``q_a / (q_a + q_b)`` for other quadratic pairs; None otherwise."""
+    plan = _split_plan(g_a, g_b)
+    if plan is None or callable(plan[0]) or plan[0] != plan[1]:
         return None
-    (gamma_a, brown_a, jump_a), (gamma_b, brown_b, jump_b) = form_a, form_b
-    tie = gamma_b / (gamma_a + gamma_b)
-    brown = _fixed_share(brown_a, brown_b, tie)
-    if brown is None or brown != _fixed_share(jump_a, jump_b, tie):
-        return None
-    return brown
+    return plan[0]
 
 
 # -- numeric inf-convolution for pairs without a closed form -----------------------
@@ -243,22 +236,17 @@ def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
     """B's optimal share ``(Z, Zt)`` of every row of a level's integrands
     ``H`` (nodes, d) and ``Ht`` (nodes, m); A keeps ``(H - Z, Ht - Zt)``.
 
-    Pairs from the radial family are split in closed form for all rows at once
-    (``Z = theta_B * H``, ``Zt = theta_J * Ht``), and scalings of one common
-    base at the fixed fraction ``gamma_b / (gamma_a + gamma_b)``. Other pairs,
-    and ``method="numeric"``, solve row by row with the numeric minimiser.
+    Pairs with a split plan are split in closed form for all rows at once
+    (``Z = theta_B * H``, ``Zt = theta_J * Ht``). Other pairs, and
+    ``method="numeric"``, solve row by row with the numeric minimiser.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric'")
     H = np.asarray(H, dtype=float)
     Ht = np.asarray(Ht, dtype=float)
-    if method == "auto":
-        form_a, form_b = radial_form(g_a), radial_form(g_b)
-        if form_a is not None and form_b is not None:
-            return _radial_split(form_a, form_b, H, Ht, nu)
-        common = _common_base_share(g_a, g_b)
-        if common is not None:
-            return common * H, common * Ht
+    plan = _split_plan(g_a, g_b) if method == "auto" else None
+    if plan is not None:
+        return _share_block(plan[0], H), _share_block(plan[1], Ht, nu.intensity_array)
     cfg = cfg or SolverConfig()
     Z, Zt = np.zeros_like(H), np.zeros_like(Ht)
     for v in range(H.shape[0]):
@@ -277,9 +265,11 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
                   method: str = "auto") -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Pointwise inf-convolution inf_z { g_a(x - z) + g_b(z) } with its argmin.
 
-    Closed forms cover every pair of ``Variance``/``NormCD`` drivers under any
-    ``Scaled`` nesting, block by block (Brownian ``|h|``, jump
-    ``||htilde||_nu``), with B's share fraction theta of a block of radius r:
+    Scalings of one common base split first, at ``theta = gamma_b / (gamma_a
+    + gamma_b)`` on both blocks. Closed forms cover every other pair of
+    ``Variance``/``NormCD`` drivers under any ``Scaled`` nesting, block by
+    block (Brownian ``|h|``, jump ``||htilde||_nu``), with B's share fraction
+    theta of a block of radius r:
 
     - quadratic with quadratic: ``theta = q_a / (q_a + q_b)`` (harmonic mean);
     - linear with linear: all to the cheaper slope, and on equal slopes
@@ -288,11 +278,10 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
       the mirror ``min(1, c_a / (2 q_b r))`` (Huber, a Moreau envelope);
     - ``r = 0``: ``theta = 0``.
 
-    Scalings of one common base outside the family (``CVaRJump``, ``Custom``,
-    ``InfConv``) split at ``gamma_b / (gamma_a + gamma_b)``. Every other pair
-    runs the numeric solver with block-corner candidates; ``method="numeric"``
-    forces it for any pair and is the test oracle for the closed forms. The
-    value is the objective at the split (``infconv_split`` on one row).
+    Every other pair runs the numeric solver with block-corner candidates;
+    ``method="numeric"`` forces it for any pair and is the test oracle for the
+    closed forms. The value is the objective at the split (``infconv_split``
+    on one row).
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     ht = np.atleast_1d(np.asarray(htilde, dtype=float)) if nu.m else np.zeros(0)
@@ -433,7 +422,6 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
         max_residual=max_res,
         total_pair=pair,
         jumps=nu,
-        times=lat.times,
     )
 
 
@@ -469,36 +457,31 @@ class ResidualRiskReport:
 
 def _smooth_at_origin(driver: DriverSpec, d: int, nu: JumpMeasure) -> bool:
     """Shrinking finite differences decide whether the subgradient at the
-    origin is the singleton {0} (all one-sided slopes vanish in the limit)."""
+    origin is the singleton {0} (all one-sided slopes vanish in the limit).
+    Every probe, ``±eps`` along each coordinate for three ``eps``, goes
+    through one ``value_batch`` call."""
     dims = d + nu.m
-    ratios = []
-    for eps in (1e-4, 1e-5, 1e-6):
-        worst = 0.0
-        for i in range(dims):
-            u = np.zeros(dims)
-            u[i] = eps
-            for sgn in (1.0, -1.0):
-                p = sgn * u
-                worst = max(worst, abs(eval_driver(driver, 0.0, p[:d], p[d:], nu)) / eps)
-        ratios.append(worst)
-    return ratios[-1] <= 1e-4 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
+    eps = np.array([1e-4, 1e-5, 1e-6])
+    steps = np.vstack([np.eye(dims), -np.eye(dims)])
+    probes = (eps[:, None, None] * steps).reshape(-1, dims)
+    values = driver.value_batch(0.0, probes[:, :d], probes[:, d:], nu)
+    ratios = np.max(np.abs(values).reshape(len(eps), -1), axis=1, initial=0.0) / eps
+    return bool(ratios[-1] <= 1e-4 and ratios[-1] <= 0.5 * ratios[0] + 1e-12)
 
 
 def residual_check(sol: SharingSolution, prob: SharingProblem,
                    margin: float = 1e-8) -> ResidualRiskReport:
     """Check that no agent with an origin-smooth driver is stripped of all risk.
 
-    Scans every node with a nonzero total integrand and classifies its split as
-    a corner (all risk to one side, within ``margin``) or interior.
+    Classifies the split of every node with a nonzero total integrand as a
+    corner (all risk to one side, within ``margin``) or interior, for all
+    levels at once.
     """
     pair = sol.total_pair
     nu = sol.jumps
     d = pair.H[0].shape[1]
-    nonconstant = any(
-        float(np.max(np.abs(np.hstack([pair.H[i], pair.Htilde[i]])))) > 1e-12
-        for i in range(pair.n_steps)
-    )
-    if not nonconstant:
+    full = np.vstack([np.hstack(blocks) for blocks in zip(pair.H, pair.Htilde)])
+    if np.max(np.abs(full), initial=0.0) <= 1e-12:
         return ResidualRiskReport(True, False, False, False, False, 0, 0,
                                   math.inf, math.inf, 0, True,
                                   "total position constant; nothing to share")
@@ -507,26 +490,13 @@ def residual_check(sol: SharingSolution, prob: SharingProblem,
     smooth_b = _smooth_at_origin(prob.driver_b, d, nu)
     premise = smooth_a or smooth_b
 
-    corner_share = corner_comp = checked = 0
-    min_share = min_comp = math.inf
-    interior = False
-    for i in range(pair.n_steps):
-        full = np.hstack([pair.H[i], pair.Htilde[i]])
-        z = np.hstack([sol.argmin_H[i], sol.argmin_Ht[i]])
-        for v in range(full.shape[0]):
-            if float(np.linalg.norm(full[v])) <= 1e-9:
-                continue
-            checked += 1
-            share = float(np.linalg.norm(z[v]))
-            comp = float(np.linalg.norm(full[v] - z[v]))
-            min_share = min(min_share, share)
-            min_comp = min(min_comp, comp)
-            if share <= margin:
-                corner_share += 1
-            elif comp <= margin:
-                corner_comp += 1
-            else:
-                interior = True
+    z = np.vstack([np.hstack(blocks) for blocks in zip(sol.argmin_H, sol.argmin_Ht)])
+    total, share, comp = np.linalg.norm(np.stack([full, z, full - z]), axis=2)
+    live = total > 1e-9
+    share, comp = share[live], comp[live]
+    corner_share = share <= margin
+    corner_comp = ~corner_share & (comp <= margin)
+    interior = bool(np.any(~corner_share & ~corner_comp))
 
     if not premise:
         note = "no driver is differentiable at the origin; corners permitted"
@@ -535,5 +505,7 @@ def residual_check(sol: SharingSolution, prob: SharingProblem,
         passed = interior
         note = "" if interior else "origin-smooth driver but only corner splits found"
     return ResidualRiskReport(False, smooth_a, smooth_b, premise, interior,
-                              corner_share, corner_comp, min_share, min_comp,
-                              checked, passed, note)
+                              int(corner_share.sum()), int(corner_comp.sum()),
+                              float(share.min(initial=math.inf)),
+                              float(comp.min(initial=math.inf)),
+                              int(live.sum()), passed, note)

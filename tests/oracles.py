@@ -554,3 +554,55 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
 
     return AxiomReport(translation, positivity, convexity, continuity,
                        recursion, locality, level=t, samples=mixtures, seed=seed)
+
+
+def residual_check_reference(sol, prob, margin=1e-8):
+    """The former per-node ``sharing.residual_check``: the origin-smoothness
+    probe one scalar driver call at a time, then every node's split classified
+    in a loop. Returns the report's fields as a tuple."""
+    from devlat.drivers import eval_driver
+
+    def smooth(driver, d, nu):
+        dims = d + nu.m
+        ratios = []
+        for eps in (1e-4, 1e-5, 1e-6):
+            worst = 0.0
+            for i in range(dims):
+                u = np.zeros(dims)
+                u[i] = eps
+                for sgn in (1.0, -1.0):
+                    p = sgn * u
+                    worst = max(worst, abs(eval_driver(driver, 0.0, p[:d], p[d:], nu)) / eps)
+            ratios.append(worst)
+        return ratios[-1] <= 1e-4 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
+
+    pair, nu = sol.total_pair, sol.jumps
+    d = pair.H[0].shape[1]
+    if not any(float(np.max(np.abs(np.hstack([pair.H[i], pair.Htilde[i]])))) > 1e-12
+               for i in range(pair.n_steps)):
+        return (True, False, False, False, False, 0, 0, math.inf, math.inf, 0, True)
+    smooth_a, smooth_b = smooth(prob.driver_a, d, nu), smooth(prob.driver_b, d, nu)
+    premise = smooth_a or smooth_b
+    corner_share = corner_comp = checked = 0
+    min_share = min_comp = math.inf
+    interior = False
+    for i in range(pair.n_steps):
+        full = np.hstack([pair.H[i], pair.Htilde[i]])
+        z = np.hstack([sol.argmin_H[i], sol.argmin_Ht[i]])
+        for v in range(full.shape[0]):
+            if float(np.linalg.norm(full[v])) <= 1e-9:
+                continue
+            checked += 1
+            share = float(np.linalg.norm(z[v]))
+            comp = float(np.linalg.norm(full[v] - z[v]))
+            min_share = min(min_share, share)
+            min_comp = min(min_comp, comp)
+            if share <= margin:
+                corner_share += 1
+            elif comp <= margin:
+                corner_comp += 1
+            else:
+                interior = True
+    passed = interior if premise else True
+    return (False, smooth_a, smooth_b, premise, interior, corner_share, corner_comp,
+            min_share, min_comp, checked, passed)

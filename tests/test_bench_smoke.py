@@ -14,17 +14,21 @@ import pytest
 import devlat
 from devlat.cli import _compile_expression, _expression_namespace, main
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _workloads():
-    name = "perfbench_workloads"
+def _perfbench(stem):
+    name = f"perfbench_{stem}"
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module  # dataclasses look their module up by name
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def _workloads():
+    return _perfbench("workloads")
 
 
 @pytest.mark.parametrize("workload, kind, idx", [
@@ -95,3 +99,34 @@ def test_pool_expressions_evaluate_as_before(tmp_path, workload):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), expr
                 seen += 1
     assert seen >= spec.pool
+
+
+def test_tracer_hooks_exist_and_uninstall_restores_them():
+    """The benchmark's tracer wraps every function and driver method it names
+    (a deleted or renamed hook fails ``install``), and ``uninstall`` puts
+    every original back."""
+    tracing = _perfbench("tracing")
+    modules = {k: m for k, m in sys.modules.items()
+               if m is not None and (k == "devlat" or k.startswith("devlat."))}
+    methods = [*(t for targets in tracing.METHODS.values() for t in targets),
+               *tracing.SCALAR_METHODS]
+    classes = {(module, cls) for module, cls, _ in methods}
+
+    def snapshot():
+        attrs = {(k, key): v for k, m in modules.items() for key, v in vars(m).items()}
+        attrs.update({(module, cls, key): v for module, cls in classes
+                      for key, v in vars(getattr(sys.modules[module], cls)).items()})
+        return attrs
+
+    before = snapshot()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = {k for k, v in snapshot().items() if before.get(k) is not v}
+    finally:
+        tracer.uninstall()
+    hooks = {t for targets in tracing.FUNCTIONS.values() for t in targets}
+    assert hooks | set(methods) <= patched
+    after = snapshot()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

@@ -92,6 +92,28 @@ def test_share_command(tmp_path):
     assert len(transfer) == 17
 
 
+def test_share_argmins_are_the_reported_share_factor(tmp_path):
+    """A common-base ``Variance`` pair: every row of ``share_argmins.csv`` is
+    the reported ``share_factor`` times the total's integrand, bit for bit."""
+    def scaled(gamma):
+        return {"kind": "scaled", "gamma": gamma,
+                "base": {"kind": "variance", "alpha": 0.9}}
+
+    cfg = _base_config(tmp_path, drivers={"gA": scaled(1.1), "gB": scaled(2.3)},
+                       share={"payoff_a": "X", "payoff_b": "Y",
+                              "driver_a": "gA", "driver_b": "gB"})
+    assert main(["share", "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    f = json.loads((tmp_path / "share_summary.json").read_text())["share_factor"]
+    assert f == 2.3 / (1.1 + 2.3)
+    lat = build_lattice(TimeGrid.uniform(4, 1.0), NoiseModel.brownian(1))
+    w = lat.brownian_states(4)[:, 0]
+    total = represent(lat, RandomVariable(w, 4) + RandomVariable(w ** 2, 4))
+    argmins = np.loadtxt(tmp_path / "share_argmins.csv", delimiter=",", skiprows=1)
+    want = np.concatenate([f * H[:, 0] for H in total.H])
+    assert argmins[:, 2].tobytes() == want.tobytes()
+
+
 def test_axioms_and_check_driver(tmp_path):
     cfg = _base_config(
         tmp_path,
@@ -341,6 +363,12 @@ def test_expression_payoffs_evaluate_as_before(expr):
     "W if 1 else W", "True + W", "None", "'W'", "1j * W", "maximum(W, x=0)",
     "sin(*[W])", "W @ W", "(W > 0) & (N1 > 0)", "~N1", "not W", "W and W",
     "x := W", "-" * 100_000 + "W", "W[0]", "f'{W}'", "...",
+    # allowed constructs whose literal subtree raises, overflows or turns
+    # complex (checked in floats while validating), a runtime arithmetic error
+    # and a complex payoff
+    "1/0 + W", "1 % 0 + W", "2.0**5000 + W", "10**400 * W", "(-8)**(1/3) + W",
+    "9**9**9**9", "1e400 + W", "W + 1e308 * 10", "exp(1000) + W", "log(0) + W",
+    "T / 0 + W", "(-T)**0.5 + W",
 ])
 def test_expression_constructs_off_the_list_exit_1(tmp_path, expr):
     cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0},
@@ -350,3 +378,4 @@ def test_expression_constructs_off_the_list_exit_1(tmp_path, expr):
     out = tmp_path / "out"
     assert main(["deviation", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert list(out.iterdir()) == []
+

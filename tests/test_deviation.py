@@ -125,6 +125,18 @@ def test_recursion_partition_validation(binomial4):
         evaluate_recursive(binomial4, Variance(1.0), pair, [0, 2])
 
 
+def test_evaluate_checks_the_integrand_shapes_of_every_level(binomial2):
+    """A d=1 pair whose level-1 integrands have two columns is refused by
+    ``evaluate``, as it is by ``assemble``."""
+    pair = _zero_pair(binomial2)
+    bad = RepresentingPair(0.0, (pair.H[0], np.ones((2, 2))), pair.Htilde,
+                           pair.residuals)
+    with pytest.raises(ValueError, match="level 1"):
+        assemble(binomial2, bad)
+    with pytest.raises(ValueError, match="level 1"):
+        evaluate(binomial2, Variance(1.0), bad)
+
+
 def test_deterministic_d0_examples():
     grid = TimeGrid.uniform(4, 1.0)
     nu = JumpMeasure.empty()

@@ -5,7 +5,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from devlat import (
@@ -19,6 +19,7 @@ from devlat import (
     eval_driver,
     infconv_split,
     infconv_value,
+    proportional_share_factor,
     radial_form,
 )
 
@@ -169,3 +170,63 @@ def test_numeric_oracle_steps_stay_bounded():
                                    method="numeric")
     closed, _ = infconv_value(*args)
     assert abs(numeric - closed) <= 1e-7 * abs(closed)
+
+
+#: integrand entries, with zeros of both signs and entries whose squares underflow
+ENTRIES = st.one_of(st.floats(-4.0, 4.0), st.sampled_from((0.0, -0.0, 1e-170, -1e-170)))
+
+
+def _scale(base, gammas):
+    for gamma in gammas:
+        base = Scaled(gamma, base)
+    return base
+
+
+@st.composite
+def fixed_share_pairs(draw):
+    """``(g_a, g_b, f)``: two scalings of one ``Variance``, ``NormCD`` or
+    ``CVaRJump`` base with ``f = gamma_b / (gamma_a + gamma_b)``, two quadratic
+    drivers of distinct bases with ``f = q_a / (q_a + q_b)``, or two drivers of
+    the radial family with ``f`` None (a fraction need not exist)."""
+    kind = draw(st.sampled_from(("common", "quadratic", "radial")))
+    if kind == "radial":
+        return draw(radial_drivers()), draw(radial_drivers()), None
+    scalings = st.lists(positive, max_size=2)
+    gammas_a, gammas_b = draw(scalings), draw(scalings)
+    if kind == "common":
+        base = draw(st.one_of(
+            positive.map(Variance),
+            st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(lambda cd: NormCD(*cd)),
+            st.floats(0.05, 1.0).map(CVaRJump),
+        ))
+        gamma_a, gamma_b = math.prod(reversed(gammas_a)), math.prod(reversed(gammas_b))
+        return _scale(base, gammas_a), _scale(base, gammas_b), gamma_b / (gamma_a + gamma_b)
+    alpha_a, alpha_b = draw(positive), draw(positive)
+    assume(alpha_a != alpha_b)
+    g_a, g_b = _scale(Variance(alpha_a), gammas_a), _scale(Variance(alpha_b), gammas_b)
+    q_a, q_b = radial_form(g_a)[1][1], radial_form(g_b)[1][1]
+    return g_a, g_b, q_a / (q_a + q_b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fixed_share_pairs(), st.data())
+def test_share_factor_is_the_applied_split(pair, data):
+    """Common-base and quadratic pairs report their fraction ``f``, and
+    whenever ``proportional_share_factor`` reports one, ``infconv_split`` hands
+    B exactly ``f * H`` and ``f * Ht``."""
+    g_a, g_b, want = pair
+    f = proportional_share_factor(g_a, g_b)
+    if want is not None:
+        assert f == want
+    if f is None:
+        return
+    d = data.draw(st.sampled_from((1, 2)))
+    nu = data.draw(st.sampled_from((EMPTY, NU)))
+    n = data.draw(st.integers(1, 5))
+    H = np.array(data.draw(st.lists(st.lists(ENTRIES, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    Ht = np.array(data.draw(st.lists(st.lists(ENTRIES, min_size=nu.m, max_size=nu.m),
+                                     min_size=n, max_size=n))).reshape(n, nu.m)
+    Z, Zt = infconv_split(g_a, g_b, 0.0, H, Ht, nu)
+    assert Z.tobytes() == (f * H).tobytes()
+    assert Zt.tobytes() == (f * Ht).tobytes()

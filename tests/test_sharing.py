@@ -27,7 +27,7 @@ from devlat import (
 )
 from devlat.representation import RepresentingPair
 from devlat.sharing import certificate_gaps
-from oracles import certificate_gap_by_node
+from oracles import certificate_gap_by_node, residual_check_reference
 
 EMPTY = JumpMeasure.empty()
 NU = JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7))
@@ -225,6 +225,34 @@ def test_residual_check_skips_constant_total(binomial4, rng):
     sol = solve_sharing(binomial4, prob)
     report = residual_check(sol, prob)
     assert report.skipped and report.passed
+
+
+@pytest.mark.parametrize("g_a, g_b, jumps_only", [
+    (Variance(1.0), Variance(2.0), False),
+    (NormCD(2.0, 1.0), NormCD(1.0, 1.0), False),
+    (Variance(1.0), NormCD(1.0, 1.0), False),
+    (Scaled(2.0, NormCD(1.0, 0.5)), Variance(0.5), False),
+    (Scaled(1.0, CVaRJump(0.4)), Scaled(3.0, CVaRJump(0.4)), True),
+])
+def test_residual_check_matches_the_node_loop(jump_lattice, binomial4, rng, g_a, g_b,
+                                              jumps_only):
+    """The level-wise report equals the former per-node loop (norms within a
+    few ulps: one row norm per call there, all rows at once here)."""
+    for lat in (jump_lattice,) if jumps_only else (binomial4, jump_lattice):
+        leaves = lat.num_nodes(lat.n_steps)
+        x_a = RandomVariable(rng.normal(size=leaves), lat.n_steps)
+        x_b = RandomVariable(np.where(rng.random(leaves) < 0.3, 0.0, rng.normal(size=leaves)),
+                             lat.n_steps)
+        prob = SharingProblem(x_a, x_b, g_a, g_b)
+        sol = solve_sharing(lat, prob)
+        got = residual_check(sol, prob)
+        want = residual_check_reference(sol, prob)
+        fields = (got.skipped, got.smooth_a, got.smooth_b, got.premise_met,
+                  got.interior_node_exists, got.corner_share_nodes,
+                  got.corner_complement_nodes, got.nodes_checked, got.passed)
+        assert fields == want[:7] + want[9:]
+        assert got.min_share_norm == pytest.approx(want[7], rel=1e-15, abs=0.0)
+        assert got.min_complement_norm == pytest.approx(want[8], rel=1e-15, abs=0.0)
 
 
 def test_proportional_transfer_algebra(binomial4, rng):
