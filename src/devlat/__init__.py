@@ -23,7 +23,6 @@ from .lattice import (
     martingale,
     permute_paths,
     terminal_brownian,
-    terminal_jump_counts,
 )
 from .representation import (
     AnalyticPayoff,
@@ -31,7 +30,6 @@ from .representation import (
     RepresentingPair,
     assemble,
     lift_analytic,
-    noise_basis,
     represent,
 )
 from .drivers import (
@@ -53,7 +51,6 @@ from .drivers import (
 )
 from .deviation import (
     AxiomReport,
-    DeviationProcess,
     LawProbeReport,
     axiom_report,
     conditional_variance,
@@ -68,7 +65,6 @@ from .deviation import (
 from .optim import (
     MinimizeResult,
     NumericError,
-    ObjectiveOracle,
     SolverConfig,
     brute_force_min,
     minimize,

@@ -27,8 +27,8 @@ from .deviation import axiom_report, evaluate, evaluate_recursive, law_probe, \
 from .drivers import check_driver, driver_from_dict
 from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
     pair_to_dict, write_payoff_csv, write_process_csv
-from .lattice import JumpMeasure, Lattice, NoiseModel, RandomVariable, TimeGrid, \
-    build_lattice
+from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
+    RandomVariable, TimeGrid, build_lattice
 from .optim import NumericError, SolverConfig
 from .representation import AnalyticPayoff, RepresentationError, RepresentingPair, \
     assemble, represent
@@ -39,17 +39,57 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_INTERNAL = 3
 
-COMMANDS = ("build", "deviation", "axioms", "law-probe", "share", "check-driver")
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed or references missing pieces."""
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return cfg[key]
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    # node counts and indices are numpy int64s
+    return _number(v) and isinstance(v, int) and -2**63 <= v < 2**63
+
+
+def _array_of(item):
+    return lambda v: isinstance(v, list) and all(map(item, v))
+
+
+#: what a config value may be, by the phrase its error message uses
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "a number": _number,
+    "an integer": _integer,
+    "an array of numbers": _array_of(_number),
+    "an array of integers": _array_of(_integer),
+    "an array of strings": _array_of(lambda v: isinstance(v, str)),
+    "an array of name pairs": _array_of(
+        lambda v: _KINDS["an array of strings"](v) and len(v) == 2),
+    "an array of numbers or number arrays": _array_of(lambda v: _number(v) or _array_of(_number)(v)),
+}
+
+_MISSING = object()
+
+
+def _get(obj: dict, key: str, kind: str, where: str = "config", default=_MISSING):
+    """``obj[key]``, which must be ``kind`` (a key of ``_KINDS``).
+
+    An absent key gives ``default``, and so does null where the default is
+    None; without a default it is a ``ConfigError``, as is a value of any
+    other kind. This is where config values are checked for presence and
+    JSON kind; ranges are checked by the constructors they are passed to.
+    """
+    value = obj.get(key)
+    if value is None and (key not in obj or default is None):
+        if default is _MISSING:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        return default
+    if not _KINDS[kind](value):
+        raise ConfigError(f"{where}: {key!r} must be {kind}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -66,54 +106,58 @@ def _load_config(path: str) -> dict:
 
 
 def _build_grid(obj: dict) -> TimeGrid:
+    times = _get(obj, "times", "an array of numbers", "lattice.grid", None)
+    if times is None:
+        uniform = (_get(obj, "n", "an integer", "lattice.grid"),
+                   float(_get(obj, "horizon", "a number", "lattice.grid")))
     try:
-        if "times" in obj:
-            return TimeGrid(tuple(obj["times"]))
-        return TimeGrid.uniform(int(_require(obj, "n", "grid")),
-                                float(_require(obj, "horizon", "grid")))
+        return TimeGrid.uniform(*uniform) if times is None else TimeGrid(tuple(times))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
 def _build_noise(obj: dict) -> NoiseModel:
-    jumps = obj.get("jumps") or {}
+    jumps = _get(obj, "jumps", "an object", "lattice.noise", None) or {}
+    marks = _get(jumps, "marks", "an array of numbers or number arrays",
+                 "lattice.noise.jumps", [])
+    intensities = _get(jumps, "intensities", "an array of numbers",
+                       "lattice.noise.jumps", [])
+    d = _get(obj, "d", "an integer", "lattice.noise", 0)
     try:
-        jm = JumpMeasure(
-            tuple(jumps.get("marks", ())), tuple(jumps.get("intensities", ()))
-        )
-        return NoiseModel(int(obj.get("d", 0)), jm)
+        return NoiseModel(d, JumpMeasure(tuple(marks), tuple(intensities)))
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
 
 
 def _build_lattice(cfg: dict) -> Lattice:
-    block = _require(cfg, "lattice")
-    grid = _build_grid(_require(block, "grid", "lattice"))
-    noise = _build_noise(_require(block, "noise", "lattice"))
+    block = _get(cfg, "lattice", "an object")
+    grid = _build_grid(_get(block, "grid", "an object", "lattice"))
+    noise = _build_noise(_get(block, "noise", "an object", "lattice"))
+    max_nodes = _get(block, "max_nodes", "an integer", "lattice", DEFAULT_MAX_NODES)
     try:
-        return build_lattice(grid, noise, int(block.get("max_nodes", 1_000_000)))
+        return build_lattice(grid, noise, max_nodes)
     except ValueError as exc:
         raise ConfigError(f"lattice: {exc}") from exc
 
 
 def _parse_solver(cfg: dict) -> SolverConfig:
-    block = cfg.get("solver") or {}
+    block = _get(cfg, "solver", "an object", default=None) or {}
     known = {f.name for f in dataclasses.fields(SolverConfig)}
     unknown = set(block) - known
     if unknown:
         raise ConfigError(f"solver: unknown keys {sorted(unknown)}")
     try:
         return SolverConfig(**block)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
 
 def _parse_drivers(cfg: dict, solver: SolverConfig) -> dict:
     out = {}
-    for name, obj in (cfg.get("drivers") or {}).items():
+    for name, obj in (_get(cfg, "drivers", "an object", default=None) or {}).items():
         try:
             out[name] = driver_from_dict(obj, solver)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"driver {name!r}: {exc}") from exc
     return out
 
@@ -233,11 +277,11 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
     config file's directory."""
     out: dict = {}
     ns = None
-    for name, obj in (cfg.get("payoffs") or {}).items():
+    for name, obj in (_get(cfg, "payoffs", "an object", default=None) or {}).items():
         kind = obj.get("kind") if isinstance(obj, dict) else None
         try:
             if kind == "csv":
-                path = Path(_require(obj, "path", f"payoff {name!r}"))
+                path = Path(_get(obj, "path", "a string", f"payoff {name!r}"))
                 if not path.is_absolute():
                     path = config_dir / path
                 out[name] = load_payoff_csv(path, lat)
@@ -245,7 +289,7 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
                 if ns is None:
                     ns = _expression_namespace(lat)
                 code = _compile_expression(
-                    _require(obj, "expr", f"payoff {name!r}"), ns)
+                    _get(obj, "expr", "a string", f"payoff {name!r}"), ns)
                 values = eval(code, {"__builtins__": {}}, dict(ns))
                 if np.iscomplexobj(values):
                     raise ValueError("expression: the payoff is complex")
@@ -278,10 +322,6 @@ def _named(pool: dict, name: str, what: str):
     return pool[name]
 
 
-def _report_dict(report) -> dict:
-    return dataclasses.asdict(report)
-
-
 def _emit(path: Path, text: str, quiet: bool) -> None:
     path.write_text(text)
     if not quiet:
@@ -297,12 +337,12 @@ def cmd_build(cfg, lat, out_dir, seed, quiet, config_dir):
 
 
 def cmd_deviation(cfg, lat, out_dir, seed, quiet, config_dir):
-    block = _require(cfg, "deviation")
+    block = _get(cfg, "deviation", "an object")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
     payoffs = _build_payoffs(cfg, lat, config_dir)
-    driver = _named(drivers, _require(block, "driver", "deviation"), "driver")
-    payoff = _named(payoffs, _require(block, "payoff", "deviation"), "payoff")
+    driver = _named(drivers, _get(block, "driver", "a string", "deviation"), "driver")
+    payoff = _named(payoffs, _get(block, "payoff", "a string", "deviation"), "payoff")
     if isinstance(payoff, AnalyticPayoff):
         raise ConfigError("deviation: payoff must be a lattice payoff")
     pair = represent(lat, payoff)
@@ -316,7 +356,7 @@ def cmd_deviation(cfg, lat, out_dir, seed, quiet, config_dir):
         "max_residual": pair.max_residual(),
         "supermartingale_slack": supermartingale_slack(lat, dev),
     }
-    partition = block.get("partition")
+    partition = _get(block, "partition", "an array of integers", "deviation", None)
     if partition is not None:
         rec = evaluate_recursive(lat, driver, pair, partition)
         summary["recursion_max_gap"] = max(
@@ -324,7 +364,7 @@ def cmd_deviation(cfg, lat, out_dir, seed, quiet, config_dir):
             for i in range(lat.n_steps + 1)
         )
         summary["partition"] = sorted(set(int(i) for i in partition))
-    write_process_csv(out_dir / "deviation.csv", dev.values.values)
+    write_process_csv(out_dir / "deviation.csv", dev.values)
     if not quiet:
         print(f"wrote {out_dir / 'deviation.csv'}")
     _emit(out_dir / "integrands.json", canonical_json(pair_to_dict(pair)), quiet)
@@ -333,30 +373,31 @@ def cmd_deviation(cfg, lat, out_dir, seed, quiet, config_dir):
 
 
 def cmd_axioms(cfg, lat, out_dir, seed, quiet, config_dir):
-    block = _require(cfg, "axioms")
+    block = _get(cfg, "axioms", "an object")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
     payoffs = _build_payoffs(cfg, lat, config_dir)
-    driver = _named(drivers, _require(block, "driver", "axioms"), "driver")
-    names = _require(block, "payoffs", "axioms")
+    driver = _named(drivers, _get(block, "driver", "a string", "axioms"), "driver")
+    names = _get(block, "payoffs", "an array of strings", "axioms")
     samples = [_named(payoffs, n, "payoff") for n in names]
     report = axiom_report(
         lat, driver, samples, seed=seed,
-        level=block.get("level"), mixtures=int(block.get("mixtures", 50)),
+        level=_get(block, "level", "an integer", "axioms", None),
+        mixtures=_get(block, "mixtures", "an integer", "axioms", 50),
     )
     payload = {"command": "axioms", "seed": seed, "driver": block["driver"],
-               "payoffs": list(names), "report": _report_dict(report),
+               "payoffs": list(names), "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}
     _emit(out_dir / "axioms.json", canonical_json(payload), quiet)
     return EXIT_OK
 
 
 def cmd_law_probe(cfg, lat, out_dir, seed, quiet, config_dir):
-    block = _require(cfg, "law_probe")
+    block = _get(cfg, "law_probe", "an object")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
     payoffs = _build_payoffs(cfg, lat, config_dir)
-    driver = _named(drivers, _require(block, "driver", "law_probe"), "driver")
+    driver = _named(drivers, _get(block, "driver", "a string", "law_probe"), "driver")
 
     def pick(name, analytic):
         p = _named(payoffs, name, "payoff")
@@ -365,29 +406,31 @@ def cmd_law_probe(cfg, lat, out_dir, seed, quiet, config_dir):
         return p
 
     lattice_pairs = [
-        (pick(a, False), pick(b, False)) for a, b in block.get("pairs", [])
+        (pick(a, False), pick(b, False))
+        for a, b in _get(block, "pairs", "an array of name pairs", "law_probe", [])
     ]
     analytic_pairs = [
-        (pick(a, True), pick(b, True)) for a, b in block.get("analytic_pairs", [])
+        (pick(a, True), pick(b, True))
+        for a, b in _get(block, "analytic_pairs", "an array of name pairs", "law_probe", [])
     ]
     report = law_probe(lat, driver, lattice_pairs, analytic_pairs,
-                       law_tol=float(block.get("law_tol", 1e-8)))
+                       law_tol=float(_get(block, "law_tol", "a number", "law_probe", 1e-8)))
     payload = {"command": "law_probe", "seed": seed, "driver": block["driver"],
-               "report": _report_dict(report)}
+               "report": dataclasses.asdict(report)}
     _emit(out_dir / "law_probe.json", canonical_json(payload), quiet)
     return EXIT_OK
 
 
 def cmd_share(cfg, lat, out_dir, seed, quiet, config_dir):
-    block = _require(cfg, "share")
+    block = _get(cfg, "share", "an object")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
     payoffs = _build_payoffs(cfg, lat, config_dir)
     prob = SharingProblem(
-        x_a=_named(payoffs, _require(block, "payoff_a", "share"), "payoff"),
-        x_b=_named(payoffs, _require(block, "payoff_b", "share"), "payoff"),
-        driver_a=_named(drivers, _require(block, "driver_a", "share"), "driver"),
-        driver_b=_named(drivers, _require(block, "driver_b", "share"), "driver"),
+        x_a=_named(payoffs, _get(block, "payoff_a", "a string", "share"), "payoff"),
+        x_b=_named(payoffs, _get(block, "payoff_b", "a string", "share"), "payoff"),
+        driver_a=_named(drivers, _get(block, "driver_a", "a string", "share"), "driver"),
+        driver_b=_named(drivers, _get(block, "driver_b", "a string", "share"), "driver"),
         solver=solver,
     )
     if isinstance(prob.x_a, AnalyticPayoff) or isinstance(prob.x_b, AnalyticPayoff):
@@ -427,17 +470,17 @@ def cmd_share(cfg, lat, out_dir, seed, quiet, config_dir):
 
 
 def cmd_check_driver(cfg, lat, out_dir, seed, quiet, config_dir):
-    block = _require(cfg, "check_driver")
+    block = _get(cfg, "check_driver", "an object")
     solver = _parse_solver(cfg)
     drivers = _parse_drivers(cfg, solver)
-    driver = _named(drivers, _require(block, "driver", "check_driver"), "driver")
+    driver = _named(drivers, _get(block, "driver", "a string", "check_driver"), "driver")
     report = check_driver(
         driver, lat.noise.jumps,
-        sample_count=int(block.get("samples", 200)),
-        seed=seed, d=int(block.get("d", max(lat.noise.d, 1))),
+        sample_count=_get(block, "samples", "an integer", "check_driver", 200),
+        seed=seed, d=_get(block, "d", "an integer", "check_driver", max(lat.noise.d, 1)),
     )
     payload = {"command": "check_driver", "seed": seed,
-               "driver": block["driver"], "report": _report_dict(report),
+               "driver": block["driver"], "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}
     _emit(out_dir / "driver_check.json", canonical_json(payload), quiet)
     return EXIT_OK
@@ -460,7 +503,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="devlat",
         description="Deviation evaluation and risk sharing on finite event lattices",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(_DISPATCH))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -473,8 +516,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        out_dir = Path(args.out or cfg.get("out", "."))
+        seed = args.seed if args.seed is not None \
+            else _get(cfg, "seed", "an integer", default=0)
+        out_dir = Path(args.out or _get(cfg, "out", "a string", default="."))
         out_dir.mkdir(parents=True, exist_ok=True)
         lat = _build_lattice(cfg)
         return _DISPATCH[args.command](cfg, lat, out_dir, seed, args.quiet,

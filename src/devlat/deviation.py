@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import DriverSpec, eval_driver
+from .drivers import CheckOutcome, DriverSpec, eval_driver
 from .lattice import (
     AdaptedProcess,
     JumpMeasure,
@@ -31,7 +31,6 @@ from .representation import AnalyticPayoff, RepresentingPair, _check_pair, _proj
     assemble, represent
 
 __all__ = [
-    "DeviationProcess",
     "evaluate",
     "evaluate_recursive",
     "deterministic_d0",
@@ -39,7 +38,6 @@ __all__ = [
     "conditional_variance",
     "supermartingale_slack",
     "constancy_spread",
-    "CheckOutcome",
     "AxiomReport",
     "axiom_report",
     "LawProbeEntry",
@@ -47,27 +45,6 @@ __all__ = [
     "law_probe",
     "LawMismatchError",
 ]
-
-
-@dataclass(frozen=True)
-class DeviationProcess:
-    """Adapted deviation values for one payoff under one driver.
-
-    Validity (nonnegativity, zero terminal level, supermartingale property)
-    is inherited from the driver being a true driver; diagnostic evaluations
-    under invalid drivers are representable and surfaced by the probes.
-    """
-
-    values: AdaptedProcess
-    driver: DriverSpec
-    source: str = ""
-
-    def at(self, level: int) -> np.ndarray:
-        return self.values.at(level)
-
-    @property
-    def d0(self) -> float:
-        return float(self.values.at(0)[0])
 
 
 def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
@@ -81,13 +58,16 @@ def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
     return tuple(vals)
 
 
-def evaluate(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
-             source: str = "") -> DeviationProcess:
-    """Backward accumulation: node value = E[child values] + g(t, H, Ht) * dt."""
+def evaluate(lat: Lattice, driver: DriverSpec, pair: RepresentingPair) -> AdaptedProcess:
+    """The deviation process of a payoff's integrands under a driver, by
+    backward accumulation: node value = E[child values] + g(t, H, Ht) * dt.
+
+    Validity (nonnegativity, zero terminal level, supermartingale property)
+    is inherited from the driver being a true driver; diagnostic evaluations
+    under invalid drivers are representable and surfaced by the probes.
+    """
     _check_pair(lat, pair)
-    return DeviationProcess(AdaptedProcess(_deviation_levels(lat, driver, pair.H,
-                                                             pair.Htilde)),
-                            driver, source)
+    return AdaptedProcess(_deviation_levels(lat, driver, pair.H, pair.Htilde))
 
 
 def _deviation_levels(lat: Lattice, driver: DriverSpec, H, Ht) -> tuple:
@@ -115,7 +95,7 @@ def _restrict_pair(pair: RepresentingPair, lo: int, hi: int) -> RepresentingPair
 
 
 def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
-                       partition: list[int]) -> DeviationProcess:
+                       partition: list[int]) -> AdaptedProcess:
     """Block recursion: deviations of martingale increments over partition
     cells, summed conditionally.
 
@@ -139,8 +119,7 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
         block = evaluate(lat, driver, block_pair)
         for i in range(lat.n_steps + 1):
             total[i] = total[i] + block.at(i)
-    return DeviationProcess(AdaptedProcess(tuple(total)), driver,
-                            source="recursive")
+    return AdaptedProcess(tuple(total))
 
 
 def deterministic_d0(grid: TimeGrid, driver: DriverSpec, ap: AnalyticPayoff,
@@ -153,7 +132,7 @@ def deterministic_d0(grid: TimeGrid, driver: DriverSpec, ap: AnalyticPayoff,
     return float(total)
 
 
-def utility(lat: Lattice, x: RandomVariable, dev: DeviationProcess,
+def utility(lat: Lattice, x: RandomVariable, dev: AdaptedProcess,
             level: int) -> RandomVariable:
     """Mean-minus-deviation evaluation E[x | F_level] - D_level."""
     lat._check_level(level)
@@ -182,32 +161,23 @@ def conditional_variance(lat: Lattice, x: RandomVariable) -> AdaptedProcess:
     return AdaptedProcess(tuple(vals))
 
 
-def supermartingale_slack(lat: Lattice, proc: AdaptedProcess | DeviationProcess) -> float:
+def supermartingale_slack(lat: Lattice, proc: AdaptedProcess) -> float:
     """Min over nodes of value - E[next-level value | node]; >= 0 up to noise
     for any deviation process of a nonnegative driver."""
-    values = proc.values if isinstance(proc, DeviationProcess) else proc
     worst = np.inf
     for i in range(lat.n_steps):
-        cont = values.at(i + 1).reshape(-1, lat.branching) @ lat.step_probs(i)
-        worst = min(worst, float(np.min(values.at(i) - cont)))
+        cont = proc.at(i + 1).reshape(-1, lat.branching) @ lat.step_probs(i)
+        worst = min(worst, float(np.min(proc.at(i) - cont)))
     return worst
 
 
-def constancy_spread(dev: DeviationProcess, level: int) -> float:
+def constancy_spread(dev: AdaptedProcess, level: int) -> float:
     """Max minus min of the deviation values across the nodes of one level."""
     v = dev.at(level)
     return float(v.max() - v.min())
 
 
 # -- axiom probes -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    passed: bool
-    witness: dict | None = None
-    vacuous: bool = False
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -293,19 +263,18 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     positivity = CheckOutcome(True)
     vacuous_only_if = True
     for x, d, f in zip(payoffs, devs, full):
-        if any(float(v.min()) < 0.0 for v in f.values.values):
-            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in f.values.values))})
+        if any(float(v.min()) < 0.0 for v in f.values):
+            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in f.values))})
             break
         zero_nodes = np.flatnonzero(d == 0.0)
-        for v in zero_nodes:
-            leaf_vals = x.values[v * subtree : (v + 1) * subtree]
+        if zero_nodes.size:
             vacuous_only_if = False
-            if float(leaf_vals.max() - leaf_vals.min()) != 0.0:
-                positivity = CheckOutcome(False, {"node": int(v), "level": t},
+            leaves = x.values.reshape(nodes_t, subtree)[zero_nodes]
+            bad = zero_nodes[leaves.max(axis=1) - leaves.min(axis=1) != 0.0]
+            if bad.size:
+                positivity = CheckOutcome(False, {"node": int(bad[0]), "level": t},
                                           detail="zero deviation on a non-constant subtree")
                 break
-        if not positivity.passed:
-            break
     if positivity.passed:
         measurable = RandomVariable(
             np.repeat(rng.integers(-5, 6, size=nodes_t).astype(float), subtree), n

@@ -10,6 +10,7 @@ witnesses instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,7 +32,7 @@ __all__ = [
     "var_nu",
     "cvar_nu",
     "check_driver",
-    "CheckResult",
+    "CheckOutcome",
     "ValidityReport",
     "driver_to_dict",
     "driver_from_dict",
@@ -327,21 +328,25 @@ def subgradient(spec: DriverSpec, t: float, h, htilde, nu: JumpMeasure) -> np.nd
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckOutcome:
+    """One sampled check's verdict. ``witness`` holds the first violation
+    found; a ``vacuous`` pass had nothing to test."""
+
     passed: bool
-    witness: tuple | None = None
-    note: str = ""
+    witness: dict | tuple | None = None
+    vacuous: bool = False
+    detail: str = ""
 
 
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of the sampled driver-validity tests, with reproducible witnesses."""
 
-    nonnegativity: CheckResult
-    zero_at_zero: CheckResult
-    zero_only_at_zero: CheckResult
-    convexity: CheckResult
-    subgradient_consistency: CheckResult
+    nonnegativity: CheckOutcome
+    zero_at_zero: CheckOutcome
+    zero_only_at_zero: CheckOutcome
+    convexity: CheckOutcome
+    subgradient_consistency: CheckOutcome
     samples_used: int
 
     def all_passed(self) -> bool:
@@ -401,40 +406,40 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
 
     zero = (np.zeros(d), np.zeros(nu.m))
     v0 = eval_driver(spec, t, zero[0], zero[1], nu)
-    zero_at_zero = CheckResult(v0 == 0.0, None if v0 == 0.0 else (zero, v0))
+    zero_at_zero = CheckOutcome(v0 == 0.0, None if v0 == 0.0 else (zero, v0))
 
     vals = np.asarray(spec.value_batch(t, H, Ht, nu), dtype=float)
-    nonneg = CheckResult(True)
+    nonneg = CheckOutcome(True)
     bad = np.flatnonzero(vals < 0)
     if bad.size:
         k = bad[0]
-        nonneg = CheckResult(False, (point(k), float(vals[k])),
-                             "negative value off the origin")
-    zero_only = CheckResult(True)
+        nonneg = CheckOutcome(False, (point(k), float(vals[k])),
+                              detail="negative value off the origin")
+    zero_only = CheckOutcome(True)
     norms = np.linalg.norm(np.hstack([H, Ht]), axis=1)
     bad = np.flatnonzero((norms >= 1e-6) & (vals <= 1e-15))
     if bad.size:
         k = bad[0]
-        zero_only = CheckResult(False, (point(k), float(vals[k])),
-                                "vanishes away from the origin")
+        zero_only = CheckOutcome(False, (point(k), float(vals[k])),
+                                 detail="vanishes away from the origin")
 
     state = rng.bit_generator.state
     x, y = np.array([rng.integers(0, count, size=2) for _ in range(sample_count)]).T
     lhs = np.asarray(spec.value_batch(t, (H[x] + H[y]) / 2.0, (Ht[x] + Ht[y]) / 2.0, nu),
                      dtype=float)
     rhs = 0.5 * (vals[x] + vals[y])
-    convexity = CheckResult(True)
+    convexity = CheckOutcome(True)
     bad = np.flatnonzero(lhs > rhs + 1e-10 * np.maximum(1.0, np.abs(rhs)))
     if bad.size:
         k = bad[0]
-        convexity = CheckResult(False, (point(x[k]), point(y[k]), float(lhs[k]),
-                                        float(rhs[k])), "midpoint rule violated")
+        convexity = CheckOutcome(False, (point(x[k]), point(y[k]), float(lhs[k]),
+                                         float(rhs[k])), detail="midpoint rule violated")
         # replay the draws up to the violation, where one-pair-at-a-time stops
         rng.bit_generator.state = state
         for _ in range(k + 1):
             rng.integers(0, count, size=2)
 
-    subgrad = CheckResult(True)
+    subgrad = CheckOutcome(True)
     try:
         for _ in range(sample_count):
             i, j = rng.integers(0, count, size=2)
@@ -443,11 +448,11 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
                 s @ np.concatenate([H[j] - H[i], Ht[j] - Ht[i]])
             )
             if gap < -1e-8:
-                subgrad = CheckResult(False, (point(i), point(j), gap),
-                                      "subgradient inequality violated")
+                subgrad = CheckOutcome(False, (point(i), point(j), gap),
+                                       detail="subgradient inequality violated")
                 break
     except ValueError as exc:
-        subgrad = CheckResult(True, None, f"skipped: {exc}")
+        subgrad = CheckOutcome(True, vacuous=True, detail=f"skipped: {exc}")
 
     return ValidityReport(
         nonnegativity=nonneg,
@@ -477,21 +482,30 @@ def driver_to_dict(spec: DriverSpec) -> dict:
 
 
 def driver_from_dict(obj: dict, solver: SolverConfig | None = None) -> DriverSpec:
+    """The driver of a JSON spec; a malformed spec raises ``ValueError``."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("driver spec must be an object with a 'kind' field")
     kind = obj["kind"]
+
+    def number(key):
+        value = obj.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ValueError(f"{kind} driver: {key!r} must be a finite number")
+        return float(value)
+
     if kind == "variance":
-        return Variance(float(obj["alpha"]))
+        return Variance(number("alpha"))
     if kind == "norm_cd":
-        return NormCD(float(obj["c"]), float(obj["d"]))
+        return NormCD(number("c"), number("d"))
     if kind == "cvar_jump":
-        return CVaRJump(float(obj["a"]))
+        return CVaRJump(number("a"))
     if kind == "scaled":
-        return Scaled(float(obj["gamma"]), driver_from_dict(obj["base"], solver))
+        return Scaled(number("gamma"), driver_from_dict(obj.get("base"), solver))
     if kind == "infconv":
         return InfConv(
-            driver_from_dict(obj["a"], solver),
-            driver_from_dict(obj["b"], solver),
+            driver_from_dict(obj.get("a"), solver),
+            driver_from_dict(obj.get("b"), solver),
             solver or SolverConfig(),
         )
     raise ValueError(f"unknown driver kind {kind!r}")

@@ -177,19 +177,9 @@ def _write_rows(path: Path, header: list[str], blocks) -> None:
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
-    """Full lattice description: grid, noise, and per-level node/edge tables."""
-    edges = []
-    for i in range(lat.n_steps):
-        dw = lat.step_dw(i)
-        probs = lat.step_probs(i)
-        edges.append([
-            {
-                "dw": dw[o].tolist(),
-                "jump": int(lat.outcome_labels[o]),
-                "prob": float(probs[o]),
-            }
-            for o in range(lat.branching)
-        ])
+    """Full lattice description: grid, noise, a ``ColumnTable`` of nodes per
+    level and one of outcomes (dw, jump, prob) per step."""
+    levels = range(lat.n_steps + 1)
     return {
         "grid": {"times": list(lat.times)},
         "noise": {
@@ -200,10 +190,13 @@ def lattice_to_dict(lat: Lattice) -> dict:
             },
         },
         "branching": lat.branching,
-        "levels": [
-            {"level": i, "nodes": lat.num_nodes(i)} for i in range(lat.n_steps + 1)
+        "levels": ColumnTable({"level": np.array(levels),
+                               "nodes": np.array([lat.num_nodes(i) for i in levels])}),
+        "edges": [
+            ColumnTable({"dw": lat.step_dw(i), "jump": lat.outcome_labels,
+                         "prob": lat.step_probs(i)})
+            for i in range(lat.n_steps)
         ],
-        "edges": edges,
     }
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "law_distance",
     "permute_paths",
     "terminal_brownian",
-    "terminal_jump_counts",
 ]
 
 #: child probabilities of every node must sum to one within this tolerance
@@ -187,7 +186,6 @@ class Lattice:
                 o = s * (m + 1) + j
                 signs[o] = row
                 labels[o] = j
-        self.outcome_signs = signs
         self.outcome_labels = labels
 
         nu = noise.jumps.intensity_array
@@ -228,9 +226,6 @@ class Lattice:
     def num_nodes(self, level: int) -> int:
         self._check_level(level)
         return self.branching ** level
-
-    def child(self, node: int, outcome: int) -> int:
-        return node * self.branching + outcome
 
     def step_dw(self, level: int) -> np.ndarray:
         """Brownian increment per outcome at the given step, shape (b, d)."""
@@ -350,6 +345,11 @@ class AdaptedProcess:
 
     def at(self, level: int) -> np.ndarray:
         return self.values[level]
+
+    @property
+    def d0(self) -> float:
+        """The value at the root."""
+        return float(self.values[0][0])
 
     def as_random_variable(self) -> RandomVariable:
         if self.measurable_level is None:
@@ -503,9 +503,3 @@ def terminal_brownian(lat: Lattice, component: int = 0) -> RandomVariable:
         raise ValueError("component outside Brownian dimension")
     return RandomVariable(lat.brownian_states(lat.n_steps)[:, component], lat.n_steps)
 
-
-def terminal_jump_counts(lat: Lattice, mark: int) -> RandomVariable:
-    """The number of jumps of one mark over the whole horizon as a payoff."""
-    if not 0 <= mark < lat.noise.jumps.m:
-        raise ValueError("mark index outside jump measure")
-    return RandomVariable(lat.jump_counts(lat.n_steps)[:, mark], lat.n_steps)

@@ -9,6 +9,7 @@ in at most a handful of coordinates, so robustness beats speed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "SolverConfig",
     "NumericError",
-    "ObjectiveOracle",
     "MinimizeResult",
     "minimize",
     "brute_force_min",
@@ -43,18 +43,19 @@ class SolverConfig:
     residual_tolerance: float = math.inf
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class ObjectiveOracle:
-    """Evaluation and subgradient callables of a convex objective on R^p."""
-
-    evaluate: Callable[[np.ndarray], float]
-    subgradient: Callable[[np.ndarray], np.ndarray]
+        # bools are ints to Python but not counts; NaN fails every bound
+        for name, low in (("max_iterations", 1), ("stall_window", 1),
+                          ("polish_iterations", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        for name, strict in (("tolerance", True), ("attain_tolerance", False),
+                             ("residual_tolerance", False)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not (value > 0 if strict else value >= 0):
+                raise ValueError(f"{name} must be a number {'>' if strict else '>='} 0")
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,11 @@ def _better(f: float, x: np.ndarray, f_best: float, x_best: np.ndarray) -> bool:
     return f == f_best and float(x @ x) < float(x_best @ x_best)
 
 
-def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> MinimizeResult:
-    """Minimise a convex objective from ``init``.
+def minimize(evaluate: Callable[[np.ndarray], float],
+             subgradient: Callable[[np.ndarray], np.ndarray],
+             init: np.ndarray, cfg: SolverConfig) -> MinimizeResult:
+    """Minimise a convex objective on R^p, given its ``evaluate`` and
+    ``subgradient`` callables, from ``init``.
 
     Phase one runs subgradient steps ``x -= (a / (1 + k)) * g`` with ``a``
     calibrated from the initial subgradient norm ``gnorm0`` (a subgradient
@@ -85,9 +89,9 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
     improvements, so kinked objectives are safe.
     """
     x = np.asarray(init, dtype=float).copy()
-    f = float(obj.evaluate(x))
+    f = float(evaluate(x))
     x_best, f_best = x.copy(), f
-    g = np.asarray(obj.subgradient(x), dtype=float)
+    g = np.asarray(subgradient(x), dtype=float)
     gnorm0 = float(np.linalg.norm(g))
     scale = max(1.0, abs(f_best))
     converged = False
@@ -104,10 +108,10 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
             # no step is longer than the first one's scale allows: a steep
             # subgradient met on the way is cut back to the norm gnorm0
             x = x - (a / (1.0 + k)) * min(1.0, gnorm0 / gnorm) * g
-            f = float(obj.evaluate(x))
+            f = float(evaluate(x))
             if _better(f, x, f_best, x_best):
                 f_best, x_best = f, x.copy()
-            g = np.asarray(obj.subgradient(x), dtype=float)
+            g = np.asarray(subgradient(x), dtype=float)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= 1e-14 * scale:
                 f_best, x_best = f, x.copy()
@@ -130,7 +134,7 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
     step_floor = 1e-15 * (1.0 + float(np.linalg.norm(x)))
     joint_step = 0.0
     for rounds in range(cfg.polish_iterations):
-        g = np.asarray(obj.subgradient(x), dtype=float)
+        g = np.asarray(subgradient(x), dtype=float)
         gn = float(np.linalg.norm(g))
         if gn <= 1e-14 * max(1.0, abs(f)):
             converged = True
@@ -145,7 +149,7 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
             stale = 0
             while step > step_floor and stale < 3:
                 trial = x - step * g
-                ft = float(obj.evaluate(trial))
+                ft = float(evaluate(trial))
                 if ft < best_f:
                     best_f, best_x, best_step = ft, trial, step
                     stale = 0
@@ -169,7 +173,7 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
                     for sign in (1.0, -1.0):
                         trial = x.copy()
                         trial[i] += sign * step
-                        ft = float(obj.evaluate(trial))
+                        ft = float(evaluate(trial))
                         if ft < best_f:
                             best_f, best_x, best_step = ft, trial, step
                             gained = True
@@ -190,7 +194,7 @@ def minimize(obj: ObjectiveOracle, init: np.ndarray, cfg: SolverConfig) -> Minim
     if _better(f, x, f_best, x_best):
         f_best, x_best = f, x.copy()
 
-    g_final = np.asarray(obj.subgradient(x_best), dtype=float)
+    g_final = np.asarray(subgradient(x_best), dtype=float)
     gap = float(np.linalg.norm(g_final)) * (1.0 + float(np.linalg.norm(x_best)))
     return MinimizeResult(x_best, f_best, iterations, converged, gap)
 

@@ -21,7 +21,6 @@ __all__ = [
     "RepresentingPair",
     "AnalyticPayoff",
     "RepresentationError",
-    "noise_basis",
     "represent",
     "assemble",
     "lift_analytic",
@@ -52,16 +51,6 @@ class RepresentingPair:
 
     def max_residual(self) -> float:
         return float(max(r.max() if r.size else 0.0 for r in self.residuals))
-
-
-def noise_basis(lat: Lattice, level: int) -> np.ndarray:
-    """Per-outcome basis matrix [dW^1..dW^d | Ntilde_1..Ntilde_m], shape (b, d+m).
-
-    Ntilde_j(o) = 1{jump label of o == j} - intensity_j * dt; every column has
-    zero mean under the step's outcome probabilities. The lattice's cached,
-    read-only array (``Lattice.step_basis``).
-    """
-    return lat.step_basis(level)[0]
 
 
 def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
@@ -119,7 +108,7 @@ def assemble(lat: Lattice, pair: RepresentingPair) -> RandomVariable:
     _check_pair(lat, pair)
     v = np.array([pair.mean])
     for i in range(lat.n_steps):
-        phi = noise_basis(lat, i)
+        phi = lat.step_basis(i)[0]
         steps = np.hstack([pair.H[i], pair.Htilde[i]])
         v = (v[:, None] + steps @ phi.T).ravel()
     return RandomVariable(v, lat.n_steps)

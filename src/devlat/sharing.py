@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviation import DeviationProcess, _accumulate, evaluate
-from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance
+from .deviation import _accumulate, evaluate
+from .drivers import DriverSpec, NormCD, Scaled, Variance
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
-from .optim import NumericError, ObjectiveOracle, SolverConfig, minimize
+from .optim import NumericError, SolverConfig, minimize
 from .representation import RepresentingPair, assemble, represent
 
 __all__ = [
@@ -75,7 +75,7 @@ class SharingSolution:
     y_star: RandomVariable
     y_tilde_star: RandomVariable
     price: float
-    infconv_d: DeviationProcess
+    infconv_d: AdaptedProcess
     attained: bool
     certificate_gap: float
     du_a: float
@@ -213,7 +213,7 @@ def _numeric_infconv(g_a: DriverSpec, g_b: DriverSpec, t: float, h: np.ndarray,
         return sb - sa
 
     full = np.concatenate([h, ht])
-    result = minimize(ObjectiveOracle(objective, subgrad), full / 2.0, cfg)
+    result = minimize(objective, subgrad, full / 2.0, cfg)
 
     zeros = np.zeros_like(full)
     cross_a = np.concatenate([h, np.zeros_like(ht)])
@@ -291,12 +291,21 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
     return float(value[0]), (Z[0], Zt[0])
 
 
-def _level_certificate(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
-                       Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
-                       nu: JumpMeasure) -> tuple[np.ndarray, ...]:
-    """``certificate_gaps`` plus A's and B's terms of the objective at the
-    split, ``g_a(H - Z, Ht - Zt)`` and ``g_b(Z, Zt)``, from the same driver
-    calls: returns ``(part_a, part_b, objective, gaps)``."""
+def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
+                     Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
+                     nu: JumpMeasure) -> tuple[np.ndarray, ...]:
+    """Directional-derivative test of the split ``(Z, Zt)`` of every row of a
+    level; returns ``(part_a, part_b, values, gaps)``: A's and B's terms of
+    the objective at the split, ``g_a(H - Z, Ht - Zt)`` and ``g_b(Z, Zt)``,
+    their sum and each row's gap.
+
+    Each split ``(z, zt)`` is probed along every coordinate in both directions
+    with step ``eps = 1e-7 * (1 + |(z, zt)|)``; the row's gap is its steepest
+    descent slope (0 if none descends). A split is optimal exactly when no
+    direction descends, the finite-dimensional form of the two
+    subdifferentials intersecting. All rows and probes go through one
+    ``value_batch`` call per driver.
+    """
     d = H.shape[1]
     points = np.hstack([Z, Zt])
     n, p = points.shape
@@ -312,22 +321,6 @@ def _level_certificate(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray
     f0 = values[0]
     gaps = np.max((f0 - values[1:]) / eps, axis=0, initial=0.0)
     return part_a[:n], part_b[:n], f0, gaps
-
-
-def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
-                     Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
-                     nu: JumpMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Directional-derivative test of the split ``(Z, Zt)`` of every row of a
-    level; returns the objective at the split and each row's gap.
-
-    Each split ``(z, zt)`` is probed along every coordinate in both directions
-    with step ``eps = 1e-7 * (1 + |(z, zt)|)``; the row's gap is its steepest
-    descent slope (0 if none descends). A split is optimal exactly when no
-    direction descends, the finite-dimensional form of the two
-    subdifferentials intersecting. All rows and probes go through one
-    ``value_batch`` call per driver.
-    """
-    return _level_certificate(g_a, g_b, t, H, Ht, Z, Zt, nu)[2:]
 
 
 def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
@@ -366,7 +359,7 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     for i in range(lat.n_steps):
         t, H, Ht = lat.times[i], pair.H[i], pair.Htilde[i]
         Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
-        part_a, part_b, vals, gaps = _level_certificate(g_a, g_b, t, H, Ht, Z, Zt, nu)
+        part_a, part_b, vals, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
         level_gaps.append(np.max(gaps))
         arg_H.append(Z)
         arg_Ht.append(Zt)
@@ -379,11 +372,7 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
         np.all(np.isfinite(v)) for v in node_vals
     )
 
-    infconv_d = DeviationProcess(
-        AdaptedProcess(_accumulate(lat, node_vals)),
-        InfConv(prob.driver_a, prob.driver_b, cfg),
-        source="sharing",
-    )
+    infconv_d = AdaptedProcess(_accumulate(lat, node_vals))
     # each agent's time-zero deviation after the transfer
     dev_a = float(_accumulate(lat, parts_a)[0][0])
     dev_b = float(_accumulate(lat, parts_b)[0][0])

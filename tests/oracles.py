@@ -133,6 +133,35 @@ def certificate_gap_by_node(objective, point):
     return worst
 
 
+def quadratic_cvar_infconv_reference(q, a, htilde, masses):
+    """inf over zt of ``q * sum_j nu_j (x_j - zt_j)**2 + CVaR_a(zt)``, the
+    inf-convolution of a quadratic jump term with ``CVaRJump(a)`` (whose
+    Brownian block costs nothing), for ``x = htilde``.
+
+    With CVaR in its Rockafellar-Uryasev form ``min_s s + (1/a) sum_j nu_j
+    (-zt_j - s)^+``, each zt_j solves a scalar problem in closed form, which
+    leaves the convex function ``s + sum_j phi_j(s)`` of one scalar; it is
+    minimised by ternary search over the bracket holding its minimiser.
+    """
+    x, nu = np.asarray(htilde, dtype=float), np.asarray(masses, dtype=float)
+    knee = 1.0 / (2.0 * q * a)
+
+    def objective(s):
+        phi = np.where(x + knee <= -s, nu / a * (-x - s) - nu / (4.0 * q * a * a),
+                       q * nu * (x + s) ** 2)
+        return s + float(np.sum(np.where(x >= -s, 0.0, phi)))
+
+    # F(s) = s beyond max(-x); slope 1 - nu(total)/a < 0 below min(-x - knee)
+    lo, hi = float(np.min(-x - knee)), float(np.max(-x))
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if objective(m1) <= objective(m2):
+            hi = m2
+        else:
+            lo = m1
+    return objective((lo + hi) / 2.0)
+
+
 def canonical_json_reference(obj):
     """Indent-2, sorted-key JSON through the standard library encoder, with
     numpy values converted and non-finite floats refused first."""
@@ -177,6 +206,37 @@ def pair_to_dict_reference(pair):
             }
             for i in range(pair.n_steps)
         ],
+    }
+
+
+def lattice_to_dict_reference(lat):
+    """Lattice description with one dict per level and per step outcome."""
+    edges = []
+    for i in range(lat.n_steps):
+        dw = lat.step_dw(i)
+        probs = lat.step_probs(i)
+        edges.append([
+            {
+                "dw": dw[o].tolist(),
+                "jump": int(lat.outcome_labels[o]),
+                "prob": float(probs[o]),
+            }
+            for o in range(lat.branching)
+        ])
+    return {
+        "grid": {"times": list(lat.times)},
+        "noise": {
+            "d": lat.noise.d,
+            "jumps": {
+                "marks": [list(x) for x in lat.noise.jumps.marks],
+                "intensities": list(lat.noise.jumps.intensities),
+            },
+        },
+        "branching": lat.branching,
+        "levels": [
+            {"level": i, "nodes": lat.num_nodes(i)} for i in range(lat.n_steps + 1)
+        ],
+        "edges": edges,
     }
 
 
@@ -374,7 +434,7 @@ def _probe_points_reference(nu, d, sample_count, rng):
 def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
     """Sampled driver validity, one scalar ``eval_driver`` call per probe
     point, midpoint and pair end, stopping each loop at its first violation."""
-    from devlat.drivers import CheckResult, ValidityReport, eval_driver, subgradient
+    from devlat.drivers import CheckOutcome, ValidityReport, eval_driver, subgradient
 
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -387,19 +447,19 @@ def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
 
     zero = (np.zeros(d), np.zeros(nu.m))
     v0 = ev(zero)
-    zero_at_zero = CheckResult(v0 == 0.0, None if v0 == 0.0 else (zero, v0))
+    zero_at_zero = CheckOutcome(v0 == 0.0, None if v0 == 0.0 else (zero, v0))
 
-    nonneg = CheckResult(True)
-    zero_only = CheckResult(True)
+    nonneg = CheckOutcome(True)
+    zero_only = CheckOutcome(True)
     for p in pts:
         v = ev(p)
         if v < 0 and nonneg.passed:
-            nonneg = CheckResult(False, (p, v), "negative value off the origin")
+            nonneg = CheckOutcome(False, (p, v), detail="negative value off the origin")
         norm = float(np.linalg.norm(np.concatenate(p)))
         if norm >= 1e-6 and v <= 1e-15 and zero_only.passed:
-            zero_only = CheckResult(False, (p, v), "vanishes away from the origin")
+            zero_only = CheckOutcome(False, (p, v), detail="vanishes away from the origin")
 
-    convexity = CheckResult(True)
+    convexity = CheckOutcome(True)
     for _ in range(sample_count):
         i, j = rng.integers(0, len(pts), size=2)
         x, y = pts[i], pts[j]
@@ -407,10 +467,10 @@ def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
         lhs = ev(mid)
         rhs = 0.5 * (ev(x) + ev(y))
         if lhs > rhs + 1e-10 * max(1.0, abs(rhs)):
-            convexity = CheckResult(False, (x, y, lhs, rhs), "midpoint rule violated")
+            convexity = CheckOutcome(False, (x, y, lhs, rhs), detail="midpoint rule violated")
             break
 
-    subgrad = CheckResult(True)
+    subgrad = CheckOutcome(True)
     try:
         for _ in range(sample_count):
             i, j = rng.integers(0, len(pts), size=2)
@@ -420,10 +480,11 @@ def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
                 s @ np.concatenate([y[0] - x[0], y[1] - x[1]])
             )
             if gap < -1e-8:
-                subgrad = CheckResult(False, (x, y, gap), "subgradient inequality violated")
+                subgrad = CheckOutcome(False, (x, y, gap),
+                                       detail="subgradient inequality violated")
                 break
     except ValueError as exc:
-        subgrad = CheckResult(True, None, f"skipped: {exc}")
+        subgrad = CheckOutcome(True, vacuous=True, detail=f"skipped: {exc}")
 
     return ValidityReport(
         nonnegativity=nonneg,
@@ -474,8 +535,8 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
     vacuous_only_if = True
     for x, d in zip(payoffs, devs):
         full = evaluate(lat, driver, represent(lat, x))
-        if any(float(v.min()) < 0.0 for v in full.values.values):
-            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in full.values.values))})
+        if any(float(v.min()) < 0.0 for v in full.values):
+            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in full.values))})
             break
         zero_nodes = np.flatnonzero(d == 0.0)
         for v in zero_nodes:

@@ -370,7 +370,7 @@ def test_criterion_11_supermartingale_and_positivity():
     assert len(PRODUCED) >= 10
     worst_slack = math.inf
     for lat, dev in PRODUCED:
-        assert min(float(v.min()) for v in dev.values.values) >= 0.0
+        assert min(float(v.min()) for v in dev.values) >= 0.0
         assert float(np.max(np.abs(dev.at(lat.n_steps)))) == 0.0
         worst_slack = min(worst_slack, supermartingale_slack(lat, dev))
         # multi-step form: D_t >= E[D_s | F_t] for t < s, not just s = t + 1

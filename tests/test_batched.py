@@ -214,7 +214,7 @@ def test_check_driver_matches_the_scalar_checker(name, seed, samples):
     for field in ("nonnegativity", "zero_at_zero", "zero_only_at_zero", "convexity",
                   "subgradient_consistency"):
         g, w = getattr(got, field), getattr(want, field)
-        assert (g.passed, g.note) == (w.passed, w.note), field
+        assert (g.passed, g.detail) == (w.passed, w.detail), field
         _same(g.witness, w.witness)
 
 
@@ -231,7 +231,7 @@ def test_check_driver_verdicts_per_kind():
     want = check_driver_reference(CHECKED["concave"][0], NU2, sample_count=120, seed=4)
     _same(verdicts["concave"].subgradient_consistency.witness,
           want.subgradient_consistency.witness)
-    assert verdicts["no_subgradient"].subgradient_consistency.note.startswith("skipped")
+    assert verdicts["no_subgradient"].subgradient_consistency.detail.startswith("skipped")
 
 
 # -- stacked axiom mixtures -----------------------------------------------------------

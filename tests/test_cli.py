@@ -342,6 +342,7 @@ EXPRESSIONS = [
     "sin(W) * cos(N1) / (1 + N2)", "minimum(W, 1) + where(W > 0, W, -W)",
     "(W >= 0) * 1.5 + (W <= 0) - (N1 == 1) + (N2 != 0) + (W < 1) * (W > -1)",
     "W // 2 + W % 3 + 7 // 2 + 1e-3 * T",
+    "(1 < 2) + W", "(1 < 2 < 3) * W",
 ]
 
 
@@ -379,3 +380,66 @@ def test_expression_constructs_off_the_list_exit_1(tmp_path, expr):
     assert main(["deviation", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert list(out.iterdir()) == []
 
+
+
+# -- malformed configs ---------------------------------------------------------------
+
+#: (command, key path, value): a value of the wrong JSON type or range. The
+#: solver cases run a share whose pair takes the numeric path
+#: (``Scaled(2, Variance(1))`` with ``CVaRJump(0.4)``), where the counts are used
+MALFORMED = [
+    ("build", ["lattice"], 5),
+    ("build", ["lattice", "grid"], 5),
+    ("build", ["lattice", "noise"], 5),
+    ("build", ["lattice", "noise", "jumps"], 5),
+    ("build", ["lattice", "grid", "times"], 5),
+    ("build", ["lattice", "noise", "jumps", "marks"], 5),
+    ("deviation", ["deviation"], 5),
+    ("deviation", ["deviation", "partition"], 5),
+    ("deviation", ["solver"], 5),
+    ("axioms", ["axioms", "payoffs"], 5),
+    ("law-probe", ["law_probe", "pairs"], 5),
+    ("axioms", ["axioms", "level"], "x"),
+    ("axioms", ["axioms", "level"], 1.5),
+    ("build", ["seed"], None),
+    ("build", ["lattice", "max_nodes"], None),
+    ("build", ["lattice", "max_nodes"], 2**64),
+    ("check-driver", ["check_driver", "samples"], None),
+    ("share", ["solver", "stall_window"], 0),
+    ("share", ["solver", "max_iterations"], 2.5),
+    ("share", ["solver", "polish_iterations"], 2.5),
+    ("share", ["solver", "stall_window"], -3),
+    ("share", ["solver", "max_iterations"], True),
+    ("share", ["solver", "attain_tolerance"], float("nan")),
+]
+
+
+@pytest.mark.parametrize("command, path, value", MALFORMED,
+                         ids=[f"{'.'.join(p)}={v!r}" for _, p, v in MALFORMED])
+def test_malformed_config_values_exit_1(tmp_path, capsys, command, path, value):
+    cfg = json.loads(_base_config(
+        tmp_path,
+        lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE},
+        payoffs={"X": {"kind": "expression", "expr": "W + C1"},
+                 "Y": {"kind": "expression", "expr": "W - C2"}},
+        drivers={"g": {"kind": "variance", "alpha": 1.0},
+                 "gs": {"kind": "scaled", "gamma": 2.0,
+                        "base": {"kind": "variance", "alpha": 1.0}},
+                 "gc": {"kind": "cvar_jump", "a": 0.4}},
+        deviation={"payoff": "X", "driver": "g"},
+        axioms={"driver": "g", "payoffs": ["X", "Y"], "mixtures": 5},
+        law_probe={"driver": "g", "pairs": [["X", "X"]]},
+        share={"payoff_a": "X", "payoff_b": "Y", "driver_a": "gs", "driver_b": "gc"},
+        check_driver={"driver": "g", "samples": 20},
+    ).read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "config.json"), "--out", str(out),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(out.glob("*")) == []

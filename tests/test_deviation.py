@@ -5,6 +5,7 @@ import pytest
 
 from devlat import (
     AnalyticPayoff,
+    CVaRJump,
     Custom,
     JumpMeasure,
     NoiseModel,
@@ -28,6 +29,7 @@ from devlat import (
     utility,
 )
 from devlat.deviation import LawMismatchError
+from devlat.drivers import CheckOutcome
 from devlat.representation import RepresentingPair
 
 from oracles import conditional_variance_by_paths
@@ -192,7 +194,7 @@ def test_supermartingale_and_positivity(jump_lattice, rng):
     for driver in (Variance(1.0), NormCD(1.0, 1.0)):
         x = RandomVariable(rng.normal(size=jump_lattice.num_nodes(4)), 4)
         dev = evaluate(jump_lattice, driver, represent(jump_lattice, x))
-        assert min(float(v.min()) for v in dev.values.values) >= 0.0
+        assert min(float(v.min()) for v in dev.values) >= 0.0
         np.testing.assert_array_equal(dev.at(4), 0.0)
         assert supermartingale_slack(jump_lattice, dev) >= -1e-12
 
@@ -243,6 +245,20 @@ def test_axiom_report_norm_with_jumps(jump_lattice, rng):
     assert report.all_passed()
     # constant-free samples never trigger the only-if direction
     assert report.positivity.vacuous
+
+
+def test_axiom_report_positivity_failures(jump_lattice):
+    n1, n2 = jump_lattice.jump_counts(4).T
+    w = terminal_brownian(jump_lattice).values
+    payoffs = [RandomVariable(n1 + n2, 4), RandomVariable(2 * n1 + n2 + w, 4)]
+    # CVaRJump can be negative: the witness is the process minimum
+    report = axiom_report(jump_lattice, CVaRJump(0.5), payoffs, seed=0)
+    assert report.positivity == CheckOutcome(False, {"payoff_min": -1.0})
+    # a driver that is never 0 charges a measurable payoff too
+    report = axiom_report(jump_lattice, Custom(lambda t, h, ht, nu: 1.0), payoffs, seed=0)
+    assert report.positivity == CheckOutcome(
+        False, detail="nonzero deviation of a measurable payoff")
+    assert not report.all_passed()
 
 
 def test_axiom_report_concave_driver_fails_convexity(binomial4, rng):

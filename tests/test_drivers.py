@@ -223,6 +223,29 @@ def test_custom_without_subgradient():
         subgradient(spec, 0.0, [1.0], [], EMPTY)
 
 
+def test_missing_subgradient_oracle_is_a_vacuous_pass():
+    spec = Custom(lambda t, h, ht, nu: float(h @ h + ht @ ht))
+    report = check_driver(spec, NU, sample_count=20, seed=0, d=1)
+    check = report.subgradient_consistency
+    assert check.passed and check.vacuous and check.detail.startswith("skipped")
+    assert not report.convexity.vacuous
+    assert report.all_passed()
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "variance"},
+    {"kind": "variance", "alpha": None},
+    {"kind": "variance", "alpha": float("nan")},
+    {"kind": "norm_cd", "c": "1", "d": 1.0},
+    {"kind": "cvar_jump", "a": True},
+    {"kind": "scaled", "gamma": 2.0},
+    {"kind": "infconv", "a": {"kind": "variance", "alpha": 1.0}},
+])
+def test_malformed_driver_specs_raise_value_error(spec):
+    with pytest.raises(ValueError):
+        driver_from_dict(spec)
+
+
 def test_driver_json_round_trip():
     specs = [
         Variance(1.5),

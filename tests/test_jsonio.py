@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import devlat.cli
@@ -16,11 +16,11 @@ from devlat import JumpMeasure, NoiseModel, RandomVariable, RepresentingPair, Sc
     SharingProblem, TimeGrid, Variance, build_lattice, represent, solve_sharing, \
     terminal_brownian
 from devlat.cli import main
-from devlat.jsonio import canonical_json, load_payoff_csv, pair_to_dict, \
-    write_payoff_csv, write_process_csv
+from devlat.jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
+    pair_to_dict, write_payoff_csv, write_process_csv
 from oracles import argmins_csv_reference, canonical_json_reference, \
-    load_payoff_csv_reference, pair_to_dict_reference, payoff_csv_reference, \
-    process_csv_reference
+    lattice_to_dict_reference, load_payoff_csv_reference, pair_to_dict_reference, \
+    payoff_csv_reference, process_csv_reference
 
 #: floats whose shortest repr is easy to get wrong: signed zero, the smallest
 #: subnormal, the first exponent form above 1e16 and a tiny normal
@@ -73,6 +73,16 @@ def test_represented_pair_bytes_match_reference():
     pair = represent(lat, x)
     assert canonical_json(pair_to_dict(pair)) == \
         canonical_json_reference(pair_to_dict_reference(pair))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lattices())
+@example(build_lattice(TimeGrid((0.0, 0.1, 0.35, 1.0)),
+                       NoiseModel(1, JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5)))))
+@example(build_lattice(TimeGrid.uniform(12, 1.0), NoiseModel.brownian(1)))
+def test_lattice_json_bytes_match_reference(lat):
+    assert canonical_json(lattice_to_dict(lat)) == \
+        canonical_json_reference(lattice_to_dict_reference(lat))
 
 
 json_values = st.recursive(

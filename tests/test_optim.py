@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from devlat import ObjectiveOracle, SolverConfig, brute_force_min, minimize
+from devlat import SolverConfig, brute_force_min, minimize
 
 from oracles import grid_min_1d
 
@@ -18,11 +18,11 @@ def _quadratic(center, weights):
     def g(x):
         return 2.0 * weights * (x - center)
 
-    return ObjectiveOracle(f, g)
+    return f, g
 
 
 def test_scalar_quadratic():
-    res = minimize(_quadratic([3.0], [1.0]), np.zeros(1), CFG)
+    res = minimize(*_quadratic([3.0], [1.0]), np.zeros(1), CFG)
     assert res.argmin[0] == pytest.approx(3.0, abs=1e-6)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.converged
@@ -35,7 +35,7 @@ def test_two_kinks():
     def g(x):
         return np.array([np.sign(x[0] - 2.0) + np.sign(x[0])])
 
-    res = minimize(ObjectiveOracle(f, g), np.array([5.0]), CFG)
+    res = minimize(f, g, np.array([5.0]), CFG)
     _, want = grid_min_1d(lambda v: abs(v - 2.0) + abs(v), -1.0, 3.0, 1e-4)
     assert res.value == pytest.approx(want, abs=1e-6)
     assert -1e-8 <= res.argmin[0] <= 2.0 + 1e-8
@@ -48,7 +48,7 @@ def test_weighted_l1():
     def g(x):
         return np.array([np.sign(x[0]), 2.0 * np.sign(x[1])])
 
-    res = minimize(ObjectiveOracle(f, g), np.array([1.0, 1.0]), CFG)
+    res = minimize(f, g, np.array([1.0, 1.0]), CFG)
     assert res.value == pytest.approx(0.0, abs=1e-6)
     np.testing.assert_allclose(res.argmin, 0.0, atol=1e-6)
 
@@ -59,21 +59,21 @@ def test_random_strongly_convex_quadratics(rng):
         center = rng.normal(scale=2.0, size=p)
         weights = rng.uniform(0.4, 2.5, size=p)
         init = rng.normal(scale=2.0, size=p)
-        res = minimize(_quadratic(center, weights), init, CFG)
+        res = minimize(*_quadratic(center, weights), init, CFG)
         np.testing.assert_allclose(res.argmin, center, atol=1e-6)
 
 
 def test_result_value_is_evaluation_at_argmin(rng):
-    obj = _quadratic([1.0, -2.0], [1.0, 3.0])
-    res = minimize(obj, rng.normal(size=2), CFG)
-    assert res.value == obj.evaluate(res.argmin)
+    f, g = _quadratic([1.0, -2.0], [1.0, 3.0])
+    res = minimize(f, g, rng.normal(size=2), CFG)
+    assert res.value == f(res.argmin)
     assert res.gap_estimate >= 0.0
 
 
 def test_never_worse_than_brute_force():
-    obj = _quadratic([0.4], [1.3])
-    res = minimize(obj, np.array([2.0]), CFG)
-    _, bf = brute_force_min(lambda x: obj.evaluate(np.atleast_1d(x)),
+    f, g = _quadratic([0.4], [1.3])
+    res = minimize(f, g, np.array([2.0]), CFG)
+    _, bf = brute_force_min(lambda x: f(np.atleast_1d(x)),
                             [(-2.0, 2.0)], 1e-3)
     assert res.value <= bf + CFG.tolerance
 
@@ -87,7 +87,7 @@ def test_max_iterations_exhaustion():
     def g(x):
         return np.array([np.sign(x[0]) if x[0] != 0 else 0.0])
 
-    res = minimize(ObjectiveOracle(f, g), np.array([10.0]), cfg)
+    res = minimize(f, g, np.array([10.0]), cfg)
     assert not res.converged
     assert res.iterations == 3
 
@@ -108,10 +108,10 @@ def test_best_value_monotone_under_tracking(rng):
     # the reported value never exceeds the initial value
     for _ in range(20):
         center = rng.normal(size=2)
-        obj = _quadratic(center, [1.0, 1.0])
+        f, g = _quadratic(center, [1.0, 1.0])
         init = rng.normal(size=2)
-        res = minimize(obj, init, CFG)
-        assert res.value <= obj.evaluate(init) + 1e-15
+        res = minimize(f, g, init, CFG)
+        assert res.value <= f(init) + 1e-15
 
 
 def test_solver_config_validation():

@@ -21,7 +21,6 @@ from devlat import (
     evaluate,
     evaluate_recursive,
     lift_analytic,
-    noise_basis,
     represent,
     terminal_brownian,
 )
@@ -104,7 +103,7 @@ def test_residual_orthogonality(jump_lattice, rng):
 
     mart = martingale(jump_lattice, x)
     for i in range(4):
-        phi = noise_basis(jump_lattice, i)
+        phi = jump_lattice.step_basis(i)[0]
         p = jump_lattice.step_probs(i)
         dm = mart.at(i + 1).reshape(-1, jump_lattice.branching) - mart.at(i)[:, None]
         resid = dm - np.hstack([pair.H[i], pair.Htilde[i]]) @ phi.T

@@ -345,7 +345,7 @@ def test_level_certificate_matches_per_node_oracle(g_a, g_b, rng):
                   infconv_split(g_a, g_b, 0.0, H, Ht, NU)]
         for Z, Zt in splits:
             points = np.hstack([Z, Zt])
-            values, gaps = certificate_gaps(g_a, g_b, 0.0, H, Ht, Z, Zt, NU)
+            _, _, values, gaps = certificate_gaps(g_a, g_b, 0.0, H, Ht, Z, Zt, NU)
             for v in range(nodes):
                 def objective(zfull, h=H[v], ht=Ht[v]):
                     return g_a.value(0.0, h - zfull[:d], ht - zfull[d:], NU) \
