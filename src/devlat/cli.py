@@ -2,8 +2,9 @@
 
 One JSON config describes the lattice, named payoffs, named drivers and the
 per-command blocks; a command then produces JSON summaries (and CSV node
-dumps) under the output directory. All sampling flows from the single config
-seed, and float formatting is fixed, so identical config + seed gives
+dumps), which ``main`` writes under the output directory only once every one
+of them has been rendered. All sampling flows from the single config seed,
+and float formatting is fixed, so identical config + seed gives
 byte-identical summaries.
 """
 
@@ -30,8 +31,7 @@ from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
 from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
     RandomVariable, TimeGrid, build_lattice
 from .optim import NumericError, SolverConfig
-from .representation import AnalyticPayoff, RepresentationError, RepresentingPair, \
-    assemble, represent
+from .representation import AnalyticPayoff, RepresentationError, represent
 from .sharing import SharingProblem, proportional_share_factor, solve_sharing
 
 EXIT_OK = 0
@@ -45,7 +45,9 @@ class ConfigError(ValueError):
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # JSON has no NaN or Infinity, but Python's json reads them
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and (isinstance(v, int) or math.isfinite(v))
 
 
 def _integer(v) -> bool:
@@ -79,8 +81,8 @@ def _get(obj: dict, key: str, kind: str, where: str = "config", default=_MISSING
 
     An absent key gives ``default``, and so does null where the default is
     None; without a default it is a ``ConfigError``, as is a value of any
-    other kind. This is where config values are checked for presence and
-    JSON kind; ranges are checked by the constructors they are passed to.
+    other kind or a non-finite number. This is where config values are checked
+    for presence and JSON kind; ranges are checked by their constructors.
     """
     value = obj.get(key)
     if value is None and (key not in obj or default is None):
@@ -105,13 +107,17 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _build_grid(obj: dict) -> TimeGrid:
+def _build_grid(obj: dict, noise: NoiseModel, max_nodes: int) -> TimeGrid:
+    """The time grid; a uniform one only once ``n`` is within the leaf budget."""
     times = _get(obj, "times", "an array of numbers", "lattice.grid", None)
     if times is None:
-        uniform = (_get(obj, "n", "an integer", "lattice.grid"),
-                   float(_get(obj, "horizon", "a number", "lattice.grid")))
+        n = _get(obj, "n", "an integer", "lattice.grid")
+        horizon = float(_get(obj, "horizon", "a number", "lattice.grid"))
     try:
-        return TimeGrid.uniform(*uniform) if times is None else TimeGrid(tuple(times))
+        if times is not None:
+            return TimeGrid(tuple(times))
+        noise.check_budget(n, max_nodes)
+        return TimeGrid.uniform(n, horizon)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -131,35 +137,32 @@ def _build_noise(obj: dict) -> NoiseModel:
 
 def _build_lattice(cfg: dict) -> Lattice:
     block = _get(cfg, "lattice", "an object")
-    grid = _build_grid(_get(block, "grid", "an object", "lattice"))
     noise = _build_noise(_get(block, "noise", "an object", "lattice"))
     max_nodes = _get(block, "max_nodes", "an integer", "lattice", DEFAULT_MAX_NODES)
+    grid = _build_grid(_get(block, "grid", "an object", "lattice"), noise, max_nodes)
     try:
         return build_lattice(grid, noise, max_nodes)
     except ValueError as exc:
         raise ConfigError(f"lattice: {exc}") from exc
 
 
-def _parse_solver(cfg: dict) -> SolverConfig:
+def _parse_drivers(cfg: dict) -> tuple[SolverConfig, dict]:
+    """The solver block and the named drivers, which share it."""
     block = _get(cfg, "solver", "an object", default=None) or {}
-    known = {f.name for f in dataclasses.fields(SolverConfig)}
-    unknown = set(block) - known
+    unknown = set(block) - {f.name for f in dataclasses.fields(SolverConfig)}
     if unknown:
         raise ConfigError(f"solver: unknown keys {sorted(unknown)}")
     try:
-        return SolverConfig(**block)
+        solver = SolverConfig(**block)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-
-
-def _parse_drivers(cfg: dict, solver: SolverConfig) -> dict:
     out = {}
     for name, obj in (_get(cfg, "drivers", "an object", default=None) or {}).items():
         try:
             out[name] = driver_from_dict(obj, solver)
         except ValueError as exc:
             raise ConfigError(f"driver {name!r}: {exc}") from exc
-    return out
+    return solver, out
 
 
 #: the numpy functions an expression payoff may call
@@ -188,18 +191,10 @@ def _expression_namespace(lat: Lattice) -> dict:
         ns[f"W{i + 1}"] = w[:, i]
     if lat.noise.d == 1:
         ns["W"] = w[:, 0]
-    counts = lat.jump_counts(n)
+    counts, comp = lat.jump_counts(n), lat.compensated_counts(n)
     for j in range(lat.noise.jumps.m):
         ns[f"N{j + 1}"] = counts[:, j]
-        h = [np.zeros((lat.num_nodes(i), lat.noise.d)) for i in range(n)]
-        ht = [np.zeros((lat.num_nodes(i), lat.noise.jumps.m)) for i in range(n)]
-        for i in range(n):
-            ht[i][:, j] = 1.0
-        comp = assemble(lat, RepresentingPair(
-            0.0, tuple(h), tuple(ht),
-            tuple(np.zeros(lat.num_nodes(i)) for i in range(n)),
-        ))
-        ns[f"C{j + 1}"] = comp.values
+        ns[f"C{j + 1}"] = comp[:, j]
     return ns
 
 
@@ -316,33 +311,37 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
     return out
 
 
+def _inputs(cfg: dict, lat: Lattice, config_dir: Path) -> tuple[SolverConfig, dict, dict]:
+    """The solver, the named drivers and the named payoffs, in that order."""
+    return (*_parse_drivers(cfg), _build_payoffs(cfg, lat, config_dir))
+
+
 def _named(pool: dict, name: str, what: str):
     if name not in pool:
         raise ConfigError(f"{what} {name!r} is not defined in the config")
     return pool[name]
 
 
-def _emit(path: Path, text: str, quiet: bool) -> None:
-    path.write_text(text)
-    if not quiet:
-        print(f"wrote {path}")
+def _ref(block: dict, key: str, where: str, pool: dict, what: str):
+    """The ``what`` of ``pool`` that the string ``block[key]`` names."""
+    return _named(pool, _get(block, key, "a string", where), what)
 
 
 # -- commands -----------------------------------------------------------------
+#
+# A command takes (cfg, lat, seed, config_dir) and returns its exit code and
+# its artifacts in order: (file name, JSON-ready payload or writer of the file).
 
 
-def cmd_build(cfg, lat, out_dir, seed, quiet, config_dir):
-    _emit(out_dir / "lattice.json", canonical_json(lattice_to_dict(lat)), quiet)
-    return EXIT_OK
+def cmd_build(cfg, lat, seed, config_dir):
+    return EXIT_OK, [("lattice.json", lattice_to_dict(lat))]
 
 
-def cmd_deviation(cfg, lat, out_dir, seed, quiet, config_dir):
+def cmd_deviation(cfg, lat, seed, config_dir):
     block = _get(cfg, "deviation", "an object")
-    solver = _parse_solver(cfg)
-    drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, config_dir)
-    driver = _named(drivers, _get(block, "driver", "a string", "deviation"), "driver")
-    payoff = _named(payoffs, _get(block, "payoff", "a string", "deviation"), "payoff")
+    _, drivers, payoffs = _inputs(cfg, lat, config_dir)
+    driver = _ref(block, "driver", "deviation", drivers, "driver")
+    payoff = _ref(block, "payoff", "deviation", payoffs, "payoff")
     if isinstance(payoff, AnalyticPayoff):
         raise ConfigError("deviation: payoff must be a lattice payoff")
     pair = represent(lat, payoff)
@@ -364,20 +363,17 @@ def cmd_deviation(cfg, lat, out_dir, seed, quiet, config_dir):
             for i in range(lat.n_steps + 1)
         )
         summary["partition"] = sorted(set(int(i) for i in partition))
-    write_process_csv(out_dir / "deviation.csv", dev.values)
-    if not quiet:
-        print(f"wrote {out_dir / 'deviation.csv'}")
-    _emit(out_dir / "integrands.json", canonical_json(pair_to_dict(pair)), quiet)
-    _emit(out_dir / "deviation_summary.json", canonical_json(summary), quiet)
-    return EXIT_OK
+    return EXIT_OK, [
+        ("deviation.csv", lambda path: write_process_csv(path, dev.values)),
+        ("integrands.json", pair_to_dict(pair)),
+        ("deviation_summary.json", summary),
+    ]
 
 
-def cmd_axioms(cfg, lat, out_dir, seed, quiet, config_dir):
+def cmd_axioms(cfg, lat, seed, config_dir):
     block = _get(cfg, "axioms", "an object")
-    solver = _parse_solver(cfg)
-    drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, config_dir)
-    driver = _named(drivers, _get(block, "driver", "a string", "axioms"), "driver")
+    _, drivers, payoffs = _inputs(cfg, lat, config_dir)
+    driver = _ref(block, "driver", "axioms", drivers, "driver")
     names = _get(block, "payoffs", "an array of strings", "axioms")
     samples = [_named(payoffs, n, "payoff") for n in names]
     report = axiom_report(
@@ -388,16 +384,13 @@ def cmd_axioms(cfg, lat, out_dir, seed, quiet, config_dir):
     payload = {"command": "axioms", "seed": seed, "driver": block["driver"],
                "payoffs": list(names), "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}
-    _emit(out_dir / "axioms.json", canonical_json(payload), quiet)
-    return EXIT_OK
+    return EXIT_OK, [("axioms.json", payload)]
 
 
-def cmd_law_probe(cfg, lat, out_dir, seed, quiet, config_dir):
+def cmd_law_probe(cfg, lat, seed, config_dir):
     block = _get(cfg, "law_probe", "an object")
-    solver = _parse_solver(cfg)
-    drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, config_dir)
-    driver = _named(drivers, _get(block, "driver", "a string", "law_probe"), "driver")
+    _, drivers, payoffs = _inputs(cfg, lat, config_dir)
+    driver = _ref(block, "driver", "law_probe", drivers, "driver")
 
     def pick(name, analytic):
         p = _named(payoffs, name, "payoff")
@@ -417,20 +410,17 @@ def cmd_law_probe(cfg, lat, out_dir, seed, quiet, config_dir):
                        law_tol=float(_get(block, "law_tol", "a number", "law_probe", 1e-8)))
     payload = {"command": "law_probe", "seed": seed, "driver": block["driver"],
                "report": dataclasses.asdict(report)}
-    _emit(out_dir / "law_probe.json", canonical_json(payload), quiet)
-    return EXIT_OK
+    return EXIT_OK, [("law_probe.json", payload)]
 
 
-def cmd_share(cfg, lat, out_dir, seed, quiet, config_dir):
+def cmd_share(cfg, lat, seed, config_dir):
     block = _get(cfg, "share", "an object")
-    solver = _parse_solver(cfg)
-    drivers = _parse_drivers(cfg, solver)
-    payoffs = _build_payoffs(cfg, lat, config_dir)
+    solver, drivers, payoffs = _inputs(cfg, lat, config_dir)
     prob = SharingProblem(
-        x_a=_named(payoffs, _get(block, "payoff_a", "a string", "share"), "payoff"),
-        x_b=_named(payoffs, _get(block, "payoff_b", "a string", "share"), "payoff"),
-        driver_a=_named(drivers, _get(block, "driver_a", "a string", "share"), "driver"),
-        driver_b=_named(drivers, _get(block, "driver_b", "a string", "share"), "driver"),
+        x_a=_ref(block, "payoff_a", "share", payoffs, "payoff"),
+        x_b=_ref(block, "payoff_b", "share", payoffs, "payoff"),
+        driver_a=_ref(block, "driver_a", "share", drivers, "driver"),
+        driver_b=_ref(block, "driver_b", "share", drivers, "driver"),
         solver=solver,
     )
     if isinstance(prob.x_a, AnalyticPayoff) or isinstance(prob.x_b, AnalyticPayoff):
@@ -451,29 +441,22 @@ def cmd_share(cfg, lat, out_dir, seed, quiet, config_dir):
         "D0_b_standalone": sol.d0_b,
     }
     d, m = lat.noise.d, lat.noise.jumps.m
-    write_process_csv(
-        out_dir / "share_argmins.csv",
-        [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)],
-        columns=[f"z{i + 1}" for i in range(d)] + [f"ztilde{j + 1}" for j in range(m)],
-    )
-    if not quiet:
-        print(f"wrote {out_dir / 'share_argmins.csv'}")
-    write_payoff_csv(out_dir / "transfer.csv", sol.y_tilde_star)
-    if not quiet:
-        print(f"wrote {out_dir / 'transfer.csv'}")
-    _emit(out_dir / "share_summary.json", canonical_json(summary), quiet)
+    argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
+    columns = [f"z{i + 1}" for i in range(d)] + [f"ztilde{j + 1}" for j in range(m)]
     if not sol.attained:
         print("sharing solve did not attain the optimum at every node",
               file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_OK if sol.attained else EXIT_NUMERIC, [
+        ("share_argmins.csv", lambda path: write_process_csv(path, argmins, columns=columns)),
+        ("transfer.csv", lambda path: write_payoff_csv(path, sol.y_tilde_star)),
+        ("share_summary.json", summary),
+    ]
 
 
-def cmd_check_driver(cfg, lat, out_dir, seed, quiet, config_dir):
+def cmd_check_driver(cfg, lat, seed, config_dir):
     block = _get(cfg, "check_driver", "an object")
-    solver = _parse_solver(cfg)
-    drivers = _parse_drivers(cfg, solver)
-    driver = _named(drivers, _get(block, "driver", "a string", "check_driver"), "driver")
+    _, drivers = _parse_drivers(cfg)
+    driver = _ref(block, "driver", "check_driver", drivers, "driver")
     report = check_driver(
         driver, lat.noise.jumps,
         sample_count=_get(block, "samples", "an integer", "check_driver", 200),
@@ -482,8 +465,7 @@ def cmd_check_driver(cfg, lat, out_dir, seed, quiet, config_dir):
     payload = {"command": "check_driver", "seed": seed,
                "driver": block["driver"], "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}
-    _emit(out_dir / "driver_check.json", canonical_json(payload), quiet)
-    return EXIT_OK
+    return EXIT_OK, [("driver_check.json", payload)]
 
 
 _DISPATCH = {
@@ -521,8 +503,16 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out or _get(cfg, "out", "a string", default="."))
         out_dir.mkdir(parents=True, exist_ok=True)
         lat = _build_lattice(cfg)
-        return _DISPATCH[args.command](cfg, lat, out_dir, seed, args.quiet,
-                                       Path(args.config).parent)
+        code, artifacts = _DISPATCH[args.command](cfg, lat, seed, Path(args.config).parent)
+        # render every JSON payload first: a run that fails writes no file
+        writers = [(out_dir / name, item if callable(item) else
+                    functools.partial(Path.write_text, data=canonical_json(item)))
+                   for name, item in artifacts]
+        for path, write in writers:
+            write(path)
+            if not args.quiet:
+                print(f"wrote {path}")
+        return code
     except (NumericError, RepresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -234,6 +234,8 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     """
     if len(payoffs) < 2:
         raise ValueError("need at least two sample payoffs")
+    if mixtures < 1:
+        raise ValueError("mixtures must be >= 1")
     rng = np.random.default_rng(seed)
     n = lat.n_steps
     t = n // 2 if level is None else level

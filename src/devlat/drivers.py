@@ -11,7 +11,7 @@ witnesses instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -145,7 +145,6 @@ class Variance:
     """Quadratic driver alpha * (|h|^2 + sum_j htilde_j^2 nu_j)."""
 
     alpha: float
-    kind: str = field(default="variance", init=False)
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -169,7 +168,6 @@ class NormCD:
 
     c: float
     d: float
-    kind: str = field(default="norm_cd", init=False)
 
     def __post_init__(self):
         if self.c < 0 or self.d < 0 or (self.c == 0 and self.d == 0):
@@ -203,7 +201,6 @@ class CVaRJump:
     """
 
     a: float
-    kind: str = field(default="cvar_jump", init=False)
 
     def __post_init__(self):
         if self.a <= 0:
@@ -236,7 +233,6 @@ class Scaled:
 
     gamma: float
     base: "DriverSpec"
-    kind: str = field(default="scaled", init=False)
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -260,7 +256,6 @@ class InfConv:
     a: "DriverSpec"
     b: "DriverSpec"
     solver: SolverConfig = SolverConfig()
-    kind: str = field(default="infconv", init=False)
 
     def value(self, t, h, htilde, nu):
         return float(self.value_batch(t, h[None, :], htilde[None, :], nu)[0])
@@ -293,7 +288,6 @@ class Custom:
     value_fn: Callable
     subgradient_fn: Callable | None = None
     name: str = "custom"
-    kind: str = field(default="custom", init=False)
 
     def value(self, t, h, htilde, nu):
         return float(self.value_fn(t, h, htilde, nu))
@@ -478,7 +472,7 @@ def driver_to_dict(spec: DriverSpec) -> dict:
         return {"kind": "scaled", "gamma": spec.gamma, "base": driver_to_dict(spec.base)}
     if isinstance(spec, InfConv):
         return {"kind": "infconv", "a": driver_to_dict(spec.a), "b": driver_to_dict(spec.b)}
-    raise ValueError(f"driver kind {spec.kind!r} has no JSON form")
+    raise ValueError(f"driver kind {type(spec).__name__!r} has no JSON form")
 
 
 def driver_from_dict(obj: dict, solver: SolverConfig | None = None) -> DriverSpec:

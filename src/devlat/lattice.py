@@ -143,6 +143,23 @@ class NoiseModel:
     def brownian(cls, d: int = 1) -> "NoiseModel":
         return cls(d, JumpMeasure.empty())
 
+    @property
+    def branching(self) -> int:
+        """Outcomes per step: ``2^d`` sign vectors times ``m + 1`` jump labels."""
+        return (2 ** self.d) * (self.jumps.m + 1)
+
+    def check_budget(self, n_steps: int, max_nodes: int) -> None:
+        """Refuse ``n_steps`` steps whose ``branching ** n_steps`` leaves
+        exceed ``max_nodes``, without forming that power for a large
+        ``n_steps``."""
+        b = self.branching
+        # b >= 2, so b ** max_nodes.bit_length() > max_nodes already
+        if b ** min(n_steps, int(max_nodes).bit_length()) > max_nodes:
+            raise LatticeBuildError(
+                f"lattice would have {b}^{n_steps} leaves, over the "
+                f"max_nodes budget {max_nodes}"
+            )
+
 
 class Lattice:
     """Non-recombining event tree with homogeneous per-level branching.
@@ -159,8 +176,7 @@ class Lattice:
         self.grid = grid
         self.noise = noise
         d, m = noise.d, noise.jumps.m
-        branching = (2 ** d) * (m + 1)
-        n = grid.n_steps
+        branching = noise.branching
         steps = grid.steps
 
         max_dt = max(steps)
@@ -170,11 +186,7 @@ class Lattice:
                 f"per-step jump mass {jump_mass:.6g} exceeds the "
                 f"{MAX_JUMP_MASS_PER_STEP} bound; shrink the steps or intensities"
             )
-        if branching ** n > max_nodes:
-            raise LatticeBuildError(
-                f"lattice would have {branching}^{n} leaves, over the "
-                f"max_nodes budget {max_nodes}"
-            )
+        noise.check_budget(grid.n_steps, max_nodes)
 
         self.branching = branching
         # outcome o = sign_index * (m + 1) + jump_label
@@ -189,7 +201,7 @@ class Lattice:
         self.outcome_labels = labels
 
         nu = noise.jumps.intensity_array
-        onehot = np.eye(m + 1)[labels][:, 1:]
+        self._onehot = np.eye(m + 1)[labels][:, 1:]
         # one read-only set of step tables per distinct step length
         tables: dict[float, tuple] = {}
         for dt in steps:
@@ -202,7 +214,7 @@ class Lattice:
                 raise LatticeBuildError("nonpositive outcome probability")
             if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
                 raise LatticeBuildError("outcome probabilities do not sum to 1")
-            phi = np.hstack([dw, onehot - nu * dt])
+            phi = np.hstack([dw, self._onehot - nu * dt])
             wphi = phi * probs[:, None]
             basis = (phi, wphi, phi.T @ wphi)
             for a in (dw, probs, *basis):
@@ -261,23 +273,28 @@ class Lattice:
             p = (p[:, None] * self._probs[i][None, :]).ravel()
         return p
 
+    def _path_sum(self, level: int, rows) -> np.ndarray:
+        """Per node of ``level``, the forward sum along its path of the
+        per-step outcome rows: ``rows(i)`` has shape (branching, k)."""
+        self._check_level(level)
+        total = np.zeros((1, rows(0).shape[1]))
+        for i in range(level):
+            total = (total[:, None, :] + rows(i)[None, :, :]).reshape(
+                len(total) * self.branching, -1)
+        return total
+
     def brownian_states(self, level: int) -> np.ndarray:
         """Accumulated Brownian state per node, shape (nodes, d)."""
-        self._check_level(level)
-        w = np.zeros((1, self.noise.d))
-        for i in range(level):
-            w = (w[:, None, :] + self._dw[i][None, :, :]).reshape(-1, self.noise.d)
-        return w
+        return self._path_sum(level, lambda i: self._dw[i])
 
     def jump_counts(self, level: int) -> np.ndarray:
         """Number of jumps per mark along the path, shape (nodes, m)."""
-        self._check_level(level)
-        m = self.noise.jumps.m
-        onehot = np.eye(m + 1)[self.outcome_labels][:, 1:]
-        c = np.zeros((1, m))
-        for i in range(level):
-            c = (c[:, None, :] + onehot[None, :, :]).reshape(c.shape[0] * self.branching, m)
-        return c
+        return self._path_sum(level, lambda i: self._onehot)
+
+    def compensated_counts(self, level: int) -> np.ndarray:
+        """Compensated jump counts per mark along the path, shape (nodes, m):
+        the sums of the step basis's jump columns ``Ntilde_j``."""
+        return self._path_sum(level, lambda i: self._basis[i][0][:, self.noise.d:])
 
 
 def build_lattice(grid: TimeGrid, noise: NoiseModel,

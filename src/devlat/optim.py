@@ -133,34 +133,31 @@ def minimize(evaluate: Callable[[np.ndarray], float],
     coord_step = np.full(x.shape[0], 1.0 + float(np.linalg.norm(x)))
     step_floor = 1e-15 * (1.0 + float(np.linalg.norm(x)))
     joint_step = 0.0
-    for rounds in range(cfg.polish_iterations):
+    for _ in range(cfg.polish_iterations):
         g = np.asarray(subgradient(x), dtype=float)
         gn = float(np.linalg.norm(g))
         if gn <= 1e-14 * max(1.0, abs(f)):
             converged = True
             break
         f_before = f
-        # joint direction, warm-started, best step along the halving sequence;
-        # when it keeps failing (kink oscillation) it is parked and only
-        # retried periodically
-        if joint_step > step_floor or rounds % 10 == 0:
-            step = 2.0 * joint_step if joint_step > step_floor else 1.0 / gn
-            best_f, best_x, best_step = f, None, None
-            stale = 0
-            while step > step_floor and stale < 3:
-                trial = x - step * g
-                ft = float(evaluate(trial))
-                if ft < best_f:
-                    best_f, best_x, best_step = ft, trial, step
-                    stale = 0
-                elif best_x is not None:
-                    stale += 1
-                step *= 0.5
-            if best_x is not None:
-                x, f = best_x, best_f
-                joint_step = best_step
-            else:
-                joint_step = 0.0
+        # joint direction, warm-started, best step along the halving sequence
+        step = 2.0 * joint_step if joint_step > step_floor else 1.0 / gn
+        best_f, best_x, best_step = f, None, None
+        stale = 0
+        while step > step_floor and stale < 3:
+            trial = x - step * g
+            ft = float(evaluate(trial))
+            if ft < best_f:
+                best_f, best_x, best_step = ft, trial, step
+                stale = 0
+            elif best_x is not None:
+                stale += 1
+            step *= 0.5
+        if best_x is not None:
+            x, f = best_x, best_f
+            joint_step = best_step
+        else:
+            joint_step = 0.0
         if f_before - f <= cfg.tolerance * max(1.0, abs(f)):
             # near-exact coordinate line searches: halve from the warm step and
             # keep the best trial, stopping shortly after improvement peaks
@@ -221,10 +218,9 @@ def brute_force_min(
         raise ValueError(f"grid of {total} points exceeds the brute-force budget")
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    best_x, best_f = None, math.inf
+    best_x, best_f = np.full(len(box), math.inf), math.inf
     for pt in points:
         f = float(evaluate(pt))
-        if f < best_f or (f == best_f and best_x is not None
-                          and float(pt @ pt) < float(best_x @ best_x)):
+        if _better(f, pt, best_f, best_x):
             best_f, best_x = f, pt
-    return np.asarray(best_x), best_f
+    return best_x, best_f

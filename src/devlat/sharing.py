@@ -29,7 +29,7 @@ import numpy as np
 from .deviation import _accumulate, evaluate
 from .drivers import DriverSpec, NormCD, Scaled, Variance
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
-from .optim import NumericError, SolverConfig, minimize
+from .optim import NumericError, SolverConfig, _better, minimize
 from .representation import RepresentingPair, assemble, represent
 
 __all__ = [
@@ -221,7 +221,7 @@ def _numeric_infconv(g_a: DriverSpec, g_b: DriverSpec, t: float, h: np.ndarray,
     best_x, best_f = result.argmin, result.value
     for cand in (zeros, full, cross_a, cross_b):
         f = float(objective(cand))
-        if f < best_f or (f == best_f and float(cand @ cand) < float(best_x @ best_x)):
+        if _better(f, cand, best_f, best_x):
             best_f, best_x = f, cand
     z, zt = split(best_x)
     return z.copy(), zt.copy()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,7 +382,6 @@ def test_expression_constructs_off_the_list_exit_1(tmp_path, expr):
     assert list(out.iterdir()) == []
 
 
-
 # -- malformed configs ---------------------------------------------------------------
 
 #: (command, key path, value): a value of the wrong JSON type or range. The
@@ -411,6 +411,13 @@ MALFORMED = [
     ("share", ["solver", "stall_window"], -3),
     ("share", ["solver", "max_iterations"], True),
     ("share", ["solver", "attain_tolerance"], float("nan")),
+    # JSON has no NaN or Infinity, but Python's json reads them
+    ("law-probe", ["law_probe", "law_tol"], float("nan")),
+    ("build", ["lattice", "grid", "horizon"], float("inf")),
+    ("build", ["lattice", "noise", "jumps", "intensities"], [float("nan"), 0.5]),
+    ("build", ["lattice", "grid", "times"], [0.0, float("nan"), 1.0]),
+    ("axioms", ["axioms", "mixtures"], 0),
+    ("axioms", ["axioms", "mixtures"], -5),
 ]
 
 
@@ -443,3 +450,70 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, command, path, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(out.glob("*")) == []
+
+
+def test_leaf_budget_is_checked_before_the_grid_is_built(tmp_path, capsys):
+    cfg = _base_config(tmp_path, lattice={"grid": {"n": 10 ** 6, "horizon": 1.0},
+                                          "noise": {"d": 1}})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["build", "--config", str(cfg), "--out", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "over the max_nodes budget" in capsys.readouterr().err
+    assert peak < 2 ** 20
+
+
+# -- every command on every noise shape ---------------------------------------------
+
+#: (d, m) noise shapes with d + m >= 1
+NOISE_SHAPES = [(0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
+
+#: the files each command writes
+ARTIFACTS = {
+    "build": {"lattice.json"},
+    "deviation": {"deviation.csv", "integrands.json", "deviation_summary.json"},
+    "axioms": {"axioms.json"},
+    "law-probe": {"law_probe.json"},
+    "share": {"share_argmins.csv", "transfer.csv", "share_summary.json"},
+    "check-driver": {"driver_check.json"},
+}
+
+#: (command, d, m, driver): every command with ``Variance``, and the commands
+#: that take one driver also with ``CVaRJump`` wherever there are jumps
+SHAPE_CASES = [
+    (command, d, m, driver)
+    for command in ARTIFACTS for d, m in NOISE_SHAPES for driver in ("g", "gc")
+    if driver == "g" or (m > 0 and command not in ("build", "share"))
+]
+
+
+@pytest.mark.parametrize("command, d, m, driver", SHAPE_CASES)
+def test_every_command_runs_on_every_noise_shape(tmp_path, command, d, m, driver):
+    jumps = {"marks": [-1.0, 2.0][:m], "intensities": [0.25, 0.5][:m]}
+    leaves = (2 ** d * (m + 1)) ** 2
+    write_payoff_csv(tmp_path / "z.csv", RandomVariable(np.linspace(-1.0, 2.0, leaves), 2))
+    sources = [f"W{i + 1}" for i in range(d)] + [f"C{j + 1}" for j in range(m)]
+    cfg = _base_config(
+        tmp_path,
+        lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": {"d": d, "jumps": jumps}},
+        payoffs={"X": {"kind": "expression", "expr": " + ".join(sources)},
+                 "Y": {"kind": "expression",
+                       "expr": " + ".join(f"{v}**2" for v in sources)
+                       + "".join(f" + N{j + 1}" for j in range(m))},
+                 "Z": {"kind": "csv", "path": "z.csv"}},
+        drivers={"g": {"kind": "variance", "alpha": 1.0},
+                 "gc": {"kind": "cvar_jump", "a": 0.4},
+                 "gB": {"kind": "norm_cd", "c": 1.0, "d": 0.5}},
+        deviation={"payoff": "Y", "driver": driver},
+        axioms={"driver": driver, "payoffs": ["X", "Y"], "mixtures": 5},
+        law_probe={"driver": driver, "pairs": [["X", "X"], ["Y", "Y"]]},
+        share={"payoff_a": "Y", "payoff_b": "Z", "driver_a": driver, "driver_b": "gB"},
+        check_driver={"driver": driver, "samples": 20},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert {p.name for p in out.iterdir()} == ARTIFACTS[command]

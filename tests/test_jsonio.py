@@ -150,6 +150,7 @@ def test_non_finite_integrand_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["deviation", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert not (out / "integrands.json").exists()
+    assert list(out.iterdir()) == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from devlat import (
     AnalyticPayoff,
     CVaRJump,
+    InfConv,
     JumpMeasure,
     NoiseModel,
     NormCD,
@@ -18,10 +19,12 @@ from devlat import (
     Variance,
     assemble,
     build_lattice,
+    cond_exp,
     evaluate,
     evaluate_recursive,
     lift_analytic,
     represent,
+    supermartingale_slack,
     terminal_brownian,
 )
 from devlat.deviation import _stacked_dev_at
@@ -175,12 +178,12 @@ def test_assemble_shape_mismatch(binomial4, binomial2):
         assemble(binomial4, pair)
 
 
-# -- properties on random lattices (d in {1, 2}, m in {0, 2}) -------------------------
+# -- properties on random lattices (d in {0, 1, 2}, m in {0, 2}) ----------------------
 
 
 @st.composite
 def lattices(draw):
-    d, m = draw(st.sampled_from([(1, 0), (2, 0), (1, 2), (2, 2)]))
+    d, m = draw(st.sampled_from([(0, 2), (1, 0), (2, 0), (1, 2), (2, 2)]))
     n = draw(st.integers(1, 3 if d + m < 4 else 2))
     intensities = draw(st.sampled_from([(0.25, 0.5), (0.3, 0.7), (0.5, 0.5)]))
     jumps = JumpMeasure(((-1.0,), (2.0,)), intensities) if m else JumpMeasure.empty()
@@ -252,3 +255,50 @@ def test_stacked_payoffs_match_single_calls(lat, seed, k):
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12 * scale)
         # one payoff runs exactly the single call's arithmetic
         assert _stacked_dev_at(lat, driver, X[:1], level).tobytes() == single[:1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1))
+def test_tower_property_is_bit_exact(lat, seed):
+    n = lat.n_steps
+    x = RandomVariable(np.random.default_rng(seed).normal(size=lat.num_nodes(n)), n)
+    for s in range(n + 1):
+        inner = cond_exp(lat, x, s).as_random_variable()
+        for t in range(s + 1):
+            assert cond_exp(lat, inner, t).at(t).tobytes() == cond_exp(lat, x, t).at(t).tobytes()
+
+
+#: drivers that are nonnegative everywhere, and their inf-convolutions
+NONNEGATIVE = [Variance(1.3), NormCD(1.0, 0.5), Scaled(2.0, Variance(0.7)),
+               InfConv(Variance(1.3), NormCD(1.0, 0.5)),
+               InfConv(Scaled(2.0, Variance(0.7)), Variance(1.3)),
+               InfConv(Scaled(0.5, NormCD(1.0, 0.5)), NormCD(0.3, 2.0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1))
+def test_deviation_is_a_nonnegative_supermartingale(lat, seed):
+    """Each node is ``cont + g * dt`` with ``g >= 0``, and the slack recomputes
+    ``cont`` with the same product, so both hold exactly in floats."""
+    n = lat.n_steps
+    pair = represent(lat, RandomVariable(np.random.default_rng(seed).normal(
+        size=lat.num_nodes(n)), n))
+    for driver in NONNEGATIVE:
+        dev = evaluate(lat, driver, pair)
+        assert all(np.all(v >= 0.0) for v in dev.values)
+        assert supermartingale_slack(lat, dev) >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices())
+def test_compensated_counts_are_the_assembled_jump_columns(lat):
+    """``C_j`` bit for bit as ``assemble`` of the one-hot integrand of mark j."""
+    n, d, m = lat.n_steps, lat.noise.d, lat.noise.jumps.m
+    sizes = [lat.num_nodes(i) for i in range(n)]
+    comp = lat.compensated_counts(n)
+    assert comp.shape == (lat.num_nodes(n), m)
+    for j in range(m):
+        pair = RepresentingPair(0.0, tuple(np.zeros((k, d)) for k in sizes),
+                                tuple(np.tile(np.eye(m)[j], (k, 1)) for k in sizes),
+                                tuple(np.zeros(k) for k in sizes))
+        assert comp[:, j].tobytes() == assemble(lat, pair).values.tobytes()
