@@ -8,7 +8,8 @@ identical inputs produce byte-identical artifacts. The JSON layout is that of
 
 Per-node artifacts are emitted one level at a time: a level's rows are
 formatted by a single string template filled from its columns, never one
-Python object per node.
+Python object per node. Within a long float column, each distinct bit pattern
+is formatted once and its text reused for every cell that holds it.
 """
 
 from __future__ import annotations
@@ -36,16 +37,42 @@ __all__ = [
 _NON_FINITE = "non-finite float in JSON payload"
 
 
+#: float columns shorter than this skip the bit-pattern sort and format each
+#: cell on its own: below it ``np.unique`` costs about as much as the reprs
+#: it saves (measured; see CHANGES.md)
+DEDUP_MIN_CELLS = 64
+
+
+def _cells(col: np.ndarray) -> list:
+    """The cells of the (n,) array ``col``: Python ints, or floats whose
+    ``%s`` is their repr.
+
+    A float column of ``DEDUP_MIN_CELLS`` cells or more is returned as repr
+    strings instead, with ``float.__repr__`` called once per distinct bit
+    pattern. Patterns, not values: ``-0.0 == 0.0`` and ``NaN != NaN``, yet
+    each pattern has exactly one repr.
+    """
+    if col.dtype.kind != "f" or col.shape[0] < DEDUP_MIN_CELLS:
+        return col.tolist()
+    bits, inverse = np.unique(col.astype(np.float64, copy=False).view(np.uint64),
+                              return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
+
+
 def _interleave(columns, n: int) -> tuple:
     """Row-major cells of ``columns`` (each an (n,) or (n, k) array) as one
-    flat tuple of Python ints and floats."""
+    flat tuple, for a row template with a ``%d`` slot per int cell and a
+    ``%s`` slot per float cell. Each distinct bit pattern of a long float
+    column is formatted once per column (see ``_cells``)."""
     cols = []
     for c in columns:
         cols.extend(c.T if c.ndim == 2 else [c])
     width = len(cols)
     flat: list = [None] * (n * width)
     for at, c in enumerate(cols):
-        flat[at::width] = c.tolist()
+        flat[at::width] = _cells(c)
     return tuple(flat)
 
 
@@ -78,7 +105,7 @@ class ColumnTable:
             elif col.dtype.kind == "f":
                 if not np.isfinite(col).all():
                     raise ValueError(_NON_FINITE)
-                slot = "%r"
+                slot = "%s"
             else:
                 raise TypeError(f"cannot serialise a {col.dtype} column")
             if col.ndim == 1:
@@ -172,7 +199,7 @@ def _write_rows(path: Path, header: list[str], blocks) -> None:
         fh.write(",".join(header) + "\r\n")
         for prefix, values in blocks:
             n, k = values.shape
-            row = prefix + "%d" + ",%r" * k + "\r\n"
+            row = prefix + "%d" + ",%s" * k + "\r\n"
             fh.write((row * n) % _interleave([np.arange(n), values], n))
 
 

@@ -151,10 +151,17 @@ class NoiseModel:
     def check_budget(self, n_steps: int, max_nodes: int) -> None:
         """Refuse ``n_steps`` steps whose ``branching ** n_steps`` leaves
         exceed ``max_nodes``, without forming that power for a large
-        ``n_steps``."""
+        ``n_steps``, nor ``2 ** d`` for a large Brownian dimension ``d``."""
+        # 2 ** cap > max_nodes, and every step has at least 2 ** d outcomes
+        cap = int(max_nodes).bit_length()
+        if self.d > cap:
+            raise LatticeBuildError(
+                f"Brownian dimension d={self.d} gives at least 2^{self.d} "
+                f"leaves, over the max_nodes budget {max_nodes}"
+            )
         b = self.branching
-        # b >= 2, so b ** max_nodes.bit_length() > max_nodes already
-        if b ** min(n_steps, int(max_nodes).bit_length()) > max_nodes:
+        # b >= 2, so b ** cap > max_nodes already
+        if b ** min(n_steps, cap) > max_nodes:
             raise LatticeBuildError(
                 f"lattice would have {b}^{n_steps} leaves, over the "
                 f"max_nodes budget {max_nodes}"
@@ -176,7 +183,6 @@ class Lattice:
         self.grid = grid
         self.noise = noise
         d, m = noise.d, noise.jumps.m
-        branching = noise.branching
         steps = grid.steps
 
         max_dt = max(steps)
@@ -188,7 +194,7 @@ class Lattice:
             )
         noise.check_budget(grid.n_steps, max_nodes)
 
-        self.branching = branching
+        self.branching = branching = noise.branching
         # outcome o = sign_index * (m + 1) + jump_label
         signs = np.empty((branching, d))
         labels = np.empty(branching, dtype=np.int64)

@@ -240,14 +240,15 @@ def lattice_to_dict_reference(lat):
     }
 
 
-def process_csv_reference(path, values_per_level):
-    """level,node,value rows through csv.writer, one node at a time."""
+def process_csv_reference(path, values_per_level, columns=("value",)):
+    """level,node,<columns> rows through csv.writer, one node at a time; a
+    node's value is a scalar or one value per column."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["level", "node", "value"])
+        out.writerow(["level", "node", *columns])
         for level, vals in enumerate(values_per_level):
             for node, v in enumerate(vals):
-                out.writerow([level, node, repr(float(v))])
+                out.writerow([level, node, *(repr(float(c)) for c in np.ravel(v))])
 
 
 def payoff_csv_reference(path, values):

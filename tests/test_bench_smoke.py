@@ -1,7 +1,8 @@
 """A few jobs of the benchmark workloads, run through the CLI (or, for
 ``permute_law``, the library call) and checked by the benchmark's own oracles
-(``perfbench/workloads.py``, imported as it is): a change the benchmark would
-reject fails here first."""
+(``perfbench/workloads.py``, imported as it is) and, where the recorded digest
+is current, against ``perfbench/reference_digests.json`` byte for byte: a
+change the benchmark would reject fails here first."""
 
 import importlib.util
 import json
@@ -61,6 +62,29 @@ def test_jump_probes_pool_entry_meets_the_benchmark_oracle(tmp_path, kind, idx):
     prep = wl.prepare(wl.Job("jump-probes", kind, idx), tmp_path, out)
     assert main(prep.argv) == 0
     assert prep.check(out) is None
+
+
+@pytest.mark.parametrize("workload, kind, idx", [
+    ("dev-wide", "variance", 0),
+    ("dev-wide", "variance", 17),
+    ("dev-wide", "norm_cd", 3),
+    ("dev-wide", "norm_cd", 42),
+    ("jump-probes", "cvar_deviation", 5),
+    ("jump-probes", "cvar_deviation", 11),
+])
+def test_pool_entry_artifacts_match_the_reference_digest(tmp_path, workload, kind, idx):
+    """The bytes of ``deviation.csv``, ``integrands.json`` and the summary
+    against the benchmark's recorded digest (only pool entries whose digests
+    are current)."""
+    wl = _workloads()
+    reference = json.loads((PERFBENCH / "reference_digests.json").read_text())
+    job = wl.Job(workload, kind, idx)
+    out = tmp_path / "out"
+    out.mkdir()
+    prep = wl.prepare(job, tmp_path, out)
+    assert main(prep.argv) == 0
+    assert prep.check(out) is None
+    assert wl.digest(prep, out, None) == reference[job.key]
 
 
 def _lattice(spec):

@@ -467,6 +467,24 @@ def test_leaf_budget_is_checked_before_the_grid_is_built(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("grid", [{"n": 20, "horizon": 1.0},
+                                  {"times": [0.0, 0.5, 1.0]}], ids=["uniform", "times"])
+def test_brownian_dimension_is_checked_before_its_outcomes_are_counted(
+        tmp_path, capsys, grid):
+    cfg = _base_config(tmp_path, lattice={"grid": grid, "noise": {"d": 1000000}})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["build", "--config", str(cfg), "--out", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "d=1000000" in err and "over the max_nodes budget 1000000" in err
+    assert peak < 2 ** 20
+
+
 # -- every command on every noise shape ---------------------------------------------
 
 #: (d, m) noise shapes with d + m >= 1

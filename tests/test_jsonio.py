@@ -1,6 +1,7 @@
 """Level-batched artifact emission against the one-node-at-a-time references
 in ``oracles``: the same bytes for JSON summaries, integrand tables and CSV
-dumps, and the same refusal of non-finite JSON floats. The one-pass payoff CSV
+dumps, and the same refusal of non-finite JSON floats, on short columns and
+on long ones with heavily repeated bit patterns. The one-pass payoff CSV
 loader against the row-by-row reference: the same bits in any row order."""
 
 import json
@@ -16,8 +17,8 @@ from devlat import JumpMeasure, NoiseModel, RandomVariable, RepresentingPair, Sc
     SharingProblem, TimeGrid, Variance, build_lattice, represent, solve_sharing, \
     terminal_brownian
 from devlat.cli import main
-from devlat.jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
-    pair_to_dict, write_payoff_csv, write_process_csv
+from devlat.jsonio import DEDUP_MIN_CELLS, canonical_json, lattice_to_dict, \
+    load_payoff_csv, pair_to_dict, write_payoff_csv, write_process_csv
 from oracles import argmins_csv_reference, canonical_json_reference, \
     lattice_to_dict_reference, load_payoff_csv_reference, pair_to_dict_reference, \
     payoff_csv_reference, process_csv_reference
@@ -179,6 +180,80 @@ def test_csv_bytes_match_reference(tmp_path_factory, lat, fill, fill_finite):
     )
     argmins_csv_reference(tmp / "argmins_ref.csv", lat, sol)
     assert (tmp / "argmins.csv").read_bytes() == (tmp / "argmins_ref.csv").read_bytes()
+
+
+# -- long columns: each distinct bit pattern formatted once --------------------------
+
+
+def _from_bits(*patterns):
+    return tuple(np.array(patterns, dtype=np.uint64).view(np.float64).tolist())
+
+
+#: finite cells a formatter keyed by float value rather than by bit pattern
+#: gets wrong (the two zeros compare equal), or whose repr is easy to get
+#: wrong: subnormals, the first exponent form, 17-digit reprs
+REPEATED = (0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 0.1 + 0.2, 1 / 3, -2 / 3,
+            2.0 ** 0.5, 1.0, -1.0)
+#: NaNs with other sign and payload bits (all print ``nan``) and both
+#: infinities; CSV cells only, JSON refuses them
+NON_FINITE_PATTERNS = _from_bits(0x7FF8000000000000, 0xFFF8000000000000,
+                                 0x7FF8000000000123, 0xFFF800000000ABCD,
+                                 0x7FF0000000000000, 0xFFF0000000000000)
+
+
+@st.composite
+def repeats(draw, extra=()):
+    """A function filling an array of a given shape from a small drawn pool
+    that always holds ``REPEATED`` and ``extra``: long columns with heavy
+    repetition of every awkward bit pattern."""
+    pool = draw(st.lists(finite, max_size=6)) + list(REPEATED) + list(extra)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return lambda *shape: rng.choice(np.array(pool), size=shape)
+
+
+#: lattices with levels longer than ``DEDUP_MIN_CELLS``: binomial n=8 (128
+#: nodes on level 7) and d=2 with two marks (144 nodes on level 2)
+LONG_LATTICES = (
+    build_lattice(TimeGrid.uniform(8, 1.0), NoiseModel.brownian(1)),
+    build_lattice(TimeGrid.uniform(3, 1.0),
+                  NoiseModel(2, JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5)))),
+)
+
+
+def test_long_lattices_exceed_the_dedup_cut_off():
+    for lat in LONG_LATTICES:
+        assert lat.num_nodes(lat.n_steps - 1) > DEDUP_MIN_CELLS
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(LONG_LATTICES), repeats())
+def test_long_integrand_columns_match_reference(lat, fill):
+    d, m = lat.noise.d, lat.noise.jumps.m
+    levels = [lat.num_nodes(i) for i in range(lat.n_steps)]
+    pair = RepresentingPair(
+        float(fill(1)[0]),
+        tuple(fill(n, d) for n in levels),
+        tuple(fill(n, m) for n in levels),
+        tuple(fill(n) for n in levels),
+    )
+    assert canonical_json(pair_to_dict(pair)) == \
+        canonical_json_reference(pair_to_dict_reference(pair))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(repeats(NON_FINITE_PATTERNS), st.sampled_from(LONG_LATTICES))
+def test_long_csv_columns_match_reference(tmp_path_factory, fill, lat):
+    tmp = tmp_path_factory.mktemp("long")
+    columns = ("a", "b", "c")
+    blocks = [fill(300, 3), fill(1, 3), fill(DEDUP_MIN_CELLS, 3), fill(0, 3)]
+    write_process_csv(tmp / "block.csv", blocks, columns=columns)
+    process_csv_reference(tmp / "block_ref.csv", blocks, columns=columns)
+    assert (tmp / "block.csv").read_bytes() == (tmp / "block_ref.csv").read_bytes()
+
+    values = [fill(lat.num_nodes(i)) for i in range(lat.n_steps + 1)]
+    write_process_csv(tmp / "process.csv", values)
+    process_csv_reference(tmp / "process_ref.csv", values)
+    assert (tmp / "process.csv").read_bytes() == (tmp / "process_ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("noise", [
