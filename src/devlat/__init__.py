@@ -77,7 +77,6 @@ from .sharing import (
     infconv_value,
     proportional_share_factor,
     proportional_transfer,
-    radial_form,
     residual_check,
     solve_sharing,
 )

@@ -251,7 +251,9 @@ class Scaled:
 
 @dataclass(frozen=True)
 class InfConv:
-    """Pointwise inf-convolution of two drivers: the optimal-split penalty."""
+    """Pointwise inf-convolution of two drivers: the optimal-split penalty.
+    A split that pools this node into an enclosing pair uses the outermost
+    call's ``SolverConfig``; ``solver`` serves when this node is the pair."""
 
     a: "DriverSpec"
     b: "DriverSpec"

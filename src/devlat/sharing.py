@@ -6,16 +6,12 @@ and the price comes from the counterparty's binding participation constraint at
 time zero. Transfers are unique only up to time-zero constants, so the
 assembled transfer is normalised to zero mean and the price reported separately.
 
-One split plan (``_split_plan``) decides how a pair splits, and both the
-solver and ``proportional_share_factor`` read it. Scalings of one common base
-split first, at the fixed fraction ``gamma_b / (gamma_a + gamma_b)`` whatever
-the base. Otherwise ``Variance``, ``NormCD`` and any ``Scaled`` nesting of them
-are a radial term in ``|h|`` plus a radial term in ``||htilde||_nu``:
-quadratic ``q * r**2`` or linear ``c * r``. A pair of such drivers therefore
-splits into two 1-D inf-convolutions with closed forms (harmonic mean, cheaper
-slope, Huber), which are solved for a whole level at once. Only the other pairs
-(``CVaRJump``, ``Custom``, nested ``InfConv``) run the numeric solver, node by
-node.
+Inf-convolution is associative and commutative, and ``Scaled`` distributes
+over it, so one split plan (``_split_plan``) reads any pair of driver trees as
+one multiset of scaled atoms; the solver, ``InfConv`` and
+``proportional_share_factor`` all read it. ``Variance`` and ``NormCD`` atoms
+split in closed form for a whole level at once; only ``CVaRJump`` and
+``Custom`` atoms reach the numeric solver, node by node.
 """
 
 from __future__ import annotations
@@ -23,11 +19,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .deviation import _accumulate, evaluate
-from .drivers import DriverSpec, NormCD, Scaled, Variance
+from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, SolverConfig, _better, minimize
 from .representation import RepresentingPair, assemble, represent
@@ -36,7 +33,6 @@ __all__ = [
     "SharingProblem",
     "SharingSolution",
     "ResidualRiskReport",
-    "radial_form",
     "infconv_split",
     "infconv_value",
     "certificate_gaps",
@@ -87,74 +83,86 @@ class SharingSolution:
     jumps: JumpMeasure
 
 
-# -- closed forms for the radial driver family ------------------------------------
+# -- one normal form: a pair as owner-tagged scaled atoms ---------------------------
 
-#: one radial block term: ("quad", q) for q * r**2, or ("lin", c) for c * r
-Term = tuple[str, float]
-
-
-def _unscale(spec: DriverSpec) -> tuple[float, DriverSpec]:
-    """``(gamma, core)``: the product of the ``Scaled`` factors and the driver
-    they wrap."""
-    gamma, core = 1.0, spec
-    while isinstance(core, Scaled):
-        gamma *= core.gamma
-        core = core.base
-    return gamma, core
-
-
-def radial_form(spec: DriverSpec) -> tuple[float, Term, Term] | None:
-    """``(gamma, Brownian term, jump term)`` of a ``Variance`` or ``NormCD``
-    under any ``Scaled`` nesting, with ``gamma`` the product of the scalings.
-
-    ``Scaled`` divides a quadratic coefficient by gamma and leaves a linear one
-    alone (positive homogeneity). Drivers outside the family give None.
-    """
-    gamma, core = _unscale(spec)
-    if isinstance(core, Variance):
-        q = core.alpha / gamma
-        return gamma, ("quad", q), ("quad", q)
-    if isinstance(core, NormCD):
-        return gamma, ("lin", core.c), ("lin", core.d)
-    return None
-
-
-#: B's share fraction of one block: a number when it does not depend on the
-#: radius, else a function of the rows' radii
+#: B's share fraction of one block: a number, or a function of the rows' radii
 Rule = float | Callable[[np.ndarray], np.ndarray]
 
 
-def _block_rule(ta: Term, tb: Term, tie: float) -> Rule:
-    """B's rule for one block of a radial pair: quad+quad ``q_a / (q_a +
-    q_b)``; lin+lin all to the cheaper slope, ``tie`` on equal slopes;
-    quad+lin and lin+quad the Huber split at the knee ``c / (2q)``."""
-    (kind_a, a), (kind_b, b) = ta, tb
-    if kind_a == kind_b == "quad":
-        return a / (a + b)
-    if kind_a == kind_b:
-        return tie if a == b else lambda r: np.full(r.shape, float(b < a))
-    if kind_a == "quad":
-        return lambda r: np.maximum(0.0, 1.0 - b / (2.0 * a * r))
-    return lambda r: np.minimum(1.0, a / (2.0 * b * r))
+def _atoms(spec: DriverSpec, gamma: float = 1.0) -> list[tuple[float, DriverSpec]]:
+    """``(gamma, base)`` of every leaf of a driver tree: ``Scaled`` multiplies
+    gamma, outer factor first, and ``InfConv`` concatenates."""
+    if isinstance(spec, Scaled):
+        return _atoms(spec.base, gamma * spec.gamma)
+    if isinstance(spec, InfConv):
+        return _atoms(spec.a, gamma) + _atoms(spec.b, gamma)
+    return [(gamma, spec)]
 
 
-def _split_plan(g_a: DriverSpec, g_b: DriverSpec) -> tuple[Rule, Rule] | None:
-    """How the pair splits: B's rule for the Brownian block and for the jump
-    block, or None when only the numeric solver applies.
+def _block_rule(groups: list[tuple[DriverSpec, float, float]], block: int) -> Rule:
+    """B's rule for one block (0 Brownian, 1 jump) of a part made of groups
+    ``(base, gamma_a, gamma_b)``: their fraction if they all give B one, else
+    the radial hand-back. ``Variance`` is ``q r**2`` (``q = alpha / gamma``),
+    ``NormCD`` is ``c r``, and the groups merge by ``(q1, c1) # (q2, c2) = (q1
+    q2 / (q1 + q2), min(c1, c2))``. Of radius r, the quadratic part ``min(1, c
+    / (2 q r))`` is shared in inverse proportion to q and the linear rest goes
+    to the cheapest slope (by gamma on a tie); B gets ``w_q`` of the one and
+    ``w_c`` of the other, a fixed fraction if only one part is shared.
+    """
+    fractions = {gamma_b / (gamma_a + gamma_b) for _, gamma_a, gamma_b in groups}
+    if len(fractions) == 1:
+        return fractions.pop()
+    q = c = math.inf
+    w_q, tie = 0.0, [0.0, 0.0]
+    for base, gamma_a, gamma_b in groups:
+        gamma = gamma_a + gamma_b
+        if isinstance(base, Variance):
+            q_g, f = base.alpha / gamma, gamma_b / gamma
+            total = q + q_g
+            q, w_q = (q_g, f) if q == math.inf else \
+                (q * q_g / total, w_q * (q_g / total) + f * (q / total))
+            continue
+        slope = (base.c, base.d)[block]
+        if slope < c:
+            c, tie = slope, [gamma_a, gamma_b]
+        elif slope == c:
+            tie = [tie[0] + gamma_a, tie[1] + gamma_b]
+    if c == math.inf:
+        return w_q
+    w_c = tie[1] / (tie[0] + tie[1])
+    if q == math.inf and min(tie) > 0.0:
+        return w_c
+    two_q, slope = 2.0 * q, w_q - w_c
+    return lambda r: w_c + slope * np.minimum(1.0, c / (two_q * r))
 
-    Scalings of one common base come first, at ``gamma_b / (gamma_a +
-    gamma_b)`` whatever the base: ``Scaled`` is the perspective ``gamma *
-    g(x / gamma)``, so for a convex base this split leaves both agents at ``x /
-    (gamma_a + gamma_b)`` and is optimal by Jensen's inequality. Other pairs of
-    the radial family get one rule per block (``_block_rule``)."""
-    (gamma_a, core_a), (gamma_b, core_b) = _unscale(g_a), _unscale(g_b)
-    tie = gamma_b / (gamma_a + gamma_b)
-    if core_a == core_b:
-        return tie, tie
-    form_a, form_b = radial_form(g_a), radial_form(g_b)
-    if form_a is None or form_b is None:
-        return None
-    return _block_rule(form_a[1], form_b[1], tie), _block_rule(form_a[2], form_b[2], tie)
+
+def _split_plan(g_a: DriverSpec, g_b: DriverSpec) -> tuple:
+    """The pair in normal form: its parts, each as one driver with B's rules
+    for its own share, in order of first appearance; one part is closed form.
+
+    Atoms of one base pool into ``Scaled(gamma_a + gamma_b, base)``, of which B
+    holds ``gamma_b / (gamma_a + gamma_b)``: ``Scaled`` is the perspective
+    ``gamma * g(x / gamma)``, so this leaves every atom at ``x / (gamma_a +
+    gamma_b)``, optimal for any convex base (Jensen). Groups that give B one
+    fraction form one part, as do the radial groups; any other group is one.
+    """
+    bases, gammas = [], []  # bases are compared with ==, never hashed
+    for owner, spec in enumerate((g_a, g_b)):
+        for gamma, base in _atoms(spec):
+            if base not in bases:
+                bases.append(base)
+                gammas.append([0.0, 0.0])
+            gammas[bases.index(base)][owner] += gamma
+    common = len({gamma_b / (gamma_a + gamma_b) for gamma_a, gamma_b in gammas}) == 1
+    parts: dict = {}
+    for base, (gamma_a, gamma_b) in zip(bases, gammas):
+        key = common or isinstance(base, (Variance, NormCD)) or id(base)
+        parts.setdefault(key, []).append((base, gamma_a, gamma_b))
+    return tuple(
+        (reduce(InfConv, [base if gamma_a + gamma_b == 1.0 else Scaled(gamma_a + gamma_b, base)
+                          for base, gamma_a, gamma_b in groups]),
+         (_block_rule(groups, 0), _block_rule(groups, 1)))
+        for groups in parts.values())
 
 
 def _row_norms(a: np.ndarray, weights=None) -> np.ndarray:
@@ -180,12 +188,9 @@ def _share_block(rule: Rule, X: np.ndarray, weights=None) -> np.ndarray:
 def proportional_share_factor(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
     """B's share fraction when the split plan hands B one fixed fraction of
     both blocks at every node, so that ``infconv_split`` returns exactly
-    ``(f * H, f * Ht)``: ``gamma_b / (gamma_a + gamma_b)`` for scalings of one
-    base, ``q_a / (q_a + q_b)`` for other quadratic pairs; None otherwise."""
-    plan = _split_plan(g_a, g_b)
-    if plan is None or callable(plan[0]) or plan[0] != plan[1]:
-        return None
-    return plan[0]
+    ``(f * H, f * Ht)``; None otherwise."""
+    (_, (rule_h, rule_j)), *rest = _split_plan(g_a, g_b)
+    return None if rest or callable(rule_h) or rule_h != rule_j else rule_h
 
 
 # -- numeric inf-convolution for pairs without a closed form -----------------------
@@ -230,28 +235,41 @@ def _numeric_infconv(g_a: DriverSpec, g_b: DriverSpec, t: float, h: np.ndarray,
 # -- public inf-convolution ---------------------------------------------------------
 
 
+def _apply(parts: tuple, t: float, H: np.ndarray, Ht: np.ndarray,
+           nu: JumpMeasure, cfg: SolverConfig | None) -> tuple[np.ndarray, np.ndarray]:
+    """B's share of every row split optimally among the parts: one by its
+    rules, more by a numeric solve per row of the first against the rest."""
+    (driver, rules), *rest = parts
+    if not rest:
+        return _share_block(rules[0], H), _share_block(rules[1], Ht, nu.intensity_array)
+    other, cfg = reduce(InfConv, [part[0] for part in rest]), cfg or SolverConfig()
+    Z, Zt = np.zeros_like(H), np.zeros_like(Ht)
+    for v in range(H.shape[0]):
+        Z[v], Zt[v] = _numeric_infconv(driver, other, t, H[v], Ht[v], nu, cfg)
+    Z_rest, Zt_rest = _apply(parts[1:], t, Z, Zt, nu, cfg)
+    if rules == (0.0, 0.0):  # B holds none of it, and adding a zero could flip -0.0
+        return Z_rest, Zt_rest
+    Z_first, Zt_first = _apply(parts[:1], t, H - Z, Ht - Zt, nu, cfg)
+    return Z_first + Z_rest, Zt_first + Zt_rest
+
+
 def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
                   Ht: np.ndarray, nu: JumpMeasure, cfg: SolverConfig | None = None,
                   method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
     """B's optimal share ``(Z, Zt)`` of every row of a level's integrands
     ``H`` (nodes, d) and ``Ht`` (nodes, m); A keeps ``(H - Z, Ht - Zt)``.
 
-    Pairs with a split plan are split in closed form for all rows at once
-    (``Z = theta_B * H``, ``Zt = theta_J * Ht``). Other pairs, and
-    ``method="numeric"``, solve row by row with the numeric minimiser.
+    A closed-form plan splits all rows at once (``Z = theta_B * H``, ``Zt =
+    theta_J * Ht``), any other row by row with the numeric minimiser and
+    ``cfg``; ``method="numeric"`` solves ``g_a`` against ``g_b`` as given.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric'")
     H = np.asarray(H, dtype=float)
     Ht = np.asarray(Ht, dtype=float)
-    plan = _split_plan(g_a, g_b) if method == "auto" else None
-    if plan is not None:
-        return _share_block(plan[0], H), _share_block(plan[1], Ht, nu.intensity_array)
-    cfg = cfg or SolverConfig()
-    Z, Zt = np.zeros_like(H), np.zeros_like(Ht)
-    for v in range(H.shape[0]):
-        Z[v], Zt[v] = _numeric_infconv(g_a, g_b, t, H[v], Ht[v], nu, cfg)
-    return Z, Zt
+    plan = _split_plan(g_a, g_b) if method == "auto" else \
+        ((g_a, (0.0, 0.0)), (g_b, (1.0, 1.0)))
+    return _apply(plan, t, H, Ht, nu, cfg)
 
 
 def _split_objective(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
@@ -265,23 +283,13 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
                   method: str = "auto") -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Pointwise inf-convolution inf_z { g_a(x - z) + g_b(z) } with its argmin.
 
-    Scalings of one common base split first, at ``theta = gamma_b / (gamma_a
-    + gamma_b)`` on both blocks. Closed forms cover every other pair of
-    ``Variance``/``NormCD`` drivers under any ``Scaled`` nesting, block by
-    block (Brownian ``|h|``, jump ``||htilde||_nu``), with B's share fraction
-    theta of a block of radius r:
-
-    - quadratic with quadratic: ``theta = q_a / (q_a + q_b)`` (harmonic mean);
-    - linear with linear: all to the cheaper slope, and on equal slopes
-      ``theta = gamma_b / (gamma_a + gamma_b)``;
-    - quadratic A with linear B: ``theta = max(0, 1 - c_b / (2 q_a r))``, and
-      the mirror ``min(1, c_a / (2 q_b r))`` (Huber, a Moreau envelope);
-    - ``r = 0``: ``theta = 0``.
-
-    Every other pair runs the numeric solver with block-corner candidates;
-    ``method="numeric"`` forces it for any pair and is the test oracle for the
-    closed forms. The value is the objective at the split (``infconv_split``
-    on one row).
+    Both drivers flatten into scaled atoms, however deeply ``Scaled`` and
+    ``InfConv`` nest (``_split_plan``). ``Variance`` and ``NormCD`` atoms split
+    in closed form per block (``_block_rule``: harmonic mean, cheaper slope,
+    Huber); ``CVaRJump`` and ``Custom`` atoms run the numeric solver with
+    block-corner candidates. ``method="numeric"`` solves the two drivers as
+    given and is the test oracle for the closed forms. The value is the
+    objective at the split (``infconv_split`` on one row).
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     ht = np.atleast_1d(np.asarray(htilde, dtype=float)) if nu.m else np.zeros(0)
@@ -354,23 +362,16 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
             f"threshold {cfg.residual_tolerance:.3g}"
         )
 
-    arg_H, arg_Ht, level_gaps = [], [], []
-    node_vals, parts_a, parts_b = [], [], []
+    levels = []
     for i in range(lat.n_steps):
         t, H, Ht = lat.times[i], pair.H[i], pair.Htilde[i]
         Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
-        part_a, part_b, vals, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
-        level_gaps.append(np.max(gaps))
-        arg_H.append(Z)
-        arg_Ht.append(Zt)
-        node_vals.append(vals)
-        parts_a.append(part_a)
-        parts_b.append(part_b)
+        levels.append((Z, Zt, *certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)))
+    arg_H, arg_Ht, parts_a, parts_b, node_vals, gaps = zip(*levels)
 
-    certificate_gap = float(np.max(level_gaps)) if level_gaps else 0.0
-    attained = certificate_gap <= cfg.attain_tolerance and all(
-        np.all(np.isfinite(v)) for v in node_vals
-    )
+    certificate_gap = float(np.max(np.concatenate(gaps)))
+    attained = certificate_gap <= cfg.attain_tolerance and \
+        bool(np.isfinite(np.concatenate(node_vals)).all())
 
     infconv_d = AdaptedProcess(_accumulate(lat, node_vals))
     # each agent's time-zero deviation after the transfer
@@ -378,9 +379,7 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     dev_b = float(_accumulate(lat, parts_b)[0][0])
 
     zero_res = tuple(np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps))
-    y_star = assemble(
-        lat, RepresentingPair(0.0, tuple(arg_H), tuple(arg_Ht), zero_res)
-    )
+    y_star = assemble(lat, RepresentingPair(0.0, arg_H, arg_Ht, zero_res))
     y_tilde = y_star - prob.x_b
 
     pair_a, pair_b = represent(lat, prob.x_a), represent(lat, prob.x_b)
@@ -396,8 +395,8 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     u_b_after = -price - dev_b
 
     return SharingSolution(
-        argmin_H=tuple(arg_H),
-        argmin_Ht=tuple(arg_Ht),
+        argmin_H=arg_H,
+        argmin_Ht=arg_Ht,
         y_star=y_star,
         y_tilde_star=y_tilde,
         price=price,

@@ -162,6 +162,54 @@ def quadratic_cvar_infconv_reference(q, a, htilde, masses):
     return objective((lo + hi) / 2.0)
 
 
+def radial_terms(spec, gamma=1.0):
+    """Brownian and jump terms ``(q, c)`` of a tree of ``Variance``,
+    ``NormCD``, ``Scaled`` and ``InfConv``, each meaning ``q r**2``
+    inf-convolved with ``c r`` (inf for an absent part), read off the driver
+    parameters: ``Variance(alpha)`` is ``(alpha, inf)`` on both blocks,
+    ``NormCD(c, d)`` is ``(inf, c)`` and ``(inf, d)``, ``Scaled`` divides q by
+    its factor (multiplied outer factor first) and ``InfConv`` merges its two
+    sides by ``merge_terms``. None outside that family."""
+    from devlat import InfConv, NormCD, Scaled, Variance
+
+    if isinstance(spec, Scaled):
+        return radial_terms(spec.base, gamma * spec.gamma)
+    if isinstance(spec, InfConv):
+        sides = radial_terms(spec.a, gamma), radial_terms(spec.b, gamma)
+        return None if None in sides else tuple(map(merge_terms, *sides))
+    if isinstance(spec, Variance):
+        return ((spec.alpha / gamma, math.inf),) * 2
+    if isinstance(spec, NormCD):
+        return (math.inf, spec.c), (math.inf, spec.d)
+    return None
+
+
+def merge_terms(s, t):
+    """``(q1 r**2 # c1 r) # (q2 r**2 # c2 r)``: quadratic coefficients combine
+    harmonically and the cheaper slope wins."""
+    (q1, c1), (q2, c2) = s, t
+    q = q2 if q1 == math.inf else q1 if q2 == math.inf else q1 * q2 / (q1 + q2)
+    return q, min(c1, c2)
+
+
+def radial_infconv_reference(g_a, g_b, h, htilde, masses):
+    """The inf-convolution of two radial driver trees at ``(h, htilde)``: per
+    block, the Huber value of the merged term at the block's radius, ``q
+    r**2`` up to the knee ``c / (2 q)`` and ``c r - c**2 / (4 q)`` beyond."""
+    total = 0.0
+    radii = (math.sqrt(float(np.dot(h, h))),
+             math.sqrt(float(np.dot(np.square(htilde), masses))))
+    for s, t, r in zip(radial_terms(g_a), radial_terms(g_b), radii):
+        q, c = merge_terms(s, t)
+        if q == math.inf:
+            total += c * r
+        elif c == math.inf or r <= c / (2.0 * q):
+            total += q * r * r
+        else:
+            total += c * r - c * c / (4.0 * q)
+    return total
+
+
 def canonical_json_reference(obj):
     """Indent-2, sorted-key JSON through the standard library encoder, with
     numpy values converted and non-finite floats refused first."""

@@ -115,6 +115,42 @@ def test_share_argmins_are_the_reported_share_factor(tmp_path):
     assert argmins[:, 2].tobytes() == want.tobytes()
 
 
+def test_share_pools_nested_drivers(tmp_path):
+    """An ``InfConv`` side pools with the other side: ``variance(1)`` #
+    ``norm_cd(1, 0.5)`` against ``variance(2)`` is the flat pair
+    ``variance(2/3)`` against ``norm_cd(1, 0.5)``, and ``variance(1)`` #
+    ``variance(3)`` against ``variance(2)`` reports its share factor
+    ``q_A / (q_A + q_B)`` with ``q_A = 3/4``, which every argmin row obeys."""
+    def variance(alpha):
+        return {"kind": "variance", "alpha": alpha}
+
+    def share(name, driver_a, driver_b):
+        out = tmp_path / name
+        out.mkdir()
+        cfg = _base_config(out, drivers={"gA": driver_a, "gB": driver_b},
+                           share={"payoff_a": "X", "payoff_b": "Y",
+                                  "driver_a": "gA", "driver_b": "gB"})
+        assert main(["share", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        return json.loads((out / "share_summary.json").read_text()), out
+
+    norm = {"kind": "norm_cd", "c": 1.0, "d": 0.5}
+    nested, _ = share("nested", {"kind": "infconv", "a": variance(1.0), "b": norm},
+                      variance(2.0))
+    flat, _ = share("flat", variance(2.0 / 3.0), norm)
+    assert nested["attained"] is True and nested["share_factor"] is None
+    assert nested["infconv_D0"] == pytest.approx(flat["infconv_D0"], rel=1e-12)
+
+    quad, out = share("quad", {"kind": "infconv", "a": variance(1.0), "b": variance(3.0)},
+                      variance(2.0))
+    assert quad["attained"] is True and quad["share_factor"] == 0.75 / (0.75 + 2.0)
+    lat = build_lattice(TimeGrid.uniform(4, 1.0), NoiseModel.brownian(1))
+    w = lat.brownian_states(4)[:, 0]
+    total = represent(lat, RandomVariable(w, 4) + RandomVariable(w ** 2, 4))
+    argmins = np.loadtxt(out / "share_argmins.csv", delimiter=",", skiprows=1)
+    want = np.concatenate([quad["share_factor"] * H[:, 0] for H in total.H])
+    assert argmins[:, 2].tobytes() == want.tobytes()
+
+
 def test_axioms_and_check_driver(tmp_path):
     cfg = _base_config(
         tmp_path,

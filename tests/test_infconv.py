@@ -1,11 +1,13 @@
-"""Closed-form inf-convolution of the Variance/NormCD/Scaled family against the
-numeric oracle and against the algebra any inf-convolution satisfies."""
+"""Closed-form inf-convolution of the Variance/NormCD/Scaled/InfConv family
+against the numeric oracle and against the algebra any inf-convolution
+satisfies."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devlat import (
@@ -20,10 +22,15 @@ from devlat import (
     infconv_split,
     infconv_value,
     proportional_share_factor,
-    radial_form,
+    sharing,
 )
 
-from oracles import quadratic_cvar_infconv_reference
+from oracles import (
+    merge_terms,
+    quadratic_cvar_infconv_reference,
+    radial_infconv_reference,
+    radial_terms,
+)
 
 EMPTY = JumpMeasure.empty()
 NU = JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7))
@@ -36,7 +43,7 @@ positive = st.floats(0.3, 3.0)
 
 
 @st.composite
-def radial_drivers(draw):
+def radial_drivers(draw, max_scalings=2):
     """Variance or NormCD (either coefficient may be 0) under 0-2 scalings."""
     if draw(st.booleans()):
         base = Variance(draw(positive))
@@ -45,17 +52,16 @@ def radial_drivers(draw):
         c = 0.0 if zero == "c" else draw(st.floats(0.2, 3.0))
         d = 0.0 if zero == "d" else draw(st.floats(0.2, 3.0))
         base = NormCD(c, d)
-    for gamma in draw(st.lists(positive, max_size=2)):
+    for gamma in draw(st.lists(positive, max_size=max_scalings)):
         base = Scaled(gamma, base)
     return base
 
 
 def _knee(ta, tb):
-    """Radius where a quadratic/linear block pair leaves its quadratic zone."""
-    if ta[0] == tb[0]:
-        return None
-    q, c = (ta[1], tb[1]) if ta[0] == "quad" else (tb[1], ta[1])
-    return c / (2.0 * q) if c > 0 else None
+    """Radius where a block pair with both a quadratic and a positive linear
+    term leaves its quadratic zone."""
+    q, c = merge_terms(ta, tb)
+    return c / (2.0 * q) if q < math.inf and 0.0 < c < math.inf else None
 
 
 @st.composite
@@ -76,20 +82,62 @@ def block(draw, size, knee, weights=None):
 
 @st.composite
 def rows(draw, g_a, g_b, d, nu):
-    _, brown_a, jump_a = radial_form(g_a)
-    _, brown_b, jump_b = radial_form(g_b)
+    brown_a, jump_a = radial_terms(g_a)
+    brown_b, jump_b = radial_terms(g_b)
     h = draw(block(d, _knee(brown_a, brown_b)))
     ht = draw(block(nu.m, _knee(jump_a, jump_b), nu.intensity_array))
     return h, ht
 
 
 @st.composite
+def radial_trees(draw, depth=3):
+    """A ``Variance`` or ``NormCD`` leaf, or a ``Scaled`` or ``InfConv`` node
+    over such trees, at most ``depth`` nodes deep."""
+    kind = draw(st.sampled_from(("leaf", "scaled", "infconv"))) if depth else "leaf"
+    if kind == "scaled":
+        return Scaled(draw(positive), draw(radial_trees(depth - 1)))
+    if kind == "infconv":
+        return InfConv(draw(radial_trees(depth - 1)), draw(radial_trees(depth - 1)))
+    return draw(radial_drivers(max_scalings=0))
+
+
+@st.composite
 def cases(draw):
-    g_a, g_b = draw(radial_drivers()), draw(radial_drivers())
+    """Two radial driver trees, d in (1, 2), m in (0, 2), and one row whose
+    radii sit at, near or away from each block's Huber knee."""
+    g_a, g_b = draw(radial_trees()), draw(radial_trees())
     d = draw(st.sampled_from((1, 2)))
     nu = draw(st.sampled_from((EMPTY, NU)))
     h, ht = draw(rows(g_a, g_b, d, nu))
     return g_a, g_b, h, ht, nu
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cases())
+def test_tree_closed_form_is_the_merged_huber(case):
+    """Any radial tree pair is one Huber term per block, whose coefficients
+    ``oracles.radial_terms`` reads off the driver parameters."""
+    g_a, g_b, h, ht, nu = case
+    value, _ = infconv_value(g_a, g_b, 0.0, h, ht, nu)
+    want = radial_infconv_reference(g_a, g_b, h, ht, nu.intensity_array)
+    assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cases(), radial_trees(), positive)
+def test_tree_algebra(case, g_c, gamma):
+    """Associativity, and ``Scaled`` distributing over ``InfConv``
+    (commutativity is the swap test below)."""
+    g_a, g_b, h, ht, nu = case
+
+    def value(x, y):
+        return infconv_value(x, y, 0.0, h, ht, nu)[0]
+
+    pairs = [(value(InfConv(g_a, g_b), g_c), value(g_a, InfConv(g_b, g_c))),
+             (value(Scaled(gamma, InfConv(g_a, g_b)), g_c),
+              value(InfConv(Scaled(gamma, g_a), Scaled(gamma, g_b)), g_c))]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -152,11 +200,47 @@ def test_block_shares_follow_the_closed_forms():
     assert z[0, 0] == 3.0 * (1.0 / 6.0)
 
 
-def test_numeric_only_outside_the_family():
-    assert radial_form(Scaled(2.0, Scaled(0.5, Variance(3.0))))[1] == ("quad", 3.0)
-    assert radial_form(Scaled(4.0, NormCD(1.0, 2.0))) == (4.0, ("lin", 1.0), ("lin", 2.0))
-    assert radial_form(CVaRJump(0.5)) is None
-    assert radial_form(Scaled(2.0, InfConv(Variance(1.0), Variance(1.0)))) is None
+def test_numeric_only_outside_the_family(monkeypatch):
+    """Radial trees of any depth split without the minimiser; a pooled pair
+    with a ``CVaRJump`` atom takes one solve per row, and the solves of a
+    mixed tree never nest."""
+    calls, depth = [], [0]
+    real = sharing.minimize
+
+    def counted(*args):
+        depth[0] += 1
+        calls.append(depth[0])
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sharing, "minimize", counted)
+    # small solver settings, so that a solve inside a solve ends quickly
+    small = SolverConfig(max_iterations=20, stall_window=5, polish_iterations=0)
+    H = np.array([[0.7], [-1.3], [0.2]])
+    Ht = np.array([[0.4, -0.9], [1.1, 0.3], [-0.5, 0.6]])
+    radial = (Scaled(2.0, Scaled(0.5, Variance(3.0))), Scaled(4.0, NormCD(1.0, 2.0)),
+              Scaled(2.0, InfConv(Variance(1.0), Variance(1.0), small)),
+              InfConv(InfConv(Variance(1.0), NormCD(1.0, 0.5), small),
+                      Scaled(3.0, Variance(2.0)), small))
+    for g_a, g_b in itertools.product(radial, repeat=2):
+        infconv_split(g_a, g_b, 0.0, H, Ht, NU, small)
+        infconv_value(g_a, g_b, 0.0, H[0], Ht[0], NU, small)
+        assert calls == [], (g_a, g_b)
+    # Scaled multiplies out (q = 3 / (2 * 0.5)) and leaves slopes alone
+    assert proportional_share_factor(radial[0], Variance(1.0)) == 0.75
+    assert proportional_share_factor(radial[1], NormCD(1.0, 2.0)) == 0.2
+    Z, Zt = infconv_split(radial[1], NormCD(1.5, 1.5), 0.0, H, Ht, NU)
+    assert not Z.any() and np.array_equal(Zt, Ht)
+    assert proportional_share_factor(radial[2], Variance(1.0)) == 0.2
+
+    infconv_split(Variance(1.0), CVaRJump(0.5), 0.0, H, Ht, NU)
+    assert calls == [1, 1, 1]
+    calls.clear()
+    inner = InfConv(Variance(1.0), CVaRJump(0.4), small)
+    infconv_value(inner, Variance(2.0), 0.0, H[0], Ht[0], NU, small)
+    assert 1 <= len(calls) <= 2 and max(calls) == 1
 
 
 def test_numeric_oracle_steps_stay_bounded():
@@ -190,6 +274,22 @@ def test_quadratic_cvar_pairs_reach_the_exact_infimum():
         assert abs(value - exact) <= 1e-3 * max(1.0, abs(exact)), (k, value, exact)
 
 
+def test_pooled_quadratic_cvar_trees_reach_the_exact_infimum():
+    """Trees of ``Variance`` and ``CVaRJump`` atoms pool their quadratic
+    atoms into one term with ``q = q_1 q_2 / (q_1 + q_2)`` and solve it
+    against the ``CVaRJump`` atom; B's share of the pooled split, including
+    its part of a group both agents hold, leaves the value within 1e-3
+    (relative) of the exact inf-convolution."""
+    h, ht = np.array([0.7]), np.array([0.4, -0.9])
+    cases = [(InfConv(Variance(1.0), CVaRJump(0.4)), Variance(2.0), 2.0 / 3.0, 0.4),
+             (Variance(2.0), InfConv(CVaRJump(0.4), Variance(1.0)), 2.0 / 3.0, 0.4),
+             (InfConv(Variance(1.5), CVaRJump(0.3)), Scaled(2.0, Variance(1.5)), 0.5, 0.3)]
+    for g_a, g_b, q, a in cases:
+        value, _ = infconv_value(g_a, g_b, 0.0, h, ht, NU)
+        exact = quadratic_cvar_infconv_reference(q, a, ht, NU.intensity_array)
+        assert abs(value - exact) <= 1e-3 * max(1.0, abs(exact)), (g_a, g_b, value, exact)
+
+
 #: integrand entries, with zeros of both signs and entries whose squares underflow
 ENTRIES = st.one_of(st.floats(-4.0, 4.0), st.sampled_from((0.0, -0.0, 1e-170, -1e-170)))
 
@@ -203,26 +303,32 @@ def _scale(base, gammas):
 @st.composite
 def fixed_share_pairs(draw):
     """``(g_a, g_b, f)``: two scalings of one ``Variance``, ``NormCD`` or
-    ``CVaRJump`` base with ``f = gamma_b / (gamma_a + gamma_b)``, two quadratic
-    drivers of distinct bases with ``f = q_a / (q_a + q_b)``, or two drivers of
-    the radial family with ``f`` None (a fraction need not exist)."""
-    kind = draw(st.sampled_from(("common", "quadratic", "radial")))
+    ``CVaRJump`` base, or of one ``InfConv`` of two such bases, with ``f =
+    gamma_b / (gamma_a + gamma_b)``; two quadratic drivers of distinct bases,
+    A's possibly an ``InfConv`` of two, with ``f = q_a / (q_a + q_b)``; or two
+    drivers of the radial family with ``f`` None (a fraction need not
+    exist)."""
+    kind = draw(st.sampled_from(("common", "quadratic", "radial", "nested")))
     if kind == "radial":
         return draw(radial_drivers()), draw(radial_drivers()), None
     scalings = st.lists(positive, max_size=2)
     gammas_a, gammas_b = draw(scalings), draw(scalings)
-    if kind == "common":
-        base = draw(st.one_of(
+    nested = kind == "nested" and draw(st.booleans())
+    if kind == "common" or nested:
+        bases = st.one_of(
             positive.map(Variance),
             st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(lambda cd: NormCD(*cd)),
             st.floats(0.05, 1.0).map(CVaRJump),
-        ))
+        )
+        base = InfConv(draw(bases), draw(bases)) if nested else draw(bases)
         gamma_a, gamma_b = math.prod(reversed(gammas_a)), math.prod(reversed(gammas_b))
         return _scale(base, gammas_a), _scale(base, gammas_b), gamma_b / (gamma_a + gamma_b)
-    alpha_a, alpha_b = draw(positive), draw(positive)
-    assume(alpha_a != alpha_b)
-    g_a, g_b = _scale(Variance(alpha_a), gammas_a), _scale(Variance(alpha_b), gammas_b)
-    q_a, q_b = radial_form(g_a)[1][1], radial_form(g_b)[1][1]
+    alphas = draw(st.lists(positive, min_size=3, max_size=3, unique=True))
+    tree_a = Variance(alphas[0])
+    if kind == "nested":
+        tree_a = InfConv(tree_a, _scale(Variance(alphas[2]), draw(scalings)))
+    g_a, g_b = _scale(tree_a, gammas_a), _scale(Variance(alphas[1]), gammas_b)
+    q_a, q_b = radial_terms(g_a)[0][0], radial_terms(g_b)[0][0]
     return g_a, g_b, q_a / (q_a + q_b)
 
 

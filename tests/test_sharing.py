@@ -289,6 +289,17 @@ def test_proportional_share_factor():
     assert proportional_share_factor(Scaled(1.0, base), Scaled(3.0, base)) == 0.75
     assert proportional_share_factor(Variance(1.0), Variance(2.0)) == pytest.approx(1 / 3)
     assert proportional_share_factor(Variance(1.0), NormCD(1.0, 0.0)) is None
+    # unequal slopes: the cheaper side takes every nonzero block, no fraction
+    assert proportional_share_factor(NormCD(2.0, 1.0), NormCD(1.0, 0.5)) is None
+
+    class Unhashable:  # a Custom oracle need not be hashable; bases compare by ==
+        __hash__ = None
+
+        def __call__(self, t, h, ht, nu):
+            return float(h @ h)
+
+    custom = Custom(Unhashable())
+    assert proportional_share_factor(Scaled(1.0, custom), Scaled(3.0, custom)) == 0.75
 
 
 def test_common_base_pair_splits_without_the_minimiser(jump_lattice, rng, monkeypatch):
