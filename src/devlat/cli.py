@@ -457,11 +457,24 @@ def cmd_check_driver(cfg, lat, seed, config_dir):
     block = _get(cfg, "check_driver", "an object")
     _, drivers = _parse_drivers(cfg)
     driver = _ref(block, "driver", "check_driver", drivers, "driver")
-    report = check_driver(
-        driver, lat.noise.jumps,
-        sample_count=_get(block, "samples", "an integer", "check_driver", 200),
-        seed=seed, d=_get(block, "d", "an integer", "check_driver", max(lat.noise.d, 1)),
-    )
+    samples = _get(block, "samples", "an integer", "check_driver", 200)
+    d = _get(block, "d", "an integer", "check_driver", max(lat.noise.d, 1))
+    nu = lat.noise.jumps
+    if samples < 1:
+        raise ConfigError(f"check_driver: 'samples' must be >= 1, got {samples}")
+    if d < 0:
+        raise ConfigError(f"check_driver: 'd' must be >= 0, got {d}")
+    if d == 0 and nu.m == 0:
+        raise ConfigError("check_driver: 'd' = 0 on a lattice without jumps "
+                          "probes only the origin")
+    # the probe block: axes both ways, the mark coordinates and the samples
+    marks = len(nu.marks[0]) if nu.m else 0
+    cells = (2 * d + 2 * nu.m + marks + samples) * (d + nu.m)
+    max_nodes = _get(cfg["lattice"], "max_nodes", "an integer", "lattice", DEFAULT_MAX_NODES)
+    if cells > max_nodes:
+        raise ConfigError(f"check_driver: 'd' = {d} and 'samples' = {samples} give "
+                          f"{cells} probe cells, over the max_nodes budget {max_nodes}")
+    report = check_driver(driver, nu, sample_count=samples, seed=seed, d=d)
     payload = {"command": "check_driver", "seed": seed,
                "driver": block["driver"], "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}

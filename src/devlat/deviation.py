@@ -79,29 +79,18 @@ def _deviation_levels(lat: Lattice, driver: DriverSpec, H, Ht) -> tuple:
     return _accumulate(lat, g)
 
 
-def _restrict_pair(pair: RepresentingPair, lo: int, hi: int) -> RepresentingPair:
-    """Zero the integrands outside levels [lo, hi)."""
-    H, Ht, res = [], [], []
-    for i in range(pair.n_steps):
-        if lo <= i < hi:
-            H.append(pair.H[i])
-            Ht.append(pair.Htilde[i])
-            res.append(pair.residuals[i])
-        else:
-            H.append(np.zeros_like(pair.H[i]))
-            Ht.append(np.zeros_like(pair.Htilde[i]))
-            res.append(np.zeros_like(pair.residuals[i]))
-    return RepresentingPair(0.0, tuple(H), tuple(Ht), tuple(res))
-
-
 def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
                        partition: list[int]) -> AdaptedProcess:
     """Block recursion: deviations of martingale increments over partition
     cells, summed conditionally.
 
-    Each cell's increment is re-extracted as its own payoff and re-represented,
-    so this is an independent route to the same process; it must agree with
-    ``evaluate`` to within accumulation noise.
+    Each cell's increment ``M_hi - M_lo`` is re-extracted from the assembled
+    payoff and re-represented on the cell's own levels: its conditional
+    means on levels ``lo..hi``, its integrands and the driver on the steps of
+    ``[lo, hi)``. Every other step takes the driver at the origin, as the
+    cell's zero integrands there would. So this is an independent route to
+    the same process; it must agree with ``evaluate`` to within accumulation
+    noise.
     """
     part = sorted(set(int(i) for i in partition))
     if not part or part[0] != 0 or part[-1] != lat.n_steps:
@@ -111,14 +100,22 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
 
     x = assemble(lat, pair)
     mart = martingale(lat, x)
+    d, nu, b = lat.noise.d, lat.noise.jumps, lat.branching
+    origin = [np.full(lat.num_nodes(i), float(driver.value_batch(
+        lat.times[i], np.zeros((1, d)), np.zeros((1, nu.m)), nu)[0]))
+        for i in range(lat.n_steps)]
     total = [np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps + 1)]
     for lo, hi in zip(part, part[1:]):
-        base = np.repeat(mart.at(lo), lat.branching ** (hi - lo))
-        increment = RandomVariable(mart.at(hi) - base, hi)
-        block_pair = _restrict_pair(represent(lat, increment), lo, hi)
-        block = evaluate(lat, driver, block_pair)
-        for i in range(lat.n_steps + 1):
-            total[i] = total[i] + block.at(i)
+        means = [None] * (lat.n_steps + 1)
+        means[hi] = mart.at(hi) - np.repeat(mart.at(lo), b ** (hi - lo))
+        for i in range(hi - 1, lo - 1, -1):
+            means[i] = means[i + 1].reshape(-1, b) @ lat.step_probs(i)
+        H, Ht, _ = _project(lat, means, lo, hi)
+        g = list(origin)
+        g[lo:hi] = [np.asarray(driver.value_batch(lat.times[i], H[i - lo], Ht[i - lo], nu),
+                               dtype=float) for i in range(lo, hi)]
+        for i, v in enumerate(_accumulate(lat, g)):
+            total[i] = total[i] + v
     return AdaptedProcess(tuple(total))
 
 

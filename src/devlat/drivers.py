@@ -161,6 +161,9 @@ class Variance:
             [2.0 * self.alpha * h, 2.0 * self.alpha * nu.intensity_array * htilde]
         )
 
+    def subgradient_batch(self, t, H, Ht, nu):
+        return np.hstack([2.0 * self.alpha * H, 2.0 * self.alpha * nu.intensity_array * Ht])
+
 
 @dataclass(frozen=True)
 class NormCD:
@@ -189,6 +192,15 @@ class NormCD:
         jn = np.sqrt(float((htilde * htilde) @ wj))
         gj = self.d * wj * htilde / jn if jn > 0 else np.zeros_like(htilde)
         return np.concatenate([gh, gj])
+
+    def subgradient_batch(self, t, H, Ht, nu):
+        # a norm over two or more terms may round apart from the scalar's
+        hn = np.linalg.norm(H, axis=1)[:, None]
+        wj = nu.intensity_array
+        jn = np.sqrt((Ht * Ht) @ wj)[:, None]
+        gh = np.divide(self.c * H, hn, out=np.zeros_like(H), where=hn > 0)
+        gj = np.divide(self.d * wj * Ht, jn, out=np.zeros_like(Ht), where=jn > 0)
+        return np.hstack([gh, gj])
 
 
 @dataclass(frozen=True)
@@ -226,6 +238,21 @@ class CVaRJump:
         weights = np.where(strict, masses, 0.0) + np.where(boundary, lam * masses, 0.0)
         return np.concatenate([np.zeros(len(np.atleast_1d(h))), -weights / self.a])
 
+    def subgradient_batch(self, t, H, Ht, nu):
+        masses = nu.intensity_array
+        W = -Ht
+        q = _var_rows(self.a, Ht, nu)[:, None]
+        strict, boundary = W > q, W == q
+        # masses summed in mark order, as the scalar's sum of the selected ones
+        above, bmass = np.zeros(len(W)), np.zeros(len(W))
+        for j, mass in enumerate(masses):
+            above = above + np.where(strict[:, j], mass, 0.0)
+            bmass = bmass + np.where(boundary[:, j], mass, 0.0)
+        lam = np.divide(self.a - above, bmass, out=np.zeros(len(W)), where=bmass > 0)
+        weights = np.where(strict, masses, 0.0) \
+            + np.where(boundary, lam[:, None] * masses, 0.0)
+        return np.hstack([np.zeros_like(H), -weights / self.a])
+
 
 @dataclass(frozen=True)
 class Scaled:
@@ -248,6 +275,9 @@ class Scaled:
         # chain rule: the outer factor cancels the inner 1/gamma
         return self.base.subgradient(t, h / self.gamma, htilde / self.gamma, nu)
 
+    def subgradient_batch(self, t, H, Ht, nu):
+        return self.base.subgradient_batch(t, H / self.gamma, Ht / self.gamma, nu)
+
 
 @dataclass(frozen=True)
 class InfConv:
@@ -269,17 +299,18 @@ class InfConv:
         return _split_objective(self.a, self.b, t, H, Ht, Z, Zt, nu)
 
     def subgradient(self, t, h, htilde, nu):
+        return self.subgradient_batch(t, h[None, :], htilde[None, :], nu)[0]
+
+    def subgradient_batch(self, t, H, Ht, nu):
         # at an optimal split the two subdifferentials intersect; a selection
         # sitting at a kink returns the zero element there, so on every
         # coordinate the larger-magnitude entry of the two selections is the
         # one coming from the smooth side of the split
         from .sharing import infconv_split
 
-        Z, Zt = infconv_split(self.a, self.b, t, h[None, :], htilde[None, :], nu,
-                              self.solver)
-        z, zt = Z[0], Zt[0]
-        sa = self.a.subgradient(t, h - z, htilde - zt, nu)
-        sb = self.b.subgradient(t, z, zt, nu)
+        Z, Zt = infconv_split(self.a, self.b, t, H, Ht, nu, self.solver)
+        sa = self.a.subgradient_batch(t, H - Z, Ht - Zt, nu)
+        sb = self.b.subgradient_batch(t, Z, Zt, nu)
         return np.where(np.abs(sa) >= np.abs(sb), sa, sb)
 
 
@@ -301,6 +332,10 @@ class Custom:
         if self.subgradient_fn is None:
             raise ValueError(f"driver {self.name!r} has no subgradient oracle")
         return np.asarray(self.subgradient_fn(t, h, htilde, nu), dtype=float)
+
+    def subgradient_batch(self, t, H, Ht, nu):
+        rows = [self.subgradient(t, H[i], Ht[i], nu) for i in range(len(H))]
+        return np.array(rows, dtype=float).reshape(len(H), H.shape[1] + Ht.shape[1])
 
 
 DriverSpec = Variance | NormCD | CVaRJump | Scaled | InfConv | Custom
@@ -378,6 +413,29 @@ def _probe_points(nu: JumpMeasure, d: int, sample_count: int,
     return H, Ht
 
 
+def _subgradient_prefix(spec: DriverSpec, t: float, H: np.ndarray, Ht: np.ndarray,
+                        nu: JumpMeasure) -> tuple[np.ndarray, ValueError | None]:
+    """Subgradient rows of the longest leading run of rows whose oracle calls
+    succeed, and the ``ValueError`` of the first row that fails (None if
+    none). A failing batch is bisected on its prefixes, so the failure found
+    is the one a row-at-a-time loop meets first."""
+    try:
+        return spec.subgradient_batch(t, H, Ht, nu), None
+    except ValueError as exc:
+        error = exc
+    good, bad = 0, len(H)  # rows [:good] succeed, rows [:bad] raise ``error``
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            spec.subgradient_batch(t, H[:mid], Ht[:mid], nu)
+            good = mid
+        except ValueError as exc:
+            bad, error = mid, exc
+    if not good:
+        return np.empty((0, H.shape[1] + Ht.shape[1])), error
+    return spec.subgradient_batch(t, H[:good], Ht[:good], nu), error
+
+
 def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
                  seed: int = 0, d: int = 1) -> ValidityReport:
     """Sampled validity tests: sign, origin normalisation, convexity and
@@ -386,9 +444,10 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
     ``d`` fixes the Brownian-integrand dimension probed; deterministic probes
     (axes and the jump marks themselves) are included before random sampling.
     Every probe point and every midpoint is evaluated through
-    ``value_batch``; the subgradient inequality takes one oracle call per
-    sampled pair. Random draws and witnesses are those of testing one point
-    or pair at a time and stopping at the first violation.
+    ``value_batch``, and every sampled pair's subgradient through one
+    ``subgradient_batch`` call. Random draws, verdicts and witness points are
+    those of testing one point or pair at a time and stopping at the first
+    violation; the subgradient witness's gap is that pair's scalar formula.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -419,8 +478,9 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
         zero_only = CheckOutcome(False, (point(k), float(vals[k])),
                                  detail="vanishes away from the origin")
 
+    # one (S, 2) draw gives the numbers of S draws of size 2, in order
     state = rng.bit_generator.state
-    x, y = np.array([rng.integers(0, count, size=2) for _ in range(sample_count)]).T
+    x, y = rng.integers(0, count, size=(sample_count, 2)).T
     lhs = np.asarray(spec.value_batch(t, (H[x] + H[y]) / 2.0, (Ht[x] + Ht[y]) / 2.0, nu),
                      dtype=float)
     rhs = 0.5 * (vals[x] + vals[y])
@@ -432,23 +492,22 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
                                          float(rhs[k])), detail="midpoint rule violated")
         # replay the draws up to the violation, where one-pair-at-a-time stops
         rng.bit_generator.state = state
-        for _ in range(k + 1):
-            rng.integers(0, count, size=2)
+        rng.integers(0, count, size=(k + 1, 2))
 
+    i, j = rng.integers(0, count, size=(sample_count, 2)).T
+    G, error = _subgradient_prefix(spec, t, H[i], Ht[i], nu)
+    i, j = i[:len(G)], j[:len(G)]
+    steps = np.hstack([H[j] - H[i], Ht[j] - Ht[i]])
+    gaps = vals[j] - vals[i] - np.einsum("ij,ij->i", G, steps)
+    bad = np.flatnonzero(gaps < -1e-8)
     subgrad = CheckOutcome(True)
-    try:
-        for _ in range(sample_count):
-            i, j = rng.integers(0, count, size=2)
-            s = subgradient(spec, t, H[i], Ht[i], nu)
-            gap = float(vals[j]) - float(vals[i]) - float(
-                s @ np.concatenate([H[j] - H[i], Ht[j] - Ht[i]])
-            )
-            if gap < -1e-8:
-                subgrad = CheckOutcome(False, (point(i), point(j), gap),
-                                       detail="subgradient inequality violated")
-                break
-    except ValueError as exc:
-        subgrad = CheckOutcome(True, vacuous=True, detail=f"skipped: {exc}")
+    if bad.size:
+        k = bad[0]
+        gap = float(vals[j[k]]) - float(vals[i[k]]) - float(G[k] @ steps[k])
+        subgrad = CheckOutcome(False, (point(i[k]), point(j[k]), gap),
+                               detail="subgradient inequality violated")
+    elif error is not None:
+        subgrad = CheckOutcome(True, vacuous=True, detail=f"skipped: {error}")
 
     return ValidityReport(
         nonnegativity=nonneg,

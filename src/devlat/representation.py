@@ -66,13 +66,15 @@ def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
     return RepresentingPair(float(mart.at(0)[0]), H, Ht, res)
 
 
-def _project(lat: Lattice, mart: tuple) -> tuple[tuple, tuple, tuple]:
-    """Integrands and residuals of the per-level conditional means ``mart``.
-    Rows never mix, so ``mart`` may hold several payoffs side by side
-    (``lattice._martingale_levels``)."""
+def _project(lat: Lattice, mart, lo: int = 0,
+             hi: int | None = None) -> tuple[tuple, tuple, tuple]:
+    """Integrands and residuals of the per-level conditional means ``mart``
+    on the steps of levels ``[lo, hi)`` (all of them by default), which read
+    ``mart`` only on levels ``lo..hi``. Rows never mix, so ``mart`` may hold
+    several payoffs side by side (``lattice._martingale_levels``)."""
     d = lat.noise.d
     H, Ht, res = [], [], []
-    for i in range(lat.n_steps):
+    for i in range(lo, lat.n_steps if hi is None else hi):
         phi, wphi, gram = lat.step_basis(i)
         p = lat.step_probs(i)
         dm = mart[i + 1].reshape(-1, lat.branching) - mart[i][:, None]

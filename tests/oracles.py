@@ -5,7 +5,8 @@ candidate scans, finite differences) without touching the production code
 paths it is used to check. The artifact references at the end are the
 node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
-batched quantiles, laws, permutations, driver checks and axiom probes replace.
+batched quantiles, laws, permutations, driver checks, block recursion and axiom
+probes replace.
 """
 
 from __future__ import annotations
@@ -545,10 +546,36 @@ def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
     )
 
 
+def evaluate_recursive_reference(lat, driver, pair, partition):
+    """The block recursion with one whole-lattice ``represent`` + ``evaluate``
+    pass per partition cell, the integrands outside the cell zeroed."""
+    from devlat import AdaptedProcess, RandomVariable, RepresentingPair, assemble, \
+        evaluate, martingale, represent
+
+    def restrict(block, lo, hi):
+        def keep(arrays):
+            return tuple(a if lo <= i < hi else np.zeros_like(a)
+                         for i, a in enumerate(arrays))
+
+        return RepresentingPair(0.0, keep(block.H), keep(block.Htilde),
+                                keep(block.residuals))
+
+    part = sorted(set(int(i) for i in partition))
+    mart = martingale(lat, assemble(lat, pair))
+    total = [np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps + 1)]
+    for lo, hi in zip(part, part[1:]):
+        base = np.repeat(mart.at(lo), lat.branching ** (hi - lo))
+        increment = RandomVariable(mart.at(hi) - base, hi)
+        block = evaluate(lat, driver, restrict(represent(lat, increment), lo, hi))
+        for i in range(lat.n_steps + 1):
+            total[i] = total[i] + block.at(i)
+    return AdaptedProcess(tuple(total))
+
+
 def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50):
     """The axiom probe suite with one ``represent`` + ``evaluate`` pass per
     payoff probed, convexity mixtures included."""
-    from devlat import RandomVariable, evaluate, evaluate_recursive, represent
+    from devlat import RandomVariable, evaluate, represent
     from devlat.deviation import AxiomReport, CheckOutcome
 
     def _dev_at(lat, driver, x, level):
@@ -644,7 +671,7 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
     part = [0, n] + [int(v) for v in interior]
     pair0 = represent(lat, payoffs[0])
     direct = evaluate(lat, driver, pair0)
-    rec = evaluate_recursive(lat, driver, pair0, part)
+    rec = evaluate_recursive_reference(lat, driver, pair0, part)
     gap = max(
         float(np.max(np.abs(direct.at(i) - rec.at(i)))) for i in range(n + 1)
     )

@@ -14,6 +14,7 @@ import devlat.deviation as deviation
 from devlat import (
     CVaRJump,
     Custom,
+    InfConv,
     JumpMeasure,
     NoiseModel,
     NormCD,
@@ -28,6 +29,7 @@ from devlat import (
     law,
     law_distance,
     permute_paths,
+    subgradient,
     var_nu,
 )
 
@@ -175,6 +177,22 @@ def _concave_subgradient(t, h, ht, nu):
     return g / (2 * r) if r > 0 else np.zeros_like(g)
 
 
+def _square(t, h, ht, nu):
+    return float(h @ h + ht @ ht)
+
+
+def _wrong_subgradient(t, h, ht, nu):
+    # the gradient of the square, of the wrong sign in h
+    return np.concatenate([-2 * h, 2 * ht])
+
+
+def _partial_subgradient(t, h, ht, nu):
+    if h[0] > 1.0:
+        raise ValueError(f"no subgradient at h = {h[0]!r}")
+    # wrong where h is far below zero, so a violation can come first
+    return np.concatenate([2 * h if h[0] > -2.0 else 0 * h, 2 * ht])
+
+
 #: three marks in two dimensions, probed with no Brownian part
 NU3 = JumpMeasure(((1.0, 2.0), (0.5, -1.0), (3.0, 0.0)), (0.1, 0.2, 0.3))
 
@@ -186,7 +204,10 @@ CHECKED = {
     "cvar_jump": (CVaRJump(0.5), 1, NU2),
     "cvar_jump_d0": (CVaRJump(0.2), 0, NU3),
     "concave": (Custom(_concave, _concave_subgradient, "concave"), 1, NU2),
-    "no_subgradient": (Custom(lambda t, h, ht, nu: float(h @ h + ht @ ht)), 1, NU2),
+    "no_subgradient": (Custom(_square), 1, NU2),
+    "infconv": (InfConv(Variance(1.0), NormCD(1.0, 0.5)), 1, NU2),
+    "wrong_subgradient": (Custom(_square, _wrong_subgradient, "wrong"), 1, NU2),
+    "partial_subgradient": (Custom(_square, _partial_subgradient, "partial"), 1, NU2),
 }
 
 
@@ -204,7 +225,7 @@ def _same(got, want):
         assert got == want
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(CHECKED)), st.integers(0, 10_000), st.integers(1, 80))
 def test_check_driver_matches_the_scalar_checker(name, seed, samples):
     spec, d, nu = CHECKED[name]
@@ -214,7 +235,7 @@ def test_check_driver_matches_the_scalar_checker(name, seed, samples):
     for field in ("nonnegativity", "zero_at_zero", "zero_only_at_zero", "convexity",
                   "subgradient_consistency"):
         g, w = getattr(got, field), getattr(want, field)
-        assert (g.passed, g.detail) == (w.passed, w.detail), field
+        assert (g.passed, g.vacuous, g.detail) == (w.passed, w.vacuous, w.detail), field
         _same(g.witness, w.witness)
 
 
@@ -222,7 +243,7 @@ def test_check_driver_verdicts_per_kind():
     verdicts = {name: check_driver(spec, nu, sample_count=120, seed=4, d=d)
                 for name, (spec, d, nu) in CHECKED.items()}
     assert all(verdicts[k].all_passed()
-               for k in ("variance", "norm_cd_d1", "norm_cd_d2", "scaled"))
+               for k in ("variance", "norm_cd_d1", "norm_cd_d2", "scaled", "infconv"))
     assert not verdicts["cvar_jump"].nonnegativity.passed
     assert not verdicts["cvar_jump_d0"].nonnegativity.passed
     assert not verdicts["concave"].convexity.passed
@@ -232,6 +253,62 @@ def test_check_driver_verdicts_per_kind():
     _same(verdicts["concave"].subgradient_consistency.witness,
           want.subgradient_consistency.witness)
     assert verdicts["no_subgradient"].subgradient_consistency.detail.startswith("skipped")
+    # a user oracle's rows and values are the scalar checker's, so its
+    # witness gap keeps every bit
+    wrong = verdicts["wrong_subgradient"].subgradient_consistency
+    want = check_driver_reference(CHECKED["wrong_subgradient"][0], NU2, sample_count=120,
+                                  seed=4).subgradient_consistency
+    assert not wrong.passed and wrong.witness[2] == want.witness[2]
+    _same(wrong.witness, want.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 80))
+def test_check_driver_meets_a_raising_oracle_where_the_scalar_checker_does(seed, samples):
+    """Whichever comes first in draw order, a violation or an oracle raising,
+    is the verdict, as one pair at a time would find it."""
+    spec = CHECKED["partial_subgradient"][0]
+    got = check_driver(spec, NU2, sample_count=samples, seed=seed).subgradient_consistency
+    want = check_driver_reference(spec, NU2, sample_count=samples,
+                                  seed=seed).subgradient_consistency
+    assert (got.passed, got.vacuous, got.detail) == (want.passed, want.vacuous, want.detail)
+    _same(got.witness, want.witness)
+
+
+#: (driver, d, nu) per kind; NormCD and the kinds built on it take norms
+BATCHED = {
+    "variance": (Variance(1.3), 2, NU3),
+    "norm_cd": (NormCD(0.75, 2.0), 1, NU2),
+    "norm_cd_d2": (NormCD(0.75, 2.0), 2, NU3),
+    "cvar_jump": (CVaRJump(0.3), 1, NU3),
+    "cvar_jump_boundary": (CVaRJump(0.1 + 0.2), 1, NU3),
+    "scaled": (Scaled(2.0, CVaRJump(0.25)), 1, NU2),
+    "scaled_norm_cd": (Scaled(0.5, NormCD(1.0, 0.5)), 2, NU2),
+    "infconv": (InfConv(Variance(1.0), NormCD(1.0, 0.5)), 1, NU2),
+    "custom": (Custom(_square, _wrong_subgradient), 2, NU3),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BATCHED)), st.data())
+def test_subgradient_batch_is_the_scalar_subgradient_per_row(name, data):
+    """At kinks (zero h or zero htilde), zero rows and tied losses; NormCD's
+    norms over two or more terms may round apart, by at most 4 ulps."""
+    spec, d, nu = BATCHED[name]
+    rows = data.draw(st.integers(1, 8))
+    cell = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 5e-324])
+    H = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                    min_size=rows, max_size=rows))).reshape(rows, d)
+    Ht = np.array(data.draw(st.lists(st.lists(cell, min_size=nu.m, max_size=nu.m),
+                                     min_size=rows, max_size=rows)))
+    H[0], Ht[-1] = 0.0, 0.0
+    got = spec.subgradient_batch(0.0, H, Ht, nu)
+    want = np.array([subgradient(spec, 0.0, h, ht, nu) for h, ht in zip(H, Ht)])
+    assert got.shape == (rows, d + nu.m)
+    if "norm_cd" in name:
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 # -- stacked axiom mixtures -----------------------------------------------------------

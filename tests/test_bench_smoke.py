@@ -71,6 +71,8 @@ def test_jump_probes_pool_entry_meets_the_benchmark_oracle(tmp_path, kind, idx):
     ("dev-wide", "norm_cd", 42),
     ("jump-probes", "cvar_deviation", 5),
     ("jump-probes", "cvar_deviation", 11),
+    ("jump-probes", "axioms", 2),
+    ("jump-probes", "axioms", 13),
 ])
 def test_pool_entry_artifacts_match_the_reference_digest(tmp_path, workload, kind, idx):
     """The bytes of ``deviation.csv``, ``integrands.json`` and the summary

@@ -521,6 +521,43 @@ def test_brownian_dimension_is_checked_before_its_outcomes_are_counted(
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("probe, jumps, message", [
+    ({"d": 100000}, False, "over the max_nodes budget 1000000"),
+    ({"samples": 10 ** 12}, True, "over the max_nodes budget 1000000"),
+    ({"d": -1}, False, "'d' must be >= 0"),
+    ({"d": 0}, False, "probes only the origin"),
+    ({"samples": 0}, False, "'samples' must be >= 1"),
+], ids=["wide", "many_samples", "negative", "origin_only", "no_samples"])
+def test_check_driver_probe_block_is_bounded_before_it_is_formed(
+        tmp_path, capsys, probe, jumps, message):
+    noise = JUMP_NOISE if jumps else {"d": 1}
+    cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": noise},
+                       check_driver={"driver": "g", **probe})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["check-driver", "--config", str(cfg), "--out", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "check_driver" in err and message in err
+    assert peak < 2 ** 20
+    assert not (out / "driver_check.json").exists()
+
+
+def test_check_driver_probes_jumps_alone_at_d_zero(tmp_path):
+    cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0},
+                                          "noise": JUMP_NOISE},
+                       check_driver={"driver": "g", "d": 0, "samples": 10})
+    assert main(["check-driver", "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    doc = json.loads((tmp_path / "driver_check.json").read_text())
+    # 2 jump axes both ways, 1 mark coordinate and 10 samples
+    assert doc["all_passed"] is True and doc["report"]["samples_used"] == 15
+
+
 # -- every command on every noise shape ---------------------------------------------
 
 #: (d, m) noise shapes with d + m >= 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from devlat import (
     AnalyticPayoff,
     CVaRJump,
+    Custom,
     InfConv,
     JumpMeasure,
     NoiseModel,
@@ -29,7 +30,7 @@ from devlat import (
 )
 from devlat.deviation import _stacked_dev_at
 
-from oracles import enumerate_paths
+from oracles import enumerate_paths, evaluate_recursive_reference
 
 
 def _zero_pair(lat, mean=0.0):
@@ -236,6 +237,25 @@ def test_evaluate_is_the_block_recursion(lat, seed):
         scale = max(1.0, float(np.max(np.abs(direct.at(0)))))
         for i in range(n + 1):
             np.testing.assert_allclose(rec.at(i), direct.at(i), rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_block_recursion_is_the_whole_lattice_loop_bit_for_bit(lat, seed, data):
+    """Each cell worked on its own levels gives the bits of representing and
+    evaluating the whole lattice per cell with the other levels zeroed, also
+    for a driver that is not zero at the origin."""
+    n = lat.n_steps
+    x = RandomVariable(np.random.default_rng(seed).normal(size=lat.num_nodes(n)), n)
+    pair = represent(lat, x)
+    partition = [0, n, *data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(()))]
+    drivers = [*_drivers(lat), InfConv(Variance(1.3), NormCD(1.0, 0.5)),
+               Custom(lambda t, h, ht, nu: 1.0)]
+    for driver in drivers:
+        got = evaluate_recursive(lat, driver, pair, partition)
+        want = evaluate_recursive_reference(lat, driver, pair, partition)
+        for i in range(n + 1):
+            assert got.at(i).tobytes() == want.at(i).tobytes(), (driver, i)
 
 
 @settings(max_examples=60, deadline=None)
