@@ -27,8 +27,8 @@ from .lattice import (
     law_distance,
     martingale,
 )
-from .representation import AnalyticPayoff, RepresentingPair, _check_pair, _project, \
-    assemble, represent
+from .representation import AnalyticPayoff, RepresentingPair, _check_analytic, _check_pair, \
+    _project, assemble, represent
 
 __all__ = [
     "evaluate",
@@ -51,10 +51,9 @@ def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
     """Backward sum of per-node values times dt, zero at the horizon: each
     node holds the conditional expectation of its children's sums plus its
     own value * dt."""
-    vals = [np.zeros(len(node_values[-1]) * lat.branching)]
+    vals = [lat.spread(np.zeros(len(node_values[-1])))]
     for i in range(lat.n_steps - 1, -1, -1):
-        cont = vals[0].reshape(-1, lat.branching) @ lat.step_probs(i)
-        vals.insert(0, cont + node_values[i] * lat.step_dt(i))
+        vals.insert(0, lat.expect(i, vals[0]) + node_values[i] * lat.step_dt(i))
     return tuple(vals)
 
 
@@ -93,23 +92,23 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
     noise.
     """
     part = sorted(set(int(i) for i in partition))
-    if not part or part[0] != 0 or part[-1] != lat.n_steps:
-        raise ValueError("partition must include levels 0 and n")
     if any(i < 0 or i > lat.n_steps for i in part):
         raise ValueError("partition levels outside the grid")
+    if not part or part[0] != 0 or part[-1] != lat.n_steps:
+        raise ValueError("partition must include levels 0 and n")
 
     x = assemble(lat, pair)
     mart = martingale(lat, x)
-    d, nu, b = lat.noise.d, lat.noise.jumps, lat.branching
+    d, nu = lat.noise.d, lat.noise.jumps
     origin = [np.full(lat.num_nodes(i), float(driver.value_batch(
         lat.times[i], np.zeros((1, d)), np.zeros((1, nu.m)), nu)[0]))
         for i in range(lat.n_steps)]
     total = [np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps + 1)]
     for lo, hi in zip(part, part[1:]):
         means = [None] * (lat.n_steps + 1)
-        means[hi] = mart.at(hi) - np.repeat(mart.at(lo), b ** (hi - lo))
+        means[hi] = mart.at(hi) - lat.spread(mart.at(lo), hi - lo)
         for i in range(hi - 1, lo - 1, -1):
-            means[i] = means[i + 1].reshape(-1, b) @ lat.step_probs(i)
+            means[i] = lat.expect(i, means[i + 1])
         H, Ht, _ = _project(lat, means, lo, hi)
         g = list(origin)
         g[lo:hi] = [np.asarray(driver.value_batch(lat.times[i], H[i - lo], Ht[i - lo], nu),
@@ -148,13 +147,10 @@ def conditional_variance(lat: Lattice, x: RandomVariable) -> AdaptedProcess:
     conditional means.
     """
     mart = martingale(lat, x)
-    b = lat.branching
     vals = [np.zeros(lat.num_nodes(lat.n_steps))]
     for i in range(lat.n_steps - 1, -1, -1):
-        p = lat.step_probs(i)
-        inner = vals[0].reshape(-1, b) @ p
-        dm = mart.at(i + 1).reshape(-1, b) - mart.at(i)[:, None]
-        vals.insert(0, inner + (dm * dm) @ p)
+        dm = lat.children(mart.at(i + 1)) - mart.at(i)[:, None]
+        vals.insert(0, lat.expect(i, vals[0]) + (dm * dm) @ lat.step_probs(i))
     return AdaptedProcess(tuple(vals))
 
 
@@ -163,8 +159,7 @@ def supermartingale_slack(lat: Lattice, proc: AdaptedProcess) -> float:
     for any deviation process of a nonnegative driver."""
     worst = np.inf
     for i in range(lat.n_steps):
-        cont = proc.at(i + 1).reshape(-1, lat.branching) @ lat.step_probs(i)
-        worst = min(worst, float(np.min(proc.at(i) - cont)))
+        worst = min(worst, float(np.min(proc.at(i) - lat.expect(i, proc.at(i + 1)))))
     return worst
 
 
@@ -211,8 +206,8 @@ def _dev_at(lat, driver, x, level):
 def _stacked_dev_at(lat, driver, X, level):
     """``D_level`` of the terminal payoffs in the rows of ``X`` from one pass
     of ``represent``'s and ``evaluate``'s level arithmetic over the payoffs
-    laid side by side. One row gives ``_dev_at``'s bits; with more rows the
-    normal equations are solved together, which can move the last bits."""
+    laid side by side. One row gives ``_dev_at``'s bits; in a longer stack the
+    means and solves may round a row differently, moving its last bits."""
     mart = _martingale_levels(lat, X.ravel(), lat.n_steps)
     H, Ht, _ = _project(lat, mart)
     return _deviation_levels(lat, driver, H, Ht)[level].reshape(len(X), -1)
@@ -238,7 +233,6 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     t = n // 2 if level is None else level
     lat._check_level(t)
     nodes_t = lat.num_nodes(t)
-    subtree = lat.branching ** (n - t)
 
     pairs = [represent(lat, x) for x in payoffs]
     full = [evaluate(lat, driver, pair) for pair in pairs]
@@ -249,7 +243,7 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     for x, d in zip(payoffs, devs):
         const = float(rng.integers(1, 6))
         shift_t = rng.integers(-5, 6, size=nodes_t).astype(float)
-        for m in (np.full(x.values.shape, const), np.repeat(shift_t, subtree)):
+        for m in (np.full(x.values.shape, const), lat.spread(shift_t, n - t)):
             d_shifted = _dev_at(lat, driver, RandomVariable(x.values + m, n), t)
             if not np.array_equal(d_shifted, d):
                 gap = float(np.max(np.abs(d_shifted - d)))
@@ -268,7 +262,7 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
         zero_nodes = np.flatnonzero(d == 0.0)
         if zero_nodes.size:
             vacuous_only_if = False
-            leaves = x.values.reshape(nodes_t, subtree)[zero_nodes]
+            leaves = lat.children(x.values, n - t)[zero_nodes]
             bad = zero_nodes[leaves.max(axis=1) - leaves.min(axis=1) != 0.0]
             if bad.size:
                 positivity = CheckOutcome(False, {"node": int(bad[0]), "level": t},
@@ -276,7 +270,7 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
                 break
     if positivity.passed:
         measurable = RandomVariable(
-            np.repeat(rng.integers(-5, 6, size=nodes_t).astype(float), subtree), n
+            lat.spread(rng.integers(-5, 6, size=nodes_t).astype(float), n - t), n
         )
         if float(np.max(np.abs(_dev_at(lat, driver, measurable, t)))) != 0.0:
             positivity = CheckOutcome(False, detail="nonzero deviation of a measurable payoff")
@@ -298,7 +292,7 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
                  for _ in range(k)]
         i, j = np.array([ij for ij, _ in draws]).T
         lam_t = np.array([lam for _, lam in draws])
-        lam = np.repeat(lam_t, subtree, axis=1)
+        lam = lat.spread(lam_t, n - t)
         lhs = _stacked_dev_at(lat, driver, lam * values[i] + (1 - lam) * values[j], t)
         rhs = lam_t * dev_rows[i] + (1 - lam_t) * dev_rows[j]
         worst = np.max(lhs - rhs, axis=1)
@@ -344,7 +338,7 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     # local property on a random measurable set
     locality = CheckOutcome(True)
     mask_t = rng.integers(0, 2, size=nodes_t).astype(float)
-    mask = np.repeat(mask_t, subtree)
+    mask = lat.spread(mask_t, n - t)
     glued = RandomVariable(mask * payoffs[0].values + (1 - mask) * payoffs[1].values, n)
     lhs = _dev_at(lat, driver, glued, t)
     rhs = mask_t * devs[0] + (1 - mask_t) * devs[1]
@@ -408,6 +402,8 @@ def law_probe(lat: Lattice, driver: DriverSpec,
         ))
     nu = lat.noise.jumps
     for a1, a2 in analytic_pairs:
+        _check_analytic(lat, a1)
+        _check_analytic(lat, a2)
         d1 = deterministic_d0(a1.grid, driver, a1, nu)
         d2 = deterministic_d0(a2.grid, driver, a2, nu)
         entries.append(LawProbeEntry(d1, d2, abs(d1 - d2), None, True))

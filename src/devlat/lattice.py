@@ -175,7 +175,10 @@ class Lattice:
     the child of node ``v`` under outcome ``o`` is ``v * branching + o`` at
     level ``i + 1``. Outcome tables (Brownian increments, jump label and
     probability per outcome) are shared by all nodes of a level, so the tree is
-    stored implicitly and queries vectorise over whole levels.
+    stored implicitly and queries vectorise over whole levels. Other modules
+    reach the layout only through the level operators (``children``,
+    ``spread``, ``expect``, ``extend``); these act on the last axis and keep
+    payoffs laid side by side, payoff k's node v at ``k * nodes + v``, apart.
     """
 
     def __init__(self, grid: TimeGrid, noise: NoiseModel,
@@ -196,14 +199,8 @@ class Lattice:
 
         self.branching = branching = noise.branching
         # outcome o = sign_index * (m + 1) + jump_label
-        signs = np.empty((branching, d))
-        labels = np.empty(branching, dtype=np.int64)
-        for s in range(2 ** d):
-            row = np.array([1.0 if (s >> i) & 1 else -1.0 for i in range(d)])
-            for j in range(m + 1):
-                o = s * (m + 1) + j
-                signs[o] = row
-                labels[o] = j
+        sign_index, labels = np.divmod(np.arange(branching, dtype=np.int64), m + 1)
+        signs = np.where((sign_index[:, None] >> np.arange(d)) & 1, 1.0, -1.0)
         self.outcome_labels = labels
 
         nu = noise.jumps.intensity_array
@@ -270,23 +267,37 @@ class Lattice:
         if not 0 <= level <= self.n_steps:
             raise ValueError(f"level {level} outside 0..{self.n_steps}")
 
+    def children(self, values: np.ndarray, span: int = 1) -> np.ndarray:
+        """The values ``span`` levels below their ancestors, one row per ancestor."""
+        return values.reshape(-1, self.branching ** span)
+
+    def spread(self, values: np.ndarray, span: int = 1) -> np.ndarray:
+        """Each value repeated for its descendants ``span`` levels below."""
+        return np.repeat(values, self.branching ** span, axis=-1)
+
+    def expect(self, level: int, values: np.ndarray) -> np.ndarray:
+        """E[values | F_level] of values measurable at ``level + 1``."""
+        return self.children(values) @ self._probs[level]
+
+    def extend(self, parents: np.ndarray, outcomes: np.ndarray, op=np.add) -> np.ndarray:
+        """Values one level forward: ``op(parent, outcome)`` per child, where
+        ``outcomes`` broadcasts to (parents, branching, ...)."""
+        # the explicit row count keeps zero-width rows (d = 0) reshapeable
+        return op(parents[:, None], outcomes).reshape(
+            len(parents) * self.branching, *parents.shape[1:])
+
     # -- path functionals ----------------------------------------------------
 
     def node_probabilities(self, level: int) -> np.ndarray:
-        self._check_level(level)
-        p = np.ones(1)
-        for i in range(level):
-            p = (p[:, None] * self._probs[i][None, :]).ravel()
-        return p
+        return self._path_sum(level, lambda i: self._probs[i], np.multiply, 1.0)
 
-    def _path_sum(self, level: int, rows) -> np.ndarray:
-        """Per node of ``level``, the forward sum along its path of the
-        per-step outcome rows: ``rows(i)`` has shape (branching, k)."""
+    def _path_sum(self, level: int, rows, op=np.add, start: float = 0.0) -> np.ndarray:
+        """Per node of ``level``, the forward fold ``op`` from ``start`` along
+        its path of the per-step outcome rows ``rows(i)``, shape (branching, ...)."""
         self._check_level(level)
-        total = np.zeros((1, rows(0).shape[1]))
+        total = np.full((1, *rows(0).shape[1:]), start)
         for i in range(level):
-            total = (total[:, None, :] + rows(i)[None, :, :]).reshape(
-                len(total) * self.branching, -1)
+            total = self.extend(total, rows(i), op)
         return total
 
     def brownian_states(self, level: int) -> np.ndarray:
@@ -399,17 +410,14 @@ def martingale(lat: Lattice, x: RandomVariable) -> AdaptedProcess:
 def _martingale_levels(lat: Lattice, values: np.ndarray, level: int) -> tuple:
     """Per-level arrays of E[x | F_i] for values measurable at ``level``.
 
-    ``values`` may also hold K payoffs side by side, payoff k's node v at
-    ``k * nodes + v``: children of an entry sit at ``entry * branching + o``
-    either way, so each block stays its own tree and level 0 holds K means.
+    ``values`` may also hold K payoffs side by side; level 0 then holds K means.
     """
-    b = lat.branching
     vals: list[np.ndarray | None] = [None] * (lat.n_steps + 1)
     vals[level] = values
     for i in range(level, lat.n_steps):
-        vals[i + 1] = np.repeat(vals[i], b)
+        vals[i + 1] = lat.spread(vals[i])
     for i in range(level - 1, -1, -1):
-        vals[i] = vals[i + 1].reshape(-1, b) @ lat.step_probs(i)
+        vals[i] = lat.expect(i, vals[i + 1])
     return tuple(vals)
 
 
@@ -422,12 +430,9 @@ def cond_exp(lat: Lattice, x: RandomVariable, level: int) -> AdaptedProcess:
     bit-exactly.
     """
     lat._check_level(level)
-    m = martingale(lat, x)
     cut = min(level, x.level)
-    vals = list(m.values)
-    for i in range(cut, lat.n_steps):
-        vals[i + 1] = np.repeat(vals[i], lat.branching)
-    return AdaptedProcess(tuple(vals), measurable_level=cut)
+    return AdaptedProcess(_martingale_levels(lat, martingale(lat, x).at(cut), cut),
+                          measurable_level=cut)
 
 
 # -- laws ----------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _project(lat: Lattice, mart, lo: int = 0,
     for i in range(lo, lat.n_steps if hi is None else hi):
         phi, wphi, gram = lat.step_basis(i)
         p = lat.step_probs(i)
-        dm = mart[i + 1].reshape(-1, lat.branching) - mart[i][:, None]
+        dm = lat.children(mart[i + 1]) - mart[i][:, None]
         try:
             beta = np.linalg.solve(gram, (dm @ wphi).T).T
         except np.linalg.LinAlgError as exc:
@@ -112,7 +112,7 @@ def assemble(lat: Lattice, pair: RepresentingPair) -> RandomVariable:
     for i in range(lat.n_steps):
         phi = lat.step_basis(i)[0]
         steps = np.hstack([pair.H[i], pair.Htilde[i]])
-        v = (v[:, None] + steps @ phi.T).ravel()
+        v = lat.extend(v, steps @ phi.T)
     return RandomVariable(v, lat.n_steps)
 
 
@@ -138,13 +138,16 @@ class AnalyticPayoff:
             raise ValueError("integrands must be finite")
 
 
-def lift_analytic(ap: AnalyticPayoff, lat: Lattice) -> RepresentingPair:
-    """Broadcast deterministic step integrands to every node; mean zero."""
+def _check_analytic(lat: Lattice, ap: AnalyticPayoff) -> None:
     if ap.grid.times != lat.grid.times:
         raise ValueError("analytic payoff grid does not match the lattice grid")
-    d, m = lat.noise.d, lat.noise.jumps.m
-    if ap.h.shape[1] != d or ap.htilde.shape[1] != m:
+    if ap.h.shape[1] != lat.noise.d or ap.htilde.shape[1] != lat.noise.jumps.m:
         raise ValueError("analytic payoff dimensions do not match the lattice")
+
+
+def lift_analytic(ap: AnalyticPayoff, lat: Lattice) -> RepresentingPair:
+    """Broadcast deterministic step integrands to every node; mean zero."""
+    _check_analytic(lat, ap)
     H, Ht, res = [], [], []
     for i in range(lat.n_steps):
         nodes = lat.num_nodes(i)

@@ -454,6 +454,8 @@ MALFORMED = [
     ("build", ["lattice", "grid", "times"], [0.0, float("nan"), 1.0]),
     ("axioms", ["axioms", "mixtures"], 0),
     ("axioms", ["axioms", "mixtures"], -5),
+    # two Brownian columns per step on a d=1 lattice
+    ("law-probe", ["payoffs", "A", "h"], [[1, 1], [1, 1]]),
 ]
 
 
@@ -464,14 +466,15 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, command, path, value):
         tmp_path,
         lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE},
         payoffs={"X": {"kind": "expression", "expr": "W + C1"},
-                 "Y": {"kind": "expression", "expr": "W - C2"}},
+                 "Y": {"kind": "expression", "expr": "W - C2"},
+                 "A": {"kind": "analytic", "h": [[1.0], [0.5]]}},
         drivers={"g": {"kind": "variance", "alpha": 1.0},
                  "gs": {"kind": "scaled", "gamma": 2.0,
                         "base": {"kind": "variance", "alpha": 1.0}},
                  "gc": {"kind": "cvar_jump", "a": 0.4}},
         deviation={"payoff": "X", "driver": "g"},
         axioms={"driver": "g", "payoffs": ["X", "Y"], "mixtures": 5},
-        law_probe={"driver": "g", "pairs": [["X", "X"]]},
+        law_probe={"driver": "g", "pairs": [["X", "X"]], "analytic_pairs": [["A", "A"]]},
         share={"payoff_a": "X", "payoff_b": "Y", "driver_a": "gs", "driver_b": "gc"},
         check_driver={"driver": "g", "samples": 20},
     ).read_text())

@@ -121,10 +121,15 @@ def test_recursion_random_partitions(jump_lattice, rng):
 
 def test_recursion_partition_validation(binomial4):
     pair = _zero_pair(binomial4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must include levels 0 and n"):
         evaluate_recursive(binomial4, Variance(1.0), pair, [1, 4])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must include levels 0 and n"):
         evaluate_recursive(binomial4, Variance(1.0), pair, [0, 2])
+    # holds 0 and n, so only the range check can refuse it
+    with pytest.raises(ValueError, match="outside the grid"):
+        evaluate_recursive(binomial4, Variance(1.0), pair, [0, 6, 4])
+    with pytest.raises(ValueError, match="outside the grid"):
+        evaluate_recursive(binomial4, Variance(1.0), pair, [-1, 0, 4])
 
 
 def test_evaluate_checks_the_integrand_shapes_of_every_level(binomial2):
@@ -308,6 +313,17 @@ def test_law_probe_analytic_gap(binomial4):
     assert entry.d0_first == pytest.approx(1.0, abs=1e-12)
     assert entry.d0_second == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert entry.gap == pytest.approx(0.29289321881345254, abs=1e-12)
+
+
+def test_law_probe_refuses_analytic_payoffs_off_the_lattice(binomial4):
+    grid = binomial4.grid
+    ok = AnalyticPayoff(grid, np.ones((4, 1)), np.zeros((4, 0)))
+    wide = AnalyticPayoff(grid, np.ones((4, 2)), np.zeros((4, 0)))
+    coarse = AnalyticPayoff(TimeGrid.uniform(4, 2.0), np.ones((4, 1)), np.zeros((4, 0)))
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        law_probe(binomial4, Variance(1.0), analytic_pairs=[(ok, wide)])
+    with pytest.raises(ValueError, match="grid does not match"):
+        law_probe(binomial4, Variance(1.0), analytic_pairs=[(coarse, ok)])
 
 
 def test_law_probe_rejects_mismatched_pairs(binomial4, rng):

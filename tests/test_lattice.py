@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import devlat
 from devlat import (
     JumpMeasure,
     LatticeBuildError,
@@ -191,3 +194,32 @@ def test_node_probabilities_sum_to_one(n_steps, seed):
         for j, nu_j in enumerate(intens, start=1):
             mass = probs[lat.outcome_labels == j].sum()
             assert mass == pytest.approx(nu_j * lat.step_dt(i), abs=1e-14)
+
+
+def _layout_reads(tree: ast.AST, exempt: set) -> list[int]:
+    """Lines that read ``.branching`` or call a ``repeat`` attribute."""
+    return [node.lineno for node in ast.walk(tree) if id(node) not in exempt and (
+        (isinstance(node, ast.Attribute) and node.attr == "branching")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "repeat"))]
+
+
+def test_only_the_lattice_module_reads_the_tree_layout():
+    """Outside ``lattice.py`` the child layout is reached through the level
+    operators only; the one exemption is the ``"branching"`` entry that
+    ``jsonio.lattice_to_dict`` writes out."""
+    leaks = {}
+    for path in sorted(Path(devlat.__file__).parent.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        if path.name == "jsonio.py":
+            (fn,) = [f for f in tree.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "lattice_to_dict"]
+            exempt = {id(value) for node in ast.walk(fn) if isinstance(node, ast.Dict)
+                      for key, value in zip(node.keys, node.values)
+                      if isinstance(key, ast.Constant) and key.value == "branching"}
+        if lines := _layout_reads(tree, exempt):
+            leaks[path.name] = lines
+    assert leaks == {}

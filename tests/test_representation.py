@@ -30,7 +30,7 @@ from devlat import (
 )
 from devlat.deviation import _stacked_dev_at
 
-from oracles import enumerate_paths, evaluate_recursive_reference
+from oracles import conditional_mean_by_paths, enumerate_paths, evaluate_recursive_reference
 
 
 def _zero_pair(lat, mean=0.0):
@@ -322,3 +322,102 @@ def test_compensated_counts_are_the_assembled_jump_columns(lat):
                                 tuple(np.tile(np.eye(m)[j], (k, 1)) for k in sizes),
                                 tuple(np.zeros(k) for k in sizes))
         assert comp[:, j].tobytes() == assemble(lat, pair).values.tobytes()
+
+
+# -- the lattice's level operators against the path enumeration ---------------------
+
+
+def _node_prefixes(paths, level):
+    """The outcomes leading to each node of ``level``, in node order."""
+    return sorted({outcomes[:level] for _, outcomes, _ in paths})
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1))
+def test_level_operators_follow_the_path_enumeration(lat, seed):
+    rng = np.random.default_rng(seed)
+    n, paths = lat.n_steps, enumerate_paths(lat)
+    x = rng.normal(size=lat.num_nodes(n))
+    for t in range(n + 1):
+        rank = {prefix: a for a, prefix in enumerate(_node_prefixes(paths, t))}
+        y = rng.normal(size=len(rank))
+        spread, children = lat.spread(y, n - t), lat.children(x, n - t)
+        leaves = [[] for _ in rank]
+        for leaf, outcomes, _ in paths:
+            assert spread[leaf] == y[rank[outcomes[:t]]]
+            leaves[rank[outcomes[:t]]].append(leaf)
+        assert children.tobytes() == x[np.array(leaves)].tobytes()
+    means = [np.array([conditional_mean_by_paths(lat, x, t, v)
+                       for v in range(lat.num_nodes(t))]) for t in range(n + 1)]
+    scale = max(1.0, float(np.max(np.abs(x))))
+    for t in range(n):
+        np.testing.assert_allclose(lat.expect(t, means[t + 1]), means[t],
+                                   rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
+def test_level_operators_keep_stacked_payoffs_apart(lat, seed, k):
+    """K payoffs side by side, payoff-major, stay K trees: moving values gives
+    each payoff its own bits, and a payoff's conditional mean does not read
+    the others. The matrix-vector product may round a row by its position in
+    the stack, so the mean matches the single payoff's to rounding only."""
+    rng = np.random.default_rng(seed)
+    n = lat.n_steps
+    t = int(rng.integers(0, n))
+    X = rng.normal(size=(k, lat.num_nodes(t + 1)))
+    Y = rng.normal(size=(k, lat.num_nodes(t)))
+    children = lat.children(X.ravel()).reshape(k, len(Y[0]), -1)
+    spread_flat = lat.spread(Y.ravel(), n - t).reshape(k, -1)
+    spread_rows = lat.spread(Y, n - t)
+    for r in range(k):
+        assert children[r].tobytes() == lat.children(X[r]).tobytes()
+        assert spread_flat[r].tobytes() == lat.spread(Y[r], n - t).tobytes()
+        assert spread_rows[r].tobytes() == lat.spread(Y[r], n - t).tobytes()
+    expect = lat.expect(t, X.ravel()).reshape(k, -1)
+    for r in range(k):
+        np.testing.assert_allclose(expect[r], lat.expect(t, X[r]), rtol=1e-15, atol=1e-15)
+    other = X.copy()
+    other[1:] = rng.normal(size=other[1:].shape)
+    assert lat.expect(t, other.ravel()).reshape(k, -1)[0].tobytes() == expect[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1))
+def test_extend_builds_the_path_functionals_bit_for_bit(lat, seed):
+    """``extend`` moves values to the children the path enumeration names, and
+    the Brownian states, jump counts and node probabilities are the per-path
+    running sums and products in step order."""
+    rng = np.random.default_rng(seed)
+    n, d, m, paths = lat.n_steps, lat.noise.d, lat.noise.jumps.m, enumerate_paths(lat)
+    onehot = np.eye(m + 1)[lat.outcome_labels][:, 1:]
+    for t in range(n + 1):
+        prefixes = _node_prefixes(paths, t)
+        w, counts, probs = [], [], []
+        for prefix in prefixes:
+            w_v, c_v, p_v = np.zeros(d), np.zeros(m), 1.0
+            for i, o in enumerate(prefix):
+                w_v = w_v + lat.step_dw(i)[o]
+                c_v = c_v + onehot[o]
+                p_v = p_v * lat.step_probs(i)[o]
+            w.append(w_v)
+            counts.append(c_v)
+            probs.append(p_v)
+        assert lat.brownian_states(t).tobytes() == np.array(w).tobytes()
+        assert lat.jump_counts(t).tobytes() == np.array(counts).tobytes()
+        assert lat.node_probabilities(t).tobytes() == np.array(probs).tobytes()
+        if t == n:
+            break
+        below = {prefix: a for a, prefix in enumerate(_node_prefixes(paths, t + 1))}
+        b = lat.branching
+        parents = rng.normal(size=(len(prefixes), 2))
+        # outcome rows shared by every node, as in the path sums, and one
+        # row of outcomes per node, as in ``assemble``
+        rows, per_node = rng.normal(size=(b, 2)), rng.normal(size=(len(prefixes), b))
+        got_rows = lat.extend(parents, rows)
+        got_node = lat.extend(parents[:, 0], per_node, np.multiply)
+        for a, prefix in enumerate(prefixes):
+            for o in range(b):
+                child = below[prefix + (o,)]
+                assert got_rows[child].tobytes() == (parents[a] + rows[o]).tobytes()
+                assert got_node[child] == parents[a, 0] * per_node[a, o]
