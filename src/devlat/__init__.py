@@ -26,7 +26,6 @@ from .lattice import (
 )
 from .representation import (
     AnalyticPayoff,
-    RepresentationError,
     RepresentingPair,
     assemble,
     lift_analytic,

@@ -31,7 +31,7 @@ from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
 from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
     RandomVariable, TimeGrid, build_lattice
 from .optim import NumericError, SolverConfig
-from .representation import AnalyticPayoff, RepresentationError, represent
+from .representation import AnalyticPayoff, represent
 from .sharing import SharingProblem, proportional_share_factor, solve_sharing
 
 EXIT_OK = 0
@@ -526,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
             if not args.quiet:
                 print(f"wrote {path}")
         return code
-    except (NumericError, RepresentationError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ValueError) as exc:

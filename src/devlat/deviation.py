@@ -20,7 +20,6 @@ from .lattice import (
     JumpMeasure,
     Lattice,
     RandomVariable,
-    TimeGrid,
     _martingale_levels,
     cond_exp,
     law,
@@ -118,9 +117,11 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
     return AdaptedProcess(tuple(total))
 
 
-def deterministic_d0(grid: TimeGrid, driver: DriverSpec, ap: AnalyticPayoff,
-                     nu: JumpMeasure) -> float:
-    """Time-zero deviation of deterministic integrands: sum of g(t_i, h_i)*dt_i."""
+def deterministic_d0(driver: DriverSpec, ap: AnalyticPayoff, nu: JumpMeasure) -> float:
+    """Time-zero deviation of deterministic integrands on their grid ``ap.grid``:
+    sum of g(t_i, h_i, htilde_i)*dt_i. ``htilde``'s width is checked against
+    ``nu``; ``h``'s only where a lattice gives ``d`` (``law_probe``)."""
+    grid = ap.grid
     total = 0.0
     for i in range(grid.n_steps):
         total += eval_driver(driver, grid.times[i], ap.h[i], ap.htilde[i], nu) \
@@ -207,7 +208,7 @@ def _stacked_dev_at(lat, driver, X, level):
     """``D_level`` of the terminal payoffs in the rows of ``X`` from one pass
     of ``represent``'s and ``evaluate``'s level arithmetic over the payoffs
     laid side by side. One row gives ``_dev_at``'s bits; in a longer stack the
-    means and solves may round a row differently, moving its last bits."""
+    means and projections may round a row differently, moving its last bits."""
     mart = _martingale_levels(lat, X.ravel(), lat.n_steps)
     H, Ht, _ = _project(lat, mart)
     return _deviation_levels(lat, driver, H, Ht)[level].reshape(len(X), -1)
@@ -404,7 +405,7 @@ def law_probe(lat: Lattice, driver: DriverSpec,
     for a1, a2 in analytic_pairs:
         _check_analytic(lat, a1)
         _check_analytic(lat, a2)
-        d1 = deterministic_d0(a1.grid, driver, a1, nu)
-        d2 = deterministic_d0(a2.grid, driver, a2, nu)
+        d1 = deterministic_d0(driver, a1, nu)
+        d2 = deterministic_d0(driver, a2, nu)
         entries.append(LawProbeEntry(d1, d2, abs(d1 - d2), None, True))
     return LawProbeReport(tuple(entries))

@@ -205,6 +205,7 @@ class Lattice:
 
         nu = noise.jumps.intensity_array
         self._onehot = np.eye(m + 1)[labels][:, 1:]
+        jump_proj = (self._onehot - (labels == 0)[:, None]) / 2 ** d
         # one read-only set of step tables per distinct step length
         tables: dict[float, tuple] = {}
         for dt in steps:
@@ -218,8 +219,7 @@ class Lattice:
             if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
                 raise LatticeBuildError("outcome probabilities do not sum to 1")
             phi = np.hstack([dw, self._onehot - nu * dt])
-            wphi = phi * probs[:, None]
-            basis = (phi, wphi, phi.T @ wphi)
+            basis = (phi, np.hstack([probs[:, None] * dw / dt, jump_proj]))
             for a in (dw, probs, *basis):
                 a.flags.writeable = False
             tables[dt] = (dw, probs, basis)
@@ -252,14 +252,17 @@ class Lattice:
     def step_dt(self, level: int) -> float:
         return self._dt[level]
 
-    def step_basis(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The step's noise basis ``phi`` (b, d+m), its probability-weighted
-        rows ``p * phi`` and the Gram matrix ``phi.T @ (p * phi)``.
+    def step_basis(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The step's noise basis ``phi`` (b, d+m) and its least-squares
+        projector ``P = diag(p) phi G^-1``, ``G = phi.T diag(p) phi``.
 
         ``phi`` is ``[dW^1..dW^d | Ntilde_1..Ntilde_m]`` per outcome, with
         ``Ntilde_j(o) = 1{jump label of o == j} - intensity_j * dt``; every
-        column has zero mean under the outcome probabilities. Built once per
-        step length at construction; the arrays are read-only.
+        column has zero mean under the outcome probabilities. Signs and labels
+        are independent, so ``G = dt I_d (+) (diag(q) - q q^T)``, ``q =
+        intensity * dt``, and Sherman-Morrison gives ``P = [p dW / dt |
+        2^-d (1{label == j} - 1{label == 0})]``, finite as every ``p > 0``.
+        Built once per step length at construction; the arrays are read-only.
         """
         return self._basis[level]
 

@@ -3,10 +3,11 @@
 Every payoff decomposes into its mean plus stochastic sums of predictable
 integrands against the Brownian increments and the compensated jump
 indicators. On a lattice step with ``2^d * (m+1)`` children but only ``d + m``
-basis directions the decomposition is generally inexact; ``represent`` solves
-the conditional least-squares projection per node and reports the orthogonal
-remainder as a residual instead of hiding it. A binomial step (d=1, m=0) is
-complete, so there the residual vanishes.
+basis directions the decomposition is generally inexact; ``represent`` takes
+the conditional least-squares projection per node, one product with the
+lattice's step projector per level, and reports the orthogonal remainder as a
+residual instead of hiding it. A binomial step (d=1, m=0) is complete, so
+there the residual vanishes.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from .lattice import Lattice, RandomVariable, TimeGrid, martingale
 __all__ = [
     "RepresentingPair",
     "AnalyticPayoff",
-    "RepresentationError",
     "represent",
     "assemble",
     "lift_analytic",
 ]
-
-
-class RepresentationError(RuntimeError):
-    """Normal equations could not be solved (degenerate step probabilities)."""
 
 
 @dataclass(frozen=True)
@@ -56,10 +52,10 @@ class RepresentingPair:
 def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
     """Project a payoff's one-step martingale increments on the noise basis.
 
-    At each node, solves the weighted normal equations for the increment
-    ``E[x|child] - E[x|node]`` against the step basis; the basis Gram matrix is
-    shared within a level (and cached on the lattice), so the solve vectorises
-    over nodes.
+    At each node, projects the increment ``E[x|child] - E[x|node]`` on the
+    step basis with the lattice's closed-form least-squares projector
+    (``Lattice.step_basis``); the projector is shared within a level, so the
+    projection is one matrix product over the level's nodes.
     """
     mart = martingale(lat, x)
     H, Ht, res = _project(lat, mart.values)
@@ -75,15 +71,10 @@ def _project(lat: Lattice, mart, lo: int = 0,
     d = lat.noise.d
     H, Ht, res = [], [], []
     for i in range(lo, lat.n_steps if hi is None else hi):
-        phi, wphi, gram = lat.step_basis(i)
+        phi, proj = lat.step_basis(i)
         p = lat.step_probs(i)
         dm = lat.children(mart[i + 1]) - mart[i][:, None]
-        try:
-            beta = np.linalg.solve(gram, (dm @ wphi).T).T
-        except np.linalg.LinAlgError as exc:
-            raise RepresentationError(
-                f"singular normal equations at level {i}"
-            ) from exc
+        beta = dm @ proj
         remainder = dm - beta @ phi.T
         H.append(beta[:, :d])
         Ht.append(beta[:, d:])

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here recomputes quantities from definitions (path enumeration,
-candidate scans, finite differences) without touching the production code
+candidate scans, finite differences, normal equations) without touching the production code
 paths it is used to check. The artifact references at the end are the
 node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
@@ -63,6 +63,31 @@ def law_by_paths(lat, values, decimals=9):
         key = round(float(v), decimals)
         atoms[key] = atoms.get(key, 0.0) + float(probs[leaf])
     return atoms
+
+
+def normal_equations_projector(lat, level):
+    """The step's least-squares projector ``solve(G, (p * phi).T).T`` from
+    the weighted Gram matrix ``G = phi.T @ (p * phi)``."""
+    phi, p = lat.step_basis(level)[0], lat.step_probs(level)
+    wphi = phi * p[:, None]
+    return np.linalg.solve(phi.T @ wphi, wphi.T).T
+
+
+def project_by_normal_equations(lat, mart):
+    """Integrands and residuals of the per-level conditional means ``mart``,
+    from the weighted normal equations solved per level for every node."""
+    d = lat.noise.d
+    H, Ht, res = [], [], []
+    for i in range(lat.n_steps):
+        phi, p = lat.step_basis(i)[0], lat.step_probs(i)
+        wphi = phi * p[:, None]
+        dm = lat.children(mart[i + 1]) - mart[i][:, None]
+        beta = np.linalg.solve(phi.T @ wphi, (dm @ wphi).T).T
+        remainder = dm - beta @ phi.T
+        H.append(beta[:, :d])
+        Ht.append(beta[:, d:])
+        res.append(np.sqrt(np.clip((remainder * remainder) @ p, 0.0, None)))
+    return tuple(H), tuple(Ht), tuple(res)
 
 
 def tail_mass(losses, masses, y):

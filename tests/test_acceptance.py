@@ -124,14 +124,14 @@ def test_criterion_02_jump_lattice_convergence():
         dev = _record(lat, evaluate(lat, Variance(1.0), represent(lat, x)))
         grid = lat.grid
         ap = AnalyticPayoff(grid, np.zeros((n, 1)), np.ones((n, 1)))
-        det = deterministic_d0(grid, Variance(1.0), ap, noise.jumps)
+        det = deterministic_d0(Variance(1.0), ap, noise.jumps)
         assert abs(dev.d0 - det) <= 1e-12
         var_tree = conditional_variance(lat, x).at(0)[0]
         var_formula = nu_val - nu_val ** 2 / n
         assert abs(var_tree - var_formula) <= 1e-10
         errors[n] = abs(dev.d0 - var_tree)
     grid16 = TimeGrid.uniform(16, 1.0)
-    det16 = deterministic_d0(grid16, Variance(1.0),
+    det16 = deterministic_d0(Variance(1.0),
                              AnalyticPayoff(grid16, np.zeros((16, 1)), np.ones((16, 1))),
                              noise.jumps)
     errors[16] = abs(det16 - (nu_val - nu_val ** 2 / 16))
@@ -230,8 +230,8 @@ def test_criterion_05_law_invariance_dichotomy():
     burst = AnalyticPayoff(grid,
                            np.array([[math.sqrt(2)], [math.sqrt(2)], [0.0], [0.0]]),
                            np.zeros((4, 0)))
-    d0_flat = deterministic_d0(grid, NormCD(1.0, 0.0), flat, EMPTY)
-    d0_burst = deterministic_d0(grid, NormCD(1.0, 0.0), burst, EMPTY)
+    d0_flat = deterministic_d0(NormCD(1.0, 0.0), flat, EMPTY)
+    d0_burst = deterministic_d0(NormCD(1.0, 0.0), burst, EMPTY)
     assert abs(d0_flat - 1.0) <= 1e-12
     assert abs(d0_burst - math.sqrt(2.0) / 2.0) <= 1e-12
     gap = abs(d0_flat - d0_burst)

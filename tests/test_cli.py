@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from devlat import JumpMeasure, RandomVariable, SolverConfig, build_lattice, \
-    NoiseModel, TimeGrid, assemble, represent
+    NoiseModel, TimeGrid, assemble, represent, terminal_brownian
 import devlat.cli
-import devlat.sharing
 from devlat.cli import main
 from devlat.jsonio import write_payoff_csv
-from devlat.representation import RepresentationError, RepresentingPair
+from devlat.representation import RepresentingPair
 
 #: dyadic jump lattice of the sharing tests: d=1, marks (-1, 2), n=2
 JUMP_NOISE = {"d": 1, "jumps": {"marks": [-1.0, 2.0], "intensities": [0.25, 0.5]}}
@@ -224,20 +223,23 @@ def test_relative_csv_path_is_read_from_the_config_directory(tmp_path):
     assert (out / "deviation_summary.json").exists()
 
 
-@pytest.mark.parametrize("command, module", [
-    ("deviation", devlat.cli), ("share", devlat.sharing)])
-def test_representation_error_exits_2(tmp_path, monkeypatch, command, module):
-    def singular(lat, x):
-        raise RepresentationError("singular normal equations at level 0")
-
-    monkeypatch.setattr(module, "represent", singular)
+def test_subnormal_grid_represents_and_exits_0(tmp_path):
+    """Steps of the smallest subnormal length still have positive outcome
+    probabilities, so the closed-form projector is finite: the payoff
+    round-trips exactly and ``deviation`` succeeds."""
+    times = [0.0, 5e-324, 1e-323]
+    lat = build_lattice(TimeGrid(tuple(times)), NoiseModel.brownian(1))
+    w = terminal_brownian(lat)
+    for x in (w, RandomVariable(w.values ** 2, 2), RandomVariable(np.arange(4.0), 2)):
+        assert assemble(lat, represent(lat, x)).values.tobytes() == x.values.tobytes()
     cfg = _base_config(
         tmp_path,
+        lattice={"grid": {"times": times},
+                 "noise": {"d": 1, "jumps": {"marks": [], "intensities": []}}},
         deviation={"payoff": "X", "driver": "g"},
-        share={"payoff_a": "X", "payoff_b": "Y", "driver_a": "gA", "driver_b": "gB"},
     )
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--quiet"]) == 2
+    assert main(["deviation", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
 
 
 def test_payoff_csv_validation(tmp_path):

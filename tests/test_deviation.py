@@ -148,13 +148,20 @@ def test_deterministic_d0_examples():
     grid = TimeGrid.uniform(4, 1.0)
     nu = JumpMeasure.empty()
     flat = AnalyticPayoff(grid, np.ones((4, 1)), np.zeros((4, 0)))
-    assert deterministic_d0(grid, NormCD(1.0, 0.0), flat, nu) == pytest.approx(1.0, abs=1e-15)
+    assert deterministic_d0(NormCD(1.0, 0.0), flat, nu) == pytest.approx(1.0, abs=1e-15)
     h = np.array([[math.sqrt(2)], [math.sqrt(2)], [0.0], [0.0]])
     burst = AnalyticPayoff(grid, h, np.zeros((4, 0)))
-    assert deterministic_d0(grid, NormCD(1.0, 0.0), burst, nu) == pytest.approx(
+    assert deterministic_d0(NormCD(1.0, 0.0), burst, nu) == pytest.approx(
         0.70710678118654757, abs=1e-12)
     zero = AnalyticPayoff(grid, np.zeros((4, 1)), np.zeros((4, 0)))
-    assert deterministic_d0(grid, NormCD(1.0, 0.0), zero, nu) == 0.0
+    assert deterministic_d0(NormCD(1.0, 0.0), zero, nu) == 0.0
+
+
+def test_deterministic_d0_refuses_an_htilde_width_off_the_jump_measure():
+    grid = TimeGrid.uniform(2, 1.0)
+    ap = AnalyticPayoff(grid, np.ones((2, 1)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        deterministic_d0(Variance(1.0), ap, JumpMeasure(((1.0,),), (0.5,)))
 
 
 def test_utility_examples(binomial4):

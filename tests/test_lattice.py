@@ -223,3 +223,22 @@ def test_only_the_lattice_module_reads_the_tree_layout():
         if lines := _layout_reads(tree, exempt):
             leaks[path.name] = lines
     assert leaks == {}
+
+
+_LINEAR_SOLVES = {"solve", "lstsq", "inv"}
+
+
+def test_no_module_solves_a_linear_system():
+    """The lattice builds its least-squares projector in closed form, so no
+    module solves normal equations or inverts a matrix."""
+    found = {}
+    for path in sorted(Path(devlat.__file__).parent.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if (
+            isinstance(node, ast.Attribute) and node.attr in _LINEAR_SOLVES
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+        ) or (
+            isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+            and any(alias.name in _LINEAR_SOLVES for alias in node.names))]
+        if lines:
+            found[path.name] = lines
+    assert found == {}

@@ -29,8 +29,11 @@ from devlat import (
     terminal_brownian,
 )
 from devlat.deviation import _stacked_dev_at
+from devlat.lattice import _martingale_levels
+from devlat.representation import _project
 
-from oracles import conditional_mean_by_paths, enumerate_paths, evaluate_recursive_reference
+from oracles import conditional_mean_by_paths, enumerate_paths, evaluate_recursive_reference, \
+    normal_equations_projector, project_by_normal_equations
 
 
 def _zero_pair(lat, mean=0.0):
@@ -109,7 +112,7 @@ def test_residual_orthogonality(jump_lattice, rng):
     for i in range(4):
         phi = jump_lattice.step_basis(i)[0]
         p = jump_lattice.step_probs(i)
-        dm = mart.at(i + 1).reshape(-1, jump_lattice.branching) - mart.at(i)[:, None]
+        dm = jump_lattice.children(mart.at(i + 1)) - mart.at(i)[:, None]
         resid = dm - np.hstack([pair.H[i], pair.Htilde[i]]) @ phi.T
         cov = resid @ (phi * p[:, None])
         assert np.max(np.abs(cov)) <= 1e-10
@@ -213,6 +216,59 @@ def test_represent_inverts_assemble(lat, seed):
         np.testing.assert_allclose(back.H[i], pair.H[i], rtol=0, atol=1e-10)
         np.testing.assert_allclose(back.Htilde[i], pair.Htilde[i], rtol=0, atol=1e-10)
         assert back.residuals[i].max() <= 1e-10
+
+
+# -- the closed-form projector against the normal equations ----------------------
+
+
+@st.composite
+def projector_lattices(draw):
+    """d in {0, 1, 2}, m in {0..3}, a random grid of one or two steps and
+    random intensities whose per-step jump mass is inside the 1/2 bound."""
+    d = draw(st.integers(0, 2))
+    m = draw(st.integers(0 if d else 1, 3))
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=2))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    mass = draw(st.floats(0.01, 1.0)) * 0.5
+    jumps = JumpMeasure(tuple((float(j),) for j in range(1, m + 1)),
+                        tuple(raw * (mass / (raw.sum() * max(steps))))) if m \
+        else JumpMeasure.empty()
+    return build_lattice(TimeGrid(tuple(np.cumsum([0.0, *steps]))), NoiseModel(d, jumps))
+
+
+#: a few rounding errors: 2,000 drawn lattices needed at most 3.1 ulps of
+#: each column's largest entry, and 2.5 ulps of the identity
+ULPS = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(projector_lattices())
+def test_projector_is_a_weighted_left_inverse_of_the_basis(lat):
+    for i in range(lat.n_steps):
+        phi, proj = lat.step_basis(i)
+        assert proj.shape == phi.shape
+        np.testing.assert_allclose(phi.T @ proj, np.eye(phi.shape[1]), rtol=0, atol=ULPS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(projector_lattices())
+def test_projector_is_the_normal_equations_solution(lat):
+    for i in range(lat.n_steps):
+        proj, want = lat.step_basis(i)[1], normal_equations_projector(lat, i)
+        assert np.all(np.abs(proj - want) <= ULPS * np.max(np.abs(want), axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(projector_lattices(), st.integers(0, 2 ** 32 - 1))
+def test_project_matches_the_normal_equations(lat, seed):
+    n = lat.n_steps
+    x = np.random.default_rng(seed).normal(size=lat.num_nodes(n))
+    mart = _martingale_levels(lat, x, n)
+    got, want = _project(lat, mart), project_by_normal_equations(lat, mart)
+    for g, w in zip(got, want):
+        scale = max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in w))
+        for i in range(n):
+            np.testing.assert_allclose(g[i], w[i], rtol=0, atol=1e-12 * scale)
 
 
 def _drivers(lat):
