@@ -376,6 +376,8 @@ def cmd_axioms(cfg, lat, seed, config_dir):
     driver = _ref(block, "driver", "axioms", drivers, "driver")
     names = _get(block, "payoffs", "an array of strings", "axioms")
     samples = [_named(payoffs, n, "payoff") for n in names]
+    if any(isinstance(x, AnalyticPayoff) for x in samples):
+        raise ConfigError("axioms: payoff must be a lattice payoff")
     report = axiom_report(
         lat, driver, samples, seed=seed,
         level=_get(block, "level", "an integer", "axioms", None),

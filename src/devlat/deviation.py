@@ -108,7 +108,7 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
         means[hi] = mart.at(hi) - lat.spread(mart.at(lo), hi - lo)
         for i in range(hi - 1, lo - 1, -1):
             means[i] = lat.expect(i, means[i + 1])
-        H, Ht, _ = _project(lat, means, lo, hi)
+        H, Ht = _project(lat, means, lo, hi)
         g = list(origin)
         g[lo:hi] = [np.asarray(driver.value_batch(lat.times[i], H[i - lo], Ht[i - lo], nu),
                                dtype=float) for i in range(lo, hi)]
@@ -195,23 +195,26 @@ class AxiomReport:
         )
 
 
-#: leaves of the convexity mixtures stacked into one pass of the level
+#: leaves of the tolerance probes' payoffs stacked into one pass of the level
 #: arithmetic; keeps the extra working memory under 1 MB
 _STACK_LEAVES = 1 << 14
-
-
-def _dev_at(lat, driver, x, level):
-    return evaluate(lat, driver, represent(lat, x)).at(level)
 
 
 def _stacked_dev_at(lat, driver, X, level):
     """``D_level`` of the terminal payoffs in the rows of ``X`` from one pass
     of ``represent``'s and ``evaluate``'s level arithmetic over the payoffs
-    laid side by side. One row gives ``_dev_at``'s bits; in a longer stack the
-    means and projections may round a row differently, moving its last bits."""
+    laid side by side, without the residuals. One row gives the bits of
+    ``evaluate(represent(x)).at(level)``; in a longer stack the means and
+    projections may round a row differently, moving its last bits."""
     mart = _martingale_levels(lat, X.ravel(), lat.n_steps)
-    H, Ht, _ = _project(lat, mart)
-    return _deviation_levels(lat, driver, H, Ht)[level].reshape(len(X), -1)
+    return _deviation_levels(lat, driver, *_project(lat, mart))[level].reshape(len(X), -1)
+
+
+def _mix(blocks, i, j, lam):
+    """Rows ``lam * x_i + (1 - lam) * x_j`` of payoffs ``blocks[k]`` (nodes_t,
+    leaves below a node), the weights ``lam`` (rows, nodes_t) per block."""
+    lam = lam[:, :, None]
+    return (lam * blocks[i] + (1 - lam) * blocks[j]).reshape(len(lam), blocks[0].size)
 
 
 def axiom_report(lat: Lattice, driver: DriverSpec,
@@ -224,6 +227,10 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     is proxied by a bounded response to shrinking payoff perturbations, since
     L2 convergence is trivial on a finite space; the recursion is checked
     against the block-recursive evaluator on a random partition.
+
+    The bit-exact probes (translation, a measurable payoff) take one pass per
+    payoff; the tolerance probes' payoffs are stacked, and their draws (index
+    pairs, weights, noise, partition, mask) do not depend on the chunking.
     """
     if len(payoffs) < 2:
         raise ValueError("need at least two sample payoffs")
@@ -245,7 +252,7 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
         const = float(rng.integers(1, 6))
         shift_t = rng.integers(-5, 6, size=nodes_t).astype(float)
         for m in (np.full(x.values.shape, const), lat.spread(shift_t, n - t)):
-            d_shifted = _dev_at(lat, driver, RandomVariable(x.values + m, n), t)
+            d_shifted = _stacked_dev_at(lat, driver, (x.values + m)[None], t)[0]
             if not np.array_equal(d_shifted, d):
                 gap = float(np.max(np.abs(d_shifted - d)))
                 translation = CheckOutcome(False, {"max_abs_gap": gap})
@@ -270,80 +277,66 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
                                           detail="zero deviation on a non-constant subtree")
                 break
     if positivity.passed:
-        measurable = RandomVariable(
-            lat.spread(rng.integers(-5, 6, size=nodes_t).astype(float), n - t), n
-        )
-        if float(np.max(np.abs(_dev_at(lat, driver, measurable, t)))) != 0.0:
+        measurable = lat.spread(rng.integers(-5, 6, size=nodes_t).astype(float), n - t)
+        if float(np.max(np.abs(_stacked_dev_at(lat, driver, measurable[None], t)))) != 0.0:
             positivity = CheckOutcome(False, detail="nonzero deviation of a measurable payoff")
         elif vacuous_only_if:
             positivity = CheckOutcome(True, vacuous=True,
                                       detail="only-if direction untriggered on constant-free samples")
 
-    # conditional convexity over measurable mixtures, in stacked chunks; the
-    # draws and the witness are those of one mixture at a time up to the
-    # first violation
+    # conditional convexity over measurable mixtures, then the continuity
+    # perturbations and the glued payoff, drawn after every weight, stacked
     convexity = CheckOutcome(True)
-    values, dev_rows = np.stack([x.values for x in payoffs]), np.stack(devs)
-    chunk = max(1, _STACK_LEAVES // values.shape[1])
-    done = 0
-    while done < mixtures and convexity.passed:
-        k = min(chunk, mixtures - done)
-        state = rng.bit_generator.state
-        draws = [(rng.integers(0, len(payoffs), size=2), rng.uniform(size=nodes_t))
-                 for _ in range(k)]
-        i, j = np.array([ij for ij, _ in draws]).T
-        lam_t = np.array([lam for _, lam in draws])
-        lam = lat.spread(lam_t, n - t)
-        lhs = _stacked_dev_at(lat, driver, lam * values[i] + (1 - lam) * values[j], t)
-        rhs = lam_t * dev_rows[i] + (1 - lam_t) * dev_rows[j]
-        worst = np.max(lhs - rhs, axis=1)
+    blocks = np.stack([lat.children(x.values, n - t) for x in payoffs])
+    dev_rows, x0, tail = np.stack(devs), payoffs[0].values, []
+    ij = rng.integers(0, len(payoffs), size=(mixtures, 2))
+    chunk = max(1, _STACK_LEAVES // x0.size)
+    for lo in range(0, mixtures + 3, chunk):
+        hi = min(lo + chunk, mixtures + 3)
+        i, j = ij[lo:hi].T
+        lam_t = rng.uniform(size=(len(i), nodes_t))
+        X = _mix(blocks, i, j, lam_t)
+        if lo <= mixtures < hi:
+            noise = rng.normal(size=x0.shape)
+            interior = rng.permutation(np.arange(1, n))[: n // 2]
+            mask_t = rng.integers(0, 2, size=nodes_t).astype(float)
+            extra = np.vstack([x0 + 1e-3 * noise, x0 + 1e-5 * noise,
+                               _mix(blocks, [0], [1], mask_t[None])])
+        if hi > mixtures:
+            X = np.vstack([X, extra[max(0, lo - mixtures):hi - mixtures]])
+        lhs = _stacked_dev_at(lat, driver, X, t)
+        tail.append(lhs[len(i):])
+        worst = np.max(lhs[:len(i)] - (lam_t * dev_rows[i] + (1 - lam_t) * dev_rows[j]), axis=1)
         bad = np.flatnonzero(worst > 1e-10)
-        if bad.size:
+        if bad.size and convexity.passed:
             r = bad[0]
             convexity = CheckOutcome(False, {
                 "payoffs": (int(i[r]), int(j[r])),
                 "lambda_level": lam_t[r].tolist(),
                 "violation": float(worst[r]),
             })
-            rng.bit_generator.state = state
-            for _ in range(r + 1):
-                rng.integers(0, len(payoffs), size=2)
-                rng.uniform(size=nodes_t)
-        done += k
+    *d_pert, d_glued = np.vstack(tail)
 
     # continuity proxy: bounded response to small payoff perturbations
     continuity = CheckOutcome(True)
-    x = payoffs[0]
-    d_base = devs[0]
-    noise = rng.normal(size=x.values.shape)
-    scale = max(1.0, float(np.max(np.abs(x.values)))) * max(1.0, float(np.max(np.abs(noise))))
-    for eps in (1e-3, 1e-5):
-        d_pert = _dev_at(lat, driver, RandomVariable(x.values + eps * noise, n), t)
-        resp = float(np.max(np.abs(d_pert - d_base)))
+    scale = max(1.0, float(np.max(np.abs(x0)))) * max(1.0, float(np.max(np.abs(noise))))
+    for eps, d in zip((1e-3, 1e-5), d_pert):
+        resp = float(np.max(np.abs(d - devs[0])))
         if resp > 100.0 * eps * scale:
             continuity = CheckOutcome(False, {"eps": eps, "response": resp})
             break
 
     # recursion against the block evaluator on a random partition
     recursion = CheckOutcome(True)
-    interior = rng.permutation(np.arange(1, n))[: max(0, n // 2)]
     part = [0, n] + [int(v) for v in interior]
-    direct = full[0]
     rec = evaluate_recursive(lat, driver, pairs[0], part)
-    gap = max(
-        float(np.max(np.abs(direct.at(i) - rec.at(i)))) for i in range(n + 1)
-    )
+    gap = max(float(np.max(np.abs(full[0].at(i) - rec.at(i)))) for i in range(n + 1))
     if gap > 1e-12:
         recursion = CheckOutcome(False, {"partition": sorted(part), "max_gap": gap})
 
     # local property on a random measurable set
     locality = CheckOutcome(True)
-    mask_t = rng.integers(0, 2, size=nodes_t).astype(float)
-    mask = lat.spread(mask_t, n - t)
-    glued = RandomVariable(mask * payoffs[0].values + (1 - mask) * payoffs[1].values, n)
-    lhs = _dev_at(lat, driver, glued, t)
-    rhs = mask_t * devs[0] + (1 - mask_t) * devs[1]
-    worst = float(np.max(np.abs(lhs - rhs)))
+    worst = float(np.max(np.abs(d_glued - (mask_t * devs[0] + (1 - mask_t) * devs[1]))))
     if worst > 1e-10:
         locality = CheckOutcome(False, {"mask_level": mask_t.tolist(), "max_gap": worst})
 

@@ -181,7 +181,7 @@ class NormCD:
         return self.c * float(np.linalg.norm(h)) + self.d * np.sqrt(jump)
 
     def value_batch(self, t, H, Ht, nu):
-        return (self.c * np.linalg.norm(H, axis=1)
+        return (self.c * np.sqrt(np.add.reduce(H * H, axis=1))
                 + self.d * np.sqrt((Ht * Ht) @ nu.intensity_array))
 
     def subgradient(self, t, h, htilde, nu):
@@ -195,7 +195,7 @@ class NormCD:
 
     def subgradient_batch(self, t, H, Ht, nu):
         # a norm over two or more terms may round apart from the scalar's
-        hn = np.linalg.norm(H, axis=1)[:, None]
+        hn = np.sqrt(np.add.reduce(H * H, axis=1))[:, None]
         wj = nu.intensity_array
         jn = np.sqrt((Ht * Ht) @ wj)[:, None]
         gh = np.divide(self.c * H, hn, out=np.zeros_like(H), where=hn > 0)

@@ -55,31 +55,35 @@ def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
     At each node, projects the increment ``E[x|child] - E[x|node]`` on the
     step basis with the lattice's closed-form least-squares projector
     (``Lattice.step_basis``); the projector is shared within a level, so the
-    projection is one matrix product over the level's nodes.
+    projection is one matrix product over the level's nodes. The remainders
+    and residuals are formed here only; the probe passes use ``_project``.
     """
-    mart = martingale(lat, x)
-    H, Ht, res = _project(lat, mart.values)
-    return RepresentingPair(float(mart.at(0)[0]), H, Ht, res)
-
-
-def _project(lat: Lattice, mart, lo: int = 0,
-             hi: int | None = None) -> tuple[tuple, tuple, tuple]:
-    """Integrands and residuals of the per-level conditional means ``mart``
-    on the steps of levels ``[lo, hi)`` (all of them by default), which read
-    ``mart`` only on levels ``lo..hi``. Rows never mix, so ``mart`` may hold
-    several payoffs side by side (``lattice._martingale_levels``)."""
-    d = lat.noise.d
-    H, Ht, res = [], [], []
-    for i in range(lo, lat.n_steps if hi is None else hi):
-        phi, proj = lat.step_basis(i)
-        p = lat.step_probs(i)
-        dm = lat.children(mart[i + 1]) - mart[i][:, None]
-        beta = dm @ proj
-        remainder = dm - beta @ phi.T
+    mart = martingale(lat, x).values
+    d, H, Ht, res = lat.noise.d, [], [], []
+    for i in range(lat.n_steps):
+        dm, beta = _step_projection(lat, mart, i)
+        remainder = dm - beta @ lat.step_basis(i)[0].T
         H.append(beta[:, :d])
         Ht.append(beta[:, d:])
-        res.append(np.sqrt(np.clip((remainder * remainder) @ p, 0.0, None)))
-    return tuple(H), tuple(Ht), tuple(res)
+        res.append(np.sqrt(np.clip((remainder * remainder) @ lat.step_probs(i), 0.0, None)))
+    return RepresentingPair(float(mart[0][0]), tuple(H), tuple(Ht), tuple(res))
+
+
+def _step_projection(lat: Lattice, mart, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``i``'s increments ``dm`` of the means ``mart`` and ``beta = dm @ P``."""
+    dm = lat.children(mart[i + 1]) - mart[i][:, None]
+    return dm, dm @ lat.step_basis(i)[1]
+
+
+def _project(lat: Lattice, mart, lo: int = 0, hi: int | None = None) -> tuple[tuple, tuple]:
+    """``represent``'s integrands, without the residuals, of the per-level
+    conditional means ``mart`` on the steps of levels ``[lo, hi)`` (all by
+    default), read on levels ``lo..hi`` only. Rows never mix, so ``mart`` may
+    hold several payoffs side by side (``lattice._martingale_levels``)."""
+    d = lat.noise.d
+    betas = [_step_projection(lat, mart, i)[1]
+             for i in range(lo, lat.n_steps if hi is None else hi)]
+    return tuple(b[:, :d] for b in betas), tuple(b[:, d:] for b in betas)
 
 
 def _check_pair(lat: Lattice, pair: RepresentingPair) -> None:

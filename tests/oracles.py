@@ -506,6 +506,19 @@ def _probe_points_reference(nu, d, sample_count, rng):
     return pts
 
 
+def norm_cd_batch_by_linalg(spec, H, Ht, nu):
+    """``NormCD``'s batch value and subgradient with ``np.linalg.norm``'s row
+    norms, as they were written before the norms were inlined."""
+    hn = np.linalg.norm(H, axis=1)
+    wj = nu.intensity_array
+    jn = np.sqrt((Ht * Ht) @ wj)
+    value = spec.c * hn + spec.d * jn
+    gh = np.divide(spec.c * H, hn[:, None], out=np.zeros_like(H), where=hn[:, None] > 0)
+    gj = np.divide(spec.d * wj * Ht, jn[:, None], out=np.zeros_like(Ht),
+                   where=jn[:, None] > 0)
+    return value, np.hstack([gh, gj])
+
+
 def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
     """Sampled driver validity, one scalar ``eval_driver`` call per probe
     point, midpoint and pair end, stopping each loop at its first violation."""
@@ -599,7 +612,9 @@ def evaluate_recursive_reference(lat, driver, pair, partition):
 
 def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50):
     """The axiom probe suite with one ``represent`` + ``evaluate`` pass per
-    payoff probed, convexity mixtures included."""
+    payoff probed, convexity mixtures included. After the translation and
+    measurable draws it draws all mixture index pairs, then all weights, then
+    the continuity noise, the partition and the locality mask."""
     from devlat import RandomVariable, evaluate, represent
     from devlat.deviation import AxiomReport, CheckOutcome
 
@@ -659,11 +674,12 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
             positivity = CheckOutcome(True, vacuous=True,
                                       detail="only-if direction untriggered on constant-free samples")
 
-    # conditional convexity over measurable mixtures
+    # conditional convexity over measurable mixtures; every weight is drawn
+    # before the continuity noise, whichever mixture violates first
     convexity = CheckOutcome(True)
-    for _ in range(mixtures):
-        i, j = rng.integers(0, len(payoffs), size=2)
-        lam_t = rng.uniform(size=nodes_t)
+    index_pairs = rng.integers(0, len(payoffs), size=(mixtures, 2))
+    weights = rng.uniform(size=(mixtures, nodes_t))
+    for (i, j), lam_t in zip(index_pairs, weights):
         lam = np.repeat(lam_t, subtree)
         mix = RandomVariable(lam * payoffs[i].values + (1 - lam) * payoffs[j].values, n)
         lhs = _dev_at(lat, driver, mix, t)
@@ -682,6 +698,8 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
     x = payoffs[0]
     d_base = devs[0]
     noise = rng.normal(size=x.values.shape)
+    interior = rng.permutation(np.arange(1, n))[: max(0, n // 2)]
+    mask_t = rng.integers(0, 2, size=nodes_t).astype(float)
     scale = max(1.0, float(np.max(np.abs(x.values)))) * max(1.0, float(np.max(np.abs(noise))))
     for eps in (1e-3, 1e-5):
         d_pert = _dev_at(lat, driver, RandomVariable(x.values + eps * noise, n), t)
@@ -692,7 +710,6 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
 
     # recursion against the block evaluator on a random partition
     recursion = CheckOutcome(True)
-    interior = rng.permutation(np.arange(1, n))[: max(0, n // 2)]
     part = [0, n] + [int(v) for v in interior]
     pair0 = represent(lat, payoffs[0])
     direct = evaluate(lat, driver, pair0)
@@ -705,7 +722,6 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
 
     # local property on a random measurable set
     locality = CheckOutcome(True)
-    mask_t = rng.integers(0, 2, size=nodes_t).astype(float)
     mask = np.repeat(mask_t, subtree)
     glued = RandomVariable(mask * payoffs[0].values + (1 - mask) * payoffs[1].values, n)
     lhs = _dev_at(lat, driver, glued, t)

@@ -1,9 +1,10 @@
 """Level- and batch-wide paths against the one-row, one-point and one-node
 loops they replace (``tests/oracles.py``): the sorted-tail CVaR, merged laws,
 keyed path permutations, the batched driver checker and the stacked axiom
-mixtures."""
+probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from oracles import (
     check_driver_reference,
     cvar_nu_reference,
     law_reference,
+    norm_cd_batch_by_linalg,
     var_nu_reference,
 )
 
@@ -311,6 +313,30 @@ def test_subgradient_batch_is_the_scalar_subgradient_per_row(name, data):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 20), st.sampled_from([NU2, NU3]), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.25, 4.0), st.floats(0.25, 4.0))
+def test_norm_cd_batches_are_linalg_norms_bit_for_bit(d, nu, seed, c, dj):
+    """Row norms as ``sqrt(add.reduce(H * H))`` are ``np.linalg.norm``'s own
+    expression for ``axis=1``, also where the squares overflow or underflow."""
+    spec = NormCD(c, dj)
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(0, 64))
+    special = np.array([0.0, -0.0, 5e-324, 1e-170, 1e155, -1e300])
+
+    def fill(width):
+        a = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+        hit = rng.random((rows, width)) < 0.1
+        a[hit] = rng.choice(special, size=int(hit.sum()))
+        return a
+
+    H, Ht = fill(d), fill(nu.m)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want_value, want_grad = norm_cd_batch_by_linalg(spec, H, Ht, nu)
+        assert spec.value_batch(0.0, H, Ht, nu).tobytes() == want_value.tobytes()
+        assert spec.subgradient_batch(0.0, H, Ht, nu).tobytes() == want_grad.tobytes()
+
+
 # -- stacked axiom mixtures -----------------------------------------------------------
 
 
@@ -336,7 +362,7 @@ def test_axiom_report_matches_the_per_mixture_loop(name, seed, stack_leaves):
     rng = np.random.default_rng(seed)
     # x is known after one step: the concave driver's infinite slope at its
     # zero integrands then fails the continuity probe, whose witness shows the
-    # rng state the convexity loop leaves behind
+    # rng state after all the mixture weights, however they are chunked
     x = RandomVariable(np.repeat(rng.integers(-3, 4, size=2).astype(float), 8), 4)
     y = RandomVariable(rng.integers(-3, 4, size=16).astype(float), 4)
     # repeated payoffs mix with themselves, so a concave driver's first
@@ -356,10 +382,14 @@ def test_axiom_report_matches_the_per_mixture_loop(name, seed, stack_leaves):
         assert g.witness["violation"] == pytest.approx(w.witness["violation"], rel=1e-12)
 
 
+def _jump_payoffs(lat):
+    n1 = lat.jump_counts(4)[:, 0]
+    w = lat.brownian_states(4)[:, 0]
+    return [RandomVariable(2 * w - n1, 4), RandomVariable(w * w + 3 * n1, 4)]
+
+
 def test_axiom_report_on_the_jump_lattice_matches_the_loop(jump_lattice):
-    n1 = jump_lattice.jump_counts(4)[:, 0]
-    w = jump_lattice.brownian_states(4)[:, 0]
-    payoffs = [RandomVariable(2 * w - n1, 4), RandomVariable(w * w + 3 * n1, 4)]
+    payoffs = _jump_payoffs(jump_lattice)
     for driver in (NormCD(1.0, 1.0), CVaRJump(0.5)):
         got = axiom_report(jump_lattice, driver, payoffs, seed=7)
         want = axiom_report_reference(jump_lattice, driver, payoffs, seed=7)
@@ -372,3 +402,38 @@ def test_axiom_report_on_the_jump_lattice_matches_the_loop(jump_lattice):
             assert got.convexity.witness["payoffs"] == want.convexity.witness["payoffs"]
             assert math.isclose(got.convexity.witness["violation"],
                                 want.convexity.witness["violation"], rel_tol=1e-12)
+
+
+def test_axiom_report_runs_single_passes_only_for_the_bit_exact_probes(jump_lattice,
+                                                                        monkeypatch):
+    """Translation (two shifts per payoff) and the measurable payoff take a
+    pass each; the mixtures, the two perturbations and the glued payoff fill
+    ``_STACK_LEAVES`` chunks; only the sample payoffs go through ``represent``."""
+    rows, represented = [], []
+    stacked, rep = deviation._stacked_dev_at, deviation.represent
+    monkeypatch.setattr(deviation, "_stacked_dev_at",
+                        lambda lat, g, X, level: rows.append(len(X)) or stacked(lat, g, X, level))
+    monkeypatch.setattr(deviation, "represent",
+                        lambda lat, x: represented.append(x) or rep(lat, x))
+    payoffs = _jump_payoffs(jump_lattice)
+    K, M = len(payoffs), 50
+    assert axiom_report(jump_lattice, NormCD(1.0, 1.0), payoffs, seed=7,
+                        mixtures=M).all_passed()
+    chunk = deviation._STACK_LEAVES // jump_lattice.num_nodes(4)
+    chunks = [min(chunk, M + 3 - lo) for lo in range(0, M + 3, chunk)]
+    assert len(chunks) == math.ceil((M + 3) / chunk) == 5
+    assert rows == [1] * (2 * K + 1) + chunks
+    assert len(represented) == K and all(a is b for a, b in zip(represented, payoffs))
+
+
+def test_axiom_report_peaks_under_1_mb_on_the_jump_lattice(jump_lattice):
+    payoffs = _jump_payoffs(jump_lattice)
+    assert jump_lattice.num_nodes(4) == 1296
+    axiom_report(jump_lattice, NormCD(1.0, 1.0), payoffs, seed=7)
+    tracemalloc.start()
+    try:
+        axiom_report(jump_lattice, NormCD(1.0, 1.0), payoffs, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -166,6 +166,21 @@ def test_axioms_and_check_driver(tmp_path):
     assert check["all_passed"] is True
 
 
+def test_axioms_refuses_an_analytic_payoff_with_exit_1(tmp_path, capsys):
+    cfg = _base_config(
+        tmp_path,
+        lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": {"d": 1}},
+        payoffs={"X": {"kind": "expression", "expr": "W**2"},
+                 "A": {"kind": "analytic", "h": [[1.0], [0.5]]}},
+        axioms={"driver": "g", "payoffs": ["X", "A"]},
+    )
+    out = tmp_path / "out"
+    assert main(["axioms", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: axioms: payoff must be a lattice payoff\n"
+    assert list(out.glob("*")) == []
+
+
 def test_law_probe_command(tmp_path):
     cfg = _base_config(
         tmp_path,

@@ -264,7 +264,10 @@ def test_project_matches_the_normal_equations(lat, seed):
     n = lat.n_steps
     x = np.random.default_rng(seed).normal(size=lat.num_nodes(n))
     mart = _martingale_levels(lat, x, n)
-    got, want = _project(lat, mart), project_by_normal_equations(lat, mart)
+    # only ``represent`` forms the residuals
+    got = (*_project(lat, mart), represent(lat, RandomVariable(x, n)).residuals)
+    want = project_by_normal_equations(lat, mart)
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         scale = max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in w))
         for i in range(n):
@@ -331,6 +334,25 @@ def test_stacked_payoffs_match_single_calls(lat, seed, k):
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12 * scale)
         # one payoff runs exactly the single call's arithmetic
         assert _stacked_dev_at(lat, driver, X[:1], level).tobytes() == single[:1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1))
+def test_residual_free_single_pass_is_evaluate_of_represent_bit_for_bit(lat, seed):
+    """The probes' single pass skips the remainders and residuals but keeps
+    every bit of ``represent`` and ``evaluate``."""
+    n = lat.n_steps
+    x = RandomVariable(np.random.default_rng(seed).normal(size=lat.num_nodes(n)), n)
+    pair = represent(lat, x)
+    H, Ht = _project(lat, _martingale_levels(lat, x.values, n))
+    for i in range(n):
+        assert H[i].tobytes() == pair.H[i].tobytes()
+        assert Ht[i].tobytes() == pair.Htilde[i].tobytes()
+    for driver in _drivers(lat):
+        want = evaluate(lat, driver, pair)
+        for level in range(n + 1):
+            got = _stacked_dev_at(lat, driver, x.values[None], level)[0]
+            assert got.tobytes() == want.at(level).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
