@@ -3,15 +3,16 @@
 One JSON config describes the lattice, named payoffs, named drivers and the
 per-command blocks; a command then produces JSON summaries (and CSV node
 dumps), which ``main`` writes under the output directory only once every one
-of them has been rendered. All sampling flows from the single config seed,
-and float formatting is fixed, so identical config + seed gives
-byte-identical summaries.
+of them has been rendered and every target checked. All sampling flows from
+the single config seed, and float formatting is fixed, so identical config +
+seed gives byte-identical summaries.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import dataclasses
 import functools
 import json
@@ -27,7 +28,7 @@ from .deviation import axiom_report, evaluate, evaluate_recursive, law_probe, \
     supermartingale_slack
 from .drivers import check_driver, driver_from_dict
 from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
-    pair_to_dict, write_payoff_csv, write_process_csv
+    pair_to_dict, payoff_csv, process_csv, write_artifacts
 from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
     RandomVariable, TimeGrid, build_lattice
 from .optim import NumericError, SolverConfig
@@ -330,7 +331,7 @@ def _ref(block: dict, key: str, where: str, pool: dict, what: str):
 # -- commands -----------------------------------------------------------------
 #
 # A command takes (cfg, lat, seed, config_dir) and returns its exit code and
-# its artifacts in order: (file name, JSON-ready payload or writer of the file).
+# its artifacts in order: (file name, JSON-ready payload or rendered CSV text).
 
 
 def cmd_build(cfg, lat, seed, config_dir):
@@ -364,7 +365,7 @@ def cmd_deviation(cfg, lat, seed, config_dir):
         )
         summary["partition"] = sorted(set(int(i) for i in partition))
     return EXIT_OK, [
-        ("deviation.csv", lambda path: write_process_csv(path, dev.values)),
+        ("deviation.csv", process_csv(dev.values)),
         ("integrands.json", pair_to_dict(pair)),
         ("deviation_summary.json", summary),
     ]
@@ -449,8 +450,8 @@ def cmd_share(cfg, lat, seed, config_dir):
         print("sharing solve did not attain the optimum at every node",
               file=sys.stderr)
     return EXIT_OK if sol.attained else EXIT_NUMERIC, [
-        ("share_argmins.csv", lambda path: write_process_csv(path, argmins, columns=columns)),
-        ("transfer.csv", lambda path: write_payoff_csv(path, sol.y_tilde_star)),
+        ("share_argmins.csv", process_csv(argmins, columns=columns)),
+        ("transfer.csv", payoff_csv(sol.y_tilde_star)),
         ("share_summary.json", summary),
     ]
 
@@ -508,6 +509,15 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _writing():
+    """Turn an ``OSError`` of the output into the exit-1 error naming its path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
@@ -516,16 +526,17 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None \
             else _get(cfg, "seed", "an integer", default=0)
         out_dir = Path(args.out or _get(cfg, "out", "a string", default="."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing():
+            out_dir.mkdir(parents=True, exist_ok=True)
         lat = _build_lattice(cfg)
         code, artifacts = _DISPATCH[args.command](cfg, lat, seed, Path(args.config).parent)
-        # render every JSON payload first: a run that fails writes no file
-        writers = [(out_dir / name, item if callable(item) else
-                    functools.partial(Path.write_text, data=canonical_json(item)))
-                   for name, item in artifacts]
-        for path, write in writers:
-            write(path)
-            if not args.quiet:
+        # render every artifact first: a run that fails writes no file
+        texts = [(out_dir / name, item if isinstance(item, str) else canonical_json(item))
+                 for name, item in artifacts]
+        with _writing():
+            write_artifacts(texts)
+        if not args.quiet:
+            for path, _ in texts:
                 print(f"wrote {path}")
         return code
     except NumericError as exc:

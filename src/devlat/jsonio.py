@@ -6,16 +6,18 @@ identical inputs produce byte-identical artifacts. The JSON layout is that of
 ``json.dumps(..., sort_keys=True, indent=2)``; CSV rows are those of a default
 ``csv.writer`` (comma-separated, ``\\r\\n`` line ends).
 
-Per-node artifacts are emitted one level at a time: a level's rows are
-formatted by a single string template filled from its columns, never one
-Python object per node. Within a long float column, each distinct bit pattern
-is formatted once and its text reused for every cell that holds it.
+Each artifact (all ``ColumnTable``s of one ``canonical_json`` call, or all
+blocks of one CSV) is one text table: one float dedup by bit pattern, row
+numbers formatted once, one ``"".join``. ``write_artifacts`` writes them all.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
-from itertools import repeat
+import os
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -29,6 +31,9 @@ __all__ = [
     "canonical_json",
     "lattice_to_dict",
     "pair_to_dict",
+    "process_csv",
+    "payoff_csv",
+    "write_artifacts",
     "write_process_csv",
     "write_payoff_csv",
     "load_payoff_csv",
@@ -37,43 +42,39 @@ __all__ = [
 _NON_FINITE = "non-finite float in JSON payload"
 
 
-#: float columns shorter than this skip the bit-pattern sort and format each
-#: cell on its own: below it ``np.unique`` costs about as much as the reprs
-#: it saves (measured; see CHANGES.md)
-DEDUP_MIN_CELLS = 64
+def _texts(floats: list, rows: int, finite: bool = False) -> tuple[list, np.ndarray]:
+    """Object arrays of the cell texts of each of ``floats``, one
+    ``float.__repr__`` per distinct bit pattern of them all (``-0.0`` and each
+    NaN keep their own), and of the row numbers 0..rows-1."""
+    bits = np.concatenate([np.empty(0), *(a.ravel() for a in floats)],
+                          dtype=np.float64).view(np.uint64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    if finite and not np.isfinite(patterns.view(np.float64)).all():
+        raise ValueError(_NON_FINITE)
+    cells = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
+                     dtype=object)[inverse]
+    cells = np.split(cells, np.cumsum([a.size for a in floats])[:-1])
+    return ([c.reshape(a.shape) for a, c in zip(floats, cells)],
+            np.array([*map(int.__repr__, range(rows))], dtype=object))
 
 
-def _cells(col: np.ndarray) -> list:
-    """The cells of the (n,) array ``col``: Python ints, or floats whose
-    ``%s`` is their repr.
-
-    A float column of ``DEDUP_MIN_CELLS`` cells or more is returned as repr
-    strings instead, with ``float.__repr__`` called once per distinct bit
-    pattern. Patterns, not values: ``-0.0 == 0.0`` and ``NaN != NaN``, yet
-    each pattern has exactly one repr.
-    """
-    if col.dtype.kind != "f" or col.shape[0] < DEDUP_MIN_CELLS:
-        return col.tolist()
-    bits, inverse = np.unique(col.astype(np.float64, copy=False).view(np.uint64),
-                              return_inverse=True)
-    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
-                    dtype=object)
-    return text[inverse].tolist()
+def _int_texts(col: np.ndarray, numbers: np.ndarray) -> np.ndarray:
+    """The texts of the int array ``col``, from the row ``numbers`` if they cover it."""
+    if col.size and (col.min() < 0 or col.max() >= len(numbers)):
+        return np.array([*map(int.__repr__, col.ravel().tolist())],
+                        dtype=object).reshape(col.shape)
+    return numbers[col]
 
 
-def _interleave(columns, n: int) -> tuple:
-    """Row-major cells of ``columns`` (each an (n,) or (n, k) array) as one
-    flat tuple, for a row template with a ``%d`` slot per int cell and a
-    ``%s`` slot per float cell. Each distinct bit pattern of a long float
-    column is formatted once per column (see ``_cells``)."""
-    cols = []
-    for c in columns:
-        cols.extend(c.T if c.ndim == 2 else [c])
-    width = len(cols)
-    flat: list = [None] * (n * width)
-    for at, c in enumerate(cols):
-        flat[at::width] = _cells(c)
-    return tuple(flat)
+def _rows(n: int, pieces: list) -> list:
+    """The texts of ``n`` rows, each the concatenation of ``pieces``: a str is
+    a literal in every row, an (n,) object array holds each row's text."""
+    merged = [p for literal, run in groupby(pieces, lambda p: isinstance(p, str))
+              for p in (["".join(run)] if literal else run)]  # adjacent literals as one
+    grid = np.empty((n, len(merged)), dtype=object)
+    for j, p in enumerate(merged):
+        grid[:, j] = p
+    return grid.ravel().tolist()
 
 
 class ColumnTable:
@@ -82,7 +83,7 @@ class ColumnTable:
     ``columns`` maps each key to an (n,) array (a scalar per row) or an
     (n, k) array (a list of k per row). Integer columns print as ints, float
     columns as ``float.__repr__``. ``canonical_json`` renders it exactly as it
-    would the equivalent list of dicts, with one template per table.
+    would the equivalent list of dicts, as part of its artifact's text table.
     """
 
     def __init__(self, columns: dict):
@@ -92,34 +93,31 @@ class ColumnTable:
             raise ValueError("table columns must have one row count")
         self.n = shapes.pop()
 
-    def _json(self, nl: str) -> str:
-        """The table's JSON text; ``nl`` as in ``_render``."""
+    def _pieces(self, nl: str, floats, numbers: np.ndarray) -> list:
+        """The table's JSON text as pieces to join; ``nl`` as in ``_render``;
+        float column texts come in order from the iterator ``floats``."""
+        texts = {key: next(floats) if c.dtype.kind == "f" else _int_texts(c, numbers)
+                 for key, c in self.columns.items()}
         if self.n == 0:
-            return "[]"
+            return ["[]"]
         row_nl, cell_nl, item_nl = nl + "  ", nl + "    ", nl + "      "
-        fields, cols = [], []
-        for key in sorted(self.columns):
-            col = self.columns[key]
-            if col.dtype.kind in "iu":
-                slot = "%d"
-            elif col.dtype.kind == "f":
-                if not np.isfinite(col).all():
-                    raise ValueError(_NON_FINITE)
-                slot = "%s"
+        pieces: list = ["," + row_nl + "{"]
+        for at, key in enumerate(sorted(self.columns)):
+            cells = texts[key]
+            pieces.append("," * (at > 0) + cell_nl + encode_basestring_ascii(key) + ": ")
+            if cells.ndim == 1:
+                pieces.append(cells)
+            elif cells.shape[1] == 0:
+                pieces.append("[]")
             else:
-                raise TypeError(f"cannot serialise a {col.dtype} column")
-            if col.ndim == 1:
-                value = slot
-            elif col.shape[1] == 0:
-                value = "[]"
-            else:
-                value = "[" + item_nl + ("," + item_nl).join([slot] * col.shape[1]) \
-                    + cell_nl + "]"
-            fields.append(cell_nl + encode_basestring_ascii(key).replace("%", "%%")
-                          + ": " + value)
-            cols.append(col)
-        row = row_nl + "{" + ",".join(fields) + row_nl + "}"
-        return "[" + ",".join([row] * self.n) % _interleave(cols, self.n) + nl + "]"
+                for item, sep in zip(cells.T, ["[", *repeat(",", cells.shape[1] - 1)]):
+                    pieces += [sep + item_nl, item]
+                pieces.append(cell_nl + "]")
+        pieces.append(row_nl + "}")
+        flat = _rows(self.n, pieces)
+        flat[0] = "[" + flat[0][1:]
+        flat.append(nl + "]")
+        return flat
 
 
 def _render(obj, nl: str, out: list) -> None:
@@ -158,7 +156,7 @@ def _render(obj, nl: str, out: list) -> None:
     elif isinstance(obj, np.ndarray):
         _render(obj.tolist(), nl, out)
     elif isinstance(obj, ColumnTable):
-        out.append(obj._json(nl))
+        out.append((obj, nl))  # rendered by canonical_json with the others
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -178,29 +176,42 @@ def canonical_json(obj) -> str:
 
     Accepts dicts (keys are stringified), lists, tuples, numpy arrays and
     scalars, strings, bools, None and ``ColumnTable``s; a NaN or infinity
-    raises ``ValueError``.
+    raises ``ValueError``. All tables of ``obj`` form one text table.
     """
-    out: list[str] = []
+    out: list = []
     _render(obj, "\n", out)
     out.append("\n")
-    return "".join(out)
+    tables = [item[0] for item in out if isinstance(item, tuple)]
+    if not tables:
+        return "".join(out)
+    columns = [c for t in tables for c in t.columns.values()]
+    if bad := [c.dtype for c in columns if c.dtype.kind not in "iuf"]:
+        raise TypeError(f"cannot serialise a {bad[0]} column")
+    floats, numbers = _texts([c for c in columns if c.dtype.kind == "f"],
+                             max(t.n for t in tables), finite=True)
+    floats, parts = iter(floats), []
+    for item in out:
+        if isinstance(item, str):
+            parts.append(item)
+        else:
+            table, nl = item
+            parts += table._pieces(nl, floats, numbers)
+    return "".join(parts)
 
 
-def _write_rows(path: Path, header: list[str], blocks) -> None:
-    """CSV file with ``header`` and, for each block ``(prefix, values)``, one
-    row ``<prefix><row number>,<repr of each value>`` per row of the (n, k)
-    float array ``values``; ``prefix`` is literal text (e.g. ``"3,"``).
-
-    The bytes are those of a default ``csv.writer`` given ``repr(float)``
-    cells; NaN and infinities are written as ``nan``/``inf``. One template
-    fill per block.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for prefix, values in blocks:
-            n, k = values.shape
-            row = prefix + "%d" + ",%s" * k + "\r\n"
-            fh.write((row * n) % _interleave([np.arange(n), values], n))
+def _csv(header: list[str], blocks: list) -> str:
+    """CSV text (a default ``csv.writer``'s bytes, ``repr(float)`` cells) with
+    ``header`` and, for each block ``(prefix, values)``, one row
+    ``<prefix><row number>,<repr of each value>`` per row of the (n, k) array
+    ``values``; ``prefix`` is literal text (e.g. ``"3,"``)."""
+    texts, numbers = _texts([values for _, values in blocks],
+                            max((values.shape[0] for _, values in blocks), default=0))
+    parts = [",".join(header) + "\r\n"]
+    for (prefix, values), cells in zip(blocks, texts):
+        n = values.shape[0]
+        parts += _rows(n, [prefix, numbers[:n], *(x for col in cells.T for x in (",", col)),
+                           "\r\n"])
+    return "".join(parts)
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
@@ -247,20 +258,48 @@ def pair_to_dict(pair: RepresentingPair) -> dict:
     }
 
 
-def write_process_csv(path: Path, values_per_level, columns=("value",)) -> None:
+def process_csv(values_per_level, columns=("value",)) -> str:
     """Per-node dump with header level,node,<columns>: one row per node, in
     level then node order. Each level's values are (nodes,) for one column,
     or (nodes, len(columns))."""
-    _write_rows(path, ["level", "node", *columns], (
+    return _csv(["level", "node", *columns], [
         (f"{level},", np.asarray(vals, dtype=float).reshape(len(vals), len(columns)))
         for level, vals in enumerate(values_per_level)
-    ))
+    ])
+
+
+def payoff_csv(x: RandomVariable) -> str:
+    """Terminal payoff dump with header leaf,value."""
+    values = np.asarray(x.values, dtype=float)
+    return _csv(["leaf", "value"], [("", values.reshape(len(values), 1))])
+
+
+def write_artifacts(artifacts: list) -> None:
+    """Write each ``(path, text)`` as a fresh file; a directory at any path
+    raises first. An existing file, symlink or hard link is unlinked, not
+    truncated (whose close can start writeback at once, ext4's
+    ``auto_da_alloc``): no mode kept, no fsync. An ``OSError`` names its path."""
+    for path, _ in artifacts:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for path, text in artifacts:
+        try:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            with open(path, "x", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def write_process_csv(path: Path, values_per_level, columns=("value",)) -> None:
+    """``process_csv`` written to ``path`` by ``write_artifacts``."""
+    write_artifacts([(path, process_csv(values_per_level, columns))])
 
 
 def write_payoff_csv(path: Path, x: RandomVariable) -> None:
-    """Terminal payoff dump with header leaf,value."""
-    values = np.asarray(x.values, dtype=float)
-    _write_rows(path, ["leaf", "value"], [("", values.reshape(len(values), 1))])
+    """``payoff_csv`` written to ``path`` by ``write_artifacts``."""
+    write_artifacts([(path, payoff_csv(x))])
 
 
 def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:

@@ -628,3 +628,71 @@ def test_every_command_runs_on_every_noise_shape(tmp_path, command, d, m, driver
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert {p.name for p in out.iterdir()} == ARTIFACTS[command]
+
+
+# -- artifacts: checked before any is written, each written as a fresh file ---------
+
+SHARE = {"payoff_a": "X", "payoff_b": "Y", "driver_a": "gA", "driver_b": "gB"}
+SHARE_ARTIFACTS = ("share_argmins.csv", "transfer.csv", "share_summary.json")
+
+
+def _share(cfg, out):
+    return main(["share", "--config", str(cfg), "--out", str(out), "--quiet"])
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    cfg = _base_config(tmp_path, share=SHARE)
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert _share(cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: File exists\n"
+    assert out.read_text() == "not a directory"
+
+
+def test_directory_at_an_artifact_path_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = _base_config(tmp_path, share=SHARE)
+    out = tmp_path / "out"
+    (out / "share_summary.json").mkdir(parents=True)
+    assert _share(cfg, out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / 'share_summary.json'}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["share_summary.json"]
+
+
+def test_rerun_writes_the_same_bytes_on_new_inodes(tmp_path):
+    cfg = _base_config(tmp_path, share=SHARE)
+    out, links = tmp_path / "out", tmp_path / "links"
+    assert _share(cfg, out) == 0
+    first = {name: (out / name).read_bytes() for name in SHARE_ARTIFACTS}
+    links.mkdir()
+    for name in SHARE_ARTIFACTS:  # a hard link shares the artifact's inode
+        (links / name).hardlink_to(out / name)
+        (links / name).write_bytes(b"stale")
+    assert _share(cfg, out) == 0
+    for name in SHARE_ARTIFACTS:
+        assert (out / name).read_bytes() == first[name]
+        assert (links / name).read_bytes() == b"stale"
+        assert (out / name).stat().st_ino != (links / name).stat().st_ino
+
+
+def test_a_symlinked_artifact_is_replaced_and_its_target_kept(tmp_path):
+    cfg = _base_config(tmp_path, share=SHARE)
+    out, target = tmp_path / "out", tmp_path / "kept.csv"
+    out.mkdir()
+    target.write_text("kept")
+    (out / "transfer.csv").symlink_to(target)
+    assert _share(cfg, out) == 0
+    assert not (out / "transfer.csv").is_symlink()
+    assert (out / "transfer.csv").read_bytes().startswith(b"leaf,value\r\n")
+    assert target.read_text() == "kept"
+
+
+def test_a_fresh_out_gets_the_bytes_of_a_rerun(tmp_path):
+    cfg = _base_config(tmp_path, share=SHARE)
+    fresh, reused = tmp_path / "fresh" / "nested", tmp_path / "reused"
+    for out in (reused, reused, fresh):
+        assert _share(cfg, out) == 0
+    assert sorted(p.name for p in fresh.iterdir()) == sorted(SHARE_ARTIFACTS)
+    for name in SHARE_ARTIFACTS:
+        assert (fresh / name).read_bytes() == (reused / name).read_bytes()

@@ -4,7 +4,10 @@ dumps, and the same refusal of non-finite JSON floats, on short columns and
 on long ones with heavily repeated bit patterns. The one-pass payoff CSV
 loader against the row-by-row reference: the same bits in any row order."""
 
+import ast
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,13 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import devlat
 import devlat.cli
 from devlat import JumpMeasure, NoiseModel, RandomVariable, RepresentingPair, Scaled, \
     SharingProblem, TimeGrid, Variance, build_lattice, represent, solve_sharing, \
     terminal_brownian
 from devlat.cli import main
-from devlat.jsonio import DEDUP_MIN_CELLS, canonical_json, lattice_to_dict, \
-    load_payoff_csv, pair_to_dict, write_payoff_csv, write_process_csv
+from devlat.jsonio import ColumnTable, canonical_json, lattice_to_dict, \
+    load_payoff_csv, pair_to_dict, payoff_csv, process_csv, write_payoff_csv, \
+    write_process_csv
 from oracles import argmins_csv_reference, canonical_json_reference, \
     lattice_to_dict_reference, load_payoff_csv_reference, pair_to_dict_reference, \
     payoff_csv_reference, process_csv_reference
@@ -211,7 +216,7 @@ def repeats(draw, extra=()):
     return lambda *shape: rng.choice(np.array(pool), size=shape)
 
 
-#: lattices with levels longer than ``DEDUP_MIN_CELLS``: binomial n=8 (128
+#: lattices with levels longer than 64 nodes: binomial n=8 (128
 #: nodes on level 7) and d=2 with two marks (144 nodes on level 2)
 LONG_LATTICES = (
     build_lattice(TimeGrid.uniform(8, 1.0), NoiseModel.brownian(1)),
@@ -222,7 +227,7 @@ LONG_LATTICES = (
 
 def test_long_lattices_exceed_the_dedup_cut_off():
     for lat in LONG_LATTICES:
-        assert lat.num_nodes(lat.n_steps - 1) > DEDUP_MIN_CELLS
+        assert lat.num_nodes(lat.n_steps - 1) > 64
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -245,7 +250,7 @@ def test_long_integrand_columns_match_reference(lat, fill):
 def test_long_csv_columns_match_reference(tmp_path_factory, fill, lat):
     tmp = tmp_path_factory.mktemp("long")
     columns = ("a", "b", "c")
-    blocks = [fill(300, 3), fill(1, 3), fill(DEDUP_MIN_CELLS, 3), fill(0, 3)]
+    blocks = [fill(300, 3), fill(1, 3), fill(64, 3), fill(0, 3)]
     write_process_csv(tmp / "block.csv", blocks, columns=columns)
     process_csv_reference(tmp / "block_ref.csv", blocks, columns=columns)
     assert (tmp / "block.csv").read_bytes() == (tmp / "block_ref.csv").read_bytes()
@@ -254,6 +259,91 @@ def test_long_csv_columns_match_reference(tmp_path_factory, fill, lat):
     write_process_csv(tmp / "process.csv", values)
     process_csv_reference(tmp / "process_ref.csv", values)
     assert (tmp / "process.csv").read_bytes() == (tmp / "process_ref.csv").read_bytes()
+
+
+# -- one text table per artifact: tables and blocks share one dedup ------------------
+
+
+def _as_rows(obj):
+    """``obj`` with every ``ColumnTable`` replaced by its list of row dicts."""
+    if isinstance(obj, ColumnTable):
+        return [{k: c[i].tolist() for k, c in obj.columns.items()} for i in range(obj.n)]
+    if isinstance(obj, dict):
+        return {k: _as_rows(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_rows(v) for v in obj]
+    return obj
+
+
+@st.composite
+def tables(draw, fill):
+    """A ``ColumnTable`` of 0, 1, 3 or 70 rows: float columns of widths 0-3
+    and int columns that are, or are not, the row numbers."""
+    n = draw(st.sampled_from([0, 1, 3, 70]))
+    columns = {}
+    for key in draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5,
+                             unique=True)):
+        kind = draw(st.sampled_from(["float", "wide", "rows", "ints"]))
+        if kind == "float":
+            columns[key] = fill(n)
+        elif kind == "wide":
+            columns[key] = fill(n, draw(st.integers(0, 3)))
+        elif kind == "rows":
+            columns[key] = np.arange(n)
+        else:
+            columns[key] = np.array(draw(st.lists(
+                st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64)
+    return ColumnTable(columns)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), repeats())
+def test_tables_sharing_bit_patterns_match_reference(data, fill):
+    payload = {"mean": float(fill(1)[0]),
+               "levels": [{"level": i, "nodes": data.draw(tables(fill))}
+                          for i in range(data.draw(st.integers(1, 4)))],
+               "extra": data.draw(tables(fill))}
+    assert canonical_json(payload) == canonical_json_reference(_as_rows(payload))
+
+
+def test_empty_and_zero_width_tables_match_reference():
+    payload = {
+        "no_rows": ColumnTable({"x": np.zeros(0), "k": np.arange(0)}),
+        "no_rows_wide": ColumnTable({"x": np.zeros((0, 2))}),
+        "zero_width": ColumnTable({"w": np.zeros((3, 0)), "x": np.array([-0.0, 0.0, 1e16])}),
+        "only_zero_width": ColumnTable({"u": np.zeros((2, 0)), "v": np.zeros((2, 0), int)}),
+        "unsigned": ColumnTable({"u": np.array([2**64 - 1, 0, 5], dtype=np.uint64)}),
+        "after": [ColumnTable({"x": np.array([0.1 + 0.2])})],
+    }
+    assert canonical_json(payload) == canonical_json_reference(_as_rows(payload))
+    with pytest.raises(TypeError, match="cannot serialise a bool column"):
+        canonical_json([ColumnTable({"x": np.zeros(2)}), ColumnTable({"b": np.ones(2, bool)})])
+
+
+def test_lattice_int_columns_that_are_not_row_numbers_match_reference():
+    lat = build_lattice(TimeGrid.uniform(3, 1.0),
+                        NoiseModel(1, JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))))
+    doc = lattice_to_dict(lat)
+    nodes, labels = doc["levels"].columns["nodes"], doc["edges"][0].columns["jump"]
+    assert nodes.tolist() != list(range(len(nodes))) and nodes.max() > len(labels)
+    assert labels.tolist() != list(range(len(labels))) and len(set(labels.tolist())) == 3
+    assert canonical_json(doc) == canonical_json_reference(lattice_to_dict_reference(lat))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(repeats(NON_FINITE_PATTERNS), repeats(),
+       st.lists(st.sampled_from([0, 1, 5, 70]), min_size=1, max_size=5))
+def test_csv_blocks_sharing_bit_patterns_match_reference(tmp_path_factory, fill,
+                                                         fill_finite, sizes):
+    tmp = tmp_path_factory.mktemp("blocks")
+    blocks = [fill(n, 2) for n in sizes]
+    text = process_csv(blocks, columns=("a", "b"))
+    process_csv_reference(tmp / "ref.csv", blocks, columns=("a", "b"))
+    assert text.encode() == (tmp / "ref.csv").read_bytes()
+    leaves = fill_finite(sizes[-1])  # a RandomVariable is finite
+    payoff_csv_reference(tmp / "payoff_ref.csv", leaves)
+    assert payoff_csv(RandomVariable(leaves, 0)).encode() == \
+        (tmp / "payoff_ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("noise", [
@@ -354,3 +444,51 @@ def test_duplicate_payoff_leaf_exits_1(tmp_path):
     }))
     assert main(["deviation", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--quiet"]) == 1
+
+
+# -- one writer ------------------------------------------------------------------------
+
+
+def _mode_may_write(call: ast.Call) -> bool:
+    """Whether an ``open`` call may open for writing: a string literal among
+    its first two arguments or its ``mode`` keyword that reads as a write mode
+    (``w``, ``x``, ``a`` or ``+``), or a builtin ``open`` whose mode is not a
+    literal."""
+    keyword = [k.value for k in call.keywords if k.arg == "mode"]
+    if isinstance(call.func, ast.Name) and any(
+            not isinstance(m, ast.Constant) for m in call.args[1:2] + keyword):
+        return True
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and re.fullmatch("[rbt]*[wxa+][rwxabt+]*", m.value)
+               for m in call.args[:2] + keyword)
+
+
+def _writes(tree: ast.AST) -> list[int]:
+    """Lines that name ``write_text``/``write_bytes`` or open a file to write."""
+    return [node.lineno for node in ast.walk(tree) if (
+        isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes")
+    ) or (
+        isinstance(node, ast.Call) and _mode_may_write(node) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "open")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")))]
+
+
+def test_only_jsonio_writes_files():
+    """Every artifact reaches disk through ``jsonio.write_artifacts``, so the
+    fresh-file rule holds in one place."""
+    found = {}
+    for path in sorted(Path(devlat.__file__).parent.glob("*.py")):
+        if path.name != "jsonio.py" and (lines := _writes(ast.parse(path.read_text()))):
+            found[path.name] = lines
+    assert found == {}
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("open(p, 'w')", True), ("open(p, mode='x')", True), ("open(p, 'a+')", True),
+    ("open(p, m)", True), ("p.open('w')", True), ("io.open(p, 'wb')", True),
+    ("Path.write_text", True), ("p.write_bytes(b'')", True),
+    ("open(p)", False), ("open(p, 'r')", False), ("p.open()", False),
+    ("open('data.csv')", False), ("p.read_text()", False),
+])
+def test_the_write_guard_sees_every_write(source, writes):
+    assert bool(_writes(ast.parse(source))) == writes
