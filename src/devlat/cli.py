@@ -286,7 +286,9 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
                     ns = _expression_namespace(lat)
                 code = _compile_expression(
                     _get(obj, "expr", "a string", f"payoff {name!r}"), ns)
-                values = eval(code, {"__builtins__": {}}, dict(ns))
+                # ``where`` evaluates both branches; ``RandomVariable`` refuses non-finite values
+                with np.errstate(all="ignore"):
+                    values = eval(code, {"__builtins__": {}}, dict(ns))
                 if np.iscomplexobj(values):
                     raise ValueError("expression: the payoff is complex")
                 values = np.broadcast_to(
@@ -379,11 +381,12 @@ def cmd_axioms(cfg, lat, seed, config_dir):
     samples = [_named(payoffs, n, "payoff") for n in names]
     if any(isinstance(x, AnalyticPayoff) for x in samples):
         raise ConfigError("axioms: payoff must be a lattice payoff")
-    report = axiom_report(
-        lat, driver, samples, seed=seed,
-        level=_get(block, "level", "an integer", "axioms", None),
-        mixtures=_get(block, "mixtures", "an integer", "axioms", 50),
-    )
+    mixtures = _get(block, "mixtures", "an integer", "axioms", 50)
+    if mixtures > lat.max_nodes:
+        raise ConfigError(f"axioms: 'mixtures' = {mixtures} is over the max_nodes "
+                          f"budget {lat.max_nodes}")
+    report = axiom_report(lat, driver, samples, seed=seed, mixtures=mixtures,
+                          level=_get(block, "level", "an integer", "axioms", None))
     payload = {"command": "axioms", "seed": seed, "driver": block["driver"],
                "payoffs": list(names), "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}
@@ -473,10 +476,9 @@ def cmd_check_driver(cfg, lat, seed, config_dir):
     # the probe block: axes both ways, the mark coordinates and the samples
     marks = len(nu.marks[0]) if nu.m else 0
     cells = (2 * d + 2 * nu.m + marks + samples) * (d + nu.m)
-    max_nodes = _get(cfg["lattice"], "max_nodes", "an integer", "lattice", DEFAULT_MAX_NODES)
-    if cells > max_nodes:
+    if cells > lat.max_nodes:
         raise ConfigError(f"check_driver: 'd' = {d} and 'samples' = {samples} give "
-                          f"{cells} probe cells, over the max_nodes budget {max_nodes}")
+                          f"{cells} probe cells, over the max_nodes budget {lat.max_nodes}")
     report = check_driver(driver, nu, sample_count=samples, seed=seed, d=d)
     payload = {"command": "check_driver", "seed": seed,
                "driver": block["driver"], "report": dataclasses.asdict(report),

@@ -27,7 +27,7 @@ from .lattice import (
     martingale,
 )
 from .representation import AnalyticPayoff, RepresentingPair, _check_analytic, _check_pair, \
-    _project, assemble, represent
+    _project, assemble
 
 __all__ = [
     "evaluate",
@@ -46,13 +46,13 @@ __all__ = [
 ]
 
 
-def _accumulate(lat: Lattice, node_values) -> tuple[np.ndarray, ...]:
+def _accumulate(lat: Lattice, node_values, lo: int = 0) -> tuple:
     """Backward sum of per-node values times dt, zero at the horizon: each
     node holds the conditional expectation of its children's sums plus its
-    own value * dt."""
-    vals = [lat.spread(np.zeros(len(node_values[-1])))]
-    for i in range(lat.n_steps - 1, -1, -1):
-        vals.insert(0, lat.expect(i, vals[0]) + node_values[i] * lat.step_dt(i))
+    own value * dt; levels ``lo..n`` from the values of steps ``lo..n-1``."""
+    vals = [None] * lat.n_steps + [lat.spread(np.zeros(len(node_values[-1])))]
+    for i in range(lat.n_steps - 1, lo - 1, -1):
+        vals[i] = lat.expect(i, vals[i + 1]) + node_values[i - lo] * lat.step_dt(i)
     return tuple(vals)
 
 
@@ -68,13 +68,23 @@ def evaluate(lat: Lattice, driver: DriverSpec, pair: RepresentingPair) -> Adapte
     return AdaptedProcess(_deviation_levels(lat, driver, pair.H, pair.Htilde))
 
 
-def _deviation_levels(lat: Lattice, driver: DriverSpec, H, Ht) -> tuple:
-    """Per-level deviation values of per-level integrands ``H``, ``Ht``, which
-    may hold several payoffs side by side like ``_project``'s."""
+def _deviation_levels(lat: Lattice, driver: DriverSpec, H, Ht, lo: int = 0) -> tuple:
+    """Deviation levels ``lo..n`` of the integrands ``H``, ``Ht`` of steps
+    ``lo..n-1``, which may hold several payoffs side by side like ``_project``'s."""
     nu = lat.noise.jumps
-    g = [np.asarray(driver.value_batch(lat.times[i], H[i], Ht[i], nu), dtype=float)
-         for i in range(lat.n_steps)]
-    return _accumulate(lat, g)
+    g = [np.asarray(driver.value_batch(lat.times[i], H[i - lo], Ht[i - lo], nu), dtype=float)
+         for i in range(lo, lat.n_steps)]
+    return _accumulate(lat, g, lo)
+
+
+def _levels(lat: Lattice, driver: DriverSpec, values, level: int, lo: int = 0) -> tuple:
+    """The conditional means and deviation levels ``lo..n`` of the payoffs
+    measurable at ``level`` in ``values``: the bits of ``represent`` and
+    ``evaluate`` on those levels, without the residuals."""
+    mart = _martingale_levels(lat, values, level, lo)
+    if lo == lat.n_steps:  # D_n = 0: the window holds no step
+        return mart, (None,) * lo + (np.zeros(len(mart[lo])),)
+    return mart, _deviation_levels(lat, driver, *_project(lat, mart, lo), lo)
 
 
 def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
@@ -96,8 +106,12 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
     if not part or part[0] != 0 or part[-1] != lat.n_steps:
         raise ValueError("partition must include levels 0 and n")
 
-    x = assemble(lat, pair)
-    mart = martingale(lat, x)
+    mart = martingale(lat, assemble(lat, pair)).values
+    return AdaptedProcess(_recursive_levels(lat, driver, mart, part))
+
+
+def _recursive_levels(lat: Lattice, driver: DriverSpec, mart, part: list[int]) -> tuple:
+    """``evaluate_recursive`` on conditional means ``mart``, sorted ``part``."""
     d, nu = lat.noise.d, lat.noise.jumps
     origin = [np.full(lat.num_nodes(i), float(driver.value_batch(
         lat.times[i], np.zeros((1, d)), np.zeros((1, nu.m)), nu)[0]))
@@ -105,16 +119,15 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
     total = [np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps + 1)]
     for lo, hi in zip(part, part[1:]):
         means = [None] * (lat.n_steps + 1)
-        means[hi] = mart.at(hi) - lat.spread(mart.at(lo), hi - lo)
+        means[hi] = mart[hi] - lat.spread(mart[lo], hi - lo)
         for i in range(hi - 1, lo - 1, -1):
             means[i] = lat.expect(i, means[i + 1])
         H, Ht = _project(lat, means, lo, hi)
         g = list(origin)
         g[lo:hi] = [np.asarray(driver.value_batch(lat.times[i], H[i - lo], Ht[i - lo], nu),
                                dtype=float) for i in range(lo, hi)]
-        for i, v in enumerate(_accumulate(lat, g)):
-            total[i] = total[i] + v
-    return AdaptedProcess(tuple(total))
+        total = [a + b for a, b in zip(total, _accumulate(lat, g))]
+    return tuple(total)
 
 
 def deterministic_d0(driver: DriverSpec, ap: AnalyticPayoff, nu: JumpMeasure) -> float:
@@ -201,13 +214,12 @@ _STACK_LEAVES = 1 << 14
 
 
 def _stacked_dev_at(lat, driver, X, level):
-    """``D_level`` of the terminal payoffs in the rows of ``X`` from one pass
-    of ``represent``'s and ``evaluate``'s level arithmetic over the payoffs
-    laid side by side, without the residuals. One row gives the bits of
+    """``D_level`` of the terminal payoffs in the rows of ``X`` from one
+    ``_levels`` pass over the payoffs laid side by side, on levels
+    ``level..n`` only. One row gives the bits of
     ``evaluate(represent(x)).at(level)``; in a longer stack the means and
     projections may round a row differently, moving its last bits."""
-    mart = _martingale_levels(lat, X.ravel(), lat.n_steps)
-    return _deviation_levels(lat, driver, *_project(lat, mart))[level].reshape(len(X), -1)
+    return _levels(lat, driver, X.ravel(), lat.n_steps, level)[1][level].reshape(len(X), -1)
 
 
 def _mix(blocks, i, j, lam):
@@ -242,9 +254,10 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     lat._check_level(t)
     nodes_t = lat.num_nodes(t)
 
-    pairs = [represent(lat, x) for x in payoffs]
-    full = [evaluate(lat, driver, pair) for pair in pairs]
-    devs = [f.at(t) for f in full]
+    # full residual-free passes: positivity and the recursion read every level
+    marts = [martingale(lat, x).values for x in payoffs]
+    full = [_deviation_levels(lat, driver, *_project(lat, mart)) for mart in marts]
+    devs = [f[t] for f in full]
 
     # translation: constant and F_t-measurable integer shifts leave D_t unchanged
     translation = CheckOutcome(True)
@@ -264,8 +277,8 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     positivity = CheckOutcome(True)
     vacuous_only_if = True
     for x, d, f in zip(payoffs, devs, full):
-        if any(float(v.min()) < 0.0 for v in f.values):
-            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in f.values))})
+        if any(float(v.min()) < 0.0 for v in f):
+            positivity = CheckOutcome(False, {"payoff_min": float(min(v.min() for v in f))})
             break
         zero_nodes = np.flatnonzero(d == 0.0)
         if zero_nodes.size:
@@ -326,13 +339,14 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
             continuity = CheckOutcome(False, {"eps": eps, "response": resp})
             break
 
-    # recursion against the block evaluator on a random partition
+    # recursion against the block evaluator on a random partition, run on
+    # the first sample's own conditional means
     recursion = CheckOutcome(True)
-    part = [0, n] + [int(v) for v in interior]
-    rec = evaluate_recursive(lat, driver, pairs[0], part)
-    gap = max(float(np.max(np.abs(full[0].at(i) - rec.at(i)))) for i in range(n + 1))
+    part = sorted([0, n] + [int(v) for v in interior])
+    rec = _recursive_levels(lat, driver, marts[0], part)
+    gap = max(float(np.max(np.abs(full[0][i] - rec[i]))) for i in range(n + 1))
     if gap > 1e-12:
-        recursion = CheckOutcome(False, {"partition": sorted(part), "max_gap": gap})
+        recursion = CheckOutcome(False, {"partition": part, "max_gap": gap})
 
     # local property on a random measurable set
     locality = CheckOutcome(True)
@@ -387,8 +401,7 @@ def law_probe(lat: Lattice, driver: DriverSpec,
         dist = law_distance(law1, law2)
         if dist > law_tol:
             raise LawMismatchError(f"pair laws differ by {dist:.3g} > {law_tol:.3g}")
-        d1 = evaluate(lat, driver, represent(lat, x1)).d0
-        d2 = evaluate(lat, driver, represent(lat, x2)).d0
+        d1, d2 = (float(_levels(lat, driver, x.values, x.level)[1][0][0]) for x in (x1, x2))
         entries.append(LawProbeEntry(
             d1, d2, abs(d1 - d2), dist, False,
             law_first=(law1.atoms.tolist(), law1.probs.tolist()),

@@ -196,6 +196,7 @@ class Lattice:
                 f"{MAX_JUMP_MASS_PER_STEP} bound; shrink the steps or intensities"
             )
         noise.check_budget(grid.n_steps, max_nodes)
+        self.max_nodes = max_nodes  # the node budget, which also bounds the CLI's probes
 
         self.branching = branching = noise.branching
         # outcome o = sign_index * (m + 1) + jump_label
@@ -410,8 +411,9 @@ def martingale(lat: Lattice, x: RandomVariable) -> AdaptedProcess:
                           measurable_level=x.level)
 
 
-def _martingale_levels(lat: Lattice, values: np.ndarray, level: int) -> tuple:
-    """Per-level arrays of E[x | F_i] for values measurable at ``level``.
+def _martingale_levels(lat: Lattice, values: np.ndarray, level: int, lo: int = 0) -> tuple:
+    """Per-level arrays of E[x | F_i] for values measurable at ``level``, on
+    levels ``lo..n``; the levels below both ``lo`` and ``level`` are None.
 
     ``values`` may also hold K payoffs side by side; level 0 then holds K means.
     """
@@ -419,7 +421,7 @@ def _martingale_levels(lat: Lattice, values: np.ndarray, level: int) -> tuple:
     vals[level] = values
     for i in range(level, lat.n_steps):
         vals[i + 1] = lat.spread(vals[i])
-    for i in range(level - 1, -1, -1):
+    for i in range(level - 1, lo - 1, -1):
         vals[i] = lat.expect(i, vals[i + 1])
     return tuple(vals)
 

@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .deviation import _accumulate, evaluate
+from .deviation import _accumulate, _levels
 from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, SolverConfig, _better, minimize
@@ -345,8 +345,9 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     further representation: B's post-transfer position ``y* - price`` has the
     integrands ``(Z, Zt)`` and A's has ``(H - Z, Ht - Zt)``, so each agent's
     deviation after the transfer is the backward sum of its own term of the
-    node objective, and the two sum to the inf-convolution. Only the total and
-    the two payoffs are represented.
+    node objective, and the two sum to the inf-convolution. Only the total is
+    represented, as only its residuals are reported; the two payoffs' means
+    and standalone deviations take the residual-free ``_levels`` pass.
     """
     if prob.x_a.level != lat.n_steps or prob.x_b.level != lat.n_steps:
         raise ValueError("sharing payoffs must be terminal")
@@ -382,10 +383,10 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     y_star = assemble(lat, RepresentingPair(0.0, arg_H, arg_Ht, zero_res))
     y_tilde = y_star - prob.x_b
 
-    pair_a, pair_b = represent(lat, prob.x_a), represent(lat, prob.x_b)
-    d0_a = evaluate(lat, g_a, pair_a).d0
-    d0_b = evaluate(lat, g_b, pair_b).d0
-    mean_a, mean_b = pair_a.mean, pair_b.mean
+    mart_a, levels_a = _levels(lat, g_a, prob.x_a.values, lat.n_steps)
+    mart_b, levels_b = _levels(lat, g_b, prob.x_b.values, lat.n_steps)
+    mean_a, mean_b = float(mart_a[0][0]), float(mart_b[0][0])
+    d0_a, d0_b = float(levels_a[0][0]), float(levels_b[0][0])
     # y* has zero mean, so E[y_tilde] = -mean_b; B ends up holding y* - price
     # and A holds x_a - y_tilde + price
     price = -mean_b - dev_b + d0_b

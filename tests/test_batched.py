@@ -4,6 +4,7 @@ keyed path permutations, the batched driver checker and the stacked axiom
 probes."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -408,22 +409,41 @@ def test_axiom_report_runs_single_passes_only_for_the_bit_exact_probes(jump_latt
                                                                         monkeypatch):
     """Translation (two shifts per payoff) and the measurable payoff take a
     pass each; the mixtures, the two perturbations and the glued payoff fill
-    ``_STACK_LEAVES`` chunks; only the sample payoffs go through ``represent``."""
-    rows, represented = [], []
-    stacked, rep = deviation._stacked_dev_at, deviation.represent
+    ``_STACK_LEAVES`` chunks. Every probe pass works on levels ``t..n`` only,
+    the sample payoffs take one residual-free pass each, and the recursion
+    probe works its cells on the first sample's own conditional means:
+    nothing goes through ``represent``, ``evaluate`` or ``evaluate_recursive``."""
+    rows, windows, projected, public = [], [], [], []
+    stacked, levels, project = deviation._stacked_dev_at, deviation._martingale_levels, \
+        deviation._project
     monkeypatch.setattr(deviation, "_stacked_dev_at",
                         lambda lat, g, X, level: rows.append(len(X)) or stacked(lat, g, X, level))
-    monkeypatch.setattr(deviation, "represent",
-                        lambda lat, x: represented.append(x) or rep(lat, x))
+    monkeypatch.setattr(deviation, "_martingale_levels", lambda lat, v, level, lo=0:
+                        windows.append(lo) or levels(lat, v, level, lo))
+    monkeypatch.setattr(deviation, "_project", lambda lat, mart, lo=0, hi=None:
+                        projected.append((lo, hi)) or project(lat, mart, lo, hi))
+    for mod in [m for k, m in sys.modules.items() if k.startswith("devlat")]:
+        for name in ("represent", "evaluate", "evaluate_recursive"):
+            original = getattr(mod, name, None)
+            if callable(original):
+                monkeypatch.setattr(mod, name, lambda *a, name=name, fn=original:
+                                    public.append(name) or fn(*a))
     payoffs = _jump_payoffs(jump_lattice)
-    K, M = len(payoffs), 50
+    K, M, t, n = len(payoffs), 50, 2, 4
     assert axiom_report(jump_lattice, NormCD(1.0, 1.0), payoffs, seed=7,
                         mixtures=M).all_passed()
     chunk = deviation._STACK_LEAVES // jump_lattice.num_nodes(4)
     chunks = [min(chunk, M + 3 - lo) for lo in range(0, M + 3, chunk)]
     assert len(chunks) == math.ceil((M + 3) / chunk) == 5
     assert rows == [1] * (2 * K + 1) + chunks
-    assert len(represented) == K and all(a is b for a, b in zip(represented, payoffs))
+    assert public == []
+    passes = len(rows)
+    assert windows == [t] * passes
+    # the samples' full passes, the probe passes, then the recursion's cells
+    assert projected[:K + passes] == [(0, None)] * K + [(t, None)] * passes
+    cells = projected[K + passes:]
+    assert cells[0][0] == 0 and cells[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
 
 
 def test_axiom_report_peaks_under_1_mb_on_the_jump_lattice(jump_lattice):

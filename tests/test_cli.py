@@ -181,6 +181,29 @@ def test_axioms_refuses_an_analytic_payoff_with_exit_1(tmp_path, capsys):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("max_nodes, mixtures", [(None, 10 ** 12), (100, 101)])
+def test_axioms_mixtures_over_the_node_budget_exit_1(tmp_path, capsys, max_nodes, mixtures):
+    lattice = {"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE}
+    if max_nodes is not None:
+        lattice["max_nodes"] = max_nodes
+    cfg = _base_config(tmp_path, lattice=lattice,
+                       axioms={"driver": "g", "payoffs": ["X", "Y"], "mixtures": mixtures})
+    out = tmp_path / "out"
+    assert main(["axioms", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    budget = 1_000_000 if max_nodes is None else max_nodes
+    assert capsys.readouterr().err == (f"error: axioms: 'mixtures' = {mixtures} is over "
+                                       f"the max_nodes budget {budget}\n")
+    assert list(out.glob("*")) == []
+
+
+def test_axioms_mixtures_at_the_node_budget_run(tmp_path):
+    cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0},
+                                          "noise": JUMP_NOISE, "max_nodes": 100},
+                       axioms={"driver": "g", "payoffs": ["X", "Y"], "mixtures": 100})
+    assert main(["axioms", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert json.loads((tmp_path / "axioms.json").read_text())["report"]["samples"] == 100
+
+
 def test_law_probe_command(tmp_path):
     cfg = _base_config(
         tmp_path,
@@ -433,6 +456,27 @@ def test_expression_constructs_off_the_list_exit_1(tmp_path, expr):
     out = tmp_path / "out"
     assert main(["deviation", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert list(out.iterdir()) == []
+
+
+def test_guarded_expression_payoff_runs_without_warnings(tmp_path, capsys):
+    """``where`` evaluates ``log`` on the discarded branch too; that raises no
+    warning, which pytest's ``error::RuntimeWarning`` filter would turn into
+    an exit 3."""
+    cfg = _base_config(tmp_path, payoffs={"X": {"kind": "expression",
+                                                "expr": "where(W > 0, log(W), 0)"}},
+                       deviation={"payoff": "X", "driver": "g"})
+    assert main(["deviation", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "deviation_summary.json").read_text())["D0"] > 0.0
+
+
+def test_unguarded_expression_payoff_off_its_domain_exits_1(tmp_path, capsys):
+    cfg = _base_config(tmp_path, payoffs={"X": {"kind": "expression", "expr": "log(W)"}},
+                       deviation={"payoff": "X", "driver": "g"})
+    out = tmp_path / "out"
+    assert main(["deviation", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: payoff 'X': values must be finite\n"
+    assert list(out.glob("*")) == []
 
 
 # -- malformed configs ---------------------------------------------------------------

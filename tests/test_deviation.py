@@ -28,6 +28,7 @@ from devlat import (
     terminal_brownian,
     utility,
 )
+import devlat.deviation as deviation
 from devlat.deviation import LawMismatchError
 from devlat.drivers import CheckOutcome
 from devlat.representation import RepresentingPair
@@ -297,6 +298,33 @@ def test_axiom_report_concave_driver_fails_convexity(binomial4, rng):
     assert float(np.max(lhs - (lam_t * d_i + (1 - lam_t) * d_j))) > 1e-10
 
 
+def test_axiom_report_sees_a_broken_block_evaluator(jump_lattice, monkeypatch):
+    """The recursion probe runs the block recursion on the first sample's own
+    conditional means; a block evaluator off by 1e-9 fails it, and the witness
+    names the partition that the evaluator was given."""
+    n1 = jump_lattice.jump_counts(4)[:, 0]
+    w = jump_lattice.brownian_states(4)[:, 0]
+    payoffs = [RandomVariable(2 * w - n1, 4), RandomVariable(w * w + 3 * n1, 4)]
+    driver = NormCD(1.0, 1.0)
+    assert axiom_report(jump_lattice, driver, payoffs, seed=3).recursion.passed
+    seen, block = [], deviation._recursive_levels
+
+    def broken(lat, g, mart, part):
+        seen.append((mart, part))
+        return tuple(v + 1e-9 for v in block(lat, g, mart, part))
+
+    monkeypatch.setattr(deviation, "_recursive_levels", broken)
+    report = axiom_report(jump_lattice, driver, payoffs, seed=3)
+    assert not report.recursion.passed
+    (mart, part), = seen
+    assert mart[4] is payoffs[0].values
+    assert part[0] == 0 and part[-1] == 4 and part == sorted(set(part))
+    assert report.recursion.witness["partition"] == part
+    assert report.recursion.witness["max_gap"] == pytest.approx(1e-9, rel=1e-3)
+    for name in ("translation", "positivity", "convexity", "continuity", "locality"):
+        assert getattr(report, name).passed, name
+
+
 def test_law_probe_permutation_pairs(binomial4, rng):
     pairs = []
     for _ in range(3):
@@ -306,6 +334,26 @@ def test_law_probe_permutation_pairs(binomial4, rng):
     assert report.max_gap() <= 1e-10
     for entry in report.entries:
         assert not entry.continuous_limit_only
+
+
+@pytest.mark.parametrize("lat_name", ["binomial4", "jump_lattice"])
+def test_law_probe_d0s_are_evaluate_of_represent_bit_for_bit(lat_name, request, rng):
+    """The residual-free pass gives the law probe the exact bits of
+    ``evaluate(represent(x)).d0``, on a lattice with residuals too."""
+    lat = request.getfixturevalue(lat_name)
+    n = lat.n_steps
+    pairs = []
+    for _ in range(3):
+        x = RandomVariable(rng.normal(size=lat.num_nodes(n)), n)
+        pairs.append((x, permute_paths(lat, x, rng)))
+    drivers = [Variance(1.3), NormCD(1.0, 0.5), Custom(lambda t, h, ht, nu: 1.0 + float(h @ h))]
+    if lat.noise.jumps.m:
+        drivers.append(CVaRJump(0.5))
+    for driver in drivers:
+        report = law_probe(lat, driver, pairs)
+        for entry, (x1, x2) in zip(report.entries, pairs):
+            assert entry.d0_first == evaluate(lat, driver, represent(lat, x1)).d0
+            assert entry.d0_second == evaluate(lat, driver, represent(lat, x2)).d0
 
 
 def test_law_probe_analytic_gap(binomial4):

@@ -28,7 +28,7 @@ from devlat import (
     supermartingale_slack,
     terminal_brownian,
 )
-from devlat.deviation import _stacked_dev_at
+from devlat.deviation import _levels, _stacked_dev_at
 from devlat.lattice import _martingale_levels
 from devlat.representation import _project
 
@@ -339,8 +339,10 @@ def test_stacked_payoffs_match_single_calls(lat, seed, k):
 @settings(max_examples=60, deadline=None)
 @given(lattices(), st.integers(0, 2 ** 32 - 1))
 def test_residual_free_single_pass_is_evaluate_of_represent_bit_for_bit(lat, seed):
-    """The probes' single pass skips the remainders and residuals but keeps
-    every bit of ``represent`` and ``evaluate``."""
+    """The probes' single pass skips the remainders and residuals, and the
+    windowed pass for ``D_t`` fills levels ``t..n`` only, but both keep every
+    bit of ``represent`` and ``evaluate``, also under a driver that is not
+    zero at the origin."""
     n = lat.n_steps
     x = RandomVariable(np.random.default_rng(seed).normal(size=lat.num_nodes(n)), n)
     pair = represent(lat, x)
@@ -348,11 +350,19 @@ def test_residual_free_single_pass_is_evaluate_of_represent_bit_for_bit(lat, see
     for i in range(n):
         assert H[i].tobytes() == pair.H[i].tobytes()
         assert Ht[i].tobytes() == pair.Htilde[i].tobytes()
-    for driver in _drivers(lat):
+    drivers = [*_drivers(lat), InfConv(Variance(1.3), NormCD(1.0, 0.5)),
+               Custom(lambda t, h, ht, nu: 1.0 + t + float(h @ h) + float(np.abs(ht).sum()))]
+    for driver in drivers:
         want = evaluate(lat, driver, pair)
+        mart, dev = _levels(lat, driver, x.values, n)
+        assert float(mart[0][0]) == pair.mean
         for level in range(n + 1):
+            assert dev[level].tobytes() == want.at(level).tobytes()
             got = _stacked_dev_at(lat, driver, x.values[None], level)[0]
             assert got.tobytes() == want.at(level).tobytes()
+            mart, dev = _levels(lat, driver, x.values, n, level)
+            assert all(v is None for v in (*mart[:level], *dev[:level]))
+            assert dev[level].tobytes() == want.at(level).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

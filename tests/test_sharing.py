@@ -25,6 +25,7 @@ from devlat import (
     solve_sharing,
     terminal_brownian,
 )
+import devlat.sharing as sharing
 from devlat.representation import RepresentingPair
 from devlat.sharing import certificate_gaps
 from oracles import certificate_gap_by_node, residual_check_reference
@@ -147,6 +148,35 @@ def test_solve_sharing_proportional(base, jump_lattice, rng):
     got = sol.y_tilde_star.values - np.mean(sol.y_tilde_star.values)
     ref = want.values - np.mean(want.values)
     np.testing.assert_allclose(got, ref, atol=1e-6)
+
+
+@pytest.mark.parametrize("lat_name, g_a, g_b", [
+    ("binomial4", Variance(1.0), NormCD(1.0, 0.5)),
+    ("jump_lattice", Scaled(1.0, Variance(0.8)), Scaled(3.0, Variance(0.8))),
+    ("jump_lattice", NormCD(1.0, 1.0), InfConv(Variance(1.3), NormCD(1.0, 0.5))),
+])
+def test_standalone_terms_are_those_of_represent_and_evaluate(lat_name, g_a, g_b,
+                                                              request, rng, monkeypatch):
+    """The two payoffs' means and standalone deviations come from the
+    residual-free pass; every figure of the solve keeps the bits it has when
+    they come from ``represent`` and ``evaluate``."""
+    lat = request.getfixturevalue(lat_name)
+    n = lat.n_steps
+    prob = SharingProblem(RandomVariable(rng.normal(size=lat.num_nodes(n)), n),
+                          RandomVariable(rng.normal(size=lat.num_nodes(n)), n), g_a, g_b)
+    got = solve_sharing(lat, prob)
+
+    def by_represent(lat, driver, values, level):
+        pair = represent(lat, RandomVariable(values, level))
+        return (np.array([pair.mean]),), evaluate(lat, driver, pair).values
+
+    monkeypatch.setattr(sharing, "_levels", by_represent)
+    want = solve_sharing(lat, prob)
+    assert got.d0_a == evaluate(lat, g_a, represent(lat, prob.x_a)).d0
+    assert got.d0_b == evaluate(lat, g_b, represent(lat, prob.x_b)).d0
+    for name in ("price", "du_a", "du_b", "d0_a", "d0_b", "max_residual", "certificate_gap"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.y_tilde_star.values.tobytes() == want.y_tilde_star.values.tobytes()
 
 
 def test_solve_sharing_offsetting_positions(binomial4, rng):
