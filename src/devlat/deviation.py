@@ -47,11 +47,13 @@ __all__ = [
 
 
 def _accumulate(lat: Lattice, node_values, lo: int = 0) -> tuple:
-    """Backward sum of per-node values times dt, zero at the horizon: each
+    """Backward sum of per-node values times dt, zero at the last level: each
     node holds the conditional expectation of its children's sums plus its
-    own value * dt; levels ``lo..n`` from the values of steps ``lo..n-1``."""
-    vals = [None] * lat.n_steps + [lat.spread(np.zeros(len(node_values[-1])))]
-    for i in range(lat.n_steps - 1, lo - 1, -1):
+    own value * dt; levels ``lo..hi`` from the values of steps ``lo..hi-1``,
+    where ``hi = lo + len(node_values)`` (the horizon by default)."""
+    hi = lo + len(node_values)
+    vals = [None] * hi + [lat.spread(np.zeros(len(node_values[-1])))]
+    for i in range(hi - 1, lo - 1, -1):
         vals[i] = lat.expect(i, vals[i + 1]) + node_values[i - lo] * lat.step_dt(i)
     return tuple(vals)
 
@@ -111,22 +113,30 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
 
 
 def _recursive_levels(lat: Lattice, driver: DriverSpec, mart, part: list[int]) -> tuple:
-    """``evaluate_recursive`` on conditional means ``mart``, sorted ``part``."""
-    d, nu = lat.noise.d, lat.noise.jumps
+    """``evaluate_recursive`` on conditional means ``mart``, sorted ``part``.
+
+    From level ``top`` on, the driver is 0 at the origin on every step, so a
+    cell's levels from ``max(hi, top)`` on hold exact +0.0s; the running total
+    is never -0.0, so adding them would leave it as it is, and they are skipped."""
+    n, d, nu = lat.n_steps, lat.noise.d, lat.noise.jumps
     origin = [np.full(lat.num_nodes(i), float(driver.value_batch(
         lat.times[i], np.zeros((1, d)), np.zeros((1, nu.m)), nu)[0]))
-        for i in range(lat.n_steps)]
-    total = [np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps + 1)]
+        for i in range(n)]
+    top = n
+    while top and not origin[top - 1][0]:
+        top -= 1
+    total = [np.zeros(lat.num_nodes(i)) for i in range(n + 1)]
     for lo, hi in zip(part, part[1:]):
-        means = [None] * (lat.n_steps + 1)
+        means = [None] * (n + 1)
         means[hi] = mart[hi] - lat.spread(mart[lo], hi - lo)
         for i in range(hi - 1, lo - 1, -1):
             means[i] = lat.expect(i, means[i + 1])
         H, Ht = _project(lat, means, lo, hi)
-        g = list(origin)
+        stop = max(hi, top)
+        g = origin[:stop]
         g[lo:hi] = [np.asarray(driver.value_batch(lat.times[i], H[i - lo], Ht[i - lo], nu),
                                dtype=float) for i in range(lo, hi)]
-        total = [a + b for a, b in zip(total, _accumulate(lat, g))]
+        total[:stop] = [a + b for a, b in zip(total[:stop], _accumulate(lat, g))]
     return tuple(total)
 
 

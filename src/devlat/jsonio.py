@@ -7,8 +7,9 @@ identical inputs produce byte-identical artifacts. The JSON layout is that of
 ``csv.writer`` (comma-separated, ``\\r\\n`` line ends).
 
 Each artifact (all ``ColumnTable``s of one ``canonical_json`` call, or all
-blocks of one CSV) is one text table: one float dedup by bit pattern, row
-numbers formatted once, one ``"".join``. ``write_artifacts`` writes them all.
+blocks of one CSV) is one text table: one float dedup by bit pattern and one
+``"".join``; the row numbers are formatted once per process. ``write_artifacts``
+writes them all.
 """
 
 from __future__ import annotations
@@ -41,11 +42,26 @@ __all__ = [
 
 _NON_FINITE = "non-finite float in JSON payload"
 
+#: the texts of the row numbers 0, 1, ..., read-only; grown to the most rows
+#: an artifact has asked for, and shared by every later artifact
+_ROW_TEXTS = np.empty(0, dtype=object)
+
+
+def _row_texts(rows: int) -> np.ndarray:
+    """The texts of the row numbers 0..rows-1, from ``_ROW_TEXTS``."""
+    global _ROW_TEXTS
+    if len(_ROW_TEXTS) < rows:
+        grown = np.array([*_ROW_TEXTS, *map(int.__repr__, range(len(_ROW_TEXTS), rows))],
+                         dtype=object)
+        grown.flags.writeable = False
+        _ROW_TEXTS = grown
+    return _ROW_TEXTS[:rows]
+
 
 def _texts(floats: list, rows: int, finite: bool = False) -> tuple[list, np.ndarray]:
     """Object arrays of the cell texts of each of ``floats``, one
     ``float.__repr__`` per distinct bit pattern of them all (``-0.0`` and each
-    NaN keep their own), and of the row numbers 0..rows-1."""
+    NaN keep their own), and of the row numbers 0..rows-1 (``_row_texts``)."""
     bits = np.concatenate([np.empty(0), *(a.ravel() for a in floats)],
                           dtype=np.float64).view(np.uint64)
     patterns, inverse = np.unique(bits, return_inverse=True)
@@ -54,8 +70,7 @@ def _texts(floats: list, rows: int, finite: bool = False) -> tuple[list, np.ndar
     cells = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
                      dtype=object)[inverse]
     cells = np.split(cells, np.cumsum([a.size for a in floats])[:-1])
-    return ([c.reshape(a.shape) for a, c in zip(floats, cells)],
-            np.array([*map(int.__repr__, range(rows))], dtype=object))
+    return [c.reshape(a.shape) for a, c in zip(floats, cells)], _row_texts(rows)
 
 
 def _int_texts(col: np.ndarray, numbers: np.ndarray) -> np.ndarray:

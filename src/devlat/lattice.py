@@ -206,6 +206,7 @@ class Lattice:
 
         nu = noise.jumps.intensity_array
         self._onehot = np.eye(m + 1)[labels][:, 1:]
+        labels.flags.writeable = self._onehot.flags.writeable = False
         jump_proj = (self._onehot - (labels == 0)[:, None]) / 2 ** d
         # one read-only set of step tables per distinct step length
         tables: dict[float, tuple] = {}
@@ -228,6 +229,8 @@ class Lattice:
         self._dw = [tables[dt][0] for dt in steps]
         self._probs = [tables[dt][1] for dt in steps]
         self._basis = [tables[dt][2] for dt in steps]
+        #: (path functional, level) -> its read-only per-node table
+        self._leaf_tables: dict[tuple[str, int], np.ndarray] = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -293,7 +296,8 @@ class Lattice:
     # -- path functionals ----------------------------------------------------
 
     def node_probabilities(self, level: int) -> np.ndarray:
-        return self._path_sum(level, lambda i: self._probs[i], np.multiply, 1.0)
+        return self._leaf_table("probabilities", level, lambda i: self._probs[i],
+                                np.multiply, 1.0)
 
     def _path_sum(self, level: int, rows, op=np.add, start: float = 0.0) -> np.ndarray:
         """Per node of ``level``, the forward fold ``op`` from ``start`` along
@@ -304,24 +308,55 @@ class Lattice:
             total = self.extend(total, rows(i), op)
         return total
 
+    def _leaf_table(self, name: str, level: int, *fold) -> np.ndarray:
+        """``_path_sum(level, *fold)``, formed on the first request for
+        ``(name, level)`` and then kept on the lattice, read-only."""
+        table = self._leaf_tables.get((name, level))
+        if table is None:
+            table = self._path_sum(level, *fold)
+            table.flags.writeable = False
+            self._leaf_tables[name, level] = table
+        return table
+
     def brownian_states(self, level: int) -> np.ndarray:
         """Accumulated Brownian state per node, shape (nodes, d)."""
-        return self._path_sum(level, lambda i: self._dw[i])
+        return self._leaf_table("brownian", level, lambda i: self._dw[i])
 
     def jump_counts(self, level: int) -> np.ndarray:
         """Number of jumps per mark along the path, shape (nodes, m)."""
-        return self._path_sum(level, lambda i: self._onehot)
+        return self._leaf_table("jumps", level, lambda i: self._onehot)
 
     def compensated_counts(self, level: int) -> np.ndarray:
         """Compensated jump counts per mark along the path, shape (nodes, m):
         the sums of the step basis's jump columns ``Ntilde_j``."""
-        return self._path_sum(level, lambda i: self._basis[i][0][:, self.noise.d:])
+        return self._leaf_table("compensated", level,
+                                lambda i: self._basis[i][0][:, self.noise.d:])
+
+
+#: the latest ``build_lattice`` call: (its arguments' key, its lattice)
+_latest: tuple | None = None
+
+
+def _build_key(grid: TimeGrid, noise: NoiseModel, max_nodes: int) -> tuple:
+    """The arguments of a build to the bit: ``float.hex`` tells ``-0.0`` from
+    ``0.0``, which equal floats (and so equal dataclasses) do not."""
+    jumps = noise.jumps
+    return (tuple(map(float.hex, grid.times)), noise.d,
+            tuple(tuple(map(float.hex, x)) for x in jumps.marks),
+            tuple(map(float.hex, jumps.intensities)), max_nodes)
 
 
 def build_lattice(grid: TimeGrid, noise: NoiseModel,
                   max_nodes: int = DEFAULT_MAX_NODES) -> Lattice:
-    """Build the event tree for a grid and noise model, within a node budget."""
-    return Lattice(grid, noise, max_nodes=max_nodes)
+    """Build the event tree for a grid and noise model, within a node budget.
+
+    A call with the bit-identical arguments of the previous one returns that
+    call's lattice, leaf tables included; the module keeps that one only."""
+    global _latest
+    key = _build_key(grid, noise, max_nodes)
+    if _latest is None or _latest[0] != key:
+        _latest = (key, Lattice(grid, noise, max_nodes=max_nodes))
+    return _latest[1]
 
 
 # -- random variables and adapted processes ----------------------------------

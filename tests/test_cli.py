@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from devlat import JumpMeasure, RandomVariable, SolverConfig, build_lattice, \
     NoiseModel, TimeGrid, assemble, represent, terminal_brownian
 import devlat.cli
 from devlat.cli import main
-from devlat.jsonio import write_payoff_csv
+from devlat.jsonio import canonical_json, lattice_to_dict, write_payoff_csv
+from devlat.lattice import Lattice
 from devlat.representation import RepresentingPair
 
 #: dyadic jump lattice of the sharing tests: d=1, marks (-1, 2), n=2
@@ -194,6 +196,39 @@ def test_axioms_mixtures_over_the_node_budget_exit_1(tmp_path, capsys, max_nodes
     assert capsys.readouterr().err == (f"error: axioms: 'mixtures' = {mixtures} is over "
                                        f"the max_nodes budget {budget}\n")
     assert list(out.glob("*")) == []
+
+
+def test_each_run_applies_its_own_node_budget(tmp_path, capsys):
+    """Two runs whose configs differ only in ``max_nodes``: the second
+    applies its own budget, although the first built the same lattice."""
+    lattice = {"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE}
+    axioms = {"driver": "g", "payoffs": ["X", "Y"], "mixtures": 101}
+    out = tmp_path / "out"
+    cfg = _base_config(tmp_path, lattice=lattice, axioms=axioms)
+    assert main(["axioms", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    (out / "axioms.json").unlink()
+    cfg = _base_config(tmp_path, lattice={**lattice, "max_nodes": 100}, axioms=axioms)
+    assert main(["axioms", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == ("error: axioms: 'mixtures' = 101 is over "
+                                       "the max_nodes budget 100\n")
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_build_writes_each_configs_own_signed_zeros(tmp_path, order):
+    """Grids starting at 0.0 and -0.0 and marks with a 0.0 or -0.0
+    component are equal as floats; each run writes its own config's bits."""
+    configs = [(t0, c0) for t0 in (0.0, -0.0) for c0 in (0.0, -0.0)][::order]
+    for t0, c0 in configs * 2:
+        noise = {"d": 1, "jumps": {"marks": [[c0, 1.0]], "intensities": [0.5]}}
+        cfg = _base_config(tmp_path, lattice={"grid": {"times": [t0, 0.5, 1.0]},
+                                              "noise": noise})
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        want = canonical_json(lattice_to_dict(Lattice(
+            TimeGrid((t0, 0.5, 1.0)), NoiseModel(1, JumpMeasure(((c0, 1.0),), (0.5,))))))
+        assert (tmp_path / "lattice.json").read_text() == want
+        signs = [math.copysign(1.0, v) for v in (t0, c0)]
+        assert len(re.findall(r"-0\.0[,\n]", want)) == signs.count(-1.0)
 
 
 def test_axioms_mixtures_at_the_node_budget_run(tmp_path):

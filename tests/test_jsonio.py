@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import devlat
 import devlat.cli
+import devlat.jsonio as jsonio
 from devlat import JumpMeasure, NoiseModel, RandomVariable, RepresentingPair, Scaled, \
     SharingProblem, TimeGrid, Variance, build_lattice, represent, solve_sharing, \
     terminal_brownian
@@ -492,3 +493,26 @@ def test_only_jsonio_writes_files():
 ])
 def test_the_write_guard_sees_every_write(source, writes):
     assert bool(_writes(ast.parse(source))) == writes
+
+
+def test_row_texts_are_shared_across_artifacts_of_any_length(tmp_path, monkeypatch):
+    """The row-number texts grow to the longest artifact and are sliced for
+    shorter ones: every artifact in a long, short, long sequence keeps its
+    reference bytes, and the shared texts are read-only."""
+    monkeypatch.setattr(jsonio, "_ROW_TEXTS", np.empty(0, dtype=object))
+    rng = np.random.default_rng(5)
+    for rows in (4096, 36, 4096, 36, 5000):
+        values = rng.normal(size=rows)
+        payoff_csv_reference(tmp_path / "payoff_ref.csv", values)
+        assert payoff_csv(RandomVariable(values, 1)).encode() == \
+            (tmp_path / "payoff_ref.csv").read_bytes()
+        levels = [values[:1], values[1:]]
+        process_csv_reference(tmp_path / "process_ref.csv", levels)
+        assert process_csv(levels).encode() == (tmp_path / "process_ref.csv").read_bytes()
+        table = {"rows": ColumnTable({"node": np.arange(rows), "value": values})}
+        assert canonical_json(table) == canonical_json_reference(
+            {"rows": [{"node": v, "value": x} for v, x in enumerate(values.tolist())]})
+        assert len(jsonio._ROW_TEXTS) == max(4096, rows)
+        assert np.shares_memory(jsonio._texts([], rows)[1], jsonio._ROW_TEXTS)
+    with pytest.raises(ValueError, match="read-only"):
+        jsonio._ROW_TEXTS[0] = "1"

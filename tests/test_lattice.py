@@ -242,3 +242,105 @@ def test_no_module_solves_a_linear_system():
         if lines:
             found[path.name] = lines
     assert found == {}
+
+
+_CLASS_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _decorator_name(dec: ast.expr) -> str | None:
+    """``cache`` for ``@cache``, ``@functools.cache`` and ``@lru_cache(...)`` alike."""
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+
+
+def _method_caches(tree: ast.AST) -> list[int]:
+    """Lines of methods decorated by a ``functools`` cache."""
+    return [fn.lineno for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if any(_decorator_name(dec) in _CLASS_CACHES for dec in fn.decorator_list)]
+
+
+def test_no_method_has_a_class_level_cache():
+    """A cache on a method holds every instance it saw, such as each lattice
+    a property test builds, for the life of the process; caches live on
+    the instance instead."""
+    found = {}
+    for path in sorted(Path(devlat.__file__).parent.glob("*.py")):
+        if lines := _method_caches(ast.parse(path.read_text())):
+            found[path.name] = lines
+    assert found == {}
+
+
+@pytest.mark.parametrize("decorator, caches", [
+    ("functools.cache", True), ("cache", True), ("functools.lru_cache(maxsize=8)", True),
+    ("lru_cache()", True), ("functools.cached_property", True), ("cached_property", True),
+    ("property", False), ("staticmethod", False), ("functools.wraps(f)", False),
+])
+def test_the_method_cache_guard_sees_every_cache(decorator, caches):
+    source = f"class A:\n    @{decorator}\n    def f(self):\n        pass\n"
+    assert bool(_method_caches(ast.parse(source))) == caches
+    # a module-level function is not a method
+    assert _method_caches(ast.parse(f"@{decorator}\ndef f():\n    pass\n")) == []
+
+
+def _signed_zero_builds():
+    """Arguments that equal floats cannot tell apart: a grid starting at
+    ``0.0`` or ``-0.0``, and a mark whose first component is either."""
+    return [(TimeGrid((t0, 0.5, 1.0)), NoiseModel(1, JumpMeasure(((c0, 1.0),), (0.5,))))
+            for t0 in (0.0, -0.0) for c0 in (0.0, -0.0)]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_build_lattice_reuses_only_the_bit_identical_latest_build(order):
+    builds = _signed_zero_builds()[::order]
+    seen = []
+    for grid, noise in builds:
+        lat = build_lattice(grid, noise)
+        assert build_lattice(TimeGrid(grid.times), NoiseModel(noise.d, noise.jumps)) is lat
+        assert all(lat is not other for other in seen)
+        assert math.copysign(1.0, lat.times[0]) == math.copysign(1.0, grid.times[0])
+        mark = lat.noise.jumps.marks[0][0]
+        assert math.copysign(1.0, mark) == math.copysign(1.0, noise.jumps.marks[0][0])
+        seen.append(lat)
+    # one entry only: the first build was evicted and is built afresh
+    again = build_lattice(*builds[0])
+    assert again is not seen[0] and again.times == seen[0].times
+
+
+def test_build_lattice_keys_on_the_node_budget():
+    grid, noise = TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1)
+    assert build_lattice(grid, noise).max_nodes == 1_000_000
+    assert build_lattice(grid, noise, max_nodes=4).max_nodes == 4
+    with pytest.raises(LatticeBuildError):
+        build_lattice(grid, noise, max_nodes=3)
+
+
+def _uncached_tables(lat, level):
+    """Each leaf table of ``level`` by an uncached path sum of the public step tables."""
+    d, m = lat.noise.d, lat.noise.jumps.m
+    onehot = np.eye(m + 1)[lat.outcome_labels][:, 1:]
+    return {
+        "brownian_states": lat._path_sum(level, lat.step_dw),
+        "jump_counts": lat._path_sum(level, lambda i: onehot),
+        "compensated_counts": lat._path_sum(level, lambda i: lat.step_basis(i)[0][:, d:]),
+        "node_probabilities": lat._path_sum(level, lat.step_probs, np.multiply, 1.0),
+    }
+
+
+@pytest.mark.parametrize("d, m", [(1, 0), (2, 2), (0, 2)])
+def test_leaf_tables_are_read_only_path_sums_kept_on_the_lattice(d, m):
+    jumps = JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5)) if m else JumpMeasure.empty()
+    lat = build_lattice(TimeGrid((0.0, 0.1, 0.35, 1.0)), NoiseModel(d, jumps))
+    for _ in range(2):  # formed, then read back
+        for level in range(lat.n_steps + 1):
+            for name, want in _uncached_tables(lat, level).items():
+                got = getattr(lat, name)(level)
+                assert got is getattr(lat, name)(level), name
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), (name, level)
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0.0
+    for table in (lat.outcome_labels, lat.step_dw(0), lat.step_probs(0),
+                  *lat.step_basis(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0

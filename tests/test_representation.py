@@ -308,13 +308,33 @@ def test_block_recursion_is_the_whole_lattice_loop_bit_for_bit(lat, seed, data):
     x = RandomVariable(np.random.default_rng(seed).normal(size=lat.num_nodes(n)), n)
     pair = represent(lat, x)
     partition = [0, n, *data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(()))]
+    mid = lat.times[n // 2]
     drivers = [*_drivers(lat), InfConv(Variance(1.3), NormCD(1.0, 0.5)),
-               Custom(lambda t, h, ht, nu: 1.0)]
+               Custom(lambda t, h, ht, nu: 1.0),
+               Custom(lambda t, h, ht, nu: float(h @ h) + (t < mid)),
+               Custom(lambda t, h, ht, nu: float(h @ h) + (t >= mid))]
     for driver in drivers:
         got = evaluate_recursive(lat, driver, pair, partition)
         want = evaluate_recursive_reference(lat, driver, pair, partition)
         for i in range(n + 1):
             assert got.at(i).tobytes() == want.at(i).tobytes(), (driver, i)
+
+
+@pytest.mark.parametrize("partition", [[0, 1, 4], [0, 2, 4], [0, 1, 2, 3, 4]])
+@pytest.mark.parametrize("steps", [(1,), (2, 3), (0, 2), ()])
+def test_block_recursion_keeps_the_origin_terms_above_a_cell(jump_lattice, rng,
+                                                             partition, steps):
+    """A driver nonzero at the origin on ``steps`` only: a cell below them
+    accumulates through them, and the zero tails above them are skipped, with
+    the bits of the whole-lattice loop, sign bits included."""
+    lat = jump_lattice
+    on = {lat.times[i] for i in steps}
+    driver = Custom(lambda t, h, ht, nu: float(h @ h + ht @ ht) + 0.5 * (t in on))
+    pair = represent(lat, RandomVariable(rng.normal(size=lat.num_nodes(4)), 4))
+    got = evaluate_recursive(lat, driver, pair, partition)
+    want = evaluate_recursive_reference(lat, driver, pair, partition)
+    for i in range(lat.n_steps + 1):
+        assert got.at(i).tobytes() == want.at(i).tobytes(), i
 
 
 @settings(max_examples=60, deadline=None)

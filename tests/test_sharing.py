@@ -26,6 +26,7 @@ from devlat import (
     terminal_brownian,
 )
 import devlat.sharing as sharing
+from devlat.deviation import _accumulate
 from devlat.representation import RepresentingPair
 from devlat.sharing import certificate_gaps
 from oracles import certificate_gap_by_node, residual_check_reference
@@ -177,6 +178,34 @@ def test_standalone_terms_are_those_of_represent_and_evaluate(lat_name, g_a, g_b
     for name in ("price", "du_a", "du_b", "d0_a", "d0_b", "max_residual", "certificate_gap"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.y_tilde_star.values.tobytes() == want.y_tilde_star.values.tobytes()
+
+
+@pytest.mark.parametrize("shift_a, shift_b", [(0.0, 0.0), (0.37, -1.25), (-3.5, 2.0)])
+@pytest.mark.parametrize("g_a, g_b", [
+    (Scaled(1.0, Variance(0.8)), Scaled(3.0, Variance(0.8))),
+    (NormCD(1.0, 1.0), InfConv(Variance(1.3), NormCD(1.0, 0.5))),
+])
+def test_price_and_welfare_are_the_means_and_terms_of_the_solve(jump_lattice, rng, g_a, g_b,
+                                                                 shift_a, shift_b):
+    """On the jump lattice, whose leaves are not equally likely, ``price``,
+    ``du_a`` and ``du_b`` are, bit for bit, the formulas of the payoffs'
+    means from ``represent`` and the solve's own terms: the standalone
+    deviations and each agent's backward sum of its term of the node
+    objective at the split."""
+    lat, n = jump_lattice, jump_lattice.n_steps
+    x_a = RandomVariable(rng.normal(size=lat.num_nodes(n)) + shift_a, n)
+    x_b = RandomVariable(rng.normal(size=lat.num_nodes(n)) + shift_b, n)
+    sol = solve_sharing(lat, SharingProblem(x_a, x_b, g_a, g_b))
+    pair, nu = sol.total_pair, lat.noise.jumps
+    parts = [certificate_gaps(g_a, g_b, lat.times[i], pair.H[i], pair.Htilde[i],
+                              sol.argmin_H[i], sol.argmin_Ht[i], nu)[:2]
+             for i in range(n)]
+    dev_a, dev_b = (float(_accumulate(lat, list(p))[0][0]) for p in zip(*parts))
+    mean_a, mean_b = represent(lat, x_a).mean, represent(lat, x_b).mean
+    price = -mean_b - dev_b + sol.d0_b
+    assert sol.price == price
+    assert sol.du_a == ((mean_a + mean_b + price) - dev_a) - (mean_a - sol.d0_a)
+    assert sol.du_b == (-price - dev_b) - (mean_b - sol.d0_b)
 
 
 def test_solve_sharing_offsetting_positions(binomial4, rng):
