@@ -46,6 +46,12 @@ def _as_vec(v) -> np.ndarray:
     return arr
 
 
+def _row_times(t: float | np.ndarray, rows: int) -> list:
+    """Each row's time: a scalar ``t`` holds for every row, a (rows,) array
+    gives row i the time ``t[i]``."""
+    return [t] * rows if np.ndim(t) == 0 else np.asarray(t, dtype=float).tolist()
+
+
 def _check_dims(htilde: np.ndarray, nu: JumpMeasure) -> None:
     if htilde.shape[0] != nu.m:
         raise ValueError(
@@ -316,7 +322,9 @@ class InfConv:
 
 @dataclass(frozen=True)
 class Custom:
-    """User-supplied oracles; equality/hash by oracle identity."""
+    """User-supplied oracles; equality/hash by oracle identity. The batch
+    methods call the oracles row by row, at ``t`` or, for a (rows,) array
+    ``t``, at row i's time ``t[i]``."""
 
     value_fn: Callable
     subgradient_fn: Callable | None = None
@@ -326,7 +334,8 @@ class Custom:
         return float(self.value_fn(t, h, htilde, nu))
 
     def value_batch(self, t, H, Ht, nu):
-        return np.array([self.value(t, H[i], Ht[i], nu) for i in range(len(H))])
+        times = _row_times(t, len(H))
+        return np.array([self.value(times[i], H[i], Ht[i], nu) for i in range(len(H))])
 
     def subgradient(self, t, h, htilde, nu):
         if self.subgradient_fn is None:
@@ -334,7 +343,8 @@ class Custom:
         return np.asarray(self.subgradient_fn(t, h, htilde, nu), dtype=float)
 
     def subgradient_batch(self, t, H, Ht, nu):
-        rows = [self.subgradient(t, H[i], Ht[i], nu) for i in range(len(H))]
+        times = _row_times(t, len(H))
+        rows = [self.subgradient(times[i], H[i], Ht[i], nu) for i in range(len(H))]
         return np.array(rows, dtype=float).reshape(len(H), H.shape[1] + Ht.shape[1])
 
 

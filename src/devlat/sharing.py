@@ -10,7 +10,7 @@ Inf-convolution is associative and commutative, and ``Scaled`` distributes
 over it, so one split plan (``_split_plan``) reads any pair of driver trees as
 one multiset of scaled atoms; the solver, ``InfConv`` and
 ``proportional_share_factor`` all read it. ``Variance`` and ``NormCD`` atoms
-split in closed form for a whole level at once; only ``CVaRJump`` and
+split in closed form for all rows at once; only ``CVaRJump`` and
 ``Custom`` atoms reach the numeric solver, node by node.
 """
 
@@ -20,11 +20,12 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .deviation import _accumulate, _levels
-from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance
+from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance, _row_times
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, SolverConfig, _better, minimize
 from .representation import RepresentingPair, assemble, represent
@@ -235,17 +236,18 @@ def _numeric_infconv(g_a: DriverSpec, g_b: DriverSpec, t: float, h: np.ndarray,
 # -- public inf-convolution ---------------------------------------------------------
 
 
-def _apply(parts: tuple, t: float, H: np.ndarray, Ht: np.ndarray,
+def _apply(parts: tuple, t: float | np.ndarray, H: np.ndarray, Ht: np.ndarray,
            nu: JumpMeasure, cfg: SolverConfig | None) -> tuple[np.ndarray, np.ndarray]:
     """B's share of every row split optimally among the parts: one by its
-    rules, more by a numeric solve per row of the first against the rest."""
+    rules, more by a numeric solve per row of the first against the rest, at
+    the row's time (``t`` is one time or one per row)."""
     (driver, rules), *rest = parts
     if not rest:
         return _share_block(rules[0], H), _share_block(rules[1], Ht, nu.intensity_array)
     other, cfg = reduce(InfConv, [part[0] for part in rest]), cfg or SolverConfig()
     Z, Zt = np.zeros_like(H), np.zeros_like(Ht)
-    for v in range(H.shape[0]):
-        Z[v], Zt[v] = _numeric_infconv(driver, other, t, H[v], Ht[v], nu, cfg)
+    for v, t_v in enumerate(_row_times(t, H.shape[0])):
+        Z[v], Zt[v] = _numeric_infconv(driver, other, t_v, H[v], Ht[v], nu, cfg)
     Z_rest, Zt_rest = _apply(parts[1:], t, Z, Zt, nu, cfg)
     if rules == (0.0, 0.0):  # B holds none of it, and adding a zero could flip -0.0
         return Z_rest, Zt_rest
@@ -253,11 +255,14 @@ def _apply(parts: tuple, t: float, H: np.ndarray, Ht: np.ndarray,
     return Z_first + Z_rest, Zt_first + Zt_rest
 
 
-def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
-                  Ht: np.ndarray, nu: JumpMeasure, cfg: SolverConfig | None = None,
+def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
+                  H: np.ndarray, Ht: np.ndarray, nu: JumpMeasure,
+                  cfg: SolverConfig | None = None,
                   method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
-    """B's optimal share ``(Z, Zt)`` of every row of a level's integrands
-    ``H`` (nodes, d) and ``Ht`` (nodes, m); A keeps ``(H - Z, Ht - Zt)``.
+    """B's optimal share ``(Z, Zt)`` of every row of the integrands ``H``
+    (rows, d) and ``Ht`` (rows, m); A keeps ``(H - Z, Ht - Zt)``. The rows
+    may come from any nodes of any levels: ``t`` is one time for all of them
+    or a (rows,) array of each row's time.
 
     A closed-form plan splits all rows at once (``Z = theta_B * H``, ``Zt =
     theta_J * Ht``), any other row by row with the numeric minimiser and
@@ -299,13 +304,13 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
     return float(value[0]), (Z[0], Zt[0])
 
 
-def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
-                     Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
+def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
+                     H: np.ndarray, Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
                      nu: JumpMeasure) -> tuple[np.ndarray, ...]:
-    """Directional-derivative test of the split ``(Z, Zt)`` of every row of a
-    level; returns ``(part_a, part_b, values, gaps)``: A's and B's terms of
-    the objective at the split, ``g_a(H - Z, Ht - Zt)`` and ``g_b(Z, Zt)``,
-    their sum and each row's gap.
+    """Directional-derivative test of the split ``(Z, Zt)`` of every row, at
+    one time ``t`` or a (rows,) array of each row's time; returns ``(part_a,
+    part_b, values, gaps)``: A's and B's terms of the objective at the split,
+    ``g_a(H - Z, Ht - Zt)`` and ``g_b(Z, Zt)``, their sum and each row's gap.
 
     Each split ``(z, zt)`` is probed along every coordinate in both directions
     with step ``eps = 1e-7 * (1 + |(z, zt)|)``; the row's gap is its steepest
@@ -322,6 +327,7 @@ def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
     probes = points + steps[:, None, :] * eps[:, None]
     stack = np.vstack([points, probes.reshape(-1, p)])
     k = 2 * p + 1
+    t = t if np.ndim(t) == 0 else np.tile(t, k)
     part_a = g_a.value_batch(t, np.tile(H, (k, 1)) - stack[:, :d],
                              np.tile(Ht, (k, 1)) - stack[:, d:], nu)
     part_b = g_b.value_batch(t, stack[:, :d], stack[:, d:], nu)
@@ -332,13 +338,16 @@ def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
 
 
 def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
-    """Solve the sharing problem on a lattice: per-level splits, transfer, price.
+    """Solve the sharing problem on a lattice: one split, transfer, price.
 
-    Each level is split with ``infconv_split`` and certified with
-    ``certificate_gaps``; the node values are the objective at the split. When
-    representation residuals are nonzero (jump lattices) the solve runs on the
-    projected integrands and the largest residual is attached rather than
-    silently dropped; configure ``solver.residual_tolerance`` to make it fatal
+    The split at each node is a pointwise problem, so the nodes of every
+    level are the rows of one: ``_split_plan`` is built once, and one
+    ``_apply`` and one ``certificate_gaps`` call take every level's rows,
+    stacked, with each row's time; the results are cut back into levels. The
+    node values are the objective at the split. When representation
+    residuals are nonzero (jump lattices) the solve runs on the projected
+    integrands and the largest residual is attached rather than silently
+    dropped; configure ``solver.residual_tolerance`` to make it fatal
     (``NumericError``).
 
     The price and the welfare changes come from the split itself, with no
@@ -347,7 +356,9 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     deviation after the transfer is the backward sum of its own term of the
     node objective, and the two sum to the inf-convolution. Only the total is
     represented, as only its residuals are reported; the two payoffs' means
-    and standalone deviations take the residual-free ``_levels`` pass.
+    and standalone deviations take the residual-free ``_levels`` pass. These
+    backward sums and passes stay per payoff and per level: a one-node
+    level's matrix product, stacked with other rows, can round apart.
     """
     if prob.x_a.level != lat.n_steps or prob.x_b.level != lat.n_steps:
         raise ValueError("sharing payoffs must be terminal")
@@ -363,23 +374,23 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
             f"threshold {cfg.residual_tolerance:.3g}"
         )
 
-    levels = []
-    for i in range(lat.n_steps):
-        t, H, Ht = lat.times[i], pair.H[i], pair.Htilde[i]
-        Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
-        levels.append((Z, Zt, *certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)))
-    arg_H, arg_Ht, parts_a, parts_b, node_vals, gaps = zip(*levels)
-
-    certificate_gap = float(np.max(np.concatenate(gaps)))
-    attained = certificate_gap <= cfg.attain_tolerance and \
-        bool(np.isfinite(np.concatenate(node_vals)).all())
+    sizes = [lat.num_nodes(i) for i in range(lat.n_steps)]
+    t = np.concatenate([np.full(k, lat.times[i]) for i, k in enumerate(sizes)])
+    H, Ht = np.vstack(pair.H), np.vstack(pair.Htilde)
+    Z, Zt = _apply(_split_plan(g_a, g_b), t, H, Ht, nu, cfg)
+    part_a, part_b, values, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
+    certificate_gap = float(np.max(gaps))
+    attained = certificate_gap <= cfg.attain_tolerance and bool(np.isfinite(values).all())
+    bounds = list(pairwise(accumulate(sizes, initial=0)))
+    arg_H, arg_Ht, parts_a, parts_b, node_vals = (
+        tuple(rows[lo:hi] for lo, hi in bounds) for rows in (Z, Zt, part_a, part_b, values))
 
     infconv_d = AdaptedProcess(_accumulate(lat, node_vals))
     # each agent's time-zero deviation after the transfer
     dev_a = float(_accumulate(lat, parts_a)[0][0])
     dev_b = float(_accumulate(lat, parts_b)[0][0])
 
-    zero_res = tuple(np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps))
+    zero_res = tuple(np.zeros(k) for k in sizes)
     y_star = assemble(lat, RepresentingPair(0.0, arg_H, arg_Ht, zero_res))
     y_tilde = y_star - prob.x_b
 

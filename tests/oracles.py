@@ -6,7 +6,8 @@ paths it is used to check. The artifact references at the end are the
 node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
 batched quantiles, laws, permutations, driver checks, block recursion and axiom
-probes replace.
+probes replace, and the level-by-level loop that the stacked sharing solve
+replaces.
 """
 
 from __future__ import annotations
@@ -784,3 +785,46 @@ def residual_check_reference(sol, prob, margin=1e-8):
     passed = interior if premise else True
     return (False, smooth_a, smooth_b, premise, interior, corner_share, corner_comp,
             min_share, min_comp, checked, passed)
+
+
+def solve_sharing_per_level(lat, prob):
+    """``solve_sharing`` one level at a time, as it ran before stacking: per
+    level one split plan, one ``infconv_split`` and one ``certificate_gaps``
+    call at that level's time. The stacked solve must give its bits."""
+    from devlat import (AdaptedProcess, NumericError, RepresentingPair, SharingSolution,
+                        assemble, infconv_split, represent)
+    from devlat.deviation import _accumulate, _levels
+    from devlat.sharing import certificate_gaps
+
+    cfg, nu = prob.solver, lat.noise.jumps
+    g_a, g_b = prob.driver_a, prob.driver_b
+    pair = represent(lat, prob.x_a + prob.x_b)
+    max_res = pair.max_residual()
+    if max_res > cfg.residual_tolerance:
+        raise NumericError(f"representation residual {max_res:.3g}")
+    levels = []
+    for i in range(lat.n_steps):
+        t, H, Ht = lat.times[i], pair.H[i], pair.Htilde[i]
+        Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
+        levels.append((Z, Zt, *certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)))
+    arg_H, arg_Ht, parts_a, parts_b, node_vals, gaps = zip(*levels)
+    certificate_gap = float(np.max(np.concatenate(gaps)))
+    attained = certificate_gap <= cfg.attain_tolerance and \
+        bool(np.isfinite(np.concatenate(node_vals)).all())
+    infconv_d = AdaptedProcess(_accumulate(lat, node_vals))
+    dev_a = float(_accumulate(lat, parts_a)[0][0])
+    dev_b = float(_accumulate(lat, parts_b)[0][0])
+    zero_res = tuple(np.zeros(lat.num_nodes(i)) for i in range(lat.n_steps))
+    y_star = assemble(lat, RepresentingPair(0.0, arg_H, arg_Ht, zero_res))
+    mart_a, levels_a = _levels(lat, g_a, prob.x_a.values, lat.n_steps)
+    mart_b, levels_b = _levels(lat, g_b, prob.x_b.values, lat.n_steps)
+    mean_a, mean_b = float(mart_a[0][0]), float(mart_b[0][0])
+    d0_a, d0_b = float(levels_a[0][0]), float(levels_b[0][0])
+    price = -mean_b - dev_b + d0_b
+    return SharingSolution(
+        argmin_H=arg_H, argmin_Ht=arg_Ht, y_star=y_star, y_tilde_star=y_star - prob.x_b,
+        price=price, infconv_d=infconv_d, attained=attained,
+        certificate_gap=certificate_gap,
+        du_a=((mean_a + mean_b + price) - dev_a) - (mean_a - d0_a),
+        du_b=(-price - dev_b) - (mean_b - d0_b),
+        d0_a=d0_a, d0_b=d0_b, max_residual=max_res, total_pair=pair, jumps=nu)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,17 @@ from devlat import (
     Custom,
     InfConv,
     JumpMeasure,
+    NoiseModel,
     NormCD,
     RandomVariable,
     Scaled,
     SharingProblem,
     SolverConfig,
+    TimeGrid,
     Variance,
     assemble,
     brute_force_min,
+    build_lattice,
     check_driver,
     conditional_variance,
     evaluate,
@@ -29,7 +34,8 @@ import devlat.sharing as sharing
 from devlat.deviation import _accumulate
 from devlat.representation import RepresentingPair
 from devlat.sharing import certificate_gaps
-from oracles import certificate_gap_by_node, residual_check_reference
+from oracles import certificate_gap_by_node, residual_check_reference, \
+    solve_sharing_per_level
 
 EMPTY = JumpMeasure.empty()
 NU = JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7))
@@ -424,3 +430,123 @@ def test_level_certificate_matches_per_node_oracle(g_a, g_b, rng):
                 want = certificate_gap_by_node(objective, points[v])
                 assert gaps[v] == pytest.approx(want, rel=1e-7, abs=1e-7)
                 assert values[v] == pytest.approx(objective(points[v]), rel=1e-12, abs=1e-12)
+
+
+# -- the stacked solve: one split and one certificate over every level -------------
+
+JUMPS2 = JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))
+
+
+def _bits(obj, name="sol", out=None) -> dict:
+    """Every leaf of a solution by path; floats and float arrays as their
+    ``uint64`` views, so that -0.0 and 0.0 differ."""
+    out = {} if out is None else out
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            _bits(getattr(obj, field.name), f"{name}.{field.name}", out)
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            _bits(item, f"{name}[{i}]", out)
+    elif isinstance(obj, np.ndarray):
+        out[name] = (obj.shape, obj.view(np.uint64).tolist())
+    elif isinstance(obj, float):
+        out[name] = int(np.float64(obj).view(np.uint64))
+    else:
+        out[name] = obj
+    return out
+
+
+def _random_problem(lat, rng, g_a, g_b, solver=SolverConfig()):
+    n = lat.n_steps
+    return SharingProblem(RandomVariable(rng.normal(size=lat.num_nodes(n)), n),
+                          RandomVariable(rng.normal(size=lat.num_nodes(n)), n),
+                          g_a, g_b, solver)
+
+
+_STACKED_LATTICES = {
+    "binomial_d2": (TimeGrid.uniform(3, 1.0), NoiseModel.brownian(2)),
+    "jump_m2": (TimeGrid.uniform(3, 1.0), NoiseModel(1, JUMPS2)),
+}
+
+
+@pytest.mark.parametrize("lat_name", sorted(_STACKED_LATTICES))
+@pytest.mark.parametrize("g_a, g_b", [
+    (Scaled(1.0, Variance(0.8)), Scaled(3.0, Variance(0.8))),
+    (Variance(1.0), NormCD(1.0, 0.5)),
+    (NormCD(2.0, 1.0), NormCD(1.0, 1.5)),
+    (NormCD(1.0, 1.0), InfConv(Variance(1.3), NormCD(1.0, 0.5))),
+], ids=["proportional", "radial_huber", "norm_norm", "infconv_sided"])
+def test_stacked_solve_has_the_bits_of_the_per_level_loop(lat_name, g_a, g_b, rng):
+    """One split and one certificate over the stacked rows of every level
+    give every field of the level-by-level solve, bit for bit; level 0 is a
+    one-node level on both lattices."""
+    lat = build_lattice(*_STACKED_LATTICES[lat_name])
+    prob = _random_problem(lat, rng, g_a, g_b)
+    assert _bits(solve_sharing(lat, prob)) == _bits(solve_sharing_per_level(lat, prob))
+
+
+def test_stacked_numeric_solve_has_the_bits_of_the_per_level_loop(rng):
+    """A pair with no closed form solves every stacked row numerically at
+    its own time, as the level-by-level loop does."""
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel(1, JUMPS2))
+    solver = SolverConfig(max_iterations=200, stall_window=50, polish_iterations=20)
+    prob = _random_problem(lat, rng, Scaled(2.0, Variance(1.0)), CVaRJump(0.4), solver)
+    assert _bits(solve_sharing(lat, prob)) == _bits(solve_sharing_per_level(lat, prob))
+
+
+def _time_weighted_square():
+    def value(t, h, ht, nu):
+        return (1.0 + t) * float(h @ h + ht @ ht)
+
+    def subgradient(t, h, ht, nu):
+        return 2.0 * (1.0 + t) * np.concatenate([h, ht])
+
+    return Custom(value, subgradient, name="time_weighted")
+
+
+def test_custom_driver_reads_each_stacked_row_time(binomial4, rng):
+    """A driver whose value depends on t gets each row's own level time from
+    the stacked split and certificate."""
+    solver = SolverConfig(max_iterations=200, stall_window=50, polish_iterations=20)
+    prob = _random_problem(binomial4, rng, _time_weighted_square(), Variance(1.0), solver)
+    assert _bits(solve_sharing(binomial4, prob)) == \
+        _bits(solve_sharing_per_level(binomial4, prob))
+
+
+def test_custom_value_batch_takes_a_time_per_row(rng):
+    custom = _time_weighted_square()
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    H, Ht = rng.normal(size=(5, 1)), rng.normal(size=(5, 2))
+    got = custom.value_batch(t, H, Ht, NU)
+    want = np.array([custom.value(t[i], H[i], Ht[i], NU) for i in range(5)])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    got = custom.subgradient_batch(t, H, Ht, NU)
+    want = np.array([custom.subgradient(t[i], H[i], Ht[i], NU) for i in range(5)])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("spec", [
+    Variance(1.3), NormCD(1.0, 0.5), CVaRJump(0.4), Scaled(2.0, NormCD(1.0, 1.0)),
+    InfConv(Variance(1.0), NormCD(1.0, 0.5)), InfConv(Variance(1.0), CVaRJump(0.4)),
+], ids=["variance", "norm_cd", "cvar_jump", "scaled", "infconv", "infconv_numeric"])
+def test_builtin_kinds_ignore_the_row_times(spec, rng):
+    t = np.array([0.0, 0.25, 0.5, 0.75])
+    H, Ht = rng.normal(size=(4, 1)), rng.normal(size=(4, 2))
+    scalar, rows = spec.value_batch(0.5, H, Ht, NU), spec.value_batch(t, H, Ht, NU)
+    assert scalar.view(np.uint64).tolist() == rows.view(np.uint64).tolist()
+
+
+def test_one_plan_and_one_certificate_per_solve(binomial4, rng, monkeypatch):
+    """The n=4 binomial solve builds the split plan and runs the certificate
+    once, not once per level."""
+    calls = {"_split_plan": 0, "certificate_gaps": 0}
+    for name in calls:
+        original = getattr(sharing, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sharing, name, counted)
+    solve_sharing(binomial4, _random_problem(binomial4, rng, Variance(1.0), NormCD(1.0, 0.5)))
+    assert calls == {"_split_plan": 1, "certificate_gaps": 1}
