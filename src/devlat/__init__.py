@@ -65,7 +65,6 @@ from .optim import (
     MinimizeResult,
     NumericError,
     SolverConfig,
-    brute_force_min,
     minimize,
 )
 from .sharing import (

@@ -88,7 +88,7 @@ def _loss_groups(a: float, Ht, nu: JumpMeasure) -> list[tuple]:
     m, rows = nu.m, Ht.shape[0]
     # ascending htilde is descending loss; a stable sort keeps ties in mark order
     order = np.argsort(Ht, axis=1, kind="stable")
-    loss = -np.take_along_axis(Ht, order, axis=1)
+    loss = -Ht[np.arange(rows)[:, None], order]
     mass = nu.intensity_array[order]
     columns = []
     above, group = np.zeros(rows), mass[:, 0]
@@ -144,6 +144,20 @@ def cvar_nu(a: float, htilde, nu: JumpMeasure) -> float:
 
 
 # -- driver kinds ----------------------------------------------------------------
+#
+# Each built-in kind writes its formula once, as ``value_batch`` and
+# ``subgradient_batch`` over rows ``(H, Ht)``; its ``value`` and
+# ``subgradient`` are that formula on one row.
+
+
+def _one_row_value(self, t, h, htilde, nu):
+    """The kind's ``value_batch`` on the one row ``(h, htilde)``."""
+    return float(self.value_batch(t, h[None, :], htilde[None, :], nu)[0])
+
+
+def _one_row_subgradient(self, t, h, htilde, nu):
+    """The kind's ``subgradient_batch`` on the one row ``(h, htilde)``."""
+    return self.subgradient_batch(t, h[None, :], htilde[None, :], nu)[0]
 
 
 @dataclass(frozen=True)
@@ -156,19 +170,14 @@ class Variance:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    def value(self, t, h, htilde, nu):
-        return self.alpha * (float(h @ h) + float((htilde * htilde) @ nu.intensity_array))
+    value, subgradient = _one_row_value, _one_row_subgradient
 
     def value_batch(self, t, H, Ht, nu):
-        return self.alpha * ((H * H).sum(axis=1) + (Ht * Ht) @ nu.intensity_array)
-
-    def subgradient(self, t, h, htilde, nu):
-        return np.concatenate(
-            [2.0 * self.alpha * h, 2.0 * self.alpha * nu.intensity_array * htilde]
-        )
+        return self.alpha * (np.add.reduce(H * H, axis=1) + (Ht * Ht) @ nu.intensity_array)
 
     def subgradient_batch(self, t, H, Ht, nu):
-        return np.hstack([2.0 * self.alpha * H, 2.0 * self.alpha * nu.intensity_array * Ht])
+        two_alpha = 2.0 * self.alpha
+        return np.concatenate([two_alpha * H, two_alpha * nu.intensity_array * Ht], axis=1)
 
 
 @dataclass(frozen=True)
@@ -182,31 +191,20 @@ class NormCD:
         if self.c < 0 or self.d < 0 or (self.c == 0 and self.d == 0):
             raise ValueError("need c >= 0, d >= 0 and not both zero")
 
-    def value(self, t, h, htilde, nu):
-        jump = float((htilde * htilde) @ nu.intensity_array)
-        return self.c * float(np.linalg.norm(h)) + self.d * np.sqrt(jump)
+    value, subgradient = _one_row_value, _one_row_subgradient
 
     def value_batch(self, t, H, Ht, nu):
         return (self.c * np.sqrt(np.add.reduce(H * H, axis=1))
                 + self.d * np.sqrt((Ht * Ht) @ nu.intensity_array))
 
-    def subgradient(self, t, h, htilde, nu):
-        # at either kink the zero element of the subdifferential is returned
-        hn = float(np.linalg.norm(h))
-        gh = self.c * h / hn if hn > 0 else np.zeros_like(h)
-        wj = nu.intensity_array
-        jn = np.sqrt(float((htilde * htilde) @ wj))
-        gj = self.d * wj * htilde / jn if jn > 0 else np.zeros_like(htilde)
-        return np.concatenate([gh, gj])
-
     def subgradient_batch(self, t, H, Ht, nu):
-        # a norm over two or more terms may round apart from the scalar's
+        # at either kink the zero element of the subdifferential is returned
         hn = np.sqrt(np.add.reduce(H * H, axis=1))[:, None]
         wj = nu.intensity_array
         jn = np.sqrt((Ht * Ht) @ wj)[:, None]
         gh = np.divide(self.c * H, hn, out=np.zeros_like(H), where=hn > 0)
         gj = np.divide(self.d * wj * Ht, jn, out=np.zeros_like(Ht), where=jn > 0)
-        return np.hstack([gh, gj])
+        return np.concatenate([gh, gj], axis=1)
 
 
 @dataclass(frozen=True)
@@ -224,40 +222,24 @@ class CVaRJump:
         if self.a <= 0:
             raise ValueError("a must be positive")
 
-    def value(self, t, h, htilde, nu):
-        return cvar_nu(self.a, htilde, nu)
+    value, subgradient = _one_row_value, _one_row_subgradient
 
     def value_batch(self, t, H, Ht, nu):
         return _cvar_rows(self.a, Ht, nu)
 
-    def subgradient(self, t, h, htilde, nu):
+    def subgradient_batch(self, t, H, Ht, nu):
         # tail-indicator weights: full mass strictly beyond the quantile, the
         # remaining level mass spread over the boundary atoms
-        q = var_nu(self.a, htilde, nu)
-        w = -np.asarray(htilde, dtype=float)
-        masses = nu.intensity_array
-        strict = w > q
-        boundary = w == q
-        above = float(masses[strict].sum())
-        bmass = float(masses[boundary].sum())
-        lam = (self.a - above) / bmass if bmass > 0 else 0.0
-        weights = np.where(strict, masses, 0.0) + np.where(boundary, lam * masses, 0.0)
-        return np.concatenate([np.zeros(len(np.atleast_1d(h))), -weights / self.a])
-
-    def subgradient_batch(self, t, H, Ht, nu):
         masses = nu.intensity_array
         W = -Ht
         q = _var_rows(self.a, Ht, nu)[:, None]
-        strict, boundary = W > q, W == q
-        # masses summed in mark order, as the scalar's sum of the selected ones
-        above, bmass = np.zeros(len(W)), np.zeros(len(W))
-        for j, mass in enumerate(masses):
-            above = above + np.where(strict[:, j], mass, 0.0)
-            bmass = bmass + np.where(boundary[:, j], mass, 0.0)
+        tail = np.where([W > q, W == q], masses, 0.0)  # strict, boundary
+        # each row's masses summed in mark order by one running sum, the
+        # order of the reference formula's sum over the selected marks
+        above, bmass = np.cumsum(tail, axis=2)[:, :, -1]
         lam = np.divide(self.a - above, bmass, out=np.zeros(len(W)), where=bmass > 0)
-        weights = np.where(strict, masses, 0.0) \
-            + np.where(boundary, lam[:, None] * masses, 0.0)
-        return np.hstack([np.zeros_like(H), -weights / self.a])
+        weights = tail[0] + tail[1] * lam[:, None]
+        return np.concatenate([np.zeros_like(H), -weights / self.a], axis=1)
 
 
 @dataclass(frozen=True)
@@ -271,41 +253,34 @@ class Scaled:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
-    def value(self, t, h, htilde, nu):
-        return self.gamma * self.base.value(t, h / self.gamma, htilde / self.gamma, nu)
+    value, subgradient = _one_row_value, _one_row_subgradient
 
     def value_batch(self, t, H, Ht, nu):
         return self.gamma * self.base.value_batch(t, H / self.gamma, Ht / self.gamma, nu)
 
-    def subgradient(self, t, h, htilde, nu):
-        # chain rule: the outer factor cancels the inner 1/gamma
-        return self.base.subgradient(t, h / self.gamma, htilde / self.gamma, nu)
-
     def subgradient_batch(self, t, H, Ht, nu):
+        # chain rule: the outer factor cancels the inner 1/gamma
         return self.base.subgradient_batch(t, H / self.gamma, Ht / self.gamma, nu)
 
 
 @dataclass(frozen=True)
 class InfConv:
-    """Pointwise inf-convolution of two drivers: the optimal-split penalty.
-    A split that pools this node into an enclosing pair uses the outermost
-    call's ``SolverConfig``; ``solver`` serves when this node is the pair."""
+    """Pointwise inf-convolution of two drivers: the optimal-split penalty,
+    the pair's objective at ``infconv_split``'s split of each row. A split
+    that pools this node into an enclosing pair uses the outermost call's
+    ``SolverConfig``; ``solver`` serves when this node is the pair."""
 
     a: "DriverSpec"
     b: "DriverSpec"
     solver: SolverConfig = SolverConfig()
 
-    def value(self, t, h, htilde, nu):
-        return float(self.value_batch(t, h[None, :], htilde[None, :], nu)[0])
+    value, subgradient = _one_row_value, _one_row_subgradient
 
     def value_batch(self, t, H, Ht, nu):
         from .sharing import _split_objective, infconv_split
 
         Z, Zt = infconv_split(self.a, self.b, t, H, Ht, nu, self.solver)
         return _split_objective(self.a, self.b, t, H, Ht, Z, Zt, nu)
-
-    def subgradient(self, t, h, htilde, nu):
-        return self.subgradient_batch(t, h[None, :], htilde[None, :], nu)[0]
 
     def subgradient_batch(self, t, H, Ht, nu):
         # at an optimal split the two subdifferentials intersect; a selection

@@ -20,11 +20,7 @@ __all__ = [
     "NumericError",
     "MinimizeResult",
     "minimize",
-    "brute_force_min",
 ]
-
-#: refuse exhaustive grids beyond this many evaluations
-BRUTE_FORCE_BUDGET = 20_000_000
 
 
 class NumericError(ValueError):
@@ -194,33 +190,3 @@ def minimize(evaluate: Callable[[np.ndarray], float],
     g_final = np.asarray(subgradient(x_best), dtype=float)
     gap = float(np.linalg.norm(g_final)) * (1.0 + float(np.linalg.norm(x_best)))
     return MinimizeResult(x_best, f_best, iterations, converged, gap)
-
-
-def brute_force_min(
-    evaluate: Callable[[np.ndarray], float],
-    box: list[tuple[float, float]],
-    step: float,
-) -> tuple[np.ndarray, float]:
-    """Exhaustive grid minimisation over a box; test oracle, dimensions <= 3."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not 1 <= len(box) <= 3:
-        raise ValueError("brute force supports 1 to 3 dimensions")
-    axes = []
-    total = 1
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-            raise ValueError("box intervals must be finite with lo < hi")
-        ax = np.arange(lo, hi + step / 2, step)
-        axes.append(ax)
-        total *= len(ax)
-    if total > BRUTE_FORCE_BUDGET:
-        raise ValueError(f"grid of {total} points exceeds the brute-force budget")
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    best_x, best_f = np.full(len(box), math.inf), math.inf
-    for pt in points:
-        f = float(evaluate(pt))
-        if _better(f, pt, best_f, best_x):
-            best_f, best_x = f, pt
-    return best_x, best_f

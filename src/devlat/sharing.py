@@ -25,7 +25,8 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .deviation import _accumulate, _levels
-from .drivers import DriverSpec, InfConv, NormCD, Scaled, Variance, _row_times
+from .drivers import (DriverSpec, InfConv, NormCD, Scaled, Variance, _as_vec, _check_dims,
+                      _row_times)
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, SolverConfig, _better, minimize
 from .representation import RepresentingPair, assemble, represent
@@ -257,8 +258,7 @@ def _apply(parts: tuple, t: float | np.ndarray, H: np.ndarray, Ht: np.ndarray,
 
 def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
                   H: np.ndarray, Ht: np.ndarray, nu: JumpMeasure,
-                  cfg: SolverConfig | None = None,
-                  method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+                  cfg: SolverConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """B's optimal share ``(Z, Zt)`` of every row of the integrands ``H``
     (rows, d) and ``Ht`` (rows, m); A keeps ``(H - Z, Ht - Zt)``. The rows
     may come from any nodes of any levels: ``t`` is one time for all of them
@@ -266,15 +266,11 @@ def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
 
     A closed-form plan splits all rows at once (``Z = theta_B * H``, ``Zt =
     theta_J * Ht``), any other row by row with the numeric minimiser and
-    ``cfg``; ``method="numeric"`` solves ``g_a`` against ``g_b`` as given.
+    ``cfg``.
     """
-    if method not in ("auto", "numeric"):
-        raise ValueError("method must be 'auto' or 'numeric'")
     H = np.asarray(H, dtype=float)
     Ht = np.asarray(Ht, dtype=float)
-    plan = _split_plan(g_a, g_b) if method == "auto" else \
-        ((g_a, (0.0, 0.0)), (g_b, (1.0, 1.0)))
-    return _apply(plan, t, H, Ht, nu, cfg)
+    return _apply(_split_plan(g_a, g_b), t, H, Ht, nu, cfg)
 
 
 def _split_objective(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
@@ -284,22 +280,22 @@ def _split_objective(g_a: DriverSpec, g_b: DriverSpec, t: float, H: np.ndarray,
 
 
 def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
-                  nu: JumpMeasure, cfg: SolverConfig | None = None,
-                  method: str = "auto") -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+                  nu: JumpMeasure, cfg: SolverConfig | None = None
+                  ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Pointwise inf-convolution inf_z { g_a(x - z) + g_b(z) } with its argmin.
 
     Both drivers flatten into scaled atoms, however deeply ``Scaled`` and
     ``InfConv`` nest (``_split_plan``). ``Variance`` and ``NormCD`` atoms split
     in closed form per block (``_block_rule``: harmonic mean, cheaper slope,
     Huber); ``CVaRJump`` and ``Custom`` atoms run the numeric solver with
-    block-corner candidates. ``method="numeric"`` solves the two drivers as
-    given and is the test oracle for the closed forms. The value is the
-    objective at the split (``infconv_split`` on one row).
+    block-corner candidates. The value is the objective at the split
+    (``infconv_split`` on one row). ``htilde`` must have one entry per mark,
+    as for ``eval_driver``.
     """
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    ht = np.atleast_1d(np.asarray(htilde, dtype=float)) if nu.m else np.zeros(0)
+    h, ht = _as_vec(h), _as_vec(htilde)
+    _check_dims(ht, nu)
     H, Ht = h[None, :], ht[None, :]
-    Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg, method)
+    Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
     value = _split_objective(g_a, g_b, t, H, Ht, Z, Zt, nu)
     return float(value[0]), (Z[0], Zt[0])
 

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here recomputes quantities from definitions (path enumeration,
-candidate scans, finite differences, normal equations) without touching the production code
-paths it is used to check. The artifact references at the end are the
+candidate scans, finite differences, normal equations, exhaustive grids) without
+touching the production code paths it is used to check. The built-in driver
+kinds' scalar formulas live here too, as references for their batch forms, and
+so does the numeric inf-convolution of a pair as given, the reference for the
+closed-form splits. The artifact references at the end are the
 node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
 batched quantiles, laws, permutations, driver checks, block recursion and axiom
@@ -235,6 +238,129 @@ def radial_infconv_reference(g_a, g_b, h, htilde, masses):
         else:
             total += c * r - c * c / (4.0 * q)
     return total
+
+
+def driver_value_reference(spec, t, h, htilde, nu):
+    """A driver's value at one point by each built-in kind's own scalar
+    formula, written apart from the batch forms it checks: ``Scaled`` and
+    ``InfConv`` recurse into their parts (``InfConv`` at ``infconv_split``'s
+    split), and ``Custom`` calls its oracle."""
+    from devlat import CVaRJump, InfConv, NormCD, Scaled, Variance
+
+    if isinstance(spec, Variance):
+        return spec.alpha * (float(h @ h) + float((htilde * htilde) @ nu.intensity_array))
+    if isinstance(spec, NormCD):
+        jump = float((htilde * htilde) @ nu.intensity_array)
+        return spec.c * float(np.linalg.norm(h)) + spec.d * np.sqrt(jump)
+    if isinstance(spec, CVaRJump):
+        return cvar_nu_reference(spec.a, htilde, nu)
+    if isinstance(spec, Scaled):
+        return spec.gamma * driver_value_reference(spec.base, t, h / spec.gamma,
+                                                   htilde / spec.gamma, nu)
+    if isinstance(spec, InfConv):
+        z, zt = _infconv_split_row(spec, t, h, htilde, nu)
+        return driver_value_reference(spec.a, t, h - z, htilde - zt, nu) \
+            + driver_value_reference(spec.b, t, z, zt, nu)
+    return float(spec.value_fn(t, h, htilde, nu))
+
+
+def driver_subgradient_reference(spec, t, h, htilde, nu):
+    """An element of a driver's subdifferential at one point by each built-in
+    kind's own scalar formula, as ``driver_value_reference`` recurses."""
+    from devlat import CVaRJump, InfConv, NormCD, Scaled, Variance
+
+    if isinstance(spec, Variance):
+        return np.concatenate(
+            [2.0 * spec.alpha * h, 2.0 * spec.alpha * nu.intensity_array * htilde]
+        )
+    if isinstance(spec, NormCD):
+        # at either kink the zero element of the subdifferential is returned
+        hn = float(np.linalg.norm(h))
+        gh = spec.c * h / hn if hn > 0 else np.zeros_like(h)
+        wj = nu.intensity_array
+        jn = np.sqrt(float((htilde * htilde) @ wj))
+        gj = spec.d * wj * htilde / jn if jn > 0 else np.zeros_like(htilde)
+        return np.concatenate([gh, gj])
+    if isinstance(spec, CVaRJump):
+        # tail-indicator weights: full mass strictly beyond the quantile, the
+        # remaining level mass spread over the boundary atoms
+        q = var_nu_reference(spec.a, htilde, nu)
+        w = -np.asarray(htilde, dtype=float)
+        masses = nu.intensity_array
+        strict = w > q
+        boundary = w == q
+        above = float(masses[strict].sum())
+        bmass = float(masses[boundary].sum())
+        lam = (spec.a - above) / bmass if bmass > 0 else 0.0
+        weights = np.where(strict, masses, 0.0) + np.where(boundary, lam * masses, 0.0)
+        return np.concatenate([np.zeros(len(np.atleast_1d(h))), -weights / spec.a])
+    if isinstance(spec, Scaled):
+        # chain rule: the outer factor cancels the inner 1/gamma
+        return driver_subgradient_reference(spec.base, t, h / spec.gamma,
+                                            htilde / spec.gamma, nu)
+    if isinstance(spec, InfConv):
+        # the larger-magnitude entry of the two sides' selections, coordinate
+        # by coordinate, as ``InfConv.subgradient_batch`` picks it
+        z, zt = _infconv_split_row(spec, t, h, htilde, nu)
+        sa = driver_subgradient_reference(spec.a, t, h - z, htilde - zt, nu)
+        sb = driver_subgradient_reference(spec.b, t, z, zt, nu)
+        return np.where(np.abs(sa) >= np.abs(sb), sa, sb)
+    return np.asarray(spec.subgradient_fn(t, h, htilde, nu), dtype=float)
+
+
+def _infconv_split_row(spec, t, h, htilde, nu):
+    from devlat import infconv_split
+
+    Z, Zt = infconv_split(spec.a, spec.b, t, h[None, :], htilde[None, :], nu, spec.solver)
+    return Z[0], Zt[0]
+
+
+def numeric_infconv_value(g_a, g_b, t, h, htilde, nu, cfg=None):
+    """``infconv_value`` by the numeric solver on the pair as given, the
+    oracle for the closed forms: ``_apply`` on the plan that solves ``g_a``
+    against ``g_b`` and hands B all of ``g_b``'s part. Returns ``(value, (z,
+    zt))``."""
+    from devlat.sharing import _apply, _split_objective
+
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    ht = np.atleast_1d(np.asarray(htilde, dtype=float)) if nu.m else np.zeros(0)
+    H, Ht = h[None, :], ht[None, :]
+    Z, Zt = _apply(((g_a, (0.0, 0.0)), (g_b, (1.0, 1.0))), t, H, Ht, nu, cfg)
+    value = _split_objective(g_a, g_b, t, H, Ht, Z, Zt, nu)
+    return float(value[0]), (Z[0], Zt[0])
+
+
+#: refuse exhaustive grids beyond this many evaluations
+BRUTE_FORCE_BUDGET = 20_000_000
+
+
+def brute_force_min(evaluate, box, step):
+    """Exhaustive grid minimisation over a box, dimensions <= 3; ties resolve
+    as ``minimize``'s do, to the smaller-norm point."""
+    from devlat.optim import _better
+
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not 1 <= len(box) <= 3:
+        raise ValueError("brute force supports 1 to 3 dimensions")
+    axes = []
+    total = 1
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+            raise ValueError("box intervals must be finite with lo < hi")
+        ax = np.arange(lo, hi + step / 2, step)
+        axes.append(ax)
+        total *= len(ax)
+    if total > BRUTE_FORCE_BUDGET:
+        raise ValueError(f"grid of {total} points exceeds the brute-force budget")
+    grids = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=-1)
+    best_x, best_f = np.full(len(box), math.inf), math.inf
+    for pt in points:
+        f = float(evaluate(pt))
+        if _better(f, pt, best_f, best_x):
+            best_f, best_x = f, pt
+    return best_x, best_f
 
 
 def canonical_json_reference(obj):

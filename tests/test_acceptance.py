@@ -25,7 +25,6 @@ from devlat import (
     Variance,
     assemble,
     axiom_report,
-    brute_force_min,
     build_lattice,
     check_driver,
     conditional_variance,
@@ -34,7 +33,6 @@ from devlat import (
     eval_driver,
     evaluate,
     evaluate_recursive,
-    infconv_value,
     law_probe,
     permute_paths,
     proportional_transfer,
@@ -48,7 +46,7 @@ from devlat import (
 from devlat.cli import main as cli_main
 from devlat.representation import RepresentingPair
 
-from oracles import cvar_by_segments, var_by_scan
+from oracles import brute_force_min, cvar_by_segments, numeric_infconv_value, var_by_scan
 
 EMPTY = JumpMeasure.empty()
 
@@ -265,8 +263,7 @@ def test_criterion_07_infconv_closed_forms():
         h = rng.normal(scale=2.0, size=2)
         ht = rng.normal(scale=2.0, size=2)
         closed = (a_a * a_b / (a_a + a_b)) * (float(h @ h) + float((ht * ht) @ wj))
-        value, _ = infconv_value(Variance(a_a), Variance(a_b), 0.0, h, ht, nu,
-                                 method="numeric")
+        value, _ = numeric_infconv_value(Variance(a_a), Variance(a_b), 0.0, h, ht, nu)
         worst_quad = max(worst_quad, abs(value - closed))
     assert worst_quad <= 1e-6
 
@@ -274,8 +271,8 @@ def test_criterion_07_infconv_closed_forms():
     for _ in range(100):
         c_a, c_b = rng.uniform(0.4, 2.5, size=2)
         h = rng.normal(scale=2.0, size=2)
-        value, _ = infconv_value(NormCD(c_a, 0.0), NormCD(c_b, 0.0), 0.0, h, [], EMPTY,
-                                 method="numeric")
+        value, _ = numeric_infconv_value(NormCD(c_a, 0.0), NormCD(c_b, 0.0), 0.0, h, [],
+                                         EMPTY)
         worst_norm = max(worst_norm, abs(value - min(c_a, c_b) * float(np.linalg.norm(h))))
     assert worst_norm <= 1e-6
 
@@ -284,12 +281,11 @@ def test_criterion_07_infconv_closed_forms():
         a_a, a_b = rng.uniform(0.4, 2.5, size=2)
         c_a, c_b = rng.uniform(0.4, 2.5, size=2)
         h = float(rng.normal(scale=1.5))
-        vq, _ = infconv_value(Variance(a_a), Variance(a_b), 0.0, [h], [], EMPTY,
-                              method="numeric")
+        vq, _ = numeric_infconv_value(Variance(a_a), Variance(a_b), 0.0, [h], [], EMPTY)
         _, bq = brute_force_min(
             lambda z: a_a * (h - z[0]) ** 2 + a_b * z[0] ** 2, [(-4.0, 6.0)], 1e-4)
-        vn, _ = infconv_value(NormCD(c_a, 0.0), NormCD(c_b, 0.0), 0.0, [h], [], EMPTY,
-                              method="numeric")
+        vn, _ = numeric_infconv_value(NormCD(c_a, 0.0), NormCD(c_b, 0.0), 0.0, [h], [],
+                                      EMPTY)
         _, bn = brute_force_min(
             lambda z: c_a * abs(h - z[0]) + c_b * abs(z[0]), [(-4.0, 6.0)], 1e-4)
         worst_bf = max(worst_bf, abs(vq - bq), abs(vn - bn))

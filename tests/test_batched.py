@@ -28,10 +28,10 @@ from devlat import (
     build_lattice,
     check_driver,
     cvar_nu,
+    eval_driver,
     law,
     law_distance,
     permute_paths,
-    subgradient,
     var_nu,
 )
 
@@ -39,6 +39,8 @@ from oracles import (
     axiom_report_reference,
     check_driver_reference,
     cvar_nu_reference,
+    driver_subgradient_reference,
+    driver_value_reference,
     law_reference,
     norm_cd_batch_by_linalg,
     var_nu_reference,
@@ -222,7 +224,7 @@ def _same(got, want):
     elif isinstance(want, np.ndarray):
         assert got.tobytes() == want.tobytes()
     elif isinstance(want, float):
-        # value and value_batch may round differently in the last bits
+        # a stack of rows may round apart from one row in the last bits
         assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
     else:
         assert got == want
@@ -292,12 +294,8 @@ BATCHED = {
 }
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(BATCHED)), st.data())
-def test_subgradient_batch_is_the_scalar_subgradient_per_row(name, data):
-    """At kinks (zero h or zero htilde), zero rows and tied losses; NormCD's
-    norms over two or more terms may round apart, by at most 4 ulps."""
-    spec, d, nu = BATCHED[name]
+def _batched_rows(data, d, nu):
+    """Rows at kinks (zero h or zero htilde), zero rows and tied losses."""
     rows = data.draw(st.integers(1, 8))
     cell = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 5e-324])
     H = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
@@ -305,13 +303,50 @@ def test_subgradient_batch_is_the_scalar_subgradient_per_row(name, data):
     Ht = np.array(data.draw(st.lists(st.lists(cell, min_size=nu.m, max_size=nu.m),
                                      min_size=rows, max_size=rows)))
     H[0], Ht[-1] = 0.0, 0.0
+    return H, Ht
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BATCHED)), st.data())
+def test_subgradient_batch_is_the_scalar_subgradient_per_row(name, data):
+    """Against each kind's scalar formula (``tests/oracles.py``), row by row;
+    NormCD's norms over two or more terms may round apart, by at most 4 ulps."""
+    spec, d, nu = BATCHED[name]
+    H, Ht = _batched_rows(data, d, nu)
     got = spec.subgradient_batch(0.0, H, Ht, nu)
-    want = np.array([subgradient(spec, 0.0, h, ht, nu) for h, ht in zip(H, Ht)])
-    assert got.shape == (rows, d + nu.m)
+    want = np.array([driver_subgradient_reference(spec, 0.0, h, ht, nu)
+                     for h, ht in zip(H, Ht)])
+    assert got.shape == (len(H), d + nu.m)
     if "norm_cd" in name:
         np.testing.assert_array_max_ulp(got, want, maxulp=4)
     else:
         assert got.tobytes() == want.tobytes()
+
+
+#: kinds whose values sum no products, so a stack of rows rounds as one row
+UNSUMMED = {"cvar_jump", "cvar_jump_boundary", "scaled", "custom"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BATCHED)), st.data())
+def test_value_batch_is_the_scalar_value_per_row(name, data):
+    """Against each kind's scalar formula (``tests/oracles.py``), row by row.
+    One row at a time (``eval_driver``) every bit is kept at d = 1 and for
+    ``CVaRJump``; at d >= 2 the Brownian sum of squares may round apart, by at
+    most 4 ulps. A stack of rows takes the jump block's sum as one matrix
+    product, which may round apart from the one-row product wherever it adds
+    two or more terms, also by at most 4 ulps."""
+    spec, d, nu = BATCHED[name]
+    H, Ht = _batched_rows(data, d, nu)
+    want = np.array([driver_value_reference(spec, 0.0, h, ht, nu) for h, ht in zip(H, Ht)])
+    one_row = np.array([eval_driver(spec, 0.0, h, ht, nu) for h, ht in zip(H, Ht)])
+    got = spec.value_batch(0.0, H, Ht, nu)
+    assert got.shape == (len(H),)
+    for values, exact in ((one_row, d == 1 or name in UNSUMMED), (got, name in UNSUMMED)):
+        if exact:
+            assert values.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_array_max_ulp(values, want, maxulp=4)
 
 
 @settings(max_examples=200, deadline=None)

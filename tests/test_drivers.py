@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from devlat import (
     subgradient,
     var_nu,
 )
+import devlat.drivers as drivers
 
 from oracles import cvar_by_segments, finite_difference_gradient, var_by_scan
 
@@ -260,3 +264,21 @@ def test_driver_json_round_trip():
         driver_from_dict({"kind": "unknown"})
     with pytest.raises(ValueError):
         driver_to_dict(Custom(lambda *a: 0.0))
+
+
+@pytest.mark.parametrize("cls", [Variance, NormCD, CVaRJump, Scaled, InfConv])
+def test_built_in_kinds_take_one_point_as_one_batch_row(cls):
+    """Each built-in kind writes its formula once, in its batch methods; its
+    scalar names are the shared one-row calls, bound in its own class body."""
+    assert cls.__dict__["value"] is drivers._one_row_value
+    assert cls.__dict__["subgradient"] is drivers._one_row_subgradient
+
+
+def test_only_custom_defines_a_scalar_driver_method():
+    """No class in ``drivers.py`` but ``Custom`` writes a ``value`` or
+    ``subgradient`` body; ``Custom`` wraps the user's per-point oracles."""
+    tree = ast.parse(Path(drivers.__file__).read_text())
+    found = {(cls.name, fn.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and fn.name in ("value", "subgradient")}
+    assert found == {("Custom", "value"), ("Custom", "subgradient")}

@@ -27,6 +27,7 @@ from devlat import (
 
 from oracles import (
     merge_terms,
+    numeric_infconv_value,
     quadratic_cvar_infconv_reference,
     radial_infconv_reference,
     radial_terms,
@@ -145,7 +146,7 @@ def test_tree_algebra(case, g_c, gamma):
 def test_closed_form_matches_numeric_oracle(case):
     g_a, g_b, h, ht, nu = case
     closed, _ = infconv_value(g_a, g_b, 0.0, h, ht, nu)
-    numeric, _ = infconv_value(g_a, g_b, 0.0, h, ht, nu, ORACLE, method="numeric")
+    numeric, _ = numeric_infconv_value(g_a, g_b, 0.0, h, ht, nu, ORACLE)
     assert abs(closed - numeric) <= 1e-7 * max(1.0, abs(closed))
 
 
@@ -252,8 +253,7 @@ def test_numeric_oracle_steps_stay_bounded():
             JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        numeric, _ = infconv_value(*args, SolverConfig(polish_iterations=1000),
-                                   method="numeric")
+        numeric, _ = numeric_infconv_value(*args, SolverConfig(polish_iterations=1000))
     closed, _ = infconv_value(*args)
     assert abs(numeric - closed) <= 1e-7 * abs(closed)
 

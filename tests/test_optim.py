@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from devlat import SolverConfig, brute_force_min, minimize
+from devlat import SolverConfig, minimize
 
-from oracles import grid_min_1d
+from oracles import brute_force_min, grid_min_1d
 
 CFG = SolverConfig()
 

@@ -17,7 +17,6 @@ from devlat import (
     TimeGrid,
     Variance,
     assemble,
-    brute_force_min,
     build_lattice,
     check_driver,
     conditional_variance,
@@ -34,8 +33,8 @@ import devlat.sharing as sharing
 from devlat.deviation import _accumulate
 from devlat.representation import RepresentingPair
 from devlat.sharing import certificate_gaps
-from oracles import certificate_gap_by_node, residual_check_reference, \
-    solve_sharing_per_level
+from oracles import brute_force_min, certificate_gap_by_node, numeric_infconv_value, \
+    residual_check_reference, solve_sharing_per_level
 
 EMPTY = JumpMeasure.empty()
 NU = JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7))
@@ -75,14 +74,25 @@ def test_infconv_zero_point():
     np.testing.assert_array_equal(zt, 0.0)
 
 
+def test_infconv_value_refuses_htilde_on_a_measure_without_marks():
+    # the row is checked, not cut down to the measure's zero marks
+    with pytest.raises(ValueError, match="htilde has 1 entries but the jump measure has 0"):
+        infconv_value(Variance(1.0), Variance(1.0), 0.0, [1.0], [5.0], EMPTY)
+
+
+def test_infconv_value_refuses_htilde_wider_than_the_marks():
+    # refused before the radial split indexes the two intensities
+    with pytest.raises(ValueError, match="htilde has 3 entries but the jump measure has 2"):
+        infconv_value(Variance(1.0), NormCD(1.0, 1.0), 0.0, [1.0], [1.0, 2.0, 3.0], NU)
+
+
 def test_infconv_numeric_matches_fast_path(rng):
     for _ in range(10):
         a_a, a_b = rng.uniform(0.5, 2.0, size=2)
         h = rng.normal(size=1)
         ht = rng.normal(size=2)
         fast, (zf, _) = infconv_value(Variance(a_a), Variance(a_b), 0.0, h, ht, NU)
-        num, (zn, _) = infconv_value(Variance(a_a), Variance(a_b), 0.0, h, ht, NU,
-                                     method="numeric")
+        num, (zn, _) = numeric_infconv_value(Variance(a_a), Variance(a_b), 0.0, h, ht, NU)
         assert num == pytest.approx(fast, abs=1e-6)
         np.testing.assert_allclose(zn, zf, atol=1e-6)
 
