@@ -18,6 +18,7 @@ import contextlib
 import errno
 import math
 import os
+import stat
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -45,6 +46,8 @@ _NON_FINITE = "non-finite float in JSON payload"
 #: the texts of the row numbers 0, 1, ..., read-only; grown to the most rows
 #: an artifact has asked for, and shared by every later artifact
 _ROW_TEXTS = np.empty(0, dtype=object)
+#: each text of ``_ROW_TEXTS`` to its number, grown with it: the reader's twin
+_ROW_NUMBERS: dict = {}
 
 
 def _row_texts(rows: int) -> np.ndarray:
@@ -54,6 +57,7 @@ def _row_texts(rows: int) -> np.ndarray:
         grown = np.array([*_ROW_TEXTS, *map(int.__repr__, range(len(_ROW_TEXTS), rows))],
                          dtype=object)
         grown.flags.writeable = False
+        _ROW_NUMBERS.update(zip(grown[len(_ROW_TEXTS):].tolist(), range(len(_ROW_TEXTS), rows)))
         _ROW_TEXTS = grown
     return _ROW_TEXTS[:rows]
 
@@ -289,20 +293,41 @@ def payoff_csv(x: RandomVariable) -> str:
     return _csv(["leaf", "value"], [("", values.reshape(len(values), 1))])
 
 
+def _write_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path``: a regular file with one link is rewritten in
+    place and cut to length, never to zero (ext4's ``auto_da_alloc`` would
+    start writeback at close); anything else there is replaced by a new file."""
+    try:  # O_NONBLOCK: a FIFO with no reader fails (ENXIO) instead of blocking
+        fd = os.open(path, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:  # no file, a symlink, or none that opens for writing
+        fd = None
+    else:  # the file checked is the file written, whatever the path names later
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode) or st.st_nlink != 1:
+            os.close(fd)
+            fd = None
+    if fd is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_artifacts(artifacts: list) -> None:
-    """Write each ``(path, text)`` as a fresh file; a directory at any path
-    raises first. An existing file, symlink or hard link is unlinked, not
-    truncated (whose close can start writeback at once, ext4's
-    ``auto_da_alloc``): no mode kept, no fsync. An ``OSError`` names its path."""
+    """Write each ``(path, text)`` as UTF-8 by ``_write_file``; a directory at
+    any path raises first. No fsync. An ``OSError`` names its path."""
     for path, _ in artifacts:
         if os.path.isdir(path) and not os.path.islink(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     for path, text in artifacts:
         try:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-            with open(path, "x", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            _write_file(path, text.encode("utf-8"))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
@@ -321,8 +346,12 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     """Read a terminal payoff written as leaf,value rows (any leaf order).
 
     Every row is one ``leaf,value`` pair of unquoted cells; blank lines are
-    skipped, and each leaf must appear exactly once. All cells are parsed in
-    one pass per column, then stored with one indexed assignment.
+    skipped, and each leaf must appear exactly once. If the first 64 value
+    texts repeat one, each distinct text is parsed once (a payoff on the tree
+    often takes few values; hashing every text would slow a payoff that does
+    not). A leaf text is looked up in ``_ROW_NUMBERS``, and only another
+    spelling (``+3``, ``03``) goes through ``int``. The values are stored with
+    one indexed assignment.
     """
     leaves = lat.num_nodes(lat.n_steps)
     with open(path) as fh:
@@ -334,12 +363,20 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     if set(map(str.count, rows, repeat(","))) - {1}:
         raise ValueError(f"{path}: every row must be one 'leaf,value' pair")
     cells = ",".join(rows).split(",") if rows else []
-    index = list(map(int, cells[0::2]))
+    leaf_texts, texts = cells[0::2], cells[1::2]
+    _row_texts(leaves)  # and so _ROW_NUMBERS
+    try:
+        index = list(map(_ROW_NUMBERS.__getitem__, leaf_texts))
+    except KeyError:  # another spelling, such as "+3", "03" or "-1"
+        index = [_ROW_NUMBERS[t] if t in _ROW_NUMBERS else int(t) for t in leaf_texts]
     if index and (min(index) < 0 or max(index) >= leaves):
         first = next(k for k in index if not 0 <= k < leaves)
         raise ValueError(f"{path}: leaf index {first} outside 0..{leaves - 1}")
     leaf = np.array(index, dtype=np.int64)
-    values = np.array(list(map(float, cells[1::2])))
+    head = texts[:64]  # a repeat among the first texts marks a payoff of few values
+    parse = float if len(set(head)) == len(head) else \
+        {t: float(t) for t in dict.fromkeys(texts)}.__getitem__
+    values = np.fromiter(map(parse, texts), float, len(texts))
     counts = np.bincount(leaf, minlength=leaves)
     if np.any(counts > 1):
         raise ValueError(

@@ -108,6 +108,9 @@ class JumpMeasure:
             raise ValueError("marks must be nonzero")
         if len(set(marks)) != len(marks):
             raise ValueError("marks must be pairwise distinct")
+        array = np.array(intens, dtype=float)  # not a field: equality and hash keep to the tuples
+        array.flags.writeable = False
+        object.__setattr__(self, "_intensity_array", array)
 
     @classmethod
     def empty(cls) -> "JumpMeasure":
@@ -123,7 +126,7 @@ class JumpMeasure:
 
     @property
     def intensity_array(self) -> np.ndarray:
-        return np.asarray(self.intensities, dtype=float)
+        return self._intensity_array
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -775,3 +779,58 @@ def test_a_fresh_out_gets_the_bytes_of_a_rerun(tmp_path):
     assert sorted(p.name for p in fresh.iterdir()) == sorted(SHARE_ARTIFACTS)
     for name in SHARE_ARTIFACTS:
         assert (fresh / name).read_bytes() == (reused / name).read_bytes()
+
+
+def test_a_rerun_rewrites_each_single_link_artifact_in_place(tmp_path):
+    """A regular file with one link keeps its inode and mode, and ends up with
+    the bytes of a fresh run whether its old content was longer or shorter."""
+    cfg = _base_config(tmp_path, share=SHARE)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert _share(cfg, out) == 0 and _share(cfg, fresh) == 0
+    before = {}
+    for at, name in enumerate(SHARE_ARTIFACTS):
+        size = (out / name).stat().st_size
+        (out / name).write_bytes(b"x" * (size * 3 if at % 2 else size // 2))
+        (out / name).chmod(0o600)
+        before[name] = (out / name).stat().st_ino
+    assert _share(cfg, out) == 0
+    for name in SHARE_ARTIFACTS:
+        assert (out / name).stat().st_ino == before[name]
+        assert (out / name).stat().st_mode & 0o777 == 0o600
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_a_shrinking_rerun_leaves_no_stale_tail(tmp_path):
+    """``deviation`` on n = 6, then n = 3, then n = 6 again into one ``--out``:
+    each run's artifacts are byte for byte those of a fresh directory."""
+    def run(n, out):
+        cfg = _base_config(tmp_path, lattice={"grid": {"n": n, "horizon": 1.0},
+                                              "noise": {"d": 1}},
+                           deviation={"payoff": "Y", "driver": "g"})
+        assert main(["deviation", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    reused = tmp_path / "reused"
+    for n in (6, 3, 6):
+        assert run(n, reused) == run(n, tmp_path / f"fresh{n}")
+
+
+def test_a_fifo_at_an_artifact_path_is_replaced_without_blocking(tmp_path):
+    """Opening a FIFO to write blocks until a reader comes; the writer must
+    replace it instead. Run in a subprocess so that a hang fails the test."""
+    cfg = _base_config(tmp_path, share=SHARE)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    out.mkdir()
+    os.mkfifo(out / "transfer.csv")
+    src = str(Path(devlat.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from devlat.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "share", "--config", str(cfg), "--out", str(out),
+         "--quiet"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert _share(cfg, fresh) == 0
+    assert (out / "transfer.csv").is_file()
+    for name in SHARE_ARTIFACTS:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()

@@ -6,6 +6,7 @@ loader against the row-by-row reference: the same bits in any row order."""
 
 import ast
 import json
+import os
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -408,22 +409,32 @@ def test_payoff_csv_load_matches_reference(tmp_path_factory, n, extra, seed, cel
     assert got.tobytes() == np.array(values).tobytes()
 
 
-@pytest.mark.parametrize("body", [
-    "",                                # header only
-    "-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n",
-    "0,1.0\n1,2.0\n2,3.0\n3,4.0\n2,5.0\n",   # duplicate leaf
-    "0,1.0\n1,2.0\n2.5,3.0\n3,4.0\n",  # non-integer leaf
-    "0,1.0\n1,2.0\n2,x\n3,4.0\n",      # non-float value
-    "0,1.0\n1,2.0\n2\n3,4.0\n",        # a row without a value
-    "0,1.0\n1,2.0\n2,3.0,7\n3,4.0\n",  # a row with an extra cell
+@pytest.mark.parametrize("body, message", [
+    ("", "{path}: missing leaf values"),
+    ("-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n", "{path}: leaf index -1 outside 0..3"),
+    ("0,1.0\n1,2.0\n2,3.0\n3,4.0\n2,5.0\n", "{path}: leaf 2 appears more than once"),
+    ("0,1.0\n1,2.0\n2.5,3.0\n3,4.0\n", "invalid literal for int() with base 10: '2.5'"),
+    ("0,1.0\n1,2.0\n2,x\n3,4.0\n", "could not convert string to float: 'x'"),
+    ("0,1.0\n1,2.0\n2\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
+    ("0,1.0\n1,2.0\n2,3.0,7\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
+    # bad cells spelled off the row-number texts; the first bad one in file
+    # order is the one reported
+    ("0,1.0\n1,y\n2,x\n3,4.0\n", "could not convert string to float: 'y'"),
+    ("0,1.0\n1,y\n2,1.0\n3,x\n", "could not convert string to float: 'y'"),
+    ("0,1.0\n1,2.0\n2,x\n3,4.0\n+9,1\n", "{path}: leaf index 9 outside 0..3"),
+    ("0,1.0\n1,2.0\n2,3\n0x3,4.0\n", "invalid literal for int() with base 10: '0x3'"),
+    ("0,1.0\n1,2.0\n2,3.0\n3,4.0\n03,5.0\n", "{path}: leaf 3 appears more than once"),
 ], ids=["header_only", "negative", "duplicate", "leaf_type", "value_type",
-        "short_row", "long_row"])
-def test_payoff_csv_rejects_malformed_rows(tmp_path, body):
+        "short_row", "long_row", "first_bad_value", "first_bad_repeated_value",
+        "signed_leaf", "hex_leaf",
+        "padded_duplicate"])
+def test_payoff_csv_rejects_malformed_rows(tmp_path, body, message):
     lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
     path = tmp_path / "payoff.csv"
     path.write_text("leaf,value\n" + body)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         load_payoff_csv(path, lat)
+    assert str(info.value) == message.format(path=path)
 
 
 def test_payoff_csv_reports_first_leaf_out_of_range(tmp_path):
@@ -432,6 +443,67 @@ def test_payoff_csv_reports_first_leaf_out_of_range(tmp_path):
     path.write_text("leaf,value\n0,1.0\n7,2.0\n-3,3.0\n9,4.0\n")
     with pytest.raises(ValueError, match="leaf index 7 outside 0..3"):
         load_payoff_csv(path, lat)
+
+
+@pytest.mark.parametrize("spelling", ["+{}", "0{}", " {}", "{} ", "{}"])
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+def test_payoff_csv_leaf_spellings_parse_as_int_does(tmp_path, monkeypatch, spelling,
+                                                     cold):
+    """Leaf texts other than a row number's own (every other leaf here) go
+    through ``int``, whether or not the row-number table has grown yet."""
+    if cold:
+        monkeypatch.setattr(jsonio, "_ROW_TEXTS", np.empty(0, dtype=object))
+        monkeypatch.setattr(jsonio, "_ROW_NUMBERS", {})
+    lat = build_lattice(TimeGrid.uniform(3, 1.0), NoiseModel.brownian(1))
+    values = (np.arange(8) / 3).tolist()
+    path = tmp_path / "payoff.csv"
+    path.write_text("leaf,value\n" + "".join(
+        f"{(spelling if leaf % 2 else '{}').format(leaf)},{values[leaf]!r}\n"
+        for leaf in (5, 0, 3, 6, 1, 7, 2, 4)))
+    got = load_payoff_csv(path, lat).values
+    assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
+    assert got.tobytes() == np.array(values).tobytes()
+    assert {t: jsonio._ROW_NUMBERS[t] for t in map(str, range(8))} == \
+        {str(k): k for k in range(8)}
+
+
+def test_payoff_csv_value_texts_keep_their_own_bits(tmp_path):
+    """Each text is parsed once, and texts of one value give that value's bits:
+    ``1.0``, ``1.00`` and ``1e0`` alike, ``0.0`` and ``-0.0`` apart."""
+    lat = build_lattice(TimeGrid.uniform(3, 1.0), NoiseModel.brownian(1))
+    texts = ["1.0", "-0.0", "1.00", "0.0", "1e0", "-0.0", "0.0", "1.0"]
+    path = tmp_path / "payoff.csv"
+    path.write_text("leaf,value\n" + "".join(f"{k},{t}\n" for k, t in enumerate(texts)))
+    got = load_payoff_csv(path, lat).values
+    assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
+    assert got.tobytes() == np.array([1.0, -0.0, 1.0, 0.0, 1.0, -0.0, 0.0, 1.0]).tobytes()
+
+
+def test_payoff_csv_of_three_repeated_texts(tmp_path):
+    """A pool-style file, every leaf one of three texts, in shuffled row order."""
+    lat = build_lattice(TimeGrid.uniform(6, 1.0), NoiseModel.brownian(1))
+    rng = np.random.default_rng(3)
+    texts = rng.choice(np.array(["0.1", "-2.5e-3", "7"]), size=64).tolist()
+    path = tmp_path / "payoff.csv"
+    path.write_text("leaf,value\r\n" + "".join(
+        f"{leaf},{texts[leaf]}\r\n" for leaf in rng.permutation(64).tolist()))
+    got = load_payoff_csv(path, lat).values
+    assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
+    assert got.tobytes() == np.array(list(map(float, texts))).tobytes()
+
+
+def test_a_fifo_with_a_reader_is_replaced_not_written_into(tmp_path):
+    """With a reader on the FIFO the writer's open succeeds; the check on the
+    opened file must still send it to a fresh regular file."""
+    path = tmp_path / "transfer.csv"
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        jsonio.write_artifacts([(path, "leaf,value\r\n0,1.0\r\n")])
+        assert os.read(reader, 4096) == b""
+    finally:
+        os.close(reader)
+    assert path.is_file() and path.read_bytes() == b"leaf,value\r\n0,1.0\r\n"
 
 
 def test_duplicate_payoff_leaf_exits_1(tmp_path):

@@ -49,6 +49,24 @@ def test_jump_measure_validation():
         NoiseModel(0, JumpMeasure.empty())
 
 
+@pytest.mark.parametrize("marks, intensities", [
+    (((-1.0,), (2.0,)), (0.25, 0.5)), ((), ()), (((1.0, -1.0),), (0.1 + 0.2,)),
+])
+def test_intensity_array_is_built_once_and_read_only(marks, intensities):
+    nu = JumpMeasure(marks, intensities)
+    first = nu.intensity_array
+    assert nu.intensity_array is first
+    assert not first.flags.writeable
+    assert first.dtype == np.float64
+    assert first.tobytes() == np.asarray(nu.intensities, dtype=float).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        first[...] = 1.0
+    # not a field: equality, hashing and repr still read the tuples alone
+    twin = JumpMeasure(marks, intensities)
+    assert twin == nu and hash(twin) == hash(nu) and twin.intensity_array is not first
+    assert "intensity_array" not in repr(nu)
+
+
 def test_symmetric_bernoulli_single_step():
     lat = build_lattice(TimeGrid.uniform(1, 1.0), NoiseModel.brownian(1))
     assert lat.branching == 2

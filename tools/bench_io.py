@@ -1,0 +1,213 @@
+"""Time devlat's two file boundaries: artifact writes and the payoff loader.
+
+    python3 tools/bench_io.py                    # this checkout
+    python3 tools/bench_io.py PARENT CHANGE      # before/after, interleaved
+
+``perfbench`` times whole CLI jobs and cannot show these layers on their own,
+so this tool times them directly. It uses only the standard library and
+numpy, and writes only under a temporary directory.
+
+1. **Write protocol** (no devlat code). Each round rewrites one existing file
+   per strategy with the same bytes, timing open, write and close:
+   ``replace`` (unlink, then exclusive create), ``in place`` (open without
+   truncation, write from offset 0, ``ftruncate`` to length) and ``O_TRUNC``
+   (open truncating to zero, then write). 60 rounds per file size (700 KB and
+   400 B), with a 10 ms and a 0 ms gap after each write; the strategies take
+   turns in a rotating order.
+2. **Each checkout's own code**, in one long-lived subprocess per checkout;
+   the checkouts take turns batch by batch (``--rounds`` batches each,
+   alternating which runs first), so a drift in machine speed hits both
+   alike. ``load_payoff_csv`` on a 1,024-leaf binomial payoff file written
+   as the benchmark writes them, once with a pool-style payoff (a function of
+   the terminal Brownian state ``W_T``, so 11 distinct values) and once with
+   all values distinct, 10 loads per batch; and ``write_artifacts``
+   rerunning one 700 KB and one 400 B artifact into the same path, 3 reruns
+   per batch with a 10 ms gap.
+
+Every line prints the median and the quartiles of the per-call times in ms.
+Given two checkouts, it also prints in how many batches the second one's
+median beats the first one's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+#: rounds of the write protocol per gap and file size
+PROTOCOL_ROUNDS = 60
+SIZES = {"700KB": 700_000, "400B": 400}
+GAPS = {"10ms": 0.010, "0ms": 0.0}
+#: calls per batch: loads of one payoff file, reruns of one artifact
+LOADS = 10
+REWRITES = 3
+LEAVES_N = 10  # binomial n = 10: 1,024 leaves, the share-closed lattice
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _replace(path: str, data: bytes) -> None:
+    os.unlink(path)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        _write_all(fd, data)
+    finally:
+        os.close(fd)
+
+
+def _in_place(path: str, data: bytes) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_NOFOLLOW)
+    try:
+        _write_all(fd, data)
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _truncate(path: str, data: bytes) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        _write_all(fd, data)
+    finally:
+        os.close(fd)
+
+
+STRATEGIES = {"replace": _replace, "in place": _in_place, "O_TRUNC": _truncate}
+
+
+def summary(samples: list[float]) -> str:
+    """Median and quartiles of ``samples`` (seconds) in ms."""
+    q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return f"median {med * 1e3:8.3f} ms   q1 {q1 * 1e3:8.3f}   q3 {q3 * 1e3:8.3f}"
+
+
+def write_protocol(tmp: Path) -> None:
+    names = list(STRATEGIES)
+    for gap_name, gap in GAPS.items():
+        for size_name, size in SIZES.items():
+            data = bytes(range(256)) * (size // 256) + b"x" * (size % 256)
+            paths = {}
+            for k, name in enumerate(names):
+                paths[name] = str(tmp / f"write{k}.bin")
+                Path(paths[name]).write_bytes(data)
+            times: dict = {name: [] for name in names}
+            for r in range(PROTOCOL_ROUNDS):
+                for name in names[r % len(names):] + names[:r % len(names)]:
+                    t0 = time.perf_counter()
+                    STRATEGIES[name](paths[name], data)
+                    times[name].append(time.perf_counter() - t0)
+                    time.sleep(gap)
+            for name in names:
+                print(f"write  gap {gap_name:>4}  {size_name:>5}  {name:<9} "
+                      f"{summary(times[name])}")
+
+
+class Worker:
+    """One checkout's loader and writer, set up once; ``run(key)`` times one
+    batch of calls and returns the per-call seconds."""
+
+    def __init__(self, checkout: Path, tmp: Path):
+        sys.path.insert(0, str(checkout / "src"))
+        import numpy as np
+        from devlat import NoiseModel, TimeGrid, build_lattice
+        from devlat.jsonio import load_payoff_csv, write_artifacts
+
+        lat = build_lattice(TimeGrid.uniform(LEAVES_N, 1.0), NoiseModel.brownian(1))
+        ups = np.array([bin(leaf).count("1") for leaf in range(2 ** LEAVES_N)])
+        w = (2 * ups - LEAVES_N) / np.sqrt(LEAVES_N)  # the terminal state W_T per leaf
+        payoffs = {"pool": 0.37 * w - 0.12 * w ** 2 + 0.8 * np.maximum(w - 0.1, 0),
+                   "distinct": np.random.default_rng(11).normal(size=len(w))}
+        self.calls = {}
+        for name, values in payoffs.items():
+            path = tmp / f"{name}.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write("leaf,value\r\n" + "".join(
+                    f"{leaf},{v!r}\r\n" for leaf, v in enumerate(values.tolist())))
+            distinct = len(set(values.tolist()))
+            self.calls[f"load {name} ({distinct} distinct)"] = (
+                lambda path=path: load_payoff_csv(path, lat), LOADS, 0.0)
+        for size_name, size in SIZES.items():
+            artifact = [(tmp / f"artifact_{size_name}.csv",
+                         ("0123456789," * (size // 11 + 1))[:size])]
+            self.calls[f"write_artifacts {size_name} rerun"] = (
+                lambda artifact=artifact: write_artifacts(artifact), REWRITES, GAPS["10ms"])
+        for call, _, _ in self.calls.values():
+            call()  # warm-up; each artifact now exists
+
+    def run(self, key: str) -> list[float]:
+        call, count, gap = self.calls[key]
+        times = []
+        for _ in range(count):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+            time.sleep(gap)
+        return times
+
+
+def serve(checkout: Path) -> None:
+    """Answer each key read from stdin with one JSON line of per-call times;
+    the first line out lists the keys."""
+    with tempfile.TemporaryDirectory(prefix="bench_io_") as tmp:
+        worker = Worker(checkout, Path(tmp))
+        print(json.dumps(list(worker.calls)), flush=True)
+        for line in sys.stdin:
+            print(json.dumps(worker.run(line.strip())), flush=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--serve":
+        serve(Path(argv[1]).resolve())
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs="*", type=Path,
+                        default=[Path(__file__).resolve().parent.parent])
+    parser.add_argument("--rounds", type=int, default=30,
+                        help="batches per checkout and timing, alternating which runs first")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bench_io_") as tmp:
+        write_protocol(Path(tmp))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+    workers = [subprocess.Popen([sys.executable, __file__, "--serve", str(c.resolve())],
+                                env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                text=True) for c in args.checkouts]
+    try:
+        keys = [json.loads(w.stdout.readline()) for w in workers][0]
+        batches = [{key: [] for key in keys} for _ in workers]
+        for r in range(args.rounds):
+            for key in keys:
+                for i in (range(len(workers)) if r % 2 == 0 else reversed(range(len(workers)))):
+                    workers[i].stdin.write(key + "\n")
+                    workers[i].stdin.flush()
+                    batches[i][key].append(json.loads(workers[i].stdout.readline()))
+    finally:
+        for w in workers:
+            w.stdin.close()
+            w.wait()
+    for checkout, by_key in zip(args.checkouts, batches):
+        print(f"\n{checkout}")
+        for key, runs in by_key.items():
+            print(f"  {key:<32} {summary([t for times in runs for t in times])}")
+    if len(batches) == 2:
+        print(f"\nbatches where {args.checkouts[1]} is faster than {args.checkouts[0]}")
+        for key in keys:
+            wins = sum(statistics.median(b) > statistics.median(a)
+                       for b, a in zip(batches[0][key], batches[1][key]))
+            print(f"  {key:<32} {wins}/{args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,6 +8,9 @@ no bytecode written. Jobs write only under a temporary directory; nothing is
 written under either checkout, and no reference digest is read or recorded.
 Prints the keys whose digests differ and the jobs that miss their oracle, and
 exits 1 if there are any, else 0.
+
+Each job kind reruns into one out directory, so the check covers artifacts
+rewritten in place over the longer and shorter ones of earlier jobs.
 """
 
 from __future__ import annotations
