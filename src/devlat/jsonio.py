@@ -6,10 +6,12 @@ identical inputs produce byte-identical artifacts. The JSON layout is that of
 ``json.dumps(..., sort_keys=True, indent=2)``; CSV rows are those of a default
 ``csv.writer`` (comma-separated, ``\\r\\n`` line ends).
 
-Each artifact (all ``ColumnTable``s of one ``canonical_json`` call, or all
-blocks of one CSV) is one text table: one float dedup by bit pattern and one
-``"".join``; the row numbers are formatted once per process. ``write_artifacts``
-writes them all.
+Each artifact (all ``ColumnTable``s of one ``canonical_json`` call, or one
+CSV) is one ``_fold`` and one ``"".join``: each literal of a row is joined to
+the cell before it once per distinct text, not once per row, so a row costs
+one str per variable column. The float cells share one dedup by bit pattern;
+the row numbers (and a CSV's level numbers), with the literal after them, are
+formatted once per process. ``write_artifacts`` writes them all.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import errno
 import math
 import os
 import stat
-from itertools import groupby, repeat
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -43,57 +45,104 @@ __all__ = [
 
 _NON_FINITE = "non-finite float in JSON payload"
 
-#: the texts of the row numbers 0, 1, ..., read-only; grown to the most rows
-#: an artifact has asked for, and shared by every later artifact
-_ROW_TEXTS = np.empty(0, dtype=object)
-#: each text of ``_ROW_TEXTS`` to its number, grown with it: the reader's twin
+#: per suffix, the texts of the row numbers 0, 1, ... each followed by that
+#: suffix, read-only; each grown to the largest number asked for with that
+#: suffix and shared by every later artifact
+_ROW_TEXTS: dict = {}
+#: the text of each row number to its number, for the payoff reader; grown to
+#: the most leaves read
 _ROW_NUMBERS: dict = {}
 
 
-def _row_texts(rows: int) -> np.ndarray:
-    """The texts of the row numbers 0..rows-1, from ``_ROW_TEXTS``."""
-    global _ROW_TEXTS
-    if len(_ROW_TEXTS) < rows:
-        grown = np.array([*_ROW_TEXTS, *map(int.__repr__, range(len(_ROW_TEXTS), rows))],
+def _row_texts(rows: int, suffix: str) -> np.ndarray:
+    """The texts of the row numbers 0..rows-1 followed by ``suffix``, from
+    ``_ROW_TEXTS``."""
+    table = _ROW_TEXTS.get(suffix, ())
+    if len(table) < rows:
+        table = np.array([*table, *(int.__repr__(k) + suffix for k in range(len(table), rows))],
                          dtype=object)
-        grown.flags.writeable = False
-        _ROW_NUMBERS.update(zip(grown[len(_ROW_TEXTS):].tolist(), range(len(_ROW_TEXTS), rows)))
-        _ROW_TEXTS = grown
-    return _ROW_TEXTS[:rows]
+        table.flags.writeable = False
+        _ROW_TEXTS[suffix] = table
+    return table[:rows]
 
 
-def _texts(floats: list, rows: int, finite: bool = False) -> tuple[list, np.ndarray]:
-    """Object arrays of the cell texts of each of ``floats``, one
-    ``float.__repr__`` per distinct bit pattern of them all (``-0.0`` and each
-    NaN keep their own), and of the row numbers 0..rows-1 (``_row_texts``)."""
-    bits = np.concatenate([np.empty(0), *(a.ravel() for a in floats)],
+def _int_texts(col: np.ndarray, suffix: str) -> np.ndarray:
+    """The texts of the non-empty int array ``col``, each followed by
+    ``suffix``; from ``_row_texts`` if ``col`` holds only numbers below its
+    length (row numbers, or level numbers of a CSV)."""
+    top = int(col.max())
+    if col.min() < 0 or top >= len(col):
+        return np.array([int.__repr__(k) + suffix for k in col.tolist()], dtype=object)
+    return _row_texts(top + 1, suffix)[col]
+
+
+def _fold(tables: list, finite: bool = False) -> list[list]:
+    """The text of each ``(n, pieces)`` of ``tables`` as strs to join: ``n``
+    rows, each the concatenation of ``pieces``, where a str is a literal in
+    every row and an (n,) int or float array holds each row's cell.
+
+    Each literal is folded into the cell before it, and the literal a row
+    starts with (its lead) into the previous row's last cell; so a row costs
+    one str per array, and each literal is joined once per distinct text, not
+    once per row. The float cells of all ``tables`` share one dedup by bit
+    pattern (``-0.0`` and each NaN keep their own text): each pattern is
+    formatted once and joined once to each literal that follows it; int cells
+    come from ``_int_texts``. A table of rows starts with its lead; a table of
+    none is ``[]``. With ``finite``, a NaN or infinity raises ``ValueError``.
+    """
+    rotated, floats = [], []
+    for n, pieces in tables:
+        lead, cells = "", []
+        for p in pieces if n else ():
+            if isinstance(p, str):
+                if cells:
+                    cells[-1][1] += p
+                else:
+                    lead += p
+            else:
+                cells.append([p, ""])
+        if cells:
+            cells[-1][1] += lead
+        rotated.append((n, lead, cells))
+        for cell in cells:
+            if cell[0].dtype.kind == "f":
+                floats.append(cell)
+            else:
+                cell[0] = _int_texts(*cell)
+    bits = np.concatenate([np.empty(0), *(c for c, _ in floats)],
                           dtype=np.float64).view(np.uint64)
     patterns, inverse = np.unique(bits, return_inverse=True)
     if finite and not np.isfinite(patterns.view(np.float64)).all():
         raise ValueError(_NON_FINITE)
-    cells = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
-                     dtype=object)[inverse]
-    cells = np.split(cells, np.cumsum([a.size for a in floats])[:-1])
-    return [c.reshape(a.shape) for a, c in zip(floats, cells)], _row_texts(rows)
-
-
-def _int_texts(col: np.ndarray, numbers: np.ndarray) -> np.ndarray:
-    """The texts of the int array ``col``, from the row ``numbers`` if they cover it."""
-    if col.size and (col.min() < 0 or col.max() >= len(numbers)):
-        return np.array([*map(int.__repr__, col.ravel().tolist())],
-                        dtype=object).reshape(col.shape)
-    return numbers[col]
-
-
-def _rows(n: int, pieces: list) -> list:
-    """The texts of ``n`` rows, each the concatenation of ``pieces``: a str is
-    a literal in every row, an (n,) object array holds each row's text."""
-    merged = [p for literal, run in groupby(pieces, lambda p: isinstance(p, str))
-              for p in (["".join(run)] if literal else run)]  # adjacent literals as one
-    grid = np.empty((n, len(merged)), dtype=object)
-    for j, p in enumerate(merged):
-        grid[:, j] = p
-    return grid.ravel().tolist()
+    reprs = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
+                     dtype=object)
+    ends = [*accumulate(c.size for c, _ in floats)]
+    inverses = [inverse[start:end] for start, end in zip([0, *ends], ends)]
+    used: dict = {}  # each suffix to the patterns it follows
+    for (_, suffix), at in zip(floats, inverses):
+        if suffix not in used:
+            used[suffix] = np.zeros(len(reprs), dtype=bool)
+        used[suffix][at] = True
+    texts = {}
+    for suffix, mask in used.items():
+        texts[suffix] = np.empty(len(reprs), dtype=object)
+        texts[suffix][mask] = reprs[mask] + suffix
+    for cell, at in zip(floats, inverses):
+        cell[0] = texts[cell[1]][at]
+    out = []
+    for n, lead, cells in rotated:
+        if not cells:  # no rows, or rows of literals only
+            out.append([lead * n] if n else [])
+            continue
+        flat = np.empty(1 + n * len(cells), dtype=object)
+        flat[0] = lead
+        grid = flat[1:].reshape(n, len(cells))
+        for j, (cell, _) in enumerate(cells):
+            grid[:, j] = cell
+        flat = flat.tolist()
+        flat[-1] = flat[-1][:len(flat[-1]) - len(lead)]  # the last row has no next
+        out.append(flat)
+    return out
 
 
 class ColumnTable:
@@ -102,41 +151,36 @@ class ColumnTable:
     ``columns`` maps each key to an (n,) array (a scalar per row) or an
     (n, k) array (a list of k per row). Integer columns print as ints, float
     columns as ``float.__repr__``. ``canonical_json`` renders it exactly as it
-    would the equivalent list of dicts, as part of its artifact's text table.
+    would the equivalent list of dicts, as part of its artifact's ``_fold``.
     """
 
     def __init__(self, columns: dict):
+        if not columns:
+            raise ValueError("a table needs at least one column")
         self.columns = {k: np.asarray(v) for k, v in columns.items()}
         shapes = {v.shape[0] for v in self.columns.values()}
         if len(shapes) != 1:
             raise ValueError("table columns must have one row count")
         self.n = shapes.pop()
 
-    def _pieces(self, nl: str, floats, numbers: np.ndarray) -> list:
-        """The table's JSON text as pieces to join; ``nl`` as in ``_render``;
-        float column texts come in order from the iterator ``floats``."""
-        texts = {key: next(floats) if c.dtype.kind == "f" else _int_texts(c, numbers)
-                 for key, c in self.columns.items()}
-        if self.n == 0:
-            return ["[]"]
+    def _pieces(self, nl: str) -> list:
+        """One row of the table's JSON as ``_fold`` pieces, starting with the
+        comma that separates it from the row before; ``nl`` as in ``_render``."""
         row_nl, cell_nl, item_nl = nl + "  ", nl + "    ", nl + "      "
         pieces: list = ["," + row_nl + "{"]
         for at, key in enumerate(sorted(self.columns)):
-            cells = texts[key]
+            col = self.columns[key]
             pieces.append("," * (at > 0) + cell_nl + encode_basestring_ascii(key) + ": ")
-            if cells.ndim == 1:
-                pieces.append(cells)
-            elif cells.shape[1] == 0:
+            if col.ndim == 1:
+                pieces.append(col)
+            elif col.shape[1] == 0:
                 pieces.append("[]")
             else:
-                for item, sep in zip(cells.T, ["[", *repeat(",", cells.shape[1] - 1)]):
+                for item, sep in zip(col.T, ["[", *repeat(",", col.shape[1] - 1)]):
                     pieces += [sep + item_nl, item]
                 pieces.append(cell_nl + "]")
         pieces.append(row_nl + "}")
-        flat = _rows(self.n, pieces)
-        flat[0] = "[" + flat[0][1:]
-        flat.append(nl + "]")
-        return flat
+        return pieces
 
 
 def _render(obj, nl: str, out: list) -> None:
@@ -148,6 +192,10 @@ def _render(obj, nl: str, out: list) -> None:
             return
         inner = nl + "  "
         items = {str(k): v for k, v in obj.items()}
+        if len(items) < len(obj):
+            keys = [*map(str, obj)]
+            key = next(k for at, k in enumerate(keys) if k in keys[:at])
+            raise ValueError(f"two keys of one object render as {encode_basestring_ascii(key)}")
         sep = "{" + inner
         for key in sorted(items):
             out.append(sep + encode_basestring_ascii(key) + ": ")
@@ -200,37 +248,32 @@ def canonical_json(obj) -> str:
     out: list = []
     _render(obj, "\n", out)
     out.append("\n")
-    tables = [item[0] for item in out if isinstance(item, tuple)]
+    tables = [item for item in out if isinstance(item, tuple)]
     if not tables:
         return "".join(out)
-    columns = [c for t in tables for c in t.columns.values()]
-    if bad := [c.dtype for c in columns if c.dtype.kind not in "iuf"]:
+    if bad := [c.dtype for t, _ in tables for c in t.columns.values()
+               if c.dtype.kind not in "iuf"]:
         raise TypeError(f"cannot serialise a {bad[0]} column")
-    floats, numbers = _texts([c for c in columns if c.dtype.kind == "f"],
-                             max(t.n for t in tables), finite=True)
-    floats, parts = iter(floats), []
+    texts, parts = iter(_fold([(t.n, t._pieces(nl)) for t, nl in tables], finite=True)), []
     for item in out:
         if isinstance(item, str):
             parts.append(item)
+        elif text := next(texts):
+            text[0] = "[" + text[0][1:]  # the first row follows no other
+            parts += text
+            parts.append(item[1] + "]")
         else:
-            table, nl = item
-            parts += table._pieces(nl, floats, numbers)
+            parts.append("[]")
     return "".join(parts)
 
 
-def _csv(header: list[str], blocks: list) -> str:
+def _csv(header: list[str], columns: list) -> str:
     """CSV text (a default ``csv.writer``'s bytes, ``repr(float)`` cells) with
-    ``header`` and, for each block ``(prefix, values)``, one row
-    ``<prefix><row number>,<repr of each value>`` per row of the (n, k) array
-    ``values``; ``prefix`` is literal text (e.g. ``"3,"``)."""
-    texts, numbers = _texts([values for _, values in blocks],
-                            max((values.shape[0] for _, values in blocks), default=0))
-    parts = [",".join(header) + "\r\n"]
-    for (prefix, values), cells in zip(blocks, texts):
-        n = values.shape[0]
-        parts += _rows(n, [prefix, numbers[:n], *(x for col in cells.T for x in (",", col)),
-                           "\r\n"])
-    return "".join(parts)
+    ``header`` and one row per entry of the (n,) int or float ``columns``."""
+    pieces = [x for col in columns for x in (col, ",")]
+    pieces[-1] = "\r\n"
+    (rows,) = _fold([(len(columns[0]), pieces)])
+    return "".join([",".join(header) + "\r\n", *rows])
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
@@ -281,16 +324,19 @@ def process_csv(values_per_level, columns=("value",)) -> str:
     """Per-node dump with header level,node,<columns>: one row per node, in
     level then node order. Each level's values are (nodes,) for one column,
     or (nodes, len(columns))."""
-    return _csv(["level", "node", *columns], [
-        (f"{level},", np.asarray(vals, dtype=float).reshape(len(vals), len(columns)))
-        for level, vals in enumerate(values_per_level)
-    ])
+    values = [np.asarray(vals, dtype=float).reshape(len(vals), len(columns))
+              for vals in values_per_level]
+    level = np.concatenate([np.empty(0, int),
+                            *(np.full(len(v), i) for i, v in enumerate(values))])
+    node = np.concatenate([np.empty(0, int), *(np.arange(len(v)) for v in values)])
+    cells = np.concatenate([np.empty((0, len(columns))), *values])
+    return _csv(["level", "node", *columns], [level, node, *cells.T])
 
 
 def payoff_csv(x: RandomVariable) -> str:
     """Terminal payoff dump with header leaf,value."""
     values = np.asarray(x.values, dtype=float)
-    return _csv(["leaf", "value"], [("", values.reshape(len(values), 1))])
+    return _csv(["leaf", "value"], [np.arange(len(values)), values])
 
 
 def _write_file(path, data: bytes) -> None:
@@ -364,7 +410,8 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
         raise ValueError(f"{path}: every row must be one 'leaf,value' pair")
     cells = ",".join(rows).split(",") if rows else []
     leaf_texts, texts = cells[0::2], cells[1::2]
-    _row_texts(leaves)  # and so _ROW_NUMBERS
+    known = len(_ROW_NUMBERS)
+    _ROW_NUMBERS.update(zip(map(int.__repr__, range(known, leaves)), range(known, leaves)))
     try:
         index = list(map(_ROW_NUMBERS.__getitem__, leaf_texts))
     except KeyError:  # another spelling, such as "+3", "03" or "-1"

@@ -279,9 +279,12 @@ def _as_rows(obj):
 
 @st.composite
 def tables(draw, fill):
-    """A ``ColumnTable`` of 0, 1, 3 or 70 rows: float columns of widths 0-3
-    and int columns that are, or are not, the row numbers."""
-    n = draw(st.sampled_from([0, 1, 3, 70]))
+    """A ``ColumnTable`` of 0, 1, 2, 3 or 70 rows: float columns of widths
+    0-3 and int columns that are, or are not, the row numbers. The last key
+    (``z``), when drawn, is a zero-width column or an int64 or uint64 column
+    that is not the row numbers, so a row may end, or even consist, in
+    literals, and end in ints that the row-number texts do not cover."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 70]))
     columns = {}
     for key in draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5,
                              unique=True)):
@@ -295,6 +298,17 @@ def tables(draw, fill):
         else:
             columns[key] = np.array(draw(st.lists(
                 st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64)
+    last = draw(st.sampled_from(["none", "zero_width", "ints", "unsigned", "reversed"]))
+    if last == "zero_width":
+        columns["z"] = np.zeros((n, 0), dtype=draw(st.sampled_from([float, np.int64])))
+    elif last == "ints":
+        columns["z"] = np.array(draw(st.lists(
+            st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64)
+    elif last == "unsigned":
+        columns["z"] = np.array(draw(st.lists(
+            st.integers(0, 2**64 - 1), min_size=n, max_size=n)), dtype=np.uint64)
+    elif last == "reversed":  # row numbers of the table, not in row order
+        columns["z"] = np.arange(n)[::-1]
     return ColumnTable(columns)
 
 
@@ -320,6 +334,20 @@ def test_empty_and_zero_width_tables_match_reference():
     assert canonical_json(payload) == canonical_json_reference(_as_rows(payload))
     with pytest.raises(TypeError, match="cannot serialise a bool column"):
         canonical_json([ColumnTable({"x": np.zeros(2)}), ColumnTable({"b": np.ones(2, bool)})])
+    with pytest.raises(ValueError, match="a table needs at least one column"):
+        ColumnTable({})
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({5: 1, "5": 2}, '"5"'),
+    ({"a": [{"b": 0, True: 1, "True": 2}]}, '"True"'),
+    ({None: 0, "None": 1, "x": 2}, '"None"'),
+])
+def test_keys_that_render_alike_raise(obj, key):
+    """Keys are stringified, so two keys that give one string would silently
+    keep only one value; the key is named instead."""
+    with pytest.raises(ValueError, match=re.escape(f"two keys of one object render as {key}")):
+        canonical_json(obj)
 
 
 def test_lattice_int_columns_that_are_not_row_numbers_match_reference():
@@ -536,14 +564,51 @@ def _mode_may_write(call: ast.Call) -> bool:
                for m in call.args[:2] + keyword)
 
 
+#: ``os.open`` flags that open a file for writing, create it or cut it
+WRITE_FLAGS = ("O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND")
+
+
+def _flags_may_write(call: ast.Call) -> bool:
+    """Whether an ``os.open`` call may open for writing: its flags name a
+    write flag, a name that is no ``O_`` flag (a variable) or a nonzero
+    number, or are not given as its second argument or ``flags`` keyword."""
+    flags = call.args[1:2] + [k.value for k in call.keywords if k.arg == "flags"]
+    if not flags:
+        return True
+    for node in ast.walk(flags[0]):
+        name = node.attr if isinstance(node, ast.Attribute) else \
+            node.id if isinstance(node, ast.Name) and node.id != "os" else None
+        if name is not None and (name in WRITE_FLAGS or not name.startswith("O_")):
+            return True
+        if isinstance(node, ast.Constant) and node.value != 0:
+            return True
+    return False
+
+
+def _may_write(node: ast.AST) -> bool:
+    """Whether ``node`` names ``write_text``, ``write_bytes`` or ``touch``;
+    names ``os.write``, ``os.truncate``, ``os.ftruncate``, ``shutil.move`` or
+    a ``shutil.copy*``; or opens a file to write (``open`` in a write mode,
+    ``os.open`` with a write flag)."""
+    if isinstance(node, ast.Attribute):
+        module = node.value.id if isinstance(node.value, ast.Name) else None
+        return node.attr in ("write_text", "write_bytes", "touch") or (
+            module == "os" and node.attr in ("write", "truncate", "ftruncate")) or (
+            module == "shutil" and (node.attr.startswith("copy") or node.attr == "move"))
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "open" and \
+            isinstance(func.value, ast.Name) and func.value.id == "os":
+        return _flags_may_write(node)
+    return _mode_may_write(node) and (
+        (isinstance(func, ast.Name) and func.id == "open")
+        or (isinstance(func, ast.Attribute) and func.attr == "open"))
+
+
 def _writes(tree: ast.AST) -> list[int]:
-    """Lines that name ``write_text``/``write_bytes`` or open a file to write."""
-    return [node.lineno for node in ast.walk(tree) if (
-        isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes")
-    ) or (
-        isinstance(node, ast.Call) and _mode_may_write(node) and (
-            (isinstance(node.func, ast.Name) and node.func.id == "open")
-            or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")))]
+    """Lines that may write a file, by ``_may_write``."""
+    return [node.lineno for node in ast.walk(tree) if _may_write(node)]
 
 
 def test_only_jsonio_writes_files():
@@ -560,8 +625,17 @@ def test_only_jsonio_writes_files():
     ("open(p, 'w')", True), ("open(p, mode='x')", True), ("open(p, 'a+')", True),
     ("open(p, m)", True), ("p.open('w')", True), ("io.open(p, 'wb')", True),
     ("Path.write_text", True), ("p.write_bytes(b'')", True),
+    ("os.open(p, os.O_WRONLY | os.O_CREAT)", True), ("os.open(p, os.O_RDWR)", True),
+    ("os.open(p, os.O_RDONLY | os.O_CREAT)", True), ("os.open(p, os.O_TRUNC)", True),
+    ("os.open(p, flags=os.O_APPEND)", True), ("os.open(p, flags)", True),
+    ("os.open(p, 1)", True), ("os.write(fd, b'x')", True), ("os.truncate(p, 0)", True),
+    ("os.ftruncate(fd, 0)", True), ("Path(p).touch()", True), ("shutil.copy(a, b)", True),
+    ("shutil.copy2(a, b)", True), ("shutil.copyfile(a, b)", True),
+    ("shutil.copytree(a, b)", True), ("shutil.move(a, b)", True),
     ("open(p)", False), ("open(p, 'r')", False), ("p.open()", False),
     ("open('data.csv')", False), ("p.read_text()", False),
+    ("os.open(p, os.O_RDONLY)", False), ("os.open(p, os.O_RDONLY | os.O_NONBLOCK)", False),
+    ("os.read(fd, 1)", False), ("sys.stdout.write(s)", False), ("shutil.which(c)", False),
 ])
 def test_the_write_guard_sees_every_write(source, writes):
     assert bool(_writes(ast.parse(source))) == writes
@@ -571,7 +645,7 @@ def test_row_texts_are_shared_across_artifacts_of_any_length(tmp_path, monkeypat
     """The row-number texts grow to the longest artifact and are sliced for
     shorter ones: every artifact in a long, short, long sequence keeps its
     reference bytes, and the shared texts are read-only."""
-    monkeypatch.setattr(jsonio, "_ROW_TEXTS", np.empty(0, dtype=object))
+    monkeypatch.setattr(jsonio, "_ROW_TEXTS", {})
     rng = np.random.default_rng(5)
     for rows in (4096, 36, 4096, 36, 5000):
         values = rng.normal(size=rows)
@@ -584,7 +658,45 @@ def test_row_texts_are_shared_across_artifacts_of_any_length(tmp_path, monkeypat
         table = {"rows": ColumnTable({"node": np.arange(rows), "value": values})}
         assert canonical_json(table) == canonical_json_reference(
             {"rows": [{"node": v, "value": x} for v, x in enumerate(values.tolist())]})
-        assert len(jsonio._ROW_TEXTS) == max(4096, rows)
-        assert np.shares_memory(jsonio._texts([], rows)[1], jsonio._ROW_TEXTS)
+        assert len(jsonio._ROW_TEXTS[","]) == max(4096, rows)
+        assert np.shares_memory(jsonio._row_texts(rows, ","), jsonio._ROW_TEXTS[","])
     with pytest.raises(ValueError, match="read-only"):
-        jsonio._ROW_TEXTS[0] = "1"
+        jsonio._ROW_TEXTS[","][0] = "1"
+
+
+def test_row_texts_per_suffix_hold_across_suffixes_and_indentation(tmp_path, monkeypatch):
+    """Row numbers followed by different literals come from one table per
+    literal: CSV rows, one table at two indentations (its row numbers, and
+    its last int column, each followed by other whitespace) and integrands,
+    rendered in a long, short, long sequence, each keep their reference
+    bytes; each table is read-only and as long as the longest artifact that
+    asked for it."""
+    monkeypatch.setattr(jsonio, "_ROW_TEXTS", {})
+    rng = np.random.default_rng(7)
+    grown = dict.fromkeys([
+        ",",  # CSV: row number, then the first value
+        ',\n      "value": ', ',\n          "value": ',  # "node" at two indentations
+        '\n    },\n    {\n      "node": ',  # "z": the row's end and the next row's start
+        '\n        },\n        {\n          "node": ',
+        ',\n          "residual": ',  # integrands: "node", then "residual"
+    ], 0)
+    for rows in (300, 5, 300, 2, 301):
+        values = rng.choice(np.array(REPEATED), size=rows)
+        levels = [values[:1], values[1:]]
+        process_csv_reference(tmp_path / "process_ref.csv", levels)
+        assert process_csv(levels).encode() == (tmp_path / "process_ref.csv").read_bytes()
+        table = ColumnTable({"node": np.arange(rows), "value": values,
+                             "z": np.arange(rows)[::-1]})
+        doc = {"top": table, "nested": {"deeper": [table, table]}}
+        assert canonical_json(doc) == canonical_json_reference(_as_rows(doc))
+        assert canonical_json([table]) == canonical_json_reference(_as_rows([table]))
+        pair = RepresentingPair(0.5, (values[:1, None], values[:, None]),
+                                (np.zeros((1, 0)), np.zeros((rows, 0))),
+                                (values[:1], values[::-1]))
+        assert canonical_json(pair_to_dict(pair)) == \
+            canonical_json_reference(pair_to_dict_reference(pair))
+        grown = {suffix: max(k, rows - (suffix == ",")) for suffix, k in grown.items()}
+        assert {suffix: len(t) for suffix, t in jsonio._ROW_TEXTS.items()} == grown
+    for table in jsonio._ROW_TEXTS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = "1"

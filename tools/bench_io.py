@@ -1,11 +1,12 @@
-"""Time devlat's two file boundaries: artifact writes and the payoff loader.
+"""Time devlat's file boundaries: artifact text, its writes, the payoff loader.
 
     python3 tools/bench_io.py                    # this checkout
     python3 tools/bench_io.py PARENT CHANGE      # before/after, interleaved
 
-``perfbench`` times whole CLI jobs and cannot show these layers on their own,
-so this tool times them directly. It uses only the standard library and
-numpy, and writes only under a temporary directory.
+``perfbench`` times whole CLI jobs and cannot show these layers on their own
+(it counts the CSV render in ``cli.self_s``), so this tool times them
+directly. It uses only the standard library and numpy, and writes only under
+a temporary directory.
 
 1. **Write protocol** (no devlat code). Each round rewrites one existing file
    per strategy with the same bytes, timing open, write and close:
@@ -20,9 +21,15 @@ numpy, and writes only under a temporary directory.
    alike. ``load_payoff_csv`` on a 1,024-leaf binomial payoff file written
    as the benchmark writes them, once with a pool-style payoff (a function of
    the terminal Brownian state ``W_T``, so 11 distinct values) and once with
-   all values distinct, 10 loads per batch; and ``write_artifacts``
+   all values distinct, 10 loads per batch; ``write_artifacts``
    rerunning one 700 KB and one 400 B artifact into the same path, 3 reruns
-   per batch with a 10 ms gap.
+   per batch with a 10 ms gap; and the render of the text of a ``dev-wide``
+   job (binomial n = 12, a ``Variance`` deviation of a function of ``W_T``:
+   ``process_csv`` of its values and ``canonical_json(pair_to_dict(...))``
+   of its integrands), of the same CSV with every value distinct (no pool
+   artifact is like it, but the render pays per distinct value), and of a
+   ``share-closed`` job's argmins CSV (binomial n = 10, two scaled
+   ``Variance`` drivers), 10 renders per batch.
 
 Every line prints the median and the quartiles of the per-call times in ms.
 Given two checkouts, it also prints in how many batches the second one's
@@ -48,7 +55,9 @@ GAPS = {"10ms": 0.010, "0ms": 0.0}
 #: calls per batch: loads of one payoff file, reruns of one artifact
 LOADS = 10
 REWRITES = 3
+RENDERS = 10
 LEAVES_N = 10  # binomial n = 10: 1,024 leaves, the share-closed lattice
+DEV_N = 12  # binomial n = 12: the dev-wide lattice
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -114,14 +123,16 @@ def write_protocol(tmp: Path) -> None:
 
 
 class Worker:
-    """One checkout's loader and writer, set up once; ``run(key)`` times one
-    batch of calls and returns the per-call seconds."""
+    """One checkout's loader, writer and renderers, set up once; ``run(key)``
+    times one batch of calls and returns the per-call seconds."""
 
     def __init__(self, checkout: Path, tmp: Path):
         sys.path.insert(0, str(checkout / "src"))
         import numpy as np
-        from devlat import NoiseModel, TimeGrid, build_lattice
-        from devlat.jsonio import load_payoff_csv, write_artifacts
+        from devlat import NoiseModel, RandomVariable, Scaled, SharingProblem, TimeGrid, \
+            Variance, build_lattice, evaluate, represent, solve_sharing, terminal_brownian
+        from devlat.jsonio import canonical_json, load_payoff_csv, pair_to_dict, \
+            process_csv, write_artifacts
 
         lat = build_lattice(TimeGrid.uniform(LEAVES_N, 1.0), NoiseModel.brownian(1))
         ups = np.array([bin(leaf).count("1") for leaf in range(2 ** LEAVES_N)])
@@ -142,6 +153,26 @@ class Worker:
                          ("0123456789," * (size // 11 + 1))[:size])]
             self.calls[f"write_artifacts {size_name} rerun"] = (
                 lambda artifact=artifact: write_artifacts(artifact), REWRITES, GAPS["10ms"])
+        dev_lat = build_lattice(TimeGrid.uniform(DEV_N, 1.0), NoiseModel.brownian(1))
+        w_dev = terminal_brownian(dev_lat).values
+        pair = represent(dev_lat, RandomVariable(
+            0.37 * w_dev - 0.12 * w_dev ** 2 + 0.8 * np.maximum(w_dev - 0.1, 0), DEV_N))
+        dev = evaluate(dev_lat, Variance(1.3), pair)
+        self.calls[f"render deviation.csv n={DEV_N}"] = (
+            lambda: process_csv(dev.values), RENDERS, 0.0)
+        self.calls[f"render integrands.json n={DEV_N}"] = (
+            lambda: canonical_json(pair_to_dict(pair)), RENDERS, 0.0)
+        rng = np.random.default_rng(12)
+        distinct = [rng.normal(size=len(v)) for v in dev.values]
+        self.calls[f"render distinct csv n={DEV_N}"] = (
+            lambda: process_csv(distinct), RENDERS, 0.0)
+        sol = solve_sharing(lat, SharingProblem(
+            x_a=RandomVariable(0.4 * w - 0.2 * w ** 2 + 0.6 * np.maximum(w, 0), LEAVES_N),
+            x_b=RandomVariable(-0.3 * w + 0.2 * np.abs(w) + 0.1 * w ** 3, LEAVES_N),
+            driver_a=Scaled(1.7, Variance(0.9)), driver_b=Scaled(0.8, Variance(1.4))))
+        argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
+        self.calls[f"render share_argmins.csv n={LEAVES_N}"] = (
+            lambda: process_csv(argmins, columns=("z1",)), RENDERS, 0.0)
         for call, _, _ in self.calls.values():
             call()  # warm-up; each artifact now exists
 
