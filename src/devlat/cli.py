@@ -40,6 +40,9 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_INTERNAL = 3
 
+#: probe cells (payoffs x leaves) that ``axioms`` may stack per node of budget
+_AXIOM_CELLS_PER_NODE = 64
+
 
 class ConfigError(ValueError):
     """The run configuration is malformed or references missing pieces."""
@@ -385,6 +388,13 @@ def cmd_axioms(cfg, lat, seed, config_dir):
     if mixtures > lat.max_nodes:
         raise ConfigError(f"axioms: 'mixtures' = {mixtures} is over the max_nodes "
                           f"budget {lat.max_nodes}")
+    # the probes stack mixtures + 3 payoffs of every leaf; leaves never exceed
+    # max_nodes, so the default 50 mixtures pass on any lattice within budget
+    cells = (mixtures + 3) * lat.num_nodes(lat.n_steps)
+    if cells > _AXIOM_CELLS_PER_NODE * lat.max_nodes:
+        raise ConfigError(f"axioms: 'mixtures' = {mixtures} gives {cells} probe cells, "
+                          f"over {_AXIOM_CELLS_PER_NODE} x the max_nodes budget "
+                          f"{lat.max_nodes} = {_AXIOM_CELLS_PER_NODE * lat.max_nodes}")
     report = axiom_report(lat, driver, samples, seed=seed, mixtures=mixtures,
                           level=_get(block, "level", "an integer", "axioms", None))
     payload = {"command": "axioms", "seed": seed, "driver": block["driver"],

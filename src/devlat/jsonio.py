@@ -21,7 +21,7 @@ import errno
 import math
 import os
 import stat
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -49,8 +49,8 @@ _NON_FINITE = "non-finite float in JSON payload"
 #: suffix, read-only; each grown to the largest number asked for with that
 #: suffix and shared by every later artifact
 _ROW_TEXTS: dict = {}
-#: the text of each row number to its number, for the payoff reader; grown to
-#: the most leaves read
+#: the text of each row number to its number, for the payoff reader; grown in
+#: order to the most leaves read, so its first keys are the texts of 0, 1, ...
 _ROW_NUMBERS: dict = {}
 
 
@@ -392,12 +392,18 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     """Read a terminal payoff written as leaf,value rows (any leaf order).
 
     Every row is one ``leaf,value`` pair of unquoted cells; blank lines are
-    skipped, and each leaf must appear exactly once. If the first 64 value
-    texts repeat one, each distinct text is parsed once (a payoff on the tree
-    often takes few values; hashing every text would slow a payoff that does
-    not). A leaf text is looked up in ``_ROW_NUMBERS``, and only another
-    spelling (``+3``, ``03``) goes through ``int``. The values are stored with
-    one indexed assignment.
+    skipped, and each leaf must appear exactly once. One numpy pass over the
+    body's bytes checks the row shape (a comma and a newline are one byte
+    each in UTF-8; with the newlines that end blank lines dropped, commas and
+    newlines alternate, starting with a comma), and one ``str.split`` gives
+    the cells. Leaf texts that are the row numbers in order, as
+    ``payoff_csv`` writes them, are proved by one list comparison with the
+    first keys of ``_ROW_NUMBERS``, and the values parsed are the payoff.
+    Otherwise each leaf text is looked up in ``_ROW_NUMBERS``, only another
+    spelling (``+3``, ``03``) goes through ``int``, and the values are
+    stored with one indexed assignment. If the first 64 value texts repeat
+    one, each distinct text is parsed once (a payoff on the tree often takes
+    few values; hashing every text would slow a payoff that does not).
     """
     leaves = lat.num_nodes(lat.n_steps)
     with open(path) as fh:
@@ -405,25 +411,38 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
         body = fh.read()
     if [h.strip() for h in header.rstrip("\n").split(",")[:2]] != ["leaf", "value"]:
         raise ValueError(f"{path}: expected header 'leaf,value'")
-    rows = [row for row in body.split("\n") if row]
-    if set(map(str.count, rows, repeat(","))) - {1}:
+    if body and body[-1] != "\n":
+        body += "\n"
+    raw = np.frombuffer(body.encode(), np.uint8)
+    ends = raw == 10  # the line ends, less those of blank lines:
+    ends[1:] &= raw[:-1] != 10  # a newline after a newline,
+    ends[:1] = False  # or one that starts the body
+    seps = raw[ends | (raw == 44)]
+    if not ((seps[0::2] == 44).all() and (seps[1::2] == 10).all()):
         raise ValueError(f"{path}: every row must be one 'leaf,value' pair")
-    cells = ",".join(rows).split(",") if rows else []
+    if body.count("\n") > len(seps) // 2:  # blank lines, dropped
+        body = "".join(row + "\n" for row in body.split("\n") if row)
+    cells = body.replace("\n", ",").split(",")[:-1]
     leaf_texts, texts = cells[0::2], cells[1::2]
     known = len(_ROW_NUMBERS)
     _ROW_NUMBERS.update(zip(map(int.__repr__, range(known, leaves)), range(known, leaves)))
-    try:
-        index = list(map(_ROW_NUMBERS.__getitem__, leaf_texts))
-    except KeyError:  # another spelling, such as "+3", "03" or "-1"
-        index = [_ROW_NUMBERS[t] if t in _ROW_NUMBERS else int(t) for t in leaf_texts]
-    if index and (min(index) < 0 or max(index) >= leaves):
-        first = next(k for k in index if not 0 <= k < leaves)
-        raise ValueError(f"{path}: leaf index {first} outside 0..{leaves - 1}")
-    leaf = np.array(index, dtype=np.int64)
+    # the row numbers in order: each leaf once, so no lookup, check or scatter
+    in_order = leaf_texts == [*islice(_ROW_NUMBERS, leaves)]
+    if not in_order:
+        try:
+            index = list(map(_ROW_NUMBERS.__getitem__, leaf_texts))
+        except KeyError:  # another spelling, such as "+3", "03" or "-1"
+            index = [_ROW_NUMBERS[t] if t in _ROW_NUMBERS else int(t) for t in leaf_texts]
+        if index and (min(index) < 0 or max(index) >= leaves):
+            first = next(k for k in index if not 0 <= k < leaves)
+            raise ValueError(f"{path}: leaf index {first} outside 0..{leaves - 1}")
     head = texts[:64]  # a repeat among the first texts marks a payoff of few values
     parse = float if len(set(head)) == len(head) else \
         {t: float(t) for t in dict.fromkeys(texts)}.__getitem__
     values = np.fromiter(map(parse, texts), float, len(texts))
+    if in_order:
+        return RandomVariable(values, lat.n_steps)
+    leaf = np.array(index, dtype=np.int64)
     counts = np.bincount(leaf, minlength=leaves)
     if np.any(counts > 1):
         raise ValueError(

@@ -202,6 +202,24 @@ def test_axioms_mixtures_over_the_node_budget_exit_1(tmp_path, capsys, max_nodes
     assert list(out.glob("*")) == []
 
 
+def test_axioms_probe_cells_over_64_times_the_node_budget_exit_1(tmp_path, capsys):
+    """Mixtures within the node budget can still stack more probe cells,
+    (mixtures + 3) x leaves, than 64 x the budget: refused before any probe."""
+    lattice = {"grid": {"n": 6, "horizon": 1.0}, "noise": {"d": 1}, "max_nodes": 64}
+    axioms = {"driver": "g", "payoffs": ["X", "Y"]}
+    out = tmp_path / "out"
+    # 64 leaves: 61 mixtures are 64 x 64 = 4096 cells, at the bound
+    cfg = _base_config(tmp_path, lattice=lattice, axioms={**axioms, "mixtures": 61})
+    assert main(["axioms", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    (out / "axioms.json").unlink()
+    cfg = _base_config(tmp_path, lattice=lattice, axioms={**axioms, "mixtures": 62})
+    assert main(["axioms", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == ("error: axioms: 'mixtures' = 62 gives 4160 "
+                                       "probe cells, over 64 x the max_nodes budget "
+                                       "64 = 4096\n")
+    assert list(out.glob("*")) == []
+
+
 def test_each_run_applies_its_own_node_budget(tmp_path, capsys):
     """Two runs whose configs differ only in ``max_nodes``: the second
     applies its own budget, although the first built the same lattice."""

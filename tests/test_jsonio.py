@@ -418,23 +418,84 @@ LOAD_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), extra=st.lists(finite, max_size=8),
        seed=st.integers(0, 2**32 - 1), cell=st.sampled_from(["%r", "%.17g"]),
-       newline=st.sampled_from(["\n", "\r\n"]), blanks=st.integers(0, 3))
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), blanks=st.integers(0, 3),
+       in_order=st.booleans(), final_newline=st.booleans())
 def test_payoff_csv_load_matches_reference(tmp_path_factory, n, extra, seed, cell,
-                                           newline, blanks):
+                                           newline, blanks, in_order, final_newline):
+    """Leaves in order (the loader's shortcut) or shuffled, any line end, blank
+    lines anywhere, with or without a final line end."""
     lat = build_lattice(TimeGrid.uniform(n, 1.0), NoiseModel.brownian(1))
     leaves = lat.num_nodes(n)
     rng = np.random.default_rng(seed)
     values = rng.choice(np.array(list(LOAD_POOL) + extra), size=leaves).tolist()
-    rows = [f"{leaf},{cell % values[leaf]}" for leaf in rng.permutation(leaves).tolist()]
+    order = range(leaves) if in_order else rng.permutation(leaves).tolist()
+    rows = [f"{leaf},{cell % values[leaf]}" for leaf in order]
     for at in rng.integers(0, len(rows) + 1, size=blanks).tolist():
         rows.insert(at, "")
     path = tmp_path_factory.mktemp("load") / "payoff.csv"
     with open(path, "w", newline="") as fh:
-        fh.write(newline.join(["leaf,value", *rows]) + newline)
+        fh.write(newline.join(["leaf,value", *rows]) + newline * final_newline)
 
     got = load_payoff_csv(path, lat).values
     assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
     assert got.tobytes() == np.array(values).tobytes()
+
+
+#: spellings of a fuzzed row's leaf, and its value texts, good and bad
+FUZZ_LEAVES = ("{}", "{}", "+{}", "0{}", " {}", "{} ")
+FUZZ_VALUES = ("1.0", "-0.0", "2e-3", " 5", "+.5", "7 ", "-1e-300", "0.1", "3", "x",
+               "1e999", "")
+
+
+@st.composite
+def fuzzed_bodies(draw):
+    """A 4-leaf body: one row per leaf in a drawn order, leaf and value spelled
+    from ``FUZZ_*``, then up to three lines inserted or overwritten by short
+    texts over ``0-9 , . - + e x`` and space (blank lines among them), each
+    line ended by a drawn line end, the last end perhaps dropped. Most drawn
+    files are well formed, or nearly."""
+    lines = [draw(st.sampled_from(FUZZ_LEAVES)).format(leaf) + ","
+             + draw(st.sampled_from(FUZZ_VALUES)) for leaf in draw(st.permutations(range(4)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(lines)))
+        text = draw(st.just("") | st.text(alphabet="0123456789,.-+ex ", max_size=8))
+        if at < len(lines) and draw(st.booleans()):
+            lines[at] = text
+        else:
+            lines.insert(at, text)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=fuzzed_bodies())
+@example(body="0,1.0\n1,-0.0\n2,2e-3\n3, 5")
+@example(body="\r\r2,1\n\n0,+.5\r3,7 \r\n1,02\r\n")
+def test_payoff_csv_fuzzed_rows_load_as_the_reference_or_raise_value_error(
+        tmp_path_factory, body):
+    """The loader either refuses the file with a ``ValueError`` or reads the
+    reference's bits."""
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
+    path = tmp_path_factory.mktemp("fuzz") / "payoff.csv"
+    path.write_bytes(b"leaf,value\n" + body.encode())
+    try:
+        got = load_payoff_csv(path, lat).values
+    except ValueError:
+        return
+    assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
+
+
+def test_payoff_csv_skips_blank_lines_anywhere(tmp_path):
+    """Blank lines first, between rows and last, of any line end, around rows
+    in leaf order and out of it."""
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
+    path = tmp_path / "payoff.csv"
+    for body in ("\n\n0,1.0\n\n1,2.0\n2,3.0\r\n\r\n\r3,4.0\n\n",
+                 "\r\n2,3.0\n0,1.0\n\n3,4.0\n1,2.0"):
+        path.write_bytes(b"leaf,value\n" + body.encode())
+        assert load_payoff_csv(path, lat).values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 @pytest.mark.parametrize("body, message", [
@@ -452,10 +513,26 @@ def test_payoff_csv_load_matches_reference(tmp_path_factory, n, extra, seed, cel
     ("0,1.0\n1,2.0\n2,x\n3,4.0\n+9,1\n", "{path}: leaf index 9 outside 0..3"),
     ("0,1.0\n1,2.0\n2,3\n0x3,4.0\n", "invalid literal for int() with base 10: '0x3'"),
     ("0,1.0\n1,2.0\n2,3.0\n3,4.0\n03,5.0\n", "{path}: leaf 3 appears more than once"),
+    # shapes the byte pass refuses: a bare row between blank lines, two commas
+    # then none (as many commas as rows), two rows on the first line (cells
+    # that would pair up), a bad unterminated last row, a bad row after a
+    # leading blank line
+    ("0,1.0\n1,2.0\n\n2\n\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
+    ("0,1.0\n1,2.0,3\n2\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
+    ("0,1.0,1,2.0\n2,3.0\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
+    ("0,1.0\n1,2.0\n2,3.0\n3", "{path}: every row must be one 'leaf,value' pair"),
+    ("\n0\n1,2.0\n2,3.0\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
+    # leaf texts that are row-number texts, all but in order
+    ("0,1.0\n1,2.0\n0,3.0\n1,4.0\n", "{path}: leaf 0 appears more than once"),
+    ("1,1.0\n1,2.0\n2,3.0\n3,4.0\n", "{path}: leaf 1 appears more than once"),
+    ("0,1.0\n1,2.0\n2,3.0\n2,4.0\n", "{path}: leaf 2 appears more than once"),
 ], ids=["header_only", "negative", "duplicate", "leaf_type", "value_type",
         "short_row", "long_row", "first_bad_value", "first_bad_repeated_value",
         "signed_leaf", "hex_leaf",
-        "padded_duplicate"])
+        "padded_duplicate", "bare_row_between_blank_lines", "two_commas_then_none",
+        "two_rows_on_first_line", "bad_unterminated_last_row",
+        "bad_row_after_leading_blank_line", "row_numbers_repeated", "first_leaf_repeated",
+        "last_leaf_repeated"])
 def test_payoff_csv_rejects_malformed_rows(tmp_path, body, message):
     lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
     path = tmp_path / "payoff.csv"
@@ -473,25 +550,42 @@ def test_payoff_csv_reports_first_leaf_out_of_range(tmp_path):
         load_payoff_csv(path, lat)
 
 
+class _CountingTable(dict):
+    """A row-number table that counts the leaf texts looked up in it."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("spelling", ["+{}", "0{}", " {}", "{} ", "{}"])
 @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
 def test_payoff_csv_leaf_spellings_parse_as_int_does(tmp_path, monkeypatch, spelling,
                                                      cold):
     """Leaf texts other than a row number's own (every other leaf here) go
-    through ``int``, whether or not the row-number table has grown yet."""
+    through ``int``, whether or not the row-number table has grown yet, in
+    shuffled and in leaf order. Cold, the table counts its lookups: leaf
+    order in the row numbers' own texts takes none, on a lattice of as many
+    leaves as the table holds and on one of fewer."""
     if cold:
-        monkeypatch.setattr(jsonio, "_ROW_TEXTS", np.empty(0, dtype=object))
-        monkeypatch.setattr(jsonio, "_ROW_NUMBERS", {})
-    lat = build_lattice(TimeGrid.uniform(3, 1.0), NoiseModel.brownian(1))
+        monkeypatch.setattr(jsonio, "_ROW_NUMBERS", _CountingTable())
     values = (np.arange(8) / 3).tolist()
     path = tmp_path / "payoff.csv"
-    path.write_text("leaf,value\n" + "".join(
-        f"{(spelling if leaf % 2 else '{}').format(leaf)},{values[leaf]!r}\n"
-        for leaf in (5, 0, 3, 6, 1, 7, 2, 4)))
-    got = load_payoff_csv(path, lat).values
-    assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
-    assert got.tobytes() == np.array(values).tobytes()
-    assert {t: jsonio._ROW_NUMBERS[t] for t in map(str, range(8))} == \
+    for n, order in [(3, (5, 0, 3, 6, 1, 7, 2, 4)), (3, range(8)), (2, range(4))]:
+        lat = build_lattice(TimeGrid.uniform(n, 1.0), NoiseModel.brownian(1))
+        path.write_text("leaf,value\n" + "".join(
+            f"{(spelling if leaf % 2 else '{}').format(leaf)},{values[leaf]!r}\n"
+            for leaf in order))
+        lookups = getattr(jsonio._ROW_NUMBERS, "lookups", None)
+        got = load_payoff_csv(path, lat).values
+        assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
+        assert got.tobytes() == np.array(values[:len(order)]).tobytes()
+        if cold:
+            in_order = spelling == "{}" and isinstance(order, range)
+            assert (jsonio._ROW_NUMBERS.lookups == lookups) == in_order
+    assert {t: dict.__getitem__(jsonio._ROW_NUMBERS, t) for t in map(str, range(8))} == \
         {str(k): k for k in range(8)}
 
 

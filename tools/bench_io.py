@@ -21,7 +21,9 @@ a temporary directory.
    alike. ``load_payoff_csv`` on a 1,024-leaf binomial payoff file written
    as the benchmark writes them, once with a pool-style payoff (a function of
    the terminal Brownian state ``W_T``, so 11 distinct values) and once with
-   all values distinct, 10 loads per batch; ``write_artifacts``
+   all values distinct; and the pool payoff twice more, with its rows
+   shuffled (the leaf lookup path) and with four blank lines (the filtered
+   split), which no benchmark file has; 10 loads per batch; ``write_artifacts``
    rerunning one 700 KB and one 400 B artifact into the same path, 3 reruns
    per batch with a 10 ms gap; and the render of the text of a ``dev-wide``
    job (binomial n = 12, a ``Variance`` deviation of a function of ``W_T``:
@@ -139,13 +141,21 @@ class Worker:
         w = (2 * ups - LEAVES_N) / np.sqrt(LEAVES_N)  # the terminal state W_T per leaf
         payoffs = {"pool": 0.37 * w - 0.12 * w ** 2 + 0.8 * np.maximum(w - 0.1, 0),
                    "distinct": np.random.default_rng(11).normal(size=len(w))}
+        order = np.random.default_rng(13).permutation(len(w)).tolist()
+        blanks = set(range(0, len(w), len(w) // 4))  # a blank line before these rows
+        files = {"pool": (payoffs["pool"], range(len(w)), ()),
+                 "distinct": (payoffs["distinct"], range(len(w)), ()),
+                 "pool shuffled": (payoffs["pool"], order, ()),
+                 "pool blank lines": (payoffs["pool"], range(len(w)), blanks)}
         self.calls = {}
-        for name, values in payoffs.items():
-            path = tmp / f"{name}.csv"
+        for name, (values, leaves, blank) in files.items():
+            path = tmp / f"{name.replace(' ', '_')}.csv"
+            cells = values.tolist()
             with open(path, "w", newline="") as fh:
                 fh.write("leaf,value\r\n" + "".join(
-                    f"{leaf},{v!r}\r\n" for leaf, v in enumerate(values.tolist())))
-            distinct = len(set(values.tolist()))
+                    "\r\n" * (leaf in blank) + f"{leaf},{cells[leaf]!r}\r\n"
+                    for leaf in leaves))
+            distinct = len(set(cells))
             self.calls[f"load {name} ({distinct} distinct)"] = (
                 lambda path=path: load_payoff_csv(path, lat), LOADS, 0.0)
         for size_name, size in SIZES.items():
@@ -230,13 +240,13 @@ def main(argv: list[str]) -> int:
     for checkout, by_key in zip(args.checkouts, batches):
         print(f"\n{checkout}")
         for key, runs in by_key.items():
-            print(f"  {key:<32} {summary([t for times in runs for t in times])}")
+            print(f"  {key:<38} {summary([t for times in runs for t in times])}")
     if len(batches) == 2:
         print(f"\nbatches where {args.checkouts[1]} is faster than {args.checkouts[0]}")
         for key in keys:
             wins = sum(statistics.median(b) > statistics.median(a)
                        for b, a in zip(batches[0][key], batches[1][key]))
-            print(f"  {key:<32} {wins}/{args.rounds}")
+            print(f"  {key:<38} {wins}/{args.rounds}")
     return 0
 
 
