@@ -33,7 +33,7 @@ from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
     RandomVariable, TimeGrid, build_lattice
 from .optim import NumericError, SolverConfig
 from .representation import AnalyticPayoff, represent
-from .sharing import SharingProblem, proportional_share_factor, solve_sharing
+from .sharing import SharingProblem, _unbounded, proportional_share_factor, solve_sharing
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -299,12 +299,13 @@ def _build_payoffs(cfg: dict, lat: Lattice, config_dir: Path) -> dict:
                 ).copy()
                 out[name] = RandomVariable(values, lat.n_steps)
             elif kind == "analytic":
-                n, d, m = lat.n_steps, lat.noise.d, lat.noise.jumps.m
-                h = np.asarray(obj["h"], dtype=float).reshape(n, -1) \
-                    if obj.get("h") else np.zeros((n, d))
-                ht = np.asarray(obj["htilde"], dtype=float).reshape(n, -1) \
-                    if obj.get("htilde") else np.zeros((n, m))
-                out[name] = AnalyticPayoff(lat.grid, h, ht)
+                blocks = []
+                for key, width in (("h", lat.noise.d), ("htilde", lat.noise.jumps.m)):
+                    v = _get(obj, key, "an array of numbers or number arrays",
+                             f"payoff {name!r}", None)
+                    blocks.append(np.asarray(v, dtype=float).reshape(lat.n_steps, -1)
+                                  if v else np.zeros((lat.n_steps, width)))
+                out[name] = AnalyticPayoff(lat.grid, *blocks)
             else:
                 raise ConfigError(
                     f"payoff {name!r}: kind must be csv, expression or analytic"
@@ -333,6 +334,15 @@ def _ref(block: dict, key: str, where: str, pool: dict, what: str):
     return _named(pool, _get(block, key, "a string", where), what)
 
 
+def _payoff(payoffs: dict, name: str, where: str, analytic: bool = False):
+    """The payoff ``name``, which must be analytic or, by default, a lattice payoff."""
+    payoff = _named(payoffs, name, "payoff")
+    if analytic != isinstance(payoff, AnalyticPayoff):
+        kind = "an analytic" if analytic else "a lattice"
+        raise ConfigError(f"{where}: payoff must be {kind} payoff")
+    return payoff
+
+
 # -- commands -----------------------------------------------------------------
 #
 # A command takes (cfg, lat, seed, config_dir) and returns its exit code and
@@ -347,9 +357,7 @@ def cmd_deviation(cfg, lat, seed, config_dir):
     block = _get(cfg, "deviation", "an object")
     _, drivers, payoffs = _inputs(cfg, lat, config_dir)
     driver = _ref(block, "driver", "deviation", drivers, "driver")
-    payoff = _ref(block, "payoff", "deviation", payoffs, "payoff")
-    if isinstance(payoff, AnalyticPayoff):
-        raise ConfigError("deviation: payoff must be a lattice payoff")
+    payoff = _payoff(payoffs, _get(block, "payoff", "a string", "deviation"), "deviation")
     pair = represent(lat, payoff)
     dev = evaluate(lat, driver, pair)
     summary = {
@@ -381,9 +389,7 @@ def cmd_axioms(cfg, lat, seed, config_dir):
     _, drivers, payoffs = _inputs(cfg, lat, config_dir)
     driver = _ref(block, "driver", "axioms", drivers, "driver")
     names = _get(block, "payoffs", "an array of strings", "axioms")
-    samples = [_named(payoffs, n, "payoff") for n in names]
-    if any(isinstance(x, AnalyticPayoff) for x in samples):
-        raise ConfigError("axioms: payoff must be a lattice payoff")
+    samples = [_payoff(payoffs, n, "axioms") for n in names]
     mixtures = _get(block, "mixtures", "an integer", "axioms", 50)
     if mixtures > lat.max_nodes:
         raise ConfigError(f"axioms: 'mixtures' = {mixtures} is over the max_nodes "
@@ -408,21 +414,11 @@ def cmd_law_probe(cfg, lat, seed, config_dir):
     _, drivers, payoffs = _inputs(cfg, lat, config_dir)
     driver = _ref(block, "driver", "law_probe", drivers, "driver")
 
-    def pick(name, analytic):
-        p = _named(payoffs, name, "payoff")
-        if analytic != isinstance(p, AnalyticPayoff):
-            raise ConfigError(f"payoff {name!r} has the wrong kind for this pair list")
-        return p
+    def pairs(key, analytic):
+        return [tuple(_payoff(payoffs, name, "law_probe", analytic) for name in pair)
+                for pair in _get(block, key, "an array of name pairs", "law_probe", [])]
 
-    lattice_pairs = [
-        (pick(a, False), pick(b, False))
-        for a, b in _get(block, "pairs", "an array of name pairs", "law_probe", [])
-    ]
-    analytic_pairs = [
-        (pick(a, True), pick(b, True))
-        for a, b in _get(block, "analytic_pairs", "an array of name pairs", "law_probe", [])
-    ]
-    report = law_probe(lat, driver, lattice_pairs, analytic_pairs,
+    report = law_probe(lat, driver, pairs("pairs", False), pairs("analytic_pairs", True),
                        law_tol=float(_get(block, "law_tol", "a number", "law_probe", 1e-8)))
     payload = {"command": "law_probe", "seed": seed, "driver": block["driver"],
                "report": dataclasses.asdict(report)}
@@ -433,14 +429,12 @@ def cmd_share(cfg, lat, seed, config_dir):
     block = _get(cfg, "share", "an object")
     solver, drivers, payoffs = _inputs(cfg, lat, config_dir)
     prob = SharingProblem(
-        x_a=_ref(block, "payoff_a", "share", payoffs, "payoff"),
-        x_b=_ref(block, "payoff_b", "share", payoffs, "payoff"),
+        x_a=_payoff(payoffs, _get(block, "payoff_a", "a string", "share"), "share"),
+        x_b=_payoff(payoffs, _get(block, "payoff_b", "a string", "share"), "share"),
         driver_a=_ref(block, "driver_a", "share", drivers, "driver"),
         driver_b=_ref(block, "driver_b", "share", drivers, "driver"),
         solver=solver,
     )
-    if isinstance(prob.x_a, AnalyticPayoff) or isinstance(prob.x_b, AnalyticPayoff):
-        raise ConfigError("share: payoffs must be lattice payoffs")
     sol = solve_sharing(lat, prob)
     summary = {
         "command": "share",
@@ -460,8 +454,9 @@ def cmd_share(cfg, lat, seed, config_dir):
     argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
     columns = [f"z{i + 1}" for i in range(d)] + [f"ztilde{j + 1}" for j in range(m)]
     if not sol.attained:
-        print("sharing solve did not attain the optimum at every node",
-              file=sys.stderr)
+        unbounded = _unbounded(prob.driver_a, prob.driver_b, lat.noise.jumps)
+        print("inf-convolution unbounded below" if unbounded
+              else "sharing solve did not attain the optimum at every node", file=sys.stderr)
     return EXIT_OK if sol.attained else EXIT_NUMERIC, [
         ("share_argmins.csv", process_csv(argmins, columns=columns)),
         ("transfer.csv", payoff_csv(sol.y_tilde_star)),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import CheckOutcome, DriverSpec, eval_driver
+from .drivers import CheckOutcome, DriverSpec, _all_passed, eval_driver
 from .lattice import (
     AdaptedProcess,
     JumpMeasure,
@@ -119,9 +119,8 @@ def _recursive_levels(lat: Lattice, driver: DriverSpec, mart, part: list[int]) -
     cell's levels from ``max(hi, top)`` on hold exact +0.0s; the running total
     is never -0.0, so adding them would leave it as it is, and they are skipped."""
     n, d, nu = lat.n_steps, lat.noise.d, lat.noise.jumps
-    origin = [np.full(lat.num_nodes(i), float(driver.value_batch(
-        lat.times[i], np.zeros((1, d)), np.zeros((1, nu.m)), nu)[0]))
-        for i in range(n)]
+    g0 = driver.value_batch(lat.times[:n], np.zeros((n, d)), np.zeros((n, nu.m)), nu)
+    origin = [np.full(lat.num_nodes(i), g0[i]) for i in range(n)]
     top = n
     while top and not origin[top - 1][0]:
         top -= 1
@@ -210,12 +209,7 @@ class AxiomReport:
     samples: int
     seed: int
 
-    def all_passed(self) -> bool:
-        return all(
-            r.passed
-            for r in (self.translation, self.positivity, self.convexity,
-                      self.continuity, self.recursion, self.locality)
-        )
+    all_passed = _all_passed
 
 
 #: leaves of the tolerance probes' payoffs stacked into one pass of the level

@@ -354,6 +354,12 @@ class CheckOutcome:
     detail: str = ""
 
 
+def _all_passed(report) -> bool:
+    """Whether every ``CheckOutcome`` field of a report passed; a vacuous pass
+    is a pass. The ``all_passed`` of every report."""
+    return all(v.passed for v in vars(report).values() if isinstance(v, CheckOutcome))
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of the sampled driver-validity tests, with reproducible witnesses."""
@@ -365,17 +371,7 @@ class ValidityReport:
     subgradient_consistency: CheckOutcome
     samples_used: int
 
-    def all_passed(self) -> bool:
-        return all(
-            r.passed
-            for r in (
-                self.nonnegativity,
-                self.zero_at_zero,
-                self.zero_only_at_zero,
-                self.convexity,
-                self.subgradient_consistency,
-            )
-        )
+    all_passed = _all_passed
 
 
 def _probe_points(nu: JumpMeasure, d: int, sample_count: int,
@@ -402,23 +398,20 @@ def _subgradient_prefix(spec: DriverSpec, t: float, H: np.ndarray, Ht: np.ndarra
                         nu: JumpMeasure) -> tuple[np.ndarray, ValueError | None]:
     """Subgradient rows of the longest leading run of rows whose oracle calls
     succeed, and the ``ValueError`` of the first row that fails (None if
-    none). A failing batch is bisected on its prefixes, so the failure found
-    is the one a row-at-a-time loop meets first."""
+    none). After a failing batch the rows are tried one at a time, in order,
+    up to the first that raises, as a row-at-a-time loop meets it; the run
+    before it is then taken in one batch call."""
     try:
         return spec.subgradient_batch(t, H, Ht, nu), None
     except ValueError as exc:
         error = exc
-    good, bad = 0, len(H)  # rows [:good] succeed, rows [:bad] raise ``error``
-    while bad - good > 1:
-        mid = (good + bad) // 2
+    for k in range(len(H)):
         try:
-            spec.subgradient_batch(t, H[:mid], Ht[:mid], nu)
-            good = mid
+            spec.subgradient_batch(t, H[k:k + 1], Ht[k:k + 1], nu)
         except ValueError as exc:
-            bad, error = mid, exc
-    if not good:
-        return np.empty((0, H.shape[1] + Ht.shape[1])), error
-    return spec.subgradient_batch(t, H[:good], Ht[:good], nu), error
+            error = exc
+            break
+    return spec.subgradient_batch(t, H[:k], Ht[:k], nu), error
 
 
 def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,

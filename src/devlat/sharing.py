@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .deviation import _accumulate, _levels
-from .drivers import (DriverSpec, InfConv, NormCD, Scaled, Variance, _as_vec, _check_dims,
-                      _row_times)
+from .drivers import (CVaRJump, DriverSpec, InfConv, NormCD, Scaled, Variance, _as_vec,
+                      _check_dims, _row_times)
 from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, SolverConfig, _better, minimize
 from .representation import RepresentingPair, assemble, represent
@@ -195,6 +195,18 @@ def proportional_share_factor(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
     return None if rest or callable(rule_h) or rule_h != rule_j else rule_h
 
 
+def _unbounded(g_a: DriverSpec, g_b: DriverSpec, nu: JumpMeasure) -> bool:
+    """Whether the pair's inf-convolution is -inf everywhere: its conjugate,
+    the sum of the atoms' conjugates (Rockafellar 1970, Thm 16.4), has an
+    empty domain. Every ``CVaRJump`` domain holds the jump density ``-nu /
+    total``, of least dual norm ``1 / sqrt(total)``; a ``NormCD`` domain is
+    the dual-norm ball of radius ``d``. ``Scaled`` changes neither kind."""
+    bases = [base for _, base in _atoms(g_a) + _atoms(g_b)]
+    return any(isinstance(base, CVaRJump) for base in bases) and any(
+        isinstance(base, NormCD) and base.d * math.sqrt(nu.total_intensity) < 1.0
+        for base in bases)
+
+
 # -- numeric inf-convolution for pairs without a closed form -----------------------
 
 
@@ -245,7 +257,8 @@ def _apply(parts: tuple, t: float | np.ndarray, H: np.ndarray, Ht: np.ndarray,
     (driver, rules), *rest = parts
     if not rest:
         return _share_block(rules[0], H), _share_block(rules[1], Ht, nu.intensity_array)
-    other, cfg = reduce(InfConv, [part[0] for part in rest]), cfg or SolverConfig()
+    cfg = cfg or SolverConfig()
+    other = reduce(partial(InfConv, solver=cfg), [part[0] for part in rest])
     Z, Zt = np.zeros_like(H), np.zeros_like(Ht)
     for v, t_v in enumerate(_row_times(t, H.shape[0])):
         Z[v], Zt[v] = _numeric_infconv(driver, other, t_v, H[v], Ht[v], nu, cfg)
@@ -344,7 +357,8 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     residuals are nonzero (jump lattices) the solve runs on the projected
     integrands and the largest residual is attached rather than silently
     dropped; configure ``solver.residual_tolerance`` to make it fatal
-    (``NumericError``).
+    (``NumericError``). A pair whose inf-convolution is unbounded below
+    (``_unbounded``) is never attained, whatever its certificate reads.
 
     The price and the welfare changes come from the split itself, with no
     further representation: B's post-transfer position ``y* - price`` has the
@@ -376,7 +390,8 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     Z, Zt = _apply(_split_plan(g_a, g_b), t, H, Ht, nu, cfg)
     part_a, part_b, values, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
     certificate_gap = float(np.max(gaps))
-    attained = certificate_gap <= cfg.attain_tolerance and bool(np.isfinite(values).all())
+    attained = certificate_gap <= cfg.attain_tolerance and bool(np.isfinite(values).all()) \
+        and not _unbounded(g_a, g_b, nu)
     bounds = list(pairwise(accumulate(sizes, initial=0)))
     arg_H, arg_Ht, parts_a, parts_b, node_vals = (
         tuple(rows[lo:hi] for lo, hi in bounds) for rows in (Z, Zt, part_a, part_b, values))

@@ -280,6 +280,28 @@ def test_check_driver_meets_a_raising_oracle_where_the_scalar_checker_does(seed,
     _same(got.witness, want.witness)
 
 
+@pytest.mark.parametrize("seed, threshold", [(0, 1.0), (11, 1.0), (0, 2.0), (5, 3.0)])
+def test_check_driver_calls_a_raising_oracle_at_most_3k_plus_3_times(seed, threshold):
+    """An oracle first raising at sampled pair k is called by the whole
+    batch up to k, once per pair up to k to find it, and once per pair
+    before k for the run kept: at most 3k + 3 calls, with the verdict of one
+    pair at a time."""
+    calls = []
+
+    def oracle(t, h, ht, nu):
+        calls.append(h[0])
+        if h[0] > threshold:
+            raise ValueError(f"no subgradient at h = {h[0]!r}")
+        return np.concatenate([2 * h, 2 * ht])
+
+    spec = Custom(_square, oracle, "raising")
+    got = check_driver(spec, NU2, sample_count=200, seed=seed).subgradient_consistency
+    k = next(i for i, h in enumerate(calls) if h > threshold)  # the batch runs in row order
+    assert len(calls) <= 3 * k + 3
+    want = check_driver_reference(spec, NU2, sample_count=200, seed=seed).subgradient_consistency
+    assert (got.passed, got.vacuous, got.detail) == (want.passed, want.vacuous, want.detail)
+
+
 #: (driver, d, nu) per kind; NormCD and the kinds built on it take norms
 BATCHED = {
     "variance": (Variance(1.3), 2, NU3),

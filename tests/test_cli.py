@@ -574,6 +574,17 @@ MALFORMED = [
     ("axioms", ["axioms", "mixtures"], -5),
     # two Brownian columns per step on a d=1 lattice
     ("law-probe", ["payoffs", "A", "h"], [[1, 1], [1, 1]]),
+    # analytic integrands are arrays of numbers or number arrays, nothing else
+    ("law-probe", ["payoffs", "A", "h"], True),
+    ("law-probe", ["payoffs", "A", "h"], 0),
+    ("law-probe", ["payoffs", "A", "h"], {}),
+    ("law-probe", ["payoffs", "A", "h"], "1.0"),
+    ("law-probe", ["payoffs", "A", "h"], [[[1.0]], [[0.5]]]),
+    ("law-probe", ["payoffs", "A", "htilde"], False),
+    ("law-probe", ["payoffs", "A", "htilde"], 0),
+    ("law-probe", ["payoffs", "A", "htilde"], {}),
+    ("law-probe", ["payoffs", "A", "htilde"], ""),
+    ("law-probe", ["payoffs", "A", "htilde"], [[[0.5, 0.5]], [[0.5, 0.5]]]),
 ]
 
 
@@ -606,6 +617,40 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, command, path, value):
                  "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("h, htilde", [(None, []), ([], None), ("absent", "absent")])
+def test_analytic_integrands_absent_null_or_empty_are_zeros(tmp_path, h, htilde):
+    payoff = {"kind": "analytic"}
+    for key, value in (("h", h), ("htilde", htilde)):
+        if value != "absent":
+            payoff[key] = value
+    cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE},
+                       payoffs={"A": payoff},
+                       law_probe={"driver": "g", "analytic_pairs": [["A", "A"]]})
+    assert main(["law-probe", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    entry, = json.loads((tmp_path / "law_probe.json").read_text())["report"]["entries"]
+    assert entry["d0_first"] == entry["d0_second"] == 0.0
+
+
+@pytest.mark.parametrize("command, block, message", [
+    ("deviation", {"deviation": {"payoff": "A", "driver": "g"}}, "a lattice"),
+    ("axioms", {"axioms": {"payoffs": ["X", "A"], "driver": "g"}}, "a lattice"),
+    ("share", {"share": {"payoff_a": "X", "payoff_b": "A", "driver_a": "g",
+                         "driver_b": "g"}}, "a lattice"),
+    ("law-probe", {"law_probe": {"pairs": [["X", "A"]], "driver": "g"}}, "a lattice"),
+    ("law-probe", {"law_probe": {"analytic_pairs": [["A", "X"]], "driver": "g"}},
+     "an analytic"),
+], ids=["deviation", "axioms", "share", "law_probe_pairs", "law_probe_analytic_pairs"])
+def test_a_payoff_of_the_wrong_kind_exits_1(tmp_path, capsys, command, block, message):
+    cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": {"d": 1}},
+                       payoffs={"X": {"kind": "expression", "expr": "W**2"},
+                                "A": {"kind": "analytic", "h": [[1.0], [0.5]]}}, **block)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    where = command.replace("-", "_")
+    assert capsys.readouterr().err == f"error: {where}: payoff must be {message} payoff\n"
     assert list(out.glob("*")) == []
 
 

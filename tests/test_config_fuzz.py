@@ -1,0 +1,123 @@
+"""Config-surface fuzzing: each command's small valid config with one key
+set to a boundary number, a value of another JSON type, null, a NaN-like
+string, a non-finite float or another payoff or driver. Whatever the value,
+the run exits 0, 1 or 2, never 3 (an internal error), and a run that exits 1
+writes no artifact.
+
+The base lattice has two steps with two jump marks under a 64-leaf budget,
+and the solver budget is small, so a mutation that turns the share into a
+numeric ``cvar_jump`` pair stays fast.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from devlat.cli import main
+
+BASE = {
+    "seed": 3,
+    "lattice": {
+        "grid": {"n": 2, "horizon": 1.0},
+        "noise": {"d": 1, "jumps": {"marks": [-1.0, 2.0], "intensities": [0.25, 0.5]}},
+        "max_nodes": 64,
+    },
+    "payoffs": {
+        "X": {"kind": "expression", "expr": "W + C1"},
+        "Y": {"kind": "expression", "expr": "W**2 - N2"},
+        "A": {"kind": "analytic", "h": [[1.0], [0.5]], "htilde": [[0.1, 0.2], [0.0, 0.3]]},
+    },
+    "drivers": {
+        "g": {"kind": "variance", "alpha": 1.0},
+        "gn": {"kind": "norm_cd", "c": 1.0, "d": 2.0},
+        "gs": {"kind": "scaled", "gamma": 2.0, "base": {"kind": "variance", "alpha": 1.0}},
+    },
+    "solver": {"max_iterations": 30, "stall_window": 10, "polish_iterations": 5},
+}
+
+#: each command's own block; the command reads the sections above besides
+BLOCKS = {
+    "build": {},
+    "deviation": {"deviation": {"payoff": "X", "driver": "g", "partition": [0, 1, 2]}},
+    "axioms": {"axioms": {"driver": "g", "payoffs": ["X", "Y"], "mixtures": 5, "level": 1}},
+    "law-probe": {"law_probe": {"driver": "gn", "pairs": [["X", "X"]],
+                                "analytic_pairs": [["A", "A"]], "law_tol": 1e-8}},
+    "share": {"share": {"payoff_a": "X", "payoff_b": "Y", "driver_a": "gn", "driver_b": "gs"}},
+    "check-driver": {"check_driver": {"driver": "g", "samples": 10, "d": 1}},
+}
+
+VALUES = [
+    # boundary numbers, JSON's and Python's json's
+    0, -1, 1, 2, 3, 64, 65, 2**31, 2**63, -2**63 - 1, 10**12, 0.0, -0.0, 0.5, -2.5,
+    1e-300, 1e308, float("nan"), float("inf"), float("-inf"),
+    # other JSON types and null
+    None, True, False, "", "x", [], {}, [0], [1, 2], [[0, 1]], [[[1.0]]], [0, 1, 2],
+    [[1.0], [0.5]], [0.5, "x"],
+    # NaN-like strings
+    "NaN", "nan", "Infinity", "-inf", "1e400",
+    # names, defined and not, and the other payoff and driver kinds
+    "W", "X", "A", "g", "gc", "missing", ["X", "A"], [["X", "A"]], [["A", "A"]],
+    {"kind": "expression", "expr": "N1 - C2"}, {"kind": "expression", "expr": "1/0"},
+    {"kind": "analytic"}, {"kind": "analytic", "h": [1.0, 0.5]},
+    {"kind": "csv", "path": "missing.csv"}, {"kind": "cvar_jump", "a": 0.4},
+    {"kind": "norm_cd", "c": 1.0, "d": 0.5}, {"kind": "custom"},
+    {"kind": "infconv", "a": {"kind": "variance", "alpha": 1.0},
+     "b": {"kind": "cvar_jump", "a": 0.3}},
+]
+
+
+def _paths(node, prefix=()):
+    """The key path of every value under ``node``, containers included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+
+
+#: per command, every key path of its config and a few keys it does not hold
+PATHS = {command: sorted(set(_paths({**BASE, **block}))
+                         | {("solver", "unknown"), ("lattice", "grid", "times")})
+         for command, block in BLOCKS.items()}
+
+
+def _set(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKS))
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_mutated_key_exits_0_1_or_2_and_exit_1_writes_nothing(command, data):
+    path = data.draw(st.sampled_from(PATHS[command]), label="path")
+    value = data.draw(st.sampled_from(VALUES), label="value")
+    cfg = copy.deepcopy({**BASE, **BLOCKS[command]})
+    _set(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config), "--out", str(out), "--quiet"])
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:
+            assert not out.exists() or list(out.iterdir()) == [], err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKS))
+def test_every_base_config_runs(command, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE, **BLOCKS[command]}))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,8 +30,8 @@ from devlat import (
     utility,
 )
 import devlat.deviation as deviation
-from devlat.deviation import LawMismatchError
-from devlat.drivers import CheckOutcome
+from devlat.deviation import AxiomReport, LawMismatchError
+from devlat.drivers import CheckOutcome, ValidityReport
 from devlat.representation import RepresentingPair
 
 from oracles import conditional_variance_by_paths
@@ -118,6 +119,23 @@ def test_recursion_random_partitions(jump_lattice, rng):
             gap = max(float(np.max(np.abs(direct.at(i) - rec.at(i))))
                       for i in range(5))
             assert gap <= 1e-12
+
+
+def test_block_recursion_takes_the_driver_at_the_origin_in_one_call(jump_lattice, rng):
+    """One driver call per step of each cell, and one over the n origin
+    rows, each row at its own step's time."""
+    calls = []
+
+    class Counted:
+        def value_batch(self, t, H, Ht, nu):
+            calls.append((np.ndim(t), len(H)))
+            return Variance(1.3).value_batch(t, H, Ht, nu)
+
+    pair = represent(jump_lattice, RandomVariable(rng.normal(size=jump_lattice.num_nodes(4)), 4))
+    rec = evaluate_recursive(jump_lattice, Counted(), pair, [0, 1, 3, 4])
+    assert len(calls) == 4 + 1 and calls.count((1, 4)) == 1
+    want = evaluate_recursive(jump_lattice, Variance(1.3), pair, [0, 1, 3, 4])
+    assert all(np.array_equal(rec.at(i), want.at(i)) for i in range(5))
 
 
 def test_recursion_partition_validation(binomial4):
@@ -395,3 +413,15 @@ def test_deviation_constant_across_independent_payoffs(binomial4, rng):
     x = RandomVariable(np.tile(suffix, binomial4.num_nodes(t)), 4)
     dev = evaluate(binomial4, Variance(1.0), represent(binomial4, x))
     assert constancy_spread(dev, t) <= 1e-10
+
+
+@pytest.mark.parametrize("report_type, checks", [(ValidityReport, 5), (AxiomReport, 6)])
+def test_all_passed_reads_every_check_of_a_report(report_type, checks):
+    """A report passes when every one of its ``CheckOutcome`` fields passes,
+    a vacuous pass included; failing any one of them fails it."""
+    passing = {f.name: CheckOutcome(True, vacuous=True) if f.type == "CheckOutcome" else 0
+               for f in dataclasses.fields(report_type)}
+    names = [name for name, v in passing.items() if isinstance(v, CheckOutcome)]
+    assert len(names) == checks and report_type(**passing).all_passed()
+    for name in names:
+        assert not report_type(**{**passing, name: CheckOutcome(False)}).all_passed(), name

@@ -560,3 +560,43 @@ def test_one_plan_and_one_certificate_per_solve(binomial4, rng, monkeypatch):
         monkeypatch.setattr(sharing, name, counted)
     solve_sharing(binomial4, _random_problem(binomial4, rng, Variance(1.0), NormCD(1.0, 0.5)))
     assert calls == {"_split_plan": 1, "certificate_gaps": 1}
+
+
+def test_every_nested_solve_of_a_three_part_plan_takes_the_callers_settings(monkeypatch):
+    """A plan of three parts solves the first against the rest as one
+    ``InfConv``, whose value solves again: every ``minimize`` call, nested
+    ones included, gets the caller's ``SolverConfig``."""
+    cfg = SolverConfig(max_iterations=10, stall_window=5, polish_iterations=2)
+    seen, original = [], sharing.minimize
+
+    def recorded(f, g, x0, config):
+        seen.append(config)
+        return original(f, g, x0, config)
+
+    monkeypatch.setattr(sharing, "minimize", recorded)
+    g_a, g_b = InfConv(Variance(1.0), CVaRJump(0.3)), CVaRJump(0.5)
+    assert len(sharing._split_plan(g_a, g_b)) == 3
+    infconv_split(g_a, g_b, 0.0, np.array([[0.3]]), np.array([[0.1, -0.2]]), NU, cfg)
+    assert len(seen) > 1 and all(c is cfg for c in seen)
+
+
+@pytest.mark.parametrize("g_a, g_b, unbounded", [
+    (NormCD(1.0, 0.5), CVaRJump(0.4), True),
+    (InfConv(Variance(1.0), NormCD(1.0, 0.5)), CVaRJump(0.4), True),
+    (Scaled(3.0, CVaRJump(0.4)), InfConv(Variance(1.0), Scaled(0.5, NormCD(0.0, 0.9))), True),
+    (NormCD(1.0, 2.0), CVaRJump(0.4), False),
+    (NormCD(1.0, 1.0), CVaRJump(0.4), False),
+    (NormCD(1.0, 0.5), Variance(1.0), False),
+    (CVaRJump(0.2), CVaRJump(0.4), False),
+], ids=["norm_cvar", "huber_cvar", "nested", "steep_norm_cvar", "norm_at_the_bound",
+        "norm_variance", "cvar_pair"])
+def test_a_cvar_atom_against_a_shallow_norm_atom_is_not_attained(rng, g_a, g_b, unbounded):
+    """The inf-convolution is -inf when some ``CVaRJump`` atom meets some
+    ``NormCD`` atom with ``d * sqrt(total intensity) < 1``, in either tree
+    and in either order (``NU``'s total intensity is 1); such a solve is not
+    attained, whatever its certificate reads."""
+    assert sharing._unbounded(g_a, g_b, NU) == sharing._unbounded(g_b, g_a, NU) == unbounded
+    if unbounded:
+        lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel(1, NU))
+        solver = SolverConfig(max_iterations=200, stall_window=50, polish_iterations=20)
+        assert not solve_sharing(lat, _random_problem(lat, rng, g_a, g_b, solver)).attained
