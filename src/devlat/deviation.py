@@ -399,6 +399,8 @@ def law_probe(lat: Lattice, driver: DriverSpec,
     merging); analytic pairs are only equal in law in the continuous limit and
     are flagged as such, since their step integrands live off the tree.
     """
+    if not law_tol >= 0:  # NaN fails it too
+        raise ValueError("law_tol must be >= 0")
     entries = []
     for x1, x2 in lattice_pairs:
         law1, law2 = law(lat, x1), law(lat, x2)

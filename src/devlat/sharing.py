@@ -11,7 +11,7 @@ over it, so one split plan (``_split_plan``) reads any pair of driver trees as
 one multiset of scaled atoms; the solver, ``InfConv`` and
 ``proportional_share_factor`` all read it. ``Variance`` and ``NormCD`` atoms
 split in closed form for all rows at once; only ``CVaRJump`` and
-``Custom`` atoms reach the numeric solver, node by node.
+``Custom`` atoms reach the numeric solver, in one joint solve per node.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -207,43 +207,43 @@ def _unbounded(g_a: DriverSpec, g_b: DriverSpec, nu: JumpMeasure) -> bool:
         for base in bases)
 
 
-# -- numeric inf-convolution for pairs without a closed form -----------------------
+# -- numeric inf-convolution for plans without a closed form -----------------------
 
 
-def _numeric_infconv(g_a: DriverSpec, g_b: DriverSpec, t: float, h: np.ndarray,
-                     ht: np.ndarray, nu: JumpMeasure,
-                     cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Numeric solve from the symmetric midpoint, then polish against the
-    block-corner candidates (all-to-A, all-to-B, and the mixed Brownian/jump
-    corners), which renders piecewise linear pairs exact."""
-    d = h.shape[0]
+def _joint_split(drivers: list[DriverSpec], t: float, x: np.ndarray, d: int,
+                 nu: JumpMeasure, cfg: SolverConfig) -> np.ndarray:
+    """The amounts ``(k, d + m)`` of the row ``x = (h, ht)`` minimising
+    ``sum_i g_i(x_i)``: one solve for drivers 2..k (the first keeps the rest)
+    from ``x / k`` each, polished against the k**2 block corners (diagonal
+    first, then by jump and Brownian owner), so piecewise linear plans are exact."""
+    (first, *others), k, p = drivers, len(drivers), x.shape[0]
 
-    def split(zfull):
-        return zfull[:d], zfull[d:]
+    def amounts(free):  # reduce leaves one row as it is; a sum turns -0.0 into +0.0
+        free = free.reshape(k - 1, p)
+        return x - reduce(np.add, free), free
 
-    def objective(zfull):
-        z, zt = split(zfull)
-        return g_a.value(t, h - z, ht - zt, nu) + g_b.value(t, z, zt, nu)
+    def objective(free):
+        rest, free = amounts(free)
+        total = first.value(t, rest[:d], rest[d:], nu)
+        for g, z in zip(others, free):
+            total += g.value(t, z[:d], z[d:], nu)
+        return total
 
-    def subgrad(zfull):
-        z, zt = split(zfull)
-        sa = g_a.subgradient(t, h - z, ht - zt, nu)
-        sb = g_b.subgradient(t, z, zt, nu)
-        return sb - sa
+    def subgrad(free):
+        rest, free = amounts(free)
+        s_first = first.subgradient(t, rest[:d], rest[d:], nu)
+        return np.concatenate([g.subgradient(t, z[:d], z[d:], nu) - s_first
+                               for g, z in zip(others, free)])
 
-    full = np.concatenate([h, ht])
-    result = minimize(objective, subgrad, full / 2.0, cfg)
-
-    zeros = np.zeros_like(full)
-    cross_a = np.concatenate([h, np.zeros_like(ht)])
-    cross_b = np.concatenate([np.zeros_like(h), ht])
+    result = minimize(objective, subgrad, np.tile(x / k, k - 1), cfg)
     best_x, best_f = result.argmin, result.value
-    for cand in (zeros, full, cross_a, cross_b):
-        f = float(objective(cand))
+    for b, j in [(i, i) for i in range(k)] + [(b, j) for j in range(k) for b in range(k) if b != j]:
+        corner = np.zeros((k, p))
+        corner[b, :d], corner[j, d:] = x[:d], x[d:]
+        f = float(objective(cand := corner[1:].ravel()))
         if _better(f, cand, best_f, best_x):
             best_f, best_x = f, cand
-    z, zt = split(best_x)
-    return z.copy(), zt.copy()
+    return np.vstack(amounts(best_x))
 
 
 # -- public inf-convolution ---------------------------------------------------------
@@ -252,21 +252,20 @@ def _numeric_infconv(g_a: DriverSpec, g_b: DriverSpec, t: float, h: np.ndarray,
 def _apply(parts: tuple, t: float | np.ndarray, H: np.ndarray, Ht: np.ndarray,
            nu: JumpMeasure, cfg: SolverConfig | None) -> tuple[np.ndarray, np.ndarray]:
     """B's share of every row split optimally among the parts: one by its
-    rules, more by a numeric solve per row of the first against the rest, at
-    the row's time (``t`` is one time or one per row)."""
-    (driver, rules), *rest = parts
+    rules; more by one joint solve per row at its time (``t`` is one time or
+    one per row), then each part's amount by its rules, summed in part order."""
+    (_, rules), *rest = parts
     if not rest:
         return _share_block(rules[0], H), _share_block(rules[1], Ht, nu.intensity_array)
-    cfg = cfg or SolverConfig()
-    other = reduce(partial(InfConv, solver=cfg), [part[0] for part in rest])
-    Z, Zt = np.zeros_like(H), np.zeros_like(Ht)
-    for v, t_v in enumerate(_row_times(t, H.shape[0])):
-        Z[v], Zt[v] = _numeric_infconv(driver, other, t_v, H[v], Ht[v], nu, cfg)
-    Z_rest, Zt_rest = _apply(parts[1:], t, Z, Zt, nu, cfg)
-    if rules == (0.0, 0.0):  # B holds none of it, and adding a zero could flip -0.0
-        return Z_rest, Zt_rest
-    Z_first, Zt_first = _apply(parts[:1], t, H - Z, Ht - Zt, nu, cfg)
-    return Z_first + Z_rest, Zt_first + Zt_rest
+    X, d, cfg = np.hstack([H, Ht]), H.shape[1], cfg or SolverConfig()
+    amounts = np.empty((len(X), len(parts), X.shape[1]))
+    for v, t_v in enumerate(_row_times(t, len(X))):
+        amounts[v] = _joint_split([part[0] for part in parts], t_v, X[v], d, nu, cfg)
+    shares = [(_share_block(rule_h, amounts[:, i, :d]),
+               _share_block(rule_j, amounts[:, i, d:], nu.intensity_array))
+              # B holds none of the first, and adding a zero could flip -0.0
+              for i, (_, (rule_h, rule_j)) in enumerate(parts) if i or rules != (0.0, 0.0)]
+    return tuple(reduce(np.add, blocks) for blocks in zip(*shares))
 
 
 def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
@@ -278,11 +277,9 @@ def infconv_split(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
     or a (rows,) array of each row's time.
 
     A closed-form plan splits all rows at once (``Z = theta_B * H``, ``Zt =
-    theta_J * Ht``), any other row by row with the numeric minimiser and
-    ``cfg``.
+    theta_J * Ht``), any other by one joint numeric solve per row with ``cfg``.
     """
-    H = np.asarray(H, dtype=float)
-    Ht = np.asarray(Ht, dtype=float)
+    H, Ht = np.asarray(H, dtype=float), np.asarray(Ht, dtype=float)
     return _apply(_split_plan(g_a, g_b), t, H, Ht, nu, cfg)
 
 

@@ -634,6 +634,20 @@ def test_analytic_integrands_absent_null_or_empty_are_zeros(tmp_path, h, htilde)
     assert entry["d0_first"] == entry["d0_second"] == 0.0
 
 
+@pytest.mark.parametrize("pairs", [{"pairs": [["X", "X"]]}, {"analytic_pairs": [["A", "A"]]}],
+                         ids=["lattice_pairs", "analytic_pairs_only"])
+def test_a_negative_law_tol_exits_1(tmp_path, capsys, pairs):
+    """A negative tolerance is refused before any pair is probed, however the
+    pairs' laws compare; analytic pairs alone never compare laws at all."""
+    cfg = _base_config(tmp_path, payoffs={"X": {"kind": "expression", "expr": "W"},
+                                          "A": {"kind": "analytic", "h": [[1.0]] * 4}},
+                       law_probe={"driver": "g", "law_tol": -1, **pairs})
+    out = tmp_path / "out"
+    assert main(["law-probe", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: law_tol must be >= 0\n"
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("command, block, message", [
     ("deviation", {"deviation": {"payoff": "A", "driver": "g"}}, "a lattice"),
     ("axioms", {"axioms": {"payoffs": ["X", "A"], "driver": "g"}}, "a lattice"),

@@ -70,6 +70,8 @@ VALUES = [
     {"kind": "norm_cd", "c": 1.0, "d": 0.5}, {"kind": "custom"},
     {"kind": "infconv", "a": {"kind": "variance", "alpha": 1.0},
      "b": {"kind": "cvar_jump", "a": 0.3}},
+    # against ``gs``, a plan of three parts: two numeric ones and a radial one
+    {"kind": "infconv", "a": {"kind": "cvar_jump", "a": 0.2}, "b": {"kind": "cvar_jump", "a": 0.5}},
 ]
 
 
@@ -94,13 +96,9 @@ def _set(cfg, path, value):
     node[path[-1]] = value
 
 
-@pytest.mark.parametrize("command", sorted(BLOCKS))
-@settings(max_examples=80, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_one_mutated_key_exits_0_1_or_2_and_exit_1_writes_nothing(command, data):
-    path = data.draw(st.sampled_from(PATHS[command]), label="path")
-    value = data.draw(st.sampled_from(VALUES), label="value")
+def _run_mutated(command, path, value):
+    """Run ``command``'s base config with the key at ``path`` set to
+    ``value``: it exits 0, 1 or 2, and exit 1 writes nothing."""
     cfg = copy.deepcopy({**BASE, **BLOCKS[command]})
     _set(cfg, path, value)
     with tempfile.TemporaryDirectory() as tmp:
@@ -113,6 +111,23 @@ def test_one_mutated_key_exits_0_1_or_2_and_exit_1_writes_nothing(command, data)
         assert code in (0, 1, 2), err.getvalue()
         if code == 1:
             assert not out.exists() or list(out.iterdir()) == [], err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKS))
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_mutated_key_exits_0_1_or_2_and_exit_1_writes_nothing(command, data):
+    path = data.draw(st.sampled_from(PATHS[command]), label="path")
+    _run_mutated(command, path, data.draw(st.sampled_from(VALUES), label="value"))
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_every_value_as_a_share_driver_exits_0_1_or_2(value):
+    """Every value in place of the share's driver ``gn``, so that each driver
+    kind meets ``gs`` (a scaled variance): the numeric ones reach the numeric
+    split, and ``infconv(cvar_jump, cvar_jump)`` splits into three parts."""
+    _run_mutated("share", ("drivers", "gn"), value)
 
 
 @pytest.mark.parametrize("command", sorted(BLOCKS))

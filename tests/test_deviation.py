@@ -388,6 +388,12 @@ def test_law_probe_analytic_gap(binomial4):
     assert entry.gap == pytest.approx(0.29289321881345254, abs=1e-12)
 
 
+@pytest.mark.parametrize("law_tol", [-1.0, -1e-300, float("nan")])
+def test_law_probe_refuses_a_negative_or_nan_law_tol(binomial4, law_tol):
+    with pytest.raises(ValueError, match="law_tol must be >= 0"):
+        law_probe(binomial4, Variance(1.0), law_tol=law_tol)
+
+
 def test_law_probe_refuses_analytic_payoffs_off_the_lattice(binomial4):
     grid = binomial4.grid
     ok = AnalyticPayoff(grid, np.ones((4, 1)), np.zeros((4, 0)))

@@ -562,11 +562,8 @@ def test_one_plan_and_one_certificate_per_solve(binomial4, rng, monkeypatch):
     assert calls == {"_split_plan": 1, "certificate_gaps": 1}
 
 
-def test_every_nested_solve_of_a_three_part_plan_takes_the_callers_settings(monkeypatch):
-    """A plan of three parts solves the first against the rest as one
-    ``InfConv``, whose value solves again: every ``minimize`` call, nested
-    ones included, gets the caller's ``SolverConfig``."""
-    cfg = SolverConfig(max_iterations=10, stall_window=5, polish_iterations=2)
+def _counted_minimize(monkeypatch):
+    """The config of every ``sharing.minimize`` call, in call order."""
     seen, original = [], sharing.minimize
 
     def recorded(f, g, x0, config):
@@ -574,10 +571,48 @@ def test_every_nested_solve_of_a_three_part_plan_takes_the_callers_settings(monk
         return original(f, g, x0, config)
 
     monkeypatch.setattr(sharing, "minimize", recorded)
+    return seen
+
+
+def test_a_three_part_plan_makes_one_solve_per_row_with_the_callers_settings(monkeypatch):
+    """A plan of three parts splits each row among them jointly: one
+    ``minimize`` call per row, each with the caller's ``SolverConfig``, and
+    no solve nested inside another."""
+    cfg = SolverConfig(max_iterations=10, stall_window=5, polish_iterations=2)
+    seen = _counted_minimize(monkeypatch)
     g_a, g_b = InfConv(Variance(1.0), CVaRJump(0.3)), CVaRJump(0.5)
     assert len(sharing._split_plan(g_a, g_b)) == 3
-    infconv_split(g_a, g_b, 0.0, np.array([[0.3]]), np.array([[0.1, -0.2]]), NU, cfg)
-    assert len(seen) > 1 and all(c is cfg for c in seen)
+    H, Ht = np.array([[0.3], [-1.0], [0.0]]), np.array([[0.1, -0.2], [0.5, 0.4], [-0.3, 0.0]])
+    infconv_split(g_a, g_b, np.array([0.0, 0.5, 1.0]), H, Ht, NU, cfg)
+    assert len(seen) == 3 and all(c is cfg for c in seen)
+
+
+def _quadratic(q):
+    """``q (|h|**2 + sum_j ht_j**2 nu_j)``: ``Variance(q)`` as a ``Custom``."""
+    def value(t, h, ht, nu):
+        return q * (h @ h + (ht * ht) @ nu.intensity_array)
+
+    def subgradient(t, h, ht, nu):
+        return 2.0 * q * np.concatenate([h, ht * nu.intensity_array])
+
+    return Custom(value, subgradient, name=f"quadratic_{q}")
+
+
+@pytest.mark.parametrize("h, ht", [([0.7], [0.3, -0.4]), ([-2.0], [0.0, 1.5]),
+                                   ([0.0], [-0.2, 0.1])])
+def test_a_three_part_quadratic_plan_meets_the_harmonic_mean(monkeypatch, h, ht):
+    """Three ``Custom`` quadratics with q = 1, 2, 4 form a three-part plan,
+    whose inf-convolution is the quadratic with ``(sum 1/q)**-1 = 4/7``; at
+    most two solves: the joint split, and the ``InfConv`` side's own split
+    when its value is taken."""
+    g_a, g_b = InfConv(_quadratic(1.0), _quadratic(2.0)), _quadratic(4.0)
+    assert len(sharing._split_plan(g_a, g_b)) == 3
+    seen = _counted_minimize(monkeypatch)
+    value, _ = infconv_value(g_a, g_b, 0.0, h, ht, NU)
+    h, ht = np.array(h), np.array(ht)
+    want = 4.0 / 7.0 * (h @ h + (ht * ht) @ NU.intensity_array)
+    assert value == pytest.approx(want, rel=1e-12)
+    assert len(seen) <= 2
 
 
 @pytest.mark.parametrize("g_a, g_b, unbounded", [

@@ -11,10 +11,16 @@ exits 1 if there are any, else 0.
 
 Each job kind reruns into one out directory, so the check covers artifacts
 rewritten in place over the longer and shorter ones of earlier jobs.
+
+No pool job reaches the numeric split, so each checkout also digests
+``infconv_split`` on a fixed seeded set of rows of eight two-part numeric
+pairs, at d = 1 and 2 (``split_digests``); a differing split digest counts
+as a differing pool digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,13 +28,61 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
        "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+def _quadratic(t, h, ht, nu):
+    return float(h @ h + 0.5 * (ht * ht) @ nu.intensity_array)
+
+
+def _quadratic_subgradient(t, h, ht, nu):
+    return np.concatenate([2.0 * h, ht * nu.intensity_array])
+
+
+def _pinball(t, h, ht, nu):
+    return float(np.abs(h).sum() + np.maximum(0.7 * ht, -0.3 * ht) @ nu.intensity_array)
+
+
+def _pinball_subgradient(t, h, ht, nu):
+    jump = np.where(ht > 0.0, 0.7, np.where(ht < 0.0, -0.3, 0.0)) * nu.intensity_array
+    return np.concatenate([np.sign(h), jump])
+
+
+def split_digests(devlat) -> dict:
+    """``{key: sha256}`` of ``infconv_split`` on 6 seeded rows of each of
+    eight two-part numeric pairs at d = 1 and 2, with two jump marks and the
+    default solver settings; built from public names only."""
+    nu = devlat.JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))
+    cvar = devlat.CVaRJump(0.3)
+    quadratic = devlat.Custom(_quadratic, _quadratic_subgradient, "quadratic")
+    pinball = devlat.Custom(_pinball, _pinball_subgradient, "pinball")
+    pairs = {
+        "cvar-variance": (cvar, devlat.Variance(1.0)),
+        "cvar-norm": (cvar, devlat.NormCD(1.0, 2.0)),
+        "cvar-cvar": (cvar, devlat.CVaRJump(0.6)),
+        "cvar-scaled": (cvar, devlat.Scaled(2.0, devlat.CVaRJump(0.5))),
+        "quadratic-variance": (quadratic, devlat.Variance(2.0)),
+        "pinball-norm": (pinball, devlat.NormCD(0.5, 1.5)),
+        "infconv-variance": (devlat.InfConv(devlat.Variance(1.0), cvar), devlat.Variance(1.0)),
+        "pinball-variance": (pinball, devlat.Variance(1.0)),
+    }
+    digests = {}
+    for seed, (name, (g_a, g_b)) in enumerate(pairs.items()):
+        rng = np.random.default_rng(seed)
+        for d in (1, 2):
+            H, Ht = rng.normal(size=(6, d)), rng.normal(size=(6, nu.m))
+            Z, Zt = devlat.infconv_split(g_a, g_b, 0.0, H, Ht, nu)
+            digests[f"split/{name}/d{d}"] = hashlib.sha256(Z.tobytes() + Zt.tobytes()).hexdigest()
+    return digests
+
+
 def collect(checkout: Path) -> dict:
-    """``{"digests": {key: digest}, "failures": {key: error}}`` of every pool
-    job, run in this process from ``checkout``."""
+    """``{"digests": {key: digest}, "failures": {key: error}, "splits": {key:
+    digest}}`` of every pool job and numeric split, run in this process from
+    ``checkout``."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
     from worker import Runner, setup
@@ -45,7 +99,7 @@ def collect(checkout: Path) -> dict:
                         failures[record["key"]] = record["error"]
                     else:
                         digests[record["key"]] = record["digest"]
-    return {"digests": digests, "failures": failures}
+    return {"digests": digests, "failures": failures, "splits": split_digests(devlat)}
 
 
 def run_checkout(checkout: Path) -> dict:
@@ -73,10 +127,16 @@ def main(argv: list[str]) -> int:
     for label, run in (("parent", parent), ("change", change)):
         for key, error in sorted(run["failures"].items()):
             print(f"FAILED {label} {key}: {error}")
+    splits = sorted(parent["splits"].keys() | change["splits"].keys())
+    split_differ = [key for key in splits
+                    if parent["splits"].get(key) != change["splits"].get(key)]
+    for key in split_differ:
+        print(f"DIFFERS {key}")
     same = len(keys) - len(differ)
     failed = len(parent["failures"]) + len(change["failures"])
     print(f"{same}/{len(keys)} digests identical, {failed} oracle failures")
-    return 1 if differ or failed else 0
+    print(f"{len(splits) - len(split_differ)}/{len(splits)} numeric split digests identical")
+    return 1 if differ or split_differ or failed else 0
 
 
 if __name__ == "__main__":
