@@ -9,9 +9,10 @@ identical inputs produce byte-identical artifacts. The JSON layout is that of
 Each artifact (all ``ColumnTable``s of one ``canonical_json`` call, or one
 CSV) is one ``_fold`` and one ``"".join``: each literal of a row is joined to
 the cell before it once per distinct text, not once per row, so a row costs
-one str per variable column. The float cells share one dedup by bit pattern;
-the row numbers (and a CSV's level numbers), with the literal after them, are
-formatted once per process. ``write_artifacts`` writes them all.
+one str per variable column, and tables of one row layout are folded as one.
+The float cells share one dedup by bit pattern; the row numbers with the
+literal after them, and each CSV row's ``level,node,`` text, are formatted
+once per process. ``write_artifacts`` writes them all, 64 KiB at a time.
 """
 
 from __future__ import annotations
@@ -45,31 +46,36 @@ __all__ = [
 
 _NON_FINITE = "non-finite float in JSON payload"
 
-#: per suffix, the texts of the row numbers 0, 1, ... each followed by that
-#: suffix, read-only; each grown to the largest number asked for with that
-#: suffix and shared by every later artifact
+#: per suffix, or per (prefix, suffix) with a prefix, the texts of the row
+#: numbers 0, 1, ... each between that prefix and suffix, read-only; each grown
+#: to the largest number asked for with them and shared by every later artifact
 _ROW_TEXTS: dict = {}
 #: the text of each row number to its number, for the payoff reader; grown in
 #: order to the most leaves read, so its first keys are the texts of 0, 1, ...
 _ROW_NUMBERS: dict = {}
+#: the texts of no rows, the table of a prefix and suffix not yet asked for
+_NO_TEXTS = np.empty(0, dtype=object)
+#: the characters ``_write_file`` encodes and writes at once
+_CHUNK = 1 << 16
 
 
-def _row_texts(rows: int, suffix: str) -> np.ndarray:
-    """The texts of the row numbers 0..rows-1 followed by ``suffix``, from
-    ``_ROW_TEXTS``."""
-    table = _ROW_TEXTS.get(suffix, ())
+def _row_texts(rows: int, suffix: str, prefix: str = "") -> np.ndarray:
+    """The texts of the row numbers 0..rows-1, each between ``prefix`` and
+    ``suffix``, from ``_ROW_TEXTS``."""
+    key = (prefix, suffix) if prefix else suffix
+    table = _ROW_TEXTS.get(key, _NO_TEXTS)
     if len(table) < rows:
-        table = np.array([*table, *(int.__repr__(k) + suffix for k in range(len(table), rows))],
-                         dtype=object)
+        table = np.array([*table, *(prefix + int.__repr__(k) + suffix
+                                    for k in range(len(table), rows))], dtype=object)
         table.flags.writeable = False
-        _ROW_TEXTS[suffix] = table
+        _ROW_TEXTS[key] = table
     return table[:rows]
 
 
 def _int_texts(col: np.ndarray, suffix: str) -> np.ndarray:
     """The texts of the non-empty int array ``col``, each followed by
     ``suffix``; from ``_row_texts`` if ``col`` holds only numbers below its
-    length (row numbers, or level numbers of a CSV)."""
+    length (row numbers)."""
     top = int(col.max())
     if col.min() < 0 or top >= len(col):
         return np.array([int.__repr__(k) + suffix for k in col.tolist()], dtype=object)
@@ -79,19 +85,24 @@ def _int_texts(col: np.ndarray, suffix: str) -> np.ndarray:
 def _fold(tables: list, finite: bool = False) -> list[list]:
     """The text of each ``(n, pieces)`` of ``tables`` as strs to join: ``n``
     rows, each the concatenation of ``pieces``, where a str is a literal in
-    every row and an (n,) int or float array holds each row's cell.
+    every row and an (n,) int, float or object array holds each row's cell
+    (an object array holds its cells' texts, used as they are, so no literal
+    may follow it).
 
     Each literal is folded into the cell before it, and the literal a row
     starts with (its lead) into the previous row's last cell; so a row costs
     one str per array, and each literal is joined once per distinct text, not
-    once per row. The float cells of all ``tables`` share one dedup by bit
-    pattern (``-0.0`` and each NaN keep their own text): each pattern is
-    formatted once and joined once to each literal that follows it; int cells
-    come from ``_int_texts``. A table of rows starts with its lead; a table of
-    none is ``[]``. With ``finite``, a NaN or infinity raises ``ValueError``.
+    once per row. Tables of one layout (one lead, and one kind and literal
+    after each cell) are stacked into one, whose rows are cut back into the
+    tables at the end; a table of no rows, or of literals only, stands alone.
+    The float cells of all ``tables`` share one dedup by bit pattern (``-0.0``
+    and each NaN keep their own text): each pattern is formatted once and
+    joined once to each literal that follows it; int cells come from
+    ``_int_texts``. A table of rows starts with its lead; a table of none is
+    ``[]``. With ``finite``, a NaN or infinity raises ``ValueError``.
     """
-    rotated, floats = [], []
-    for n, pieces in tables:
+    rotated, layouts = [], {}  # each layout to the tables that have it
+    for at, (n, pieces) in enumerate(tables):
         lead, cells = "", []
         for p in pieces if n else ():
             if isinstance(p, str):
@@ -103,11 +114,20 @@ def _fold(tables: list, finite: bool = False) -> list[list]:
                 cells.append([p, ""])
         if cells:
             cells[-1][1] += lead
+            layouts.setdefault((lead, *((c.dtype.kind, s) for c, s in cells)), []).append(at)
         rotated.append((n, lead, cells))
+    stacked, floats = [], []
+    for members in layouts.values():
+        _, lead, cells = rotated[members[0]]
+        if len(members) > 1:
+            cells = [[np.concatenate([rotated[at][2][j][0] for at in members]), suffix]
+                     for j, (_, suffix) in enumerate(cells)]
+        stacked.append((lead, cells))
         for cell in cells:
-            if cell[0].dtype.kind == "f":
+            kind = cell[0].dtype.kind
+            if kind == "f":
                 floats.append(cell)
-            else:
+            elif kind != "O":
                 cell[0] = _int_texts(*cell)
     bits = np.concatenate([np.empty(0), *(c for c, _ in floats)],
                           dtype=np.float64).view(np.uint64)
@@ -129,19 +149,22 @@ def _fold(tables: list, finite: bool = False) -> list[list]:
         texts[suffix][mask] = reprs[mask] + suffix
     for cell, at in zip(floats, inverses):
         cell[0] = texts[cell[1]][at]
-    out = []
-    for n, lead, cells in rotated:
-        if not cells:  # no rows, or rows of literals only
-            out.append([lead * n] if n else [])
-            continue
-        flat = np.empty(1 + n * len(cells), dtype=object)
-        flat[0] = lead
-        grid = flat[1:].reshape(n, len(cells))
+    out = [[lead * n] if n else [] for n, lead, _ in rotated]  # literals only, or no rows
+    for (lead, cells), members in zip(stacked, layouts.values()):
+        k = len(cells)
+        flat = np.empty(1 + len(cells[0][0]) * k, dtype=object)
+        grid = flat[1:].reshape(-1, k)
         for j, (cell, _) in enumerate(cells):
             grid[:, j] = cell
         flat = flat.tolist()
-        flat[-1] = flat[-1][:len(flat[-1]) - len(lead)]  # the last row has no next
-        out.append(flat)
+        start = 0
+        for at in members:
+            end = start + rotated[at][0] * k
+            text = flat[start:end + 1]  # the row before's last cell, then the rows
+            text[0] = lead
+            text[-1] = text[-1][:len(text[-1]) - len(lead)]  # the last row has no next
+            out[at] = text
+            start = end
     return out
 
 
@@ -267,12 +290,17 @@ def canonical_json(obj) -> str:
     return "".join(parts)
 
 
-def _csv(header: list[str], columns: list) -> str:
+def _csv(header: list[str], first: np.ndarray, columns: list) -> str:
     """CSV text (a default ``csv.writer``'s bytes, ``repr(float)`` cells) with
-    ``header`` and one row per entry of the (n,) int or float ``columns``."""
-    pieces = [x for col in columns for x in (col, ",")]
-    pieces[-1] = "\r\n"
-    (rows,) = _fold([(len(columns[0]), pieces)])
+    ``header`` and one row per text of ``first``, each row's leading cells
+    and the comma after them (or its ``\r\n``, if ``columns`` is empty),
+    then a cell of each (n,) float array of ``columns``."""
+    pieces = [first]
+    for col in columns:
+        pieces += [col, ","]
+    if columns:
+        pieces[-1] = "\r\n"
+    (rows,) = _fold([(len(first), pieces)])
     return "".join([",".join(header) + "\r\n", *rows])
 
 
@@ -323,26 +351,32 @@ def pair_to_dict(pair: RepresentingPair) -> dict:
 def process_csv(values_per_level, columns=("value",)) -> str:
     """Per-node dump with header level,node,<columns>: one row per node, in
     level then node order. Each level's values are (nodes,) for one column,
-    or (nodes, len(columns))."""
+    or (nodes, len(columns)). Each row's ``level,node,`` text comes from one
+    ``_row_texts`` table per level."""
     values = [np.asarray(vals, dtype=float).reshape(len(vals), len(columns))
               for vals in values_per_level]
-    level = np.concatenate([np.empty(0, int),
-                            *(np.full(len(v), i) for i, v in enumerate(values))])
-    node = np.concatenate([np.empty(0, int), *(np.arange(len(v)) for v in values)])
+    end = "," if columns else "\r\n"
+    first = np.concatenate([_NO_TEXTS, *(_row_texts(len(v), end, f"{i},")
+                                         for i, v in enumerate(values))])
     cells = np.concatenate([np.empty((0, len(columns))), *values])
-    return _csv(["level", "node", *columns], [level, node, *cells.T])
+    return _csv(["level", "node", *columns], first, [*cells.T])
 
 
 def payoff_csv(x: RandomVariable) -> str:
     """Terminal payoff dump with header leaf,value."""
     values = np.asarray(x.values, dtype=float)
-    return _csv(["leaf", "value"], [np.arange(len(values)), values])
+    return _csv(["leaf", "value"], _row_texts(len(values), ","), [values])
 
 
-def _write_file(path, data: bytes) -> None:
-    """Write ``data`` to ``path``: a regular file with one link is rewritten in
-    place and cut to length, never to zero (ext4's ``auto_da_alloc`` would
-    start writeback at close); anything else there is replaced by a new file."""
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8: a regular file with one link is
+    rewritten in place and cut to length, never to zero (ext4's
+    ``auto_da_alloc`` would start writeback at close); anything else there is
+    replaced by a new file. An ASCII text is encoded ``_CHUNK`` characters at
+    a time, so no copy of a whole artifact is made; any other is encoded
+    whole before the file is opened, so one that cannot be encoded (a lone
+    surrogate) raises and leaves the file as it was."""
+    data = text if text.isascii() else memoryview(text.encode("utf-8"))
     try:  # O_NONBLOCK: a FIFO with no reader fails (ENXIO) instead of blocking
         fd = os.open(path, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
     except OSError:  # no file, a symlink, or none that opens for writing
@@ -357,9 +391,11 @@ def _write_file(path, data: bytes) -> None:
             os.unlink(path)
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        for start in range(0, len(data), _CHUNK):
+            view = data[start:start + _CHUNK]
+            view = memoryview(view.encode("ascii") if isinstance(view, str) else view)
+            while view:
+                view = view[os.write(fd, view):]
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
@@ -373,7 +409,7 @@ def write_artifacts(artifacts: list) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     for path, text in artifacts:
         try:
-            _write_file(path, text.encode("utf-8"))
+            _write_file(path, text)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
 

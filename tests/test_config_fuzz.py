@@ -11,6 +11,7 @@ numeric ``cvar_jump`` pair stays fast.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import tempfile
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from devlat.cli import main
+from devlat.optim import SolverConfig
 
 BASE = {
     "seed": 3,
@@ -96,10 +98,12 @@ def _set(cfg, path, value):
     node[path[-1]] = value
 
 
-def _run_mutated(command, path, value):
-    """Run ``command``'s base config with the key at ``path`` set to
-    ``value``: it exits 0, 1 or 2, and exit 1 writes nothing."""
+def _run_mutated(command, path, value, drivers=None):
+    """Run ``command``'s base config, its drivers updated by ``drivers``, with
+    the key at ``path`` set to ``value``: it exits 0, 1 or 2, and exit 1
+    writes nothing."""
     cfg = copy.deepcopy({**BASE, **BLOCKS[command]})
+    cfg["drivers"].update(drivers or {})
     _set(cfg, path, value)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -128,6 +132,22 @@ def test_every_value_as_a_share_driver_exits_0_1_or_2(value):
     kind meets ``gs`` (a scaled variance): the numeric ones reach the numeric
     split, and ``infconv(cvar_jump, cvar_jump)`` splits into three parts."""
     _run_mutated("share", ("drivers", "gn"), value)
+
+
+#: bounded solver values: in range, out of range, of another type or null
+SOLVER_VALUES = [0, -1, 1, 64, -0.0, 1e-300, float("nan"), float("inf"), None, "x", True]
+
+
+@pytest.mark.parametrize("value", SOLVER_VALUES, ids=repr)
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SolverConfig)])
+def test_a_mutated_solver_key_beside_a_numeric_pair_exits_0_1_or_2(key, value):
+    """Each solver key set to each of ``SOLVER_VALUES`` while the share's
+    driver ``gn`` is ``cvar_jump`` against ``gs``, so every node takes the
+    numeric split under the mutated settings. Budgets stay small here (the
+    base's 30 iterations, or 64): a huge budget is a question of run time,
+    left to the per-run time cap of ROADMAP item 10, not to this grid."""
+    _run_mutated("share", ("solver", key), value,
+                 drivers={"gn": {"kind": "cvar_jump", "a": 0.4}})
 
 
 @pytest.mark.parametrize("command", sorted(BLOCKS))

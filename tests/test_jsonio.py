@@ -8,6 +8,7 @@ import ast
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -134,7 +135,7 @@ def test_non_finite_pair_raises(where, bad):
     else:
         {"H": H, "Htilde": Ht, "residuals": res}[where][1].flat[-1] = bad
     pair = RepresentingPair(mean, tuple(H), tuple(Ht), tuple(res))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):  # in the second of two stacked tables
         canonical_json(pair_to_dict(pair))
     with pytest.raises(ValueError, match="non-finite"):
         canonical_json_reference(pair_to_dict_reference(pair))
@@ -323,6 +324,13 @@ def test_tables_sharing_bit_patterns_match_reference(data, fill):
 
 
 def test_empty_and_zero_width_tables_match_reference():
+    """Besides lone tables of no rows or of literals only: tables of one
+    layout, which one fold stacks, interleaved with tables of another, with
+    a table of no rows among them; literal-only tables of one layout and
+    other row counts; and int64 and uint64 columns under one key, which are
+    two layouts (stacked, they would meet as floats)."""
+    one = [ColumnTable({"k": np.arange(n), "x": np.full(n, 0.5 * n)}) for n in (3, 1, 0, 70)]
+    other = [ColumnTable({"x": np.arange(2 * n, dtype=float).reshape(n, 2)}) for n in (2, 5)]
     payload = {
         "no_rows": ColumnTable({"x": np.zeros(0), "k": np.arange(0)}),
         "no_rows_wide": ColumnTable({"x": np.zeros((0, 2))}),
@@ -330,6 +338,10 @@ def test_empty_and_zero_width_tables_match_reference():
         "only_zero_width": ColumnTable({"u": np.zeros((2, 0)), "v": np.zeros((2, 0), int)}),
         "unsigned": ColumnTable({"u": np.array([2**64 - 1, 0, 5], dtype=np.uint64)}),
         "after": [ColumnTable({"x": np.array([0.1 + 0.2])})],
+        "interleaved": [one[0], other[0], one[1], one[2], other[1], one[3]],
+        "literals_only": [ColumnTable({"u": np.zeros((n, 0))}) for n in (2, 3, 1)],
+        "signed_and_not": [ColumnTable({"u": np.array([-1, 7])}),
+                           ColumnTable({"u": np.array([2**64 - 1], dtype=np.uint64)})],
     }
     assert canonical_json(payload) == canonical_json_reference(_as_rows(payload))
     with pytest.raises(TypeError, match="cannot serialise a bool column"):
@@ -366,10 +378,13 @@ def test_lattice_int_columns_that_are_not_row_numbers_match_reference():
 def test_csv_blocks_sharing_bit_patterns_match_reference(tmp_path_factory, fill,
                                                          fill_finite, sizes):
     tmp = tmp_path_factory.mktemp("blocks")
-    blocks = [fill(n, 2) for n in sizes]
-    text = process_csv(blocks, columns=("a", "b"))
-    process_csv_reference(tmp / "ref.csv", blocks, columns=("a", "b"))
-    assert text.encode() == (tmp / "ref.csv").read_bytes()
+    for width, columns in ((2, ("a", "b")), (1, ("value",)), (0, ())):
+        blocks = [fill(n, width) for n in sizes]
+        text = process_csv(blocks, columns=columns)
+        process_csv_reference(tmp / "ref.csv", blocks, columns=columns)
+        assert text.encode() == (tmp / "ref.csv").read_bytes()
+    assert process_csv([np.zeros((1, 0)), np.zeros((2, 0))], columns=()) == \
+        "level,node\r\n0,0\r\n1,0\r\n1,1\r\n"
     leaves = fill_finite(sizes[-1])  # a RandomVariable is finite
     payoff_csv_reference(tmp / "payoff_ref.csv", leaves)
     assert payoff_csv(RandomVariable(leaves, 0)).encode() == \
@@ -628,6 +643,33 @@ def test_a_fifo_with_a_reader_is_replaced_not_written_into(tmp_path):
     assert path.is_file() and path.read_bytes() == b"leaf,value\r\n0,1.0\r\n"
 
 
+@pytest.mark.parametrize("existing", [True, False])
+def test_writes_hold_no_copy_of_a_whole_artifact(tmp_path, existing):
+    """A ~1 MB ASCII text is written with less than 256 KiB traced at peak,
+    over an artifact or to a new path; a text that is not ASCII (here over
+    one piece long) keeps its UTF-8 bytes; a lone surrogate raises before
+    the file is opened, so the bytes written before stay."""
+    path = tmp_path / "integrands.json"
+    if existing:
+        path.write_bytes(b"old" * 100_000)
+    text = "".join(f"{k},{k * 0.1!r}\r\n" for k in range(60_000))
+    assert text.isascii() and len(text) > 1_000_000
+    tracemalloc.start()
+    try:
+        jsonio.write_artifacts([(path, text)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == text.encode()
+    assert peak < 256 * 1024, peak
+    wide = "\u00e9x\u20ac" * 40_000
+    jsonio.write_artifacts([(path, wide)])
+    assert path.read_bytes() == wide.encode("utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        jsonio.write_artifacts([(path, "x\ud800")])
+    assert path.read_bytes() == wide.encode("utf-8")
+
+
 def test_duplicate_payoff_leaf_exits_1(tmp_path):
     (tmp_path / "x.csv").write_text("leaf,value\n0,1.0\n1,2.0\n1,3.0\n")
     cfg = tmp_path / "config.json"
@@ -759,16 +801,16 @@ def test_row_texts_are_shared_across_artifacts_of_any_length(tmp_path, monkeypat
 
 
 def test_row_texts_per_suffix_hold_across_suffixes_and_indentation(tmp_path, monkeypatch):
-    """Row numbers followed by different literals come from one table per
-    literal: CSV rows, one table at two indentations (its row numbers, and
-    its last int column, each followed by other whitespace) and integrands,
-    rendered in a long, short, long sequence, each keep their reference
-    bytes; each table is read-only and as long as the longest artifact that
-    asked for it."""
+    """Row numbers between different literals come from one table per
+    literal, or per prefix and literal: CSV rows (one table per level), one
+    table at two indentations (its row numbers, and its last int column, each
+    followed by other whitespace) and integrands, rendered in a long, short,
+    long sequence, each keep their reference bytes; each table is read-only
+    and as long as the longest artifact that asked for it."""
     monkeypatch.setattr(jsonio, "_ROW_TEXTS", {})
     rng = np.random.default_rng(7)
     grown = dict.fromkeys([
-        ",",  # CSV: row number, then the first value
+        ("0,", ","), ("1,", ","),  # CSV: level, row number, then the first value
         ',\n      "value": ', ',\n          "value": ',  # "node" at two indentations
         '\n    },\n    {\n      "node": ',  # "z": the row's end and the next row's start
         '\n        },\n        {\n          "node": ',
@@ -789,8 +831,9 @@ def test_row_texts_per_suffix_hold_across_suffixes_and_indentation(tmp_path, mon
                                 (values[:1], values[::-1]))
         assert canonical_json(pair_to_dict(pair)) == \
             canonical_json_reference(pair_to_dict_reference(pair))
-        grown = {suffix: max(k, rows - (suffix == ",")) for suffix, k in grown.items()}
-        assert {suffix: len(t) for suffix, t in jsonio._ROW_TEXTS.items()} == grown
+        sizes = {("0,", ","): 1, ("1,", ","): rows - 1}  # the CSV's two levels
+        grown = {key: max(k, sizes.get(key, rows)) for key, k in grown.items()}
+        assert {key: len(t) for key, t in jsonio._ROW_TEXTS.items()} == grown
     for table in jsonio._ROW_TEXTS.values():
         with pytest.raises(ValueError, match="read-only"):
             table[0] = "1"

@@ -24,17 +24,24 @@ a temporary directory.
    all values distinct; and the pool payoff twice more, with its rows
    shuffled (the leaf lookup path) and with four blank lines (the filtered
    split), which no benchmark file has; 10 loads per batch; ``write_artifacts``
-   rerunning one 700 KB and one 400 B artifact into the same path, 3 reruns
-   per batch with a 10 ms gap; and the render of the text of a ``dev-wide``
-   job (binomial n = 12, a ``Variance`` deviation of a function of ``W_T``:
+   rerunning one 700 KB and one 400 B artifact into the same path, and a
+   ``dev-wide`` job's set of three (700 KB, 163 KB and 300 B) into the same
+   paths, 3 reruns per batch with a 10 ms gap; and the render of the text
+   of a ``dev-wide`` job (binomial n = 12, a ``Variance`` deviation of a function of ``W_T``:
    ``process_csv`` of its values and ``canonical_json(pair_to_dict(...))``
    of its integrands), of the same CSV with every value distinct (no pool
    artifact is like it, but the render pays per distinct value), and of a
    ``share-closed`` job's argmins CSV (binomial n = 10, two scaled
-   ``Variance`` drivers), 10 renders per batch.
+   ``Variance`` drivers), 10 renders per batch; and the ``dev-wide`` job's
+   two texts rendered afresh and written with a small summary into the same
+   paths, 10 per batch. Rewriting fixed texts faults no page however they
+   are encoded; rendering each text afresh, as a job does, is what shows
+   the faults that a bytes copy of a whole artifact brings.
 
-Every line prints the median and the quartiles of the per-call times in ms.
-Given two checkouts, it also prints in how many batches the second one's
+Every line prints the median and the quartiles of the per-call times in ms,
+and the median of the minor page faults per call (``ru_minflt``), which
+the allocator's returning freed memory to the OS shows up as. Given two
+checkouts, it also prints in how many batches the second one's
 median beats the first one's.
 """
 
@@ -43,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,6 +61,8 @@ from pathlib import Path
 #: rounds of the write protocol per gap and file size
 PROTOCOL_ROUNDS = 60
 SIZES = {"700KB": 700_000, "400B": 400}
+#: the artifacts of one ``dev-wide`` job, by size in bytes
+DEV_WIDE_SET = {"integrands.json": 700_000, "deviation.csv": 163_000, "summary.json": 300}
 GAPS = {"10ms": 0.010, "0ms": 0.0}
 #: calls per batch: loads of one payoff file, reruns of one artifact
 LOADS = 10
@@ -95,6 +105,11 @@ def _truncate(path: str, data: bytes) -> None:
 
 
 STRATEGIES = {"replace": _replace, "in place": _in_place, "O_TRUNC": _truncate}
+
+
+def _text(size: int) -> str:
+    """An ASCII artifact text of ``size`` characters."""
+    return ("0123456789," * (size // 11 + 1))[:size]
 
 
 def summary(samples: list[float]) -> str:
@@ -159,10 +174,12 @@ class Worker:
             self.calls[f"load {name} ({distinct} distinct)"] = (
                 lambda path=path: load_payoff_csv(path, lat), LOADS, 0.0)
         for size_name, size in SIZES.items():
-            artifact = [(tmp / f"artifact_{size_name}.csv",
-                         ("0123456789," * (size // 11 + 1))[:size])]
+            artifact = [(tmp / f"artifact_{size_name}.csv", _text(size))]
             self.calls[f"write_artifacts {size_name} rerun"] = (
                 lambda artifact=artifact: write_artifacts(artifact), REWRITES, GAPS["10ms"])
+        dev_set = [(tmp / name, _text(size)) for name, size in DEV_WIDE_SET.items()]
+        self.calls["write_artifacts dev-wide set rerun"] = (
+            lambda: write_artifacts(dev_set), REWRITES, GAPS["10ms"])
         dev_lat = build_lattice(TimeGrid.uniform(DEV_N, 1.0), NoiseModel.brownian(1))
         w_dev = terminal_brownian(dev_lat).values
         pair = represent(dev_lat, RandomVariable(
@@ -176,6 +193,12 @@ class Worker:
         distinct = [rng.normal(size=len(v)) for v in dev.values]
         self.calls[f"render distinct csv n={DEV_N}"] = (
             lambda: process_csv(distinct), RENDERS, 0.0)
+        self.calls[f"render and write dev-wide n={DEV_N}"] = (
+            lambda: write_artifacts([
+                (tmp / "job_integrands.json", canonical_json(pair_to_dict(pair))),
+                (tmp / "job_deviation.csv", process_csv(dev.values)),
+                (tmp / "job_summary.json", canonical_json({"D0": dev.values[0][0]}))]),
+            RENDERS, 0.0)
         sol = solve_sharing(lat, SharingProblem(
             x_a=RandomVariable(0.4 * w - 0.2 * w ** 2 + 0.6 * np.maximum(w, 0), LEAVES_N),
             x_b=RandomVariable(-0.3 * w + 0.2 * np.abs(w) + 0.1 * w ** 3, LEAVES_N),
@@ -186,15 +209,18 @@ class Worker:
         for call, _, _ in self.calls.values():
             call()  # warm-up; each artifact now exists
 
-    def run(self, key: str) -> list[float]:
+    def run(self, key: str) -> list[list]:
+        """Per call: its seconds and its minor page faults."""
         call, count, gap = self.calls[key]
-        times = []
+        samples = []
         for _ in range(count):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             call()
-            times.append(time.perf_counter() - t0)
+            seconds = time.perf_counter() - t0
+            samples.append([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
             time.sleep(gap)
-        return times
+        return samples
 
 
 def serve(checkout: Path) -> None:
@@ -240,11 +266,13 @@ def main(argv: list[str]) -> int:
     for checkout, by_key in zip(args.checkouts, batches):
         print(f"\n{checkout}")
         for key, runs in by_key.items():
-            print(f"  {key:<38} {summary([t for times in runs for t in times])}")
+            samples = [s for batch in runs for s in batch]
+            faults = statistics.median(f for _, f in samples)
+            print(f"  {key:<38} {summary([t for t, _ in samples])}   minflt {faults:6.1f}")
     if len(batches) == 2:
         print(f"\nbatches where {args.checkouts[1]} is faster than {args.checkouts[0]}")
         for key in keys:
-            wins = sum(statistics.median(b) > statistics.median(a)
+            wins = sum(statistics.median(t for t, _ in b) > statistics.median(t for t, _ in a)
                        for b, a in zip(batches[0][key], batches[1][key]))
             print(f"  {key:<38} {wins}/{args.rounds}")
     return 0
