@@ -33,7 +33,7 @@ from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
     RandomVariable, TimeGrid, build_lattice
 from .optim import NumericError, SolverConfig
 from .representation import AnalyticPayoff, represent
-from .sharing import SharingProblem, _unbounded, proportional_share_factor, solve_sharing
+from .sharing import SharingProblem, proportional_share_factor, solve_sharing
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -454,8 +454,7 @@ def cmd_share(cfg, lat, seed, config_dir):
     argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
     columns = [f"z{i + 1}" for i in range(d)] + [f"ztilde{j + 1}" for j in range(m)]
     if not sol.attained:
-        unbounded = _unbounded(prob.driver_a, prob.driver_b, lat.noise.jumps)
-        print("inf-convolution unbounded below" if unbounded
+        print("inf-convolution unbounded below" if sol.unbounded
               else "sharing solve did not attain the optimum at every node", file=sys.stderr)
     return EXIT_OK if sol.attained else EXIT_NUMERIC, [
         ("share_argmins.csv", process_csv(argmins, columns=columns)),

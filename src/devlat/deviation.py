@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import CheckOutcome, DriverSpec, _all_passed, eval_driver
+from .drivers import CheckOutcome, DriverSpec, _all_passed, _first_violation, eval_driver
 from .lattice import (
     AdaptedProcess,
     JumpMeasure,
@@ -288,10 +288,11 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
         if zero_nodes.size:
             vacuous_only_if = False
             leaves = lat.children(x.values, n - t)[zero_nodes]
-            bad = zero_nodes[leaves.max(axis=1) - leaves.min(axis=1) != 0.0]
-            if bad.size:
-                positivity = CheckOutcome(False, {"node": int(bad[0]), "level": t},
-                                          detail="zero deviation on a non-constant subtree")
+            positivity, r = _first_violation(
+                leaves.max(axis=1) - leaves.min(axis=1) != 0.0,
+                lambda r: {"node": int(zero_nodes[r]), "level": t},
+                "zero deviation on a non-constant subtree")
+            if r is not None:
                 break
     if positivity.passed:
         measurable = lat.spread(rng.integers(-5, 6, size=nodes_t).astype(float), n - t)
@@ -324,10 +325,8 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
         lhs = _stacked_dev_at(lat, driver, X, t)
         tail.append(lhs[len(i):])
         worst = np.max(lhs[:len(i)] - (lam_t * dev_rows[i] + (1 - lam_t) * dev_rows[j]), axis=1)
-        bad = np.flatnonzero(worst > 1e-10)
-        if bad.size and convexity.passed:
-            r = bad[0]
-            convexity = CheckOutcome(False, {
+        if convexity.passed:
+            convexity, _ = _first_violation(worst > 1e-10, lambda r: {
                 "payoffs": (int(i[r]), int(j[r])),
                 "lambda_level": lam_t[r].tolist(),
                 "violation": float(worst[r]),
@@ -335,13 +334,11 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     *d_pert, d_glued = np.vstack(tail)
 
     # continuity proxy: bounded response to small payoff perturbations
-    continuity = CheckOutcome(True)
     scale = max(1.0, float(np.max(np.abs(x0)))) * max(1.0, float(np.max(np.abs(noise))))
-    for eps, d in zip((1e-3, 1e-5), d_pert):
-        resp = float(np.max(np.abs(d - devs[0])))
-        if resp > 100.0 * eps * scale:
-            continuity = CheckOutcome(False, {"eps": eps, "response": resp})
-            break
+    eps = np.array([1e-3, 1e-5])
+    resp = np.max(np.abs(np.stack(d_pert) - devs[0]), axis=1)
+    continuity, _ = _first_violation(resp > 100.0 * eps * scale, lambda k: {
+        "eps": float(eps[k]), "response": float(resp[k])})
 
     # recursion against the block evaluator on a random partition, run on
     # the first sample's own conditional means

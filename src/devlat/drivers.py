@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import JumpMeasure
+from .lattice import JumpMeasure, _check_finite, _check_positive
 from .optim import SolverConfig
 
 __all__ = [
@@ -52,11 +52,14 @@ def _row_times(t: float | np.ndarray, rows: int) -> list:
     return [t] * rows if np.ndim(t) == 0 else np.asarray(t, dtype=float).tolist()
 
 
-def _check_dims(htilde: np.ndarray, nu: JumpMeasure) -> None:
-    if htilde.shape[0] != nu.m:
+def _jump_vec(htilde, nu: JumpMeasure) -> np.ndarray:
+    """``htilde`` as a vector of one entry per mark: every one-point call's check."""
+    ht = _as_vec(htilde)
+    if ht.shape[0] != nu.m:
         raise ValueError(
-            f"htilde has {htilde.shape[0]} entries but the jump measure has {nu.m} marks"
+            f"htilde has {ht.shape[0]} entries but the jump measure has {nu.m} marks"
         )
+    return ht
 
 
 # -- quantiles of jump integrands under the intensity measure ------------------
@@ -127,9 +130,7 @@ def var_nu(a: float, htilde, nu: JumpMeasure) -> float:
     Returns the smallest y whose strict upper tail mass
     nu({j : htilde_j < -y}) is at most ``a``.
     """
-    ht = _as_vec(htilde)
-    _check_dims(ht, nu)
-    return float(_var_rows(a, ht[None, :], nu)[0])
+    return float(_var_rows(a, _jump_vec(htilde, nu)[None, :], nu)[0])
 
 
 def cvar_nu(a: float, htilde, nu: JumpMeasure) -> float:
@@ -138,9 +139,7 @@ def cvar_nu(a: float, htilde, nu: JumpMeasure) -> float:
     Computed exactly as a weighted sum over the quantile's step structure,
     not by numeric quadrature.
     """
-    ht = _as_vec(htilde)
-    _check_dims(ht, nu)
-    return float(_cvar_rows(a, ht[None, :], nu)[0])
+    return float(_cvar_rows(a, _jump_vec(htilde, nu)[None, :], nu)[0])
 
 
 # -- driver kinds ----------------------------------------------------------------
@@ -167,8 +166,7 @@ class Variance:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _check_positive("alpha", self.alpha)
 
     value, subgradient = _one_row_value, _one_row_subgradient
 
@@ -188,6 +186,7 @@ class NormCD:
     d: float
 
     def __post_init__(self):
+        _check_finite("c and d", (self.c, self.d))
         if self.c < 0 or self.d < 0 or (self.c == 0 and self.d == 0):
             raise ValueError("need c >= 0, d >= 0 and not both zero")
 
@@ -219,8 +218,7 @@ class CVaRJump:
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be positive")
+        _check_positive("a", self.a)
 
     value, subgradient = _one_row_value, _one_row_subgradient
 
@@ -250,8 +248,7 @@ class Scaled:
     base: "DriverSpec"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        _check_positive("gamma", self.gamma)
 
     value, subgradient = _one_row_value, _one_row_subgradient
 
@@ -328,15 +325,13 @@ DriverSpec = Variance | NormCD | CVaRJump | Scaled | InfConv | Custom
 
 def eval_driver(spec: DriverSpec, t: float, h, htilde, nu: JumpMeasure) -> float:
     """Evaluate a driver at integrands (h, htilde) under the jump measure."""
-    hv, ht = _as_vec(h), _as_vec(htilde)
-    _check_dims(ht, nu)
+    hv, ht = _as_vec(h), _jump_vec(htilde, nu)
     return float(spec.value(t, hv, ht, nu))
 
 
 def subgradient(spec: DriverSpec, t: float, h, htilde, nu: JumpMeasure) -> np.ndarray:
     """An element of the driver's subdifferential at (h, htilde), length d+m."""
-    hv, ht = _as_vec(h), _as_vec(htilde)
-    _check_dims(ht, nu)
+    hv, ht = _as_vec(h), _jump_vec(htilde, nu)
     return np.asarray(spec.subgradient(t, hv, ht, nu), dtype=float)
 
 
@@ -358,6 +353,16 @@ def _all_passed(report) -> bool:
     """Whether every ``CheckOutcome`` field of a report passed; a vacuous pass
     is a pass. The ``all_passed`` of every report."""
     return all(v.passed for v in vars(report).values() if isinstance(v, CheckOutcome))
+
+
+def _first_violation(violated, witness, detail: str = "") -> tuple[CheckOutcome, int | None]:
+    """The verdict of sampled tests flagged ``violated`` in draw order, and the
+    first failing index k (None on a pass): a pass, or a failure whose witness
+    is ``witness(k)``. Every first-violation verdict of both reports."""
+    if not np.any(violated):
+        return CheckOutcome(True), None
+    k = int(np.argmax(violated))
+    return CheckOutcome(False, witness(k), detail=detail), k
 
 
 @dataclass(frozen=True)
@@ -442,19 +447,14 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
     zero_at_zero = CheckOutcome(v0 == 0.0, None if v0 == 0.0 else (zero, v0))
 
     vals = np.asarray(spec.value_batch(t, H, Ht, nu), dtype=float)
-    nonneg = CheckOutcome(True)
-    bad = np.flatnonzero(vals < 0)
-    if bad.size:
-        k = bad[0]
-        nonneg = CheckOutcome(False, (point(k), float(vals[k])),
-                              detail="negative value off the origin")
-    zero_only = CheckOutcome(True)
+
+    def valued(k):
+        return (point(k), float(vals[k]))
+
+    nonneg, _ = _first_violation(vals < 0, valued, "negative value off the origin")
     norms = np.linalg.norm(np.hstack([H, Ht]), axis=1)
-    bad = np.flatnonzero((norms >= 1e-6) & (vals <= 1e-15))
-    if bad.size:
-        k = bad[0]
-        zero_only = CheckOutcome(False, (point(k), float(vals[k])),
-                                 detail="vanishes away from the origin")
+    zero_only, _ = _first_violation((norms >= 1e-6) & (vals <= 1e-15), valued,
+                                    "vanishes away from the origin")
 
     # one (S, 2) draw gives the numbers of S draws of size 2, in order
     state = rng.bit_generator.state
@@ -462,12 +462,11 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
     lhs = np.asarray(spec.value_batch(t, (H[x] + H[y]) / 2.0, (Ht[x] + Ht[y]) / 2.0, nu),
                      dtype=float)
     rhs = 0.5 * (vals[x] + vals[y])
-    convexity = CheckOutcome(True)
-    bad = np.flatnonzero(lhs > rhs + 1e-10 * np.maximum(1.0, np.abs(rhs)))
-    if bad.size:
-        k = bad[0]
-        convexity = CheckOutcome(False, (point(x[k]), point(y[k]), float(lhs[k]),
-                                         float(rhs[k])), detail="midpoint rule violated")
+    convexity, k = _first_violation(
+        lhs > rhs + 1e-10 * np.maximum(1.0, np.abs(rhs)),
+        lambda k: (point(x[k]), point(y[k]), float(lhs[k]), float(rhs[k])),
+        "midpoint rule violated")
+    if k is not None:
         # replay the draws up to the violation, where one-pair-at-a-time stops
         rng.bit_generator.state = state
         rng.integers(0, count, size=(k + 1, 2))
@@ -477,14 +476,12 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
     i, j = i[:len(G)], j[:len(G)]
     steps = np.hstack([H[j] - H[i], Ht[j] - Ht[i]])
     gaps = vals[j] - vals[i] - np.einsum("ij,ij->i", G, steps)
-    bad = np.flatnonzero(gaps < -1e-8)
-    subgrad = CheckOutcome(True)
-    if bad.size:
-        k = bad[0]
-        gap = float(vals[j[k]]) - float(vals[i[k]]) - float(G[k] @ steps[k])
-        subgrad = CheckOutcome(False, (point(i[k]), point(j[k]), gap),
-                               detail="subgradient inequality violated")
-    elif error is not None:
+    subgrad, k = _first_violation(
+        gaps < -1e-8,
+        lambda k: (point(i[k]), point(j[k]),
+                   float(vals[j[k]]) - float(vals[i[k]]) - float(G[k] @ steps[k])),
+        "subgradient inequality violated")
+    if k is None and error is not None:
         subgrad = CheckOutcome(True, vacuous=True, detail=f"skipped: {error}")
 
     return ValidityReport(
@@ -500,13 +497,15 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
 # -- JSON mapping ------------------------------------------------------------------
 
 
+#: each leaf kind's class and number fields by JSON name; nesting kinds map by hand
+_LEAF_KINDS = {"variance": (Variance, ("alpha",)), "norm_cd": (NormCD, ("c", "d")),
+               "cvar_jump": (CVaRJump, ("a",))}
+
+
 def driver_to_dict(spec: DriverSpec) -> dict:
-    if isinstance(spec, Variance):
-        return {"kind": "variance", "alpha": spec.alpha}
-    if isinstance(spec, NormCD):
-        return {"kind": "norm_cd", "c": spec.c, "d": spec.d}
-    if isinstance(spec, CVaRJump):
-        return {"kind": "cvar_jump", "a": spec.a}
+    for kind, (cls, fields) in _LEAF_KINDS.items():
+        if isinstance(spec, cls):
+            return {"kind": kind, **{key: getattr(spec, key) for key in fields}}
     if isinstance(spec, Scaled):
         return {"kind": "scaled", "gamma": spec.gamma, "base": driver_to_dict(spec.base)}
     if isinstance(spec, InfConv):
@@ -527,12 +526,9 @@ def driver_from_dict(obj: dict, solver: SolverConfig | None = None) -> DriverSpe
             raise ValueError(f"{kind} driver: {key!r} must be a finite number")
         return float(value)
 
-    if kind == "variance":
-        return Variance(number("alpha"))
-    if kind == "norm_cd":
-        return NormCD(number("c"), number("d"))
-    if kind == "cvar_jump":
-        return CVaRJump(number("a"))
+    if isinstance(kind, str) and kind in _LEAF_KINDS:
+        cls, fields = _LEAF_KINDS[kind]
+        return cls(*map(number, fields))
     if kind == "scaled":
         return Scaled(number("gamma"), driver_from_dict(obj.get("base"), solver))
     if kind == "infconv":

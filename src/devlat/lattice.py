@@ -41,6 +41,19 @@ MAX_JUMP_MASS_PER_STEP = 0.5
 DEFAULT_MAX_NODES = 1_000_000
 
 
+def _check_finite(what: str, values) -> None:
+    """Refuse NaN and infinities, which would pass the range checks after it."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+
+
+def _check_positive(what: str, *values: float) -> None:
+    """Refuse numbers that are not all positive and finite, NaN included."""
+    if not all(0 < v < math.inf for v in values):
+        _check_finite(what, values)
+        raise ValueError(f"{what} must be positive")
+
+
 class LatticeBuildError(ValueError):
     """A lattice request violates a build-time budget or probability bound."""
 
@@ -56,17 +69,17 @@ class TimeGrid:
         object.__setattr__(self, "times", times)
         if len(times) < 2:
             raise ValueError("time grid needs at least one step")
+        _check_finite("time grid times", times)
         if times[0] != 0.0:
             raise ValueError("time grid must start at 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(b > a for a, b in zip(times, times[1:])):
             raise ValueError("time grid must be strictly increasing")
 
     @classmethod
     def uniform(cls, n_steps: int, horizon: float) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _check_positive("horizon", horizon)
         return cls(tuple(horizon * i / n_steps for i in range(n_steps + 1)))
 
     @property
@@ -99,8 +112,8 @@ class JumpMeasure:
         object.__setattr__(self, "intensities", intens)
         if len(marks) != len(intens):
             raise ValueError("marks and intensities must have equal length")
-        if any(v <= 0 for v in intens):
-            raise ValueError("intensities must be positive")
+        _check_positive("intensities", *intens)
+        _check_finite("marks", [c for x in marks for c in x])
         dims = {len(x) for x in marks}
         if len(dims) > 1:
             raise ValueError("marks must share one dimension")
@@ -219,9 +232,9 @@ class Lattice:
             dw = signs * math.sqrt(dt)
             pj = np.concatenate(([1.0 - float(nu.sum()) * dt], nu * dt))
             probs = np.tile(pj, 2 ** d) / (2 ** d)
-            if np.any(probs <= 0.0):
+            if not np.all(probs > 0.0):
                 raise LatticeBuildError("nonpositive outcome probability")
-            if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+            if not abs(probs.sum() - 1.0) <= PROB_SUM_TOL:
                 raise LatticeBuildError("outcome probabilities do not sum to 1")
             phi = np.hstack([dw, self._onehot - nu * dt])
             basis = (phi, np.hstack([probs[:, None] * dw / dt, jump_proj]))
@@ -376,8 +389,7 @@ class RandomVariable:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
+        _check_finite("values", vals)
         object.__setattr__(self, "values", vals)
 
     def _binop(self, other, op):
@@ -495,11 +507,11 @@ class Distribution:
         object.__setattr__(self, "probs", p)
         if a.shape != p.shape or a.ndim != 1:
             raise ValueError("atoms/probs must be matching vectors")
-        if np.any(p <= 0):
-            raise ValueError("atom probabilities must be positive")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
+        _check_finite("atoms", a)
+        _check_positive("atom probabilities", *p)
+        if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
             raise ValueError("atom probabilities must sum to 1")
-        if np.any(np.diff(a) <= 0):
+        if not np.all(np.diff(a) > 0):
             raise ValueError("atoms must be strictly increasing")
 
 
@@ -510,7 +522,7 @@ def law(lat: Lattice, x: RandomVariable, merge_tol: float | None = None) -> Dist
     probability-weighted mean of their group.
     """
     _check_rv(lat, x)
-    if merge_tol is not None and merge_tol < 0:
+    if merge_tol is not None and not merge_tol >= 0:
         raise ValueError("merge_tol must be >= 0")
     p = lat.node_probabilities(x.level)
     order = np.argsort(x.values, kind="stable")

@@ -60,7 +60,6 @@ class MinimizeResult:
     value: float
     iterations: int
     converged: bool
-    gap_estimate: float
 
 
 def _better(f: float, x: np.ndarray, f_best: float, x_best: np.ndarray) -> bool:
@@ -186,7 +185,4 @@ def minimize(evaluate: Callable[[np.ndarray], float],
         converged = True
     if _better(f, x, f_best, x_best):
         f_best, x_best = f, x.copy()
-
-    g_final = np.asarray(subgradient(x_best), dtype=float)
-    gap = float(np.linalg.norm(g_final)) * (1.0 + float(np.linalg.norm(x_best)))
-    return MinimizeResult(x_best, f_best, iterations, converged, gap)
+    return MinimizeResult(x_best, f_best, iterations, converged)

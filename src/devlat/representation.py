@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, RandomVariable, TimeGrid, martingale
+from .lattice import Lattice, RandomVariable, TimeGrid, _check_finite, martingale
 
 __all__ = [
     "RepresentingPair",
@@ -129,8 +129,7 @@ class AnalyticPayoff:
         object.__setattr__(self, "htilde", ht)
         if h.shape[0] != self.grid.n_steps or ht.shape[0] != self.grid.n_steps:
             raise ValueError("integrands must have one row per grid step")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(ht))):
-            raise ValueError("integrands must be finite")
+        _check_finite("integrands", np.concatenate([h.ravel(), ht.ravel()]))
 
 
 def _check_analytic(lat: Lattice, ap: AnalyticPayoff) -> None:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .deviation import _accumulate, _levels
 from .drivers import (CVaRJump, DriverSpec, InfConv, NormCD, Scaled, Variance, _as_vec,
-                      _check_dims, _row_times)
-from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
+                      _jump_vec, _row_times)
+from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable, _check_positive
 from .optim import NumericError, SolverConfig, _better, minimize
 from .representation import RepresentingPair, assemble, represent
 
@@ -64,8 +64,8 @@ class SharingSolution:
     per node; ``y_star`` is the zero-mean assembled optimal position of agent B
     and ``y_tilde_star = y_star - x_b`` the priced transfer. ``certificate_gap``
     is the largest directional-derivative violation of split optimality over
-    all nodes. ``d0_a``/``d0_b`` are each agent's time-zero deviation of its own
-    payoff before the transfer.
+    all nodes; an ``unbounded`` pair is never ``attained``. ``d0_a``/``d0_b``
+    are each agent's time-zero deviation of its own payoff before the transfer.
     """
 
     argmin_H: tuple[np.ndarray, ...]
@@ -75,6 +75,7 @@ class SharingSolution:
     price: float
     infconv_d: AdaptedProcess
     attained: bool
+    unbounded: bool
     certificate_gap: float
     du_a: float
     du_b: float
@@ -302,9 +303,7 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
     (``infconv_split`` on one row). ``htilde`` must have one entry per mark,
     as for ``eval_driver``.
     """
-    h, ht = _as_vec(h), _as_vec(htilde)
-    _check_dims(ht, nu)
-    H, Ht = h[None, :], ht[None, :]
+    H, Ht = _as_vec(h)[None, :], _jump_vec(htilde, nu)[None, :]
     Z, Zt = infconv_split(g_a, g_b, t, H, Ht, nu, cfg)
     value = _split_objective(g_a, g_b, t, H, Ht, Z, Zt, nu)
     return float(value[0]), (Z[0], Zt[0])
@@ -387,8 +386,9 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     Z, Zt = _apply(_split_plan(g_a, g_b), t, H, Ht, nu, cfg)
     part_a, part_b, values, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
     certificate_gap = float(np.max(gaps))
+    unbounded = _unbounded(g_a, g_b, nu)
     attained = certificate_gap <= cfg.attain_tolerance and bool(np.isfinite(values).all()) \
-        and not _unbounded(g_a, g_b, nu)
+        and not unbounded
     bounds = list(pairwise(accumulate(sizes, initial=0)))
     arg_H, arg_Ht, parts_a, parts_b, node_vals = (
         tuple(rows[lo:hi] for lo, hi in bounds) for rows in (Z, Zt, part_a, part_b, values))
@@ -422,6 +422,7 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
         price=price,
         infconv_d=infconv_d,
         attained=attained,
+        unbounded=unbounded,
         certificate_gap=certificate_gap,
         du_a=u_a_after - u_a_before,
         du_b=u_b_after - u_b_before,
@@ -437,8 +438,7 @@ def proportional_transfer(gamma_a: float, gamma_b: float, x_a: RandomVariable,
                           x_b: RandomVariable) -> RandomVariable:
     """Closed-form transfer for common-base scaled drivers:
     gamma_b/(gamma_a+gamma_b) * x_a - gamma_a/(gamma_a+gamma_b) * x_b."""
-    if gamma_a <= 0 or gamma_b <= 0:
-        raise ValueError("risk tolerances must be positive")
+    _check_positive("risk tolerances", gamma_a, gamma_b)
     total = gamma_a + gamma_b
     return (gamma_b / total) * x_a - (gamma_a / total) * x_b
 

@@ -920,7 +920,7 @@ def solve_sharing_per_level(lat, prob):
     from devlat import (AdaptedProcess, NumericError, RepresentingPair, SharingSolution,
                         assemble, infconv_split, represent)
     from devlat.deviation import _accumulate, _levels
-    from devlat.sharing import certificate_gaps
+    from devlat.sharing import _unbounded, certificate_gaps
 
     cfg, nu = prob.solver, lat.noise.jumps
     g_a, g_b = prob.driver_a, prob.driver_b
@@ -935,8 +935,9 @@ def solve_sharing_per_level(lat, prob):
         levels.append((Z, Zt, *certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)))
     arg_H, arg_Ht, parts_a, parts_b, node_vals, gaps = zip(*levels)
     certificate_gap = float(np.max(np.concatenate(gaps)))
+    unbounded = _unbounded(g_a, g_b, nu)
     attained = certificate_gap <= cfg.attain_tolerance and \
-        bool(np.isfinite(np.concatenate(node_vals)).all())
+        bool(np.isfinite(np.concatenate(node_vals)).all()) and not unbounded
     infconv_d = AdaptedProcess(_accumulate(lat, node_vals))
     dev_a = float(_accumulate(lat, parts_a)[0][0])
     dev_b = float(_accumulate(lat, parts_b)[0][0])
@@ -949,7 +950,7 @@ def solve_sharing_per_level(lat, prob):
     price = -mean_b - dev_b + d0_b
     return SharingSolution(
         argmin_H=arg_H, argmin_Ht=arg_Ht, y_star=y_star, y_tilde_star=y_star - prob.x_b,
-        price=price, infconv_d=infconv_d, attained=attained,
+        price=price, infconv_d=infconv_d, attained=attained, unbounded=unbounded,
         certificate_gap=certificate_gap,
         du_a=((mean_a + mean_b + price) - dev_a) - (mean_a - d0_a),
         du_b=(-price - dev_b) - (mean_b - d0_b),

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -372,7 +373,11 @@ def test_unknown_reference_exits_1(tmp_path):
     assert main(["deviation", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
-def test_non_convergent_share_exits_2(tmp_path):
+SHARE_FILES = {"share_argmins.csv", "transfer.csv", "share_summary.json"}
+
+
+def test_non_convergent_share_exits_2(tmp_path, capsys):
+    # d * sqrt(0.3) < 1: the pair's inf-convolution is unbounded below
     cfg = _base_config(
         tmp_path,
         lattice={
@@ -390,10 +395,48 @@ def test_non_convergent_share_exits_2(tmp_path):
         share={"payoff_a": "X", "payoff_b": "Y", "driver_a": "g",
                "driver_b": "bad"},
     )
-    code = main(["share", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    out = tmp_path / "out"
+    code = main(["share", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert code == 2
-    doc = json.loads((tmp_path / "share_summary.json").read_text())
+    assert capsys.readouterr().err == "inf-convolution unbounded below\n"
+    assert {p.name for p in out.iterdir()} == SHARE_FILES
+    doc = json.loads((out / "share_summary.json").read_text())
     assert doc["attained"] is False
+
+
+def test_a_bounded_share_short_of_its_budget_exits_2(tmp_path, capsys):
+    # cvar_jump against variance is bounded below and attains under the
+    # default budget; one solver step leaves a certificate gap over 1e-5
+    extra = dict(
+        lattice={"grid": {"n": 2, "horizon": 1.0},
+                 "noise": {"d": 1, "jumps": {"marks": [-1.0, 2.0], "intensities": [0.1, 0.2]}}},
+        drivers={"cvar": {"kind": "cvar_jump", "a": 0.15}, "g": {"kind": "variance", "alpha": 1.0}},
+        payoffs={"X": {"kind": "expression", "expr": "W + C1"},
+                 "Y": {"kind": "expression", "expr": "W - C2"}},
+        share={"payoff_a": "X", "payoff_b": "Y", "driver_a": "g", "driver_b": "cvar"},
+    )
+    cfg = _base_config(tmp_path, **extra)
+    assert main(["share", "--config", str(cfg), "--out", str(tmp_path / "full"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = _base_config(tmp_path, **extra, solver={"max_iterations": 1, "stall_window": 1,
+                                                  "polish_iterations": 0})
+    out = tmp_path / "short"
+    assert main(["share", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == \
+        "sharing solve did not attain the optimum at every node\n"
+    assert {p.name for p in out.iterdir()} == SHARE_FILES
+    doc = json.loads((out / "share_summary.json").read_text())
+    assert doc["attained"] is False and doc["certificate_gap"] > 1e-5
+
+
+def test_cli_imports_no_private_name_of_the_library():
+    """The CLI reads the library through its public names only; a verdict it
+    needs comes with the result that the deciding module returns."""
+    tree = ast.parse(Path(devlat.cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.startswith("devlat"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_knee_adjacent_norm_variance_share_attains(tmp_path):

@@ -431,3 +431,14 @@ def test_all_passed_reads_every_check_of_a_report(report_type, checks):
     assert len(names) == checks and report_type(**passing).all_passed()
     for name in names:
         assert not report_type(**{**passing, name: CheckOutcome(False)}).all_passed(), name
+
+
+@pytest.mark.parametrize("payoffs, mixtures, message", [
+    (1, 50, "need at least two sample payoffs"),
+    (0, 50, "need at least two sample payoffs"),
+    (2, 0, "mixtures must be >= 1"),
+])
+def test_axiom_report_refusals_name_their_cause(binomial4, payoffs, mixtures, message):
+    x = terminal_brownian(binomial4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        axiom_report(binomial4, Variance(1.0), [x] * payoffs, mixtures=mixtures)

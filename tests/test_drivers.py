@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from devlat import (
     driver_from_dict,
     driver_to_dict,
     eval_driver,
+    infconv_value,
     subgradient,
     var_nu,
 )
@@ -244,6 +246,8 @@ def test_missing_subgradient_oracle_is_a_vacuous_pass():
     {"kind": "cvar_jump", "a": True},
     {"kind": "scaled", "gamma": 2.0},
     {"kind": "infconv", "a": {"kind": "variance", "alpha": 1.0}},
+    {"kind": ["variance"], "alpha": 1.0},
+    {"kind": {"variance": 1}, "alpha": 1.0},
 ])
 def test_malformed_driver_specs_raise_value_error(spec):
     with pytest.raises(ValueError):
@@ -282,3 +286,43 @@ def test_only_custom_defines_a_scalar_driver_method():
              for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              and fn.name in ("value", "subgradient")}
     assert found == {("Custom", "value"), ("Custom", "subgradient")}
+
+
+@pytest.mark.parametrize("call", [
+    lambda ht: eval_driver(Variance(1.0), 0.0, [0.5], ht, NU),
+    lambda ht: subgradient(Variance(1.0), 0.0, [0.5], ht, NU),
+    lambda ht: var_nu(0.5, ht, NU),
+    lambda ht: cvar_nu(0.5, ht, NU),
+    lambda ht: infconv_value(Variance(1.0), NormCD(1.0, 1.0), 0.0, [0.5], ht, NU),
+], ids=["eval_driver", "subgradient", "var_nu", "cvar_nu", "infconv_value"])
+def test_one_point_calls_share_one_jump_width_check(call):
+    for width in (1, 3):
+        with pytest.raises(ValueError,
+                           match=f"^htilde has {width} entries but the jump measure has 2 marks$"):
+            call(np.zeros(width))
+    with pytest.raises(ValueError, match="^expected a vector$"):
+        call(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CVaRJump(0.0), "a must be positive"),
+    (lambda: eval_driver(Variance(1.0), 0.0, [[0.5, 1.0]], [0.0, 0.0], NU), "expected a vector"),
+    (lambda: driver_from_dict({"kind": ["variance"]}), "unknown driver kind ['variance']"),
+    (lambda: driver_from_dict({"kind": "norm_cd", "c": 1.0}),
+     "norm_cd driver: 'd' must be a finite number"),
+    (lambda: driver_from_dict({"kind": "norm_cd", "c": None, "d": None}),
+     "norm_cd driver: 'c' must be a finite number"),
+])
+def test_driver_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_leaf_kinds_map_through_one_table():
+    """``driver_to_dict`` and ``driver_from_dict`` read the leaf kinds' JSON
+    fields from one table, in constructor order."""
+    assert drivers._LEAF_KINDS == {"variance": (Variance, ("alpha",)),
+                                   "norm_cd": (NormCD, ("c", "d")),
+                                   "cvar_jump": (CVaRJump, ("a",))}
+    assert list(driver_to_dict(NormCD(0.5, 2.0)).items()) == [("kind", "norm_cd"), ("c", 0.5),
+                                                            ("d", 2.0)]

@@ -837,3 +837,15 @@ def test_row_texts_per_suffix_hold_across_suffixes_and_indentation(tmp_path, mon
     for table in jsonio._ROW_TEXTS.values():
         with pytest.raises(ValueError, match="read-only"):
             table[0] = "1"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ColumnTable({"a": np.zeros(2), "b": np.zeros(3)}), ValueError,
+     "table columns must have one row count"),
+    (lambda: ColumnTable({}), ValueError, "a table needs at least one column"),
+    (lambda: canonical_json({"x": {1, 2}}), TypeError, "cannot serialise set"),
+    (lambda: canonical_json([object()]), TypeError, "cannot serialise object"),
+])
+def test_jsonio_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,17 @@ from hypothesis import strategies as st
 
 import devlat
 from devlat import (
+    AdaptedProcess,
+    CVaRJump,
+    Distribution,
     JumpMeasure,
     LatticeBuildError,
     NoiseModel,
+    NormCD,
     RandomVariable,
+    Scaled,
     TimeGrid,
+    Variance,
     build_lattice,
     cond_exp,
     law,
@@ -47,6 +54,82 @@ def test_jump_measure_validation():
         JumpMeasure(((1.0,), (1.0,)), (0.5, 0.5))
     with pytest.raises(ValueError):
         NoiseModel(0, JumpMeasure.empty())
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Variance(NAN), "alpha must be finite"),
+    (lambda: Variance(INF), "alpha must be finite"),
+    (lambda: NormCD(NAN, 1.0), "c and d must be finite"),
+    (lambda: NormCD(1.0, INF), "c and d must be finite"),
+    (lambda: CVaRJump(NAN), "a must be finite"),
+    (lambda: Scaled(NAN, Variance(1.0)), "gamma must be finite"),
+    (lambda: TimeGrid((0.0, NAN, 1.0)), "time grid times must be finite"),
+    (lambda: TimeGrid((0.0, 1.0, INF)), "time grid times must be finite"),
+    (lambda: TimeGrid.uniform(3, NAN), "horizon must be finite"),
+    (lambda: TimeGrid.uniform(3, INF), "horizon must be finite"),
+    (lambda: JumpMeasure(((1.0,),), (NAN,)), "intensities must be finite"),
+    (lambda: JumpMeasure(((1.0,),), (INF,)), "intensities must be finite"),
+    (lambda: JumpMeasure(((NAN,),), (0.5,)), "marks must be finite"),
+    (lambda: JumpMeasure(((1.0, INF),), (0.5,)), "marks must be finite"),
+    (lambda: build_lattice(TimeGrid.uniform(2, 1.0),
+                           NoiseModel(1, JumpMeasure(((1.0,),), (NAN,)))),
+     "intensities must be finite"),
+    (lambda: Distribution([NAN], [1.0]), "atoms must be finite"),
+    (lambda: Distribution([0.0, NAN], [0.5, 0.5]), "atoms must be finite"),
+    (lambda: Distribution([0.0, 1.0], [NAN, NAN]), "atom probabilities must be finite"),
+])
+def test_constructors_refuse_nan_and_infinity(make, message):
+    """A NaN passes every ``<=`` range check, so each constructor checks
+    finiteness itself."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Variance(0.0), "alpha must be positive"),
+    (lambda: Scaled(-1.0, Variance(1.0)), "gamma must be positive"),
+    (lambda: TimeGrid.uniform(3, 0.0), "horizon must be positive"),
+    (lambda: JumpMeasure(((1.0,),), (0.0,)), "intensities must be positive"),
+])
+def test_finite_values_out_of_range_keep_their_messages(make, message):
+    """The finiteness checks leave the messages of finite values as they were."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda lat: Distribution([0.0, 1.0], [1.0]), "atoms/probs must be matching vectors"),
+    (lambda lat: Distribution([0.0, 1.0], [1.5, -0.5]), "atom probabilities must be positive"),
+    (lambda lat: Distribution([0.0, 1.0], [0.5, 0.6]), "atom probabilities must sum to 1"),
+    (lambda lat: Distribution([1.0, 0.0], [0.5, 0.5]), "atoms must be strictly increasing"),
+    (lambda lat: law(lat, terminal_brownian(lat), merge_tol=-1e-9), "merge_tol must be >= 0"),
+    (lambda lat: law(lat, terminal_brownian(lat), merge_tol=NAN), "merge_tol must be >= 0"),
+    (lambda lat: permute_paths(lat, RandomVariable(np.zeros(2), 1), np.random.default_rng(0)),
+     "permute_paths expects a terminal payoff"),
+    (lambda lat: terminal_brownian(lat, 1), "component outside Brownian dimension"),
+    (lambda lat: AdaptedProcess(martingale(lat, terminal_brownian(lat)).values)
+     .as_random_variable(), "process has no recorded measurability level"),
+    (lambda lat: lat.num_nodes(5), "level 5 outside 0..4"),
+])
+def test_lattice_refusals_name_their_cause(binomial4, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(binomial4)
+
+
+def test_reflected_subtraction_and_negation_keep_the_level():
+    x = RandomVariable(np.array([1.0, -2.0, 0.0, 0.5]), 2)
+    for got, want in ((3.0 - x, [2.0, 5.0, 3.0, 2.5]), (-x, [-1.0, 2.0, -0.0, -0.5])):
+        assert got.level == 2
+        assert got.values.tobytes() == np.array(want).tobytes()
+
+
+def test_law_distance_is_infinite_for_unequal_atom_counts(binomial2):
+    x = terminal_brownian(binomial2)
+    assert law_distance(law(binomial2, x), law(binomial2, x)) == 0.0
+    assert law_distance(law(binomial2, x), Distribution([0.0], [1.0])) == math.inf
 
 
 @pytest.mark.parametrize("marks, intensities", [

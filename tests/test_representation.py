@@ -176,6 +176,16 @@ def test_analytic_payoff_needs_steps():
         AnalyticPayoff(grid, np.ones((1, 1)), np.zeros((1, 0)))
 
 
+@pytest.mark.parametrize("h, htilde", [
+    ([[1.0], [math.nan]], [[0.0], [0.0]]),
+    ([[1.0], [0.5]], [[math.inf], [0.0]]),
+    ([[1.0], [0.5]], [[0.0], [-math.inf]]),
+])
+def test_analytic_payoff_refuses_non_finite_integrands(h, htilde):
+    with pytest.raises(ValueError, match="^integrands must be finite$"):
+        AnalyticPayoff(TimeGrid.uniform(2, 1.0), np.array(h), np.array(htilde))
+
+
 def test_assemble_shape_mismatch(binomial4, binomial2):
     pair = _zero_pair(binomial2)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -634,4 +635,37 @@ def test_a_cvar_atom_against_a_shallow_norm_atom_is_not_attained(rng, g_a, g_b, 
     if unbounded:
         lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel(1, NU))
         solver = SolverConfig(max_iterations=200, stall_window=50, polish_iterations=20)
-        assert not solve_sharing(lat, _random_problem(lat, rng, g_a, g_b, solver)).attained
+        sol = solve_sharing(lat, _random_problem(lat, rng, g_a, g_b, solver))
+        assert sol.unbounded and not sol.attained
+
+
+def test_the_unbounded_verdict_comes_from_one_scan_per_solve(monkeypatch, rng):
+    """``solve_sharing`` reports its one ``_unbounded`` scan as ``unbounded``,
+    the verdict that also withholds ``attained``."""
+    scans = []
+    scan = sharing._unbounded
+    monkeypatch.setattr(sharing, "_unbounded", lambda *args: scans.append(args) or scan(*args))
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel(1, NU))
+    solver = SolverConfig(max_iterations=200, stall_window=50, polish_iterations=20)
+    for g_b, unbounded in ((CVaRJump(0.4), True), (Variance(1.0), False)):
+        sol = solve_sharing(lat, _random_problem(lat, rng, NormCD(1.0, 0.5), g_b, solver))
+        assert sol.unbounded is unbounded
+        assert sol.attained is not unbounded
+    assert len(scans) == 2
+
+
+def _solve(lat, x_a, x_b):
+    return solve_sharing(lat, SharingProblem(x_a, x_b, Variance(1.0), Variance(2.0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda lat, x, early: _solve(lat, early, x), "sharing payoffs must be terminal"),
+    (lambda lat, x, early: _solve(lat, x, early), "sharing payoffs must be terminal"),
+    (lambda lat, x, early: proportional_transfer(0.0, 1.0, x, x),
+     "risk tolerances must be positive"),
+    (lambda lat, x, early: proportional_transfer(1.0, math.nan, x, x),
+     "risk tolerances must be finite"),
+])
+def test_sharing_refusals_name_their_cause(binomial2, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(binomial2, terminal_brownian(binomial2), RandomVariable(np.zeros(2), 1))

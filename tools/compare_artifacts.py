@@ -16,10 +16,18 @@ No pool job reaches the numeric split, so each checkout also digests
 ``infconv_split`` on a fixed seeded set of rows of eight two-part numeric
 pairs, at d = 1 and 2 (``split_digests``); a differing split digest counts
 as a differing pool digest.
+
+No pool job reaches the one-point entry points either, nor a failing
+``check_driver``, so each checkout also digests those on fixed seeded inputs
+(``probe_digests``): every built-in kind's value, subgradient and JSON round
+trip, both CVaR functions, ``infconv_value`` on a closed-form and a numeric
+pair, and ``check_driver`` reports of the built-in kinds and of ``Custom``
+drivers that fail; a differing probe digest counts as a differing pool digest.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -49,6 +57,85 @@ def _pinball(t, h, ht, nu):
 def _pinball_subgradient(t, h, ht, nu):
     jump = np.where(ht > 0.0, 0.7, np.where(ht < 0.0, -0.3, 0.0)) * nu.intensity_array
     return np.concatenate([np.sign(h), jump])
+
+
+def _linear(t, h, ht, nu):
+    return float(h.sum() + ht @ nu.intensity_array)
+
+
+def _linear_subgradient(t, h, ht, nu):
+    return np.concatenate([np.ones_like(h), nu.intensity_array])
+
+
+def _root(t, h, ht, nu):
+    return float(np.sqrt(np.abs(h)).sum() + np.sqrt(np.abs(ht)) @ nu.intensity_array)
+
+
+def _wrong_subgradient(t, h, ht, nu):
+    return -_quadratic_subgradient(t, h, ht, nu)
+
+
+def _digest(*parts) -> str:
+    """sha256 of strings and float arrays, each ending in a separator."""
+    hasher = hashlib.sha256()
+    for part in parts:
+        hasher.update(part.encode() if isinstance(part, str)
+                      else np.asarray(part, dtype=float).tobytes())
+        hasher.update(b"|")
+    return hasher.hexdigest()
+
+
+def probe_digests(devlat) -> dict:
+    """``{key: sha256}`` of the one-point entry points, the driver JSON
+    mapping and ``check_driver`` on fixed seeded inputs at d = 1 and 2, with
+    two jump marks and the default solver settings; built from public names
+    only."""
+    from devlat.jsonio import canonical_json
+
+    nu = devlat.JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))
+    kinds = {
+        "variance": devlat.Variance(1.5),
+        "norm_cd": devlat.NormCD(1.0, 2.0),
+        "cvar_jump": devlat.CVaRJump(0.3),
+        "scaled": devlat.Scaled(2.0, devlat.NormCD(0.5, 1.5)),
+        "infconv": devlat.InfConv(devlat.Variance(1.0), devlat.NormCD(1.0, 2.0)),
+    }
+    failing = {
+        "custom-negative": devlat.Custom(_linear, _linear_subgradient, "linear"),
+        "custom-nonconvex": devlat.Custom(_root, _quadratic_subgradient, "root"),
+        "custom-subgradient": devlat.Custom(_quadratic, _wrong_subgradient, "wrong"),
+        "custom-no-oracle": devlat.Custom(_quadratic, None, "no-oracle"),
+    }
+    pairs = {
+        "closed": (devlat.NormCD(1.0, 0.5), devlat.Variance(2.0)),
+        "numeric": (devlat.CVaRJump(0.3), devlat.Variance(1.0)),
+    }
+    digests = {}
+    for seed, d in enumerate((1, 2)):
+        rng = np.random.default_rng(100 + seed)
+        H, Ht = rng.normal(size=(4, d)), rng.normal(size=(4, nu.m))
+        Ht[0] = Ht[0, 0]  # tied marks
+        for name, spec in kinds.items():
+            values = [devlat.eval_driver(spec, 0.5, h, ht, nu) for h, ht in zip(H, Ht)]
+            grads = [devlat.subgradient(spec, 0.5, h, ht, nu) for h, ht in zip(H, Ht)]
+            digests[f"probe/value/{name}/d{d}"] = _digest(values, *grads)
+        for a in (0.1, 0.25, 0.6):
+            digests[f"probe/cvar/a{a}/d{d}"] = _digest(
+                [devlat.var_nu(a, ht, nu) for ht in Ht], [devlat.cvar_nu(a, ht, nu) for ht in Ht])
+        for name, (g_a, g_b) in pairs.items():
+            results = [devlat.infconv_value(g_a, g_b, 0.5, h, ht, nu) for h, ht in zip(H, Ht)]
+            digests[f"probe/infconv_value/{name}/d{d}"] = _digest(
+                *(part for value, (z, zt) in results for part in ([value], z, zt)))
+        for name, spec in {**kinds, **failing}.items():
+            report = devlat.check_driver(spec, nu, sample_count=40, seed=seed, d=d)
+            digests[f"probe/check/{name}/d{d}"] = _digest(
+                canonical_json(dataclasses.asdict(report)), str(report.all_passed()))
+    for name, spec in kinds.items():
+        text = canonical_json(devlat.driver_to_dict(spec))
+        back = devlat.driver_from_dict(json.loads(text))
+        digests[f"probe/json/{name}"] = _digest(
+            text, canonical_json(devlat.driver_to_dict(back)), str(back == spec))
+    return digests
 
 
 def split_digests(devlat) -> dict:
@@ -99,7 +186,8 @@ def collect(checkout: Path) -> dict:
                         failures[record["key"]] = record["error"]
                     else:
                         digests[record["key"]] = record["digest"]
-    return {"digests": digests, "failures": failures, "splits": split_digests(devlat)}
+    return {"digests": digests, "failures": failures,
+            "splits": {**split_digests(devlat), **probe_digests(devlat)}}
 
 
 def run_checkout(checkout: Path) -> dict:
@@ -135,7 +223,10 @@ def main(argv: list[str]) -> int:
     same = len(keys) - len(differ)
     failed = len(parent["failures"]) + len(change["failures"])
     print(f"{same}/{len(keys)} digests identical, {failed} oracle failures")
-    print(f"{len(splits) - len(split_differ)}/{len(splits)} numeric split digests identical")
+    for label, prefix in (("numeric split", "split/"), ("probe", "probe/")):
+        keys = [key for key in splits if key.startswith(prefix)]
+        same = sum(key not in split_differ for key in keys)
+        print(f"{same}/{len(keys)} {label} digests identical")
     return 1 if differ or split_differ or failed else 0
 
 
