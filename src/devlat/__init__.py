@@ -18,6 +18,7 @@ from .lattice import (
     TimeGrid,
     build_lattice,
     cond_exp,
+    finite_number,
     law,
     law_distance,
     martingale,
@@ -28,7 +29,6 @@ from .representation import (
     AnalyticPayoff,
     RepresentingPair,
     assemble,
-    lift_analytic,
     represent,
 )
 from .drivers import (
@@ -45,6 +45,7 @@ from .drivers import (
     driver_from_dict,
     driver_to_dict,
     eval_driver,
+    probe_count,
     subgradient,
     var_nu,
 )
@@ -52,14 +53,12 @@ from .deviation import (
     AxiomReport,
     LawProbeReport,
     axiom_report,
-    conditional_variance,
-    constancy_spread,
     deterministic_d0,
     evaluate,
     evaluate_recursive,
     law_probe,
+    recursion_gap,
     supermartingale_slack,
-    utility,
 )
 from .optim import (
     MinimizeResult,

@@ -24,39 +24,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .deviation import axiom_report, evaluate, evaluate_recursive, law_probe, \
+from .deviation import axiom_report, evaluate, law_probe, recursion_gap, \
     supermartingale_slack
-from .drivers import check_driver, driver_from_dict
+from .drivers import check_driver, driver_from_dict, probe_count
 from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
     pair_to_dict, payoff_csv, process_csv, write_artifacts
 from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
-    RandomVariable, TimeGrid, build_lattice
+    RandomVariable, TimeGrid, build_lattice, finite_number
 from .optim import NumericError, SolverConfig
 from .representation import AnalyticPayoff, represent
-from .sharing import SharingProblem, proportional_share_factor, solve_sharing
+from .sharing import SharingProblem, solve_sharing
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_INTERNAL = 3
 
-#: probe cells (payoffs x leaves) that ``axioms`` may stack per node of budget
-_AXIOM_CELLS_PER_NODE = 64
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed or references missing pieces."""
 
 
-def _number(v) -> bool:
-    # JSON has no NaN or Infinity, but Python's json reads them
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and (isinstance(v, int) or math.isfinite(v))
-
-
 def _integer(v) -> bool:
     # node counts and indices are numpy int64s
-    return _number(v) and isinstance(v, int) and -2**63 <= v < 2**63
+    return finite_number(v) and isinstance(v, int) and -2**63 <= v < 2**63
 
 
 def _array_of(item):
@@ -67,14 +58,15 @@ def _array_of(item):
 _KINDS = {
     "an object": lambda v: isinstance(v, dict),
     "a string": lambda v: isinstance(v, str),
-    "a number": _number,
+    "a number": finite_number,
     "an integer": _integer,
-    "an array of numbers": _array_of(_number),
+    "an array of numbers": _array_of(finite_number),
     "an array of integers": _array_of(_integer),
     "an array of strings": _array_of(lambda v: isinstance(v, str)),
     "an array of name pairs": _array_of(
         lambda v: _KINDS["an array of strings"](v) and len(v) == 2),
-    "an array of numbers or number arrays": _array_of(lambda v: _number(v) or _array_of(_number)(v)),
+    "an array of numbers or number arrays": _array_of(
+        lambda v: finite_number(v) or _array_of(finite_number)(v)),
 }
 
 _MISSING = object()
@@ -111,19 +103,29 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+class _refused(contextlib.AbstractContextManager):
+    """Turn a library refusal, a ``ValueError``, into the exit-1 error
+    prefixed by ``where``; a class, as it runs several times per job."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ValueError):
+            raise ConfigError(f"{self.where}: {exc}") from exc
+
+
 def _build_grid(obj: dict, noise: NoiseModel, max_nodes: int) -> TimeGrid:
     """The time grid; a uniform one only once ``n`` is within the leaf budget."""
     times = _get(obj, "times", "an array of numbers", "lattice.grid", None)
     if times is None:
         n = _get(obj, "n", "an integer", "lattice.grid")
         horizon = float(_get(obj, "horizon", "a number", "lattice.grid"))
-    try:
+    with _refused("grid"):
         if times is not None:
             return TimeGrid(tuple(times))
         noise.check_budget(n, max_nodes)
         return TimeGrid.uniform(n, horizon)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _build_noise(obj: dict) -> NoiseModel:
@@ -133,10 +135,8 @@ def _build_noise(obj: dict) -> NoiseModel:
     intensities = _get(jumps, "intensities", "an array of numbers",
                        "lattice.noise.jumps", [])
     d = _get(obj, "d", "an integer", "lattice.noise", 0)
-    try:
+    with _refused("noise"):
         return NoiseModel(d, JumpMeasure(tuple(marks), tuple(intensities)))
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
 
 
 def _build_lattice(cfg: dict) -> Lattice:
@@ -144,10 +144,8 @@ def _build_lattice(cfg: dict) -> Lattice:
     noise = _build_noise(_get(block, "noise", "an object", "lattice"))
     max_nodes = _get(block, "max_nodes", "an integer", "lattice", DEFAULT_MAX_NODES)
     grid = _build_grid(_get(block, "grid", "an object", "lattice"), noise, max_nodes)
-    try:
+    with _refused("lattice"):
         return build_lattice(grid, noise, max_nodes)
-    except ValueError as exc:
-        raise ConfigError(f"lattice: {exc}") from exc
 
 
 def _parse_drivers(cfg: dict) -> tuple[SolverConfig, dict]:
@@ -156,16 +154,12 @@ def _parse_drivers(cfg: dict) -> tuple[SolverConfig, dict]:
     unknown = set(block) - {f.name for f in dataclasses.fields(SolverConfig)}
     if unknown:
         raise ConfigError(f"solver: unknown keys {sorted(unknown)}")
-    try:
+    with _refused("solver"):
         solver = SolverConfig(**block)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
     out = {}
     for name, obj in (_get(cfg, "drivers", "an object", default=None) or {}).items():
-        try:
+        with _refused(f"driver {name!r}"):
             out[name] = driver_from_dict(obj, solver)
-        except ValueError as exc:
-            raise ConfigError(f"driver {name!r}: {exc}") from exc
     return solver, out
 
 
@@ -371,12 +365,8 @@ def cmd_deviation(cfg, lat, seed, config_dir):
     }
     partition = _get(block, "partition", "an array of integers", "deviation", None)
     if partition is not None:
-        rec = evaluate_recursive(lat, driver, pair, partition)
-        summary["recursion_max_gap"] = max(
-            float(np.max(np.abs(dev.at(i) - rec.at(i))))
-            for i in range(lat.n_steps + 1)
-        )
-        summary["partition"] = sorted(set(int(i) for i in partition))
+        summary["partition"], summary["recursion_max_gap"] = recursion_gap(
+            lat, driver, pair, dev, partition)
     return EXIT_OK, [
         ("deviation.csv", process_csv(dev.values)),
         ("integrands.json", pair_to_dict(pair)),
@@ -391,18 +381,9 @@ def cmd_axioms(cfg, lat, seed, config_dir):
     names = _get(block, "payoffs", "an array of strings", "axioms")
     samples = [_payoff(payoffs, n, "axioms") for n in names]
     mixtures = _get(block, "mixtures", "an integer", "axioms", 50)
-    if mixtures > lat.max_nodes:
-        raise ConfigError(f"axioms: 'mixtures' = {mixtures} is over the max_nodes "
-                          f"budget {lat.max_nodes}")
-    # the probes stack mixtures + 3 payoffs of every leaf; leaves never exceed
-    # max_nodes, so the default 50 mixtures pass on any lattice within budget
-    cells = (mixtures + 3) * lat.num_nodes(lat.n_steps)
-    if cells > _AXIOM_CELLS_PER_NODE * lat.max_nodes:
-        raise ConfigError(f"axioms: 'mixtures' = {mixtures} gives {cells} probe cells, "
-                          f"over {_AXIOM_CELLS_PER_NODE} x the max_nodes budget "
-                          f"{lat.max_nodes} = {_AXIOM_CELLS_PER_NODE * lat.max_nodes}")
-    report = axiom_report(lat, driver, samples, seed=seed, mixtures=mixtures,
-                          level=_get(block, "level", "an integer", "axioms", None))
+    level = _get(block, "level", "an integer", "axioms", None)
+    with _refused("axioms"):
+        report = axiom_report(lat, driver, samples, seed=seed, mixtures=mixtures, level=level)
     payload = {"command": "axioms", "seed": seed, "driver": block["driver"],
                "payoffs": list(names), "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}
@@ -439,7 +420,7 @@ def cmd_share(cfg, lat, seed, config_dir):
     summary = {
         "command": "share",
         "seed": seed,
-        "share_factor": proportional_share_factor(prob.driver_a, prob.driver_b),
+        "share_factor": sol.share_factor,
         "price": sol.price,
         "du_a": sol.du_a,
         "du_b": sol.du_b,
@@ -469,21 +450,12 @@ def cmd_check_driver(cfg, lat, seed, config_dir):
     driver = _ref(block, "driver", "check_driver", drivers, "driver")
     samples = _get(block, "samples", "an integer", "check_driver", 200)
     d = _get(block, "d", "an integer", "check_driver", max(lat.noise.d, 1))
-    nu = lat.noise.jumps
-    if samples < 1:
-        raise ConfigError(f"check_driver: 'samples' must be >= 1, got {samples}")
-    if d < 0:
-        raise ConfigError(f"check_driver: 'd' must be >= 0, got {d}")
-    if d == 0 and nu.m == 0:
-        raise ConfigError("check_driver: 'd' = 0 on a lattice without jumps "
-                          "probes only the origin")
-    # the probe block: axes both ways, the mark coordinates and the samples
-    marks = len(nu.marks[0]) if nu.m else 0
-    cells = (2 * d + 2 * nu.m + marks + samples) * (d + nu.m)
+    with _refused("check_driver"):
+        cells = probe_count(lat.noise.jumps, d, samples)
     if cells > lat.max_nodes:
         raise ConfigError(f"check_driver: 'd' = {d} and 'samples' = {samples} give "
                           f"{cells} probe cells, over the max_nodes budget {lat.max_nodes}")
-    report = check_driver(driver, nu, sample_count=samples, seed=seed, d=d)
+    report = check_driver(driver, lat.noise.jumps, sample_count=samples, seed=seed, d=d)
     payload = {"command": "check_driver", "seed": seed,
                "driver": block["driver"], "report": dataclasses.asdict(report),
                "all_passed": report.all_passed()}

@@ -21,7 +21,6 @@ from .lattice import (
     Lattice,
     RandomVariable,
     _martingale_levels,
-    cond_exp,
     law,
     law_distance,
     martingale,
@@ -32,11 +31,9 @@ from .representation import AnalyticPayoff, RepresentingPair, _check_analytic, _
 __all__ = [
     "evaluate",
     "evaluate_recursive",
+    "recursion_gap",
     "deterministic_d0",
-    "utility",
-    "conditional_variance",
     "supermartingale_slack",
-    "constancy_spread",
     "AxiomReport",
     "axiom_report",
     "LawProbeEntry",
@@ -102,14 +99,32 @@ def evaluate_recursive(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
     the same process; it must agree with ``evaluate`` to within accumulation
     noise.
     """
+    mart = martingale(lat, assemble(lat, pair)).values
+    return AdaptedProcess(_recursive_levels(lat, driver, mart, _partition(lat, partition)))
+
+
+def recursion_gap(lat: Lattice, driver: DriverSpec, pair: RepresentingPair,
+                  dev: AdaptedProcess, partition: list[int]) -> tuple[list[int], float]:
+    """The normal form of ``partition`` and the largest gap, over every node
+    of every level, between ``dev``, the deviation process of ``pair``, and
+    the block recursion of ``pair`` over it (``evaluate_recursive``)."""
+    part = _partition(lat, partition)
+    return part, _level_gap(dev.values, evaluate_recursive(lat, driver, pair, part).values)
+
+
+def _partition(lat: Lattice, partition: list[int]) -> list[int]:
+    """A partition's normal form: its distinct levels in order, 0 and n among them."""
     part = sorted(set(int(i) for i in partition))
     if any(i < 0 or i > lat.n_steps for i in part):
         raise ValueError("partition levels outside the grid")
     if not part or part[0] != 0 or part[-1] != lat.n_steps:
         raise ValueError("partition must include levels 0 and n")
+    return part
 
-    mart = martingale(lat, assemble(lat, pair)).values
-    return AdaptedProcess(_recursive_levels(lat, driver, mart, part))
+
+def _level_gap(a: tuple, b: tuple) -> float:
+    """The largest absolute gap between two processes' levels, node by node."""
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
 
 
 def _recursive_levels(lat: Lattice, driver: DriverSpec, mart, part: list[int]) -> tuple:
@@ -151,32 +166,6 @@ def deterministic_d0(driver: DriverSpec, ap: AnalyticPayoff, nu: JumpMeasure) ->
     return float(total)
 
 
-def utility(lat: Lattice, x: RandomVariable, dev: AdaptedProcess,
-            level: int) -> RandomVariable:
-    """Mean-minus-deviation evaluation E[x | F_level] - D_level."""
-    lat._check_level(level)
-    ce = cond_exp(lat, x, level).at(level)
-    d = dev.at(level)
-    if ce.shape != d.shape:
-        raise ValueError("payoff and deviation process live on different lattices")
-    return RandomVariable(ce - d, level)
-
-
-def conditional_variance(lat: Lattice, x: RandomVariable) -> AdaptedProcess:
-    """Node-wise conditional variance via the total-variance recursion.
-
-    Independent of the representation/driver route: variance at a node is the
-    average of the children's variances plus the variance of the one-step
-    conditional means.
-    """
-    mart = martingale(lat, x)
-    vals = [np.zeros(lat.num_nodes(lat.n_steps))]
-    for i in range(lat.n_steps - 1, -1, -1):
-        dm = lat.children(mart.at(i + 1)) - mart.at(i)[:, None]
-        vals.insert(0, lat.expect(i, vals[0]) + (dm * dm) @ lat.step_probs(i))
-    return AdaptedProcess(tuple(vals))
-
-
 def supermartingale_slack(lat: Lattice, proc: AdaptedProcess) -> float:
     """Min over nodes of value - E[next-level value | node]; >= 0 up to noise
     for any deviation process of a nonnegative driver."""
@@ -184,12 +173,6 @@ def supermartingale_slack(lat: Lattice, proc: AdaptedProcess) -> float:
     for i in range(lat.n_steps):
         worst = min(worst, float(np.min(proc.at(i) - lat.expect(i, proc.at(i + 1)))))
     return worst
-
-
-def constancy_spread(dev: AdaptedProcess, level: int) -> float:
-    """Max minus min of the deviation values across the nodes of one level."""
-    v = dev.at(level)
-    return float(v.max() - v.min())
 
 
 # -- axiom probes -----------------------------------------------------------------
@@ -215,6 +198,9 @@ class AxiomReport:
 #: leaves of the tolerance probes' payoffs stacked into one pass of the level
 #: arithmetic; keeps the extra working memory under 1 MB
 _STACK_LEAVES = 1 << 14
+
+#: probe cells (payoffs x leaves) that ``axiom_report`` may stack per node of budget
+_AXIOM_CELLS_PER_NODE = 64
 
 
 def _stacked_dev_at(lat, driver, X, level):
@@ -247,7 +233,16 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     The bit-exact probes (translation, a measurable payoff) take one pass per
     payoff; the tolerance probes' payoffs are stacked, and their draws (index
     pairs, weights, noise, partition, mask) do not depend on the chunking.
+    ``mixtures`` over ``max_nodes``, and probe cells (``mixtures + 3`` payoffs
+    of every leaf) over ``_AXIOM_CELLS_PER_NODE`` times it, are refused first.
     """
+    budget, cells = lat.max_nodes, (mixtures + 3) * lat.num_nodes(lat.n_steps)
+    if mixtures > budget:
+        raise ValueError(f"'mixtures' = {mixtures} is over the max_nodes budget {budget}")
+    if cells > _AXIOM_CELLS_PER_NODE * budget:
+        raise ValueError(f"'mixtures' = {mixtures} gives {cells} probe cells, over "
+                         f"{_AXIOM_CELLS_PER_NODE} x the max_nodes budget {budget} = "
+                         f"{_AXIOM_CELLS_PER_NODE * budget}")
     if len(payoffs) < 2:
         raise ValueError("need at least two sample payoffs")
     if mixtures < 1:
@@ -343,9 +338,8 @@ def axiom_report(lat: Lattice, driver: DriverSpec,
     # recursion against the block evaluator on a random partition, run on
     # the first sample's own conditional means
     recursion = CheckOutcome(True)
-    part = sorted([0, n] + [int(v) for v in interior])
-    rec = _recursive_levels(lat, driver, marts[0], part)
-    gap = max(float(np.max(np.abs(full[0][i] - rec[i]))) for i in range(n + 1))
+    part = _partition(lat, [0, n, *interior])
+    gap = _level_gap(full[0], _recursive_levels(lat, driver, marts[0], part))
     if gap > 1e-12:
         recursion = CheckOutcome(False, {"partition": part, "max_gap": gap})
 

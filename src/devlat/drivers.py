@@ -10,13 +10,12 @@ witnesses instead of raising.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .lattice import JumpMeasure, _check_finite, _check_positive
+from .lattice import JumpMeasure, _check_finite, _check_positive, finite_number
 from .optim import SolverConfig
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "var_nu",
     "cvar_nu",
     "check_driver",
+    "probe_count",
     "CheckOutcome",
     "ValidityReport",
     "driver_to_dict",
@@ -379,12 +379,27 @@ class ValidityReport:
     all_passed = _all_passed
 
 
+def probe_count(nu: JumpMeasure, d: int, samples: int) -> int:
+    """The cells, rows x ``d + m`` columns, of ``check_driver``'s probe block
+    of ``samples`` draws (``_probe_points``); refuses no draws, a negative
+    ``d`` and a block of the origin alone."""
+    if samples < 1:
+        raise ValueError(f"'samples' must be >= 1, got {samples}")
+    if d < 0:
+        raise ValueError(f"'d' must be >= 0, got {d}")
+    if d == 0 and nu.m == 0:
+        raise ValueError("'d' = 0 on a lattice without jumps probes only the origin")
+    marks = len(nu.marks[0]) if nu.m else 0
+    return (2 * d + 2 * nu.m + marks + samples) * (d + nu.m)
+
+
 def _probe_points(nu: JumpMeasure, d: int, sample_count: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Probe points as rows of ``(H (N, d), Ht (N, m))``: each Brownian axis
-    both ways, each jump axis both ways, each mark coordinate across the marks,
+    """The ``probe_count`` block as rows of ``(H (N, d), Ht (N, m))``: each
+    Brownian and jump axis both ways, each mark coordinate across the marks,
     then ``sample_count`` draws of N(0, 2^2) per coordinate (h before htilde,
     as one draw per point would take them)."""
+    probe_count(nu, d, sample_count)
     m = nu.m
 
     def axes(k):
@@ -425,15 +440,14 @@ def check_driver(spec: DriverSpec, nu: JumpMeasure, sample_count: int = 200,
     subgradient inequality. Failures are reported with witnesses, not raised.
 
     ``d`` fixes the Brownian-integrand dimension probed; deterministic probes
-    (axes and the jump marks themselves) are included before random sampling.
+    (axes and the jump marks themselves) are included before random sampling,
+    in the block that ``probe_count`` counts and refuses.
     Every probe point and every midpoint is evaluated through
     ``value_batch``, and every sampled pair's subgradient through one
     ``subgradient_batch`` call. Random draws, verdicts and witness points are
     those of testing one point or pair at a time and stopping at the first
     violation; the subgradient witness's gap is that pair's scalar formula.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     t = 0.0
     H, Ht = _probe_points(nu, d, sample_count, rng)
@@ -521,8 +535,7 @@ def driver_from_dict(obj: dict, solver: SolverConfig | None = None) -> DriverSpe
 
     def number(key):
         value = obj.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+        if not finite_number(value):
             raise ValueError(f"{kind} driver: {key!r} must be a finite number")
         return float(value)
 

@@ -24,6 +24,7 @@ __all__ = [
     "AdaptedProcess",
     "Distribution",
     "build_lattice",
+    "finite_number",
     "martingale",
     "cond_exp",
     "law",
@@ -45,6 +46,15 @@ def _check_finite(what: str, values) -> None:
     """Refuse NaN and infinities, which would pass the range checks after it."""
     if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite")
+
+
+def finite_number(v) -> bool:
+    """Whether ``v`` is an int or float, not a bool, that converts to a finite
+    float: the one rule for a number read from JSON."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _check_positive(what: str, *values: float) -> None:

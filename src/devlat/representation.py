@@ -23,7 +23,6 @@ __all__ = [
     "AnalyticPayoff",
     "represent",
     "assemble",
-    "lift_analytic",
 ]
 
 
@@ -137,15 +136,3 @@ def _check_analytic(lat: Lattice, ap: AnalyticPayoff) -> None:
         raise ValueError("analytic payoff grid does not match the lattice grid")
     if ap.h.shape[1] != lat.noise.d or ap.htilde.shape[1] != lat.noise.jumps.m:
         raise ValueError("analytic payoff dimensions do not match the lattice")
-
-
-def lift_analytic(ap: AnalyticPayoff, lat: Lattice) -> RepresentingPair:
-    """Broadcast deterministic step integrands to every node; mean zero."""
-    _check_analytic(lat, ap)
-    H, Ht, res = [], [], []
-    for i in range(lat.n_steps):
-        nodes = lat.num_nodes(i)
-        H.append(np.tile(ap.h[i], (nodes, 1)))
-        Ht.append(np.tile(ap.htilde[i], (nodes, 1)))
-        res.append(np.zeros(nodes))
-    return RepresentingPair(0.0, tuple(H), tuple(Ht), tuple(res))

@@ -64,8 +64,10 @@ class SharingSolution:
     per node; ``y_star`` is the zero-mean assembled optimal position of agent B
     and ``y_tilde_star = y_star - x_b`` the priced transfer. ``certificate_gap``
     is the largest directional-derivative violation of split optimality over
-    all nodes; an ``unbounded`` pair is never ``attained``. ``d0_a``/``d0_b``
-    are each agent's time-zero deviation of its own payoff before the transfer.
+    all nodes; an ``unbounded`` pair is never ``attained``. ``share_factor``
+    is ``proportional_share_factor`` of the drivers, read from the solve's own
+    split plan. ``d0_a``/``d0_b`` are each agent's time-zero deviation of its
+    own payoff before the transfer.
     """
 
     argmin_H: tuple[np.ndarray, ...]
@@ -76,6 +78,7 @@ class SharingSolution:
     infconv_d: AdaptedProcess
     attained: bool
     unbounded: bool
+    share_factor: float | None
     certificate_gap: float
     du_a: float
     du_b: float
@@ -192,7 +195,12 @@ def proportional_share_factor(g_a: DriverSpec, g_b: DriverSpec) -> float | None:
     """B's share fraction when the split plan hands B one fixed fraction of
     both blocks at every node, so that ``infconv_split`` returns exactly
     ``(f * H, f * Ht)``; None otherwise."""
-    (_, (rule_h, rule_j)), *rest = _split_plan(g_a, g_b)
+    return _share_factor(_split_plan(g_a, g_b))
+
+
+def _share_factor(parts: tuple) -> float | None:
+    """The one fixed fraction of both blocks that a split plan hands B, or None."""
+    (_, (rule_h, rule_j)), *rest = parts
     return None if rest or callable(rule_h) or rule_h != rule_j else rule_h
 
 
@@ -383,7 +391,8 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     sizes = [lat.num_nodes(i) for i in range(lat.n_steps)]
     t = np.concatenate([np.full(k, lat.times[i]) for i, k in enumerate(sizes)])
     H, Ht = np.vstack(pair.H), np.vstack(pair.Htilde)
-    Z, Zt = _apply(_split_plan(g_a, g_b), t, H, Ht, nu, cfg)
+    plan = _split_plan(g_a, g_b)
+    Z, Zt = _apply(plan, t, H, Ht, nu, cfg)
     part_a, part_b, values, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)
     certificate_gap = float(np.max(gaps))
     unbounded = _unbounded(g_a, g_b, nu)
@@ -423,6 +432,7 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
         infconv_d=infconv_d,
         attained=attained,
         unbounded=unbounded,
+        share_factor=_share_factor(plan),
         certificate_gap=certificate_gap,
         du_a=u_a_after - u_a_before,
         du_b=u_b_after - u_b_before,

@@ -10,7 +10,7 @@ node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
 batched quantiles, laws, permutations, driver checks, block recursion and axiom
 probes replace, and the level-by-level loop that the stacked sharing solve
-replaces.
+replaces. Last come the former library helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -918,7 +918,7 @@ def solve_sharing_per_level(lat, prob):
     level one split plan, one ``infconv_split`` and one ``certificate_gaps``
     call at that level's time. The stacked solve must give its bits."""
     from devlat import (AdaptedProcess, NumericError, RepresentingPair, SharingSolution,
-                        assemble, infconv_split, represent)
+                        assemble, infconv_split, proportional_share_factor, represent)
     from devlat.deviation import _accumulate, _levels
     from devlat.sharing import _unbounded, certificate_gaps
 
@@ -951,7 +951,62 @@ def solve_sharing_per_level(lat, prob):
     return SharingSolution(
         argmin_H=arg_H, argmin_Ht=arg_Ht, y_star=y_star, y_tilde_star=y_star - prob.x_b,
         price=price, infconv_d=infconv_d, attained=attained, unbounded=unbounded,
-        certificate_gap=certificate_gap,
+        share_factor=proportional_share_factor(g_a, g_b), certificate_gap=certificate_gap,
         du_a=((mean_a + mean_b + price) - dev_a) - (mean_a - d0_a),
         du_b=(-price - dev_b) - (mean_b - d0_b),
         d0_a=d0_a, d0_b=d0_b, max_residual=max_res, total_pair=pair, jumps=nu)
+
+
+# -- test-only helpers ----------------------------------------------------------------
+#
+# Public once, but nothing outside the tests calls them.
+
+
+def lift_analytic(ap, lat):
+    """Broadcast deterministic step integrands to every node; mean zero."""
+    from devlat import RepresentingPair
+    from devlat.representation import _check_analytic
+
+    _check_analytic(lat, ap)
+    H, Ht, res = [], [], []
+    for i in range(lat.n_steps):
+        nodes = lat.num_nodes(i)
+        H.append(np.tile(ap.h[i], (nodes, 1)))
+        Ht.append(np.tile(ap.htilde[i], (nodes, 1)))
+        res.append(np.zeros(nodes))
+    return RepresentingPair(0.0, tuple(H), tuple(Ht), tuple(res))
+
+
+def conditional_variance(lat, x):
+    """Node-wise conditional variance via the total-variance recursion.
+
+    Independent of the representation/driver route: variance at a node is the
+    average of the children's variances plus the variance of the one-step
+    conditional means.
+    """
+    from devlat import AdaptedProcess, martingale
+
+    mart = martingale(lat, x)
+    vals = [np.zeros(lat.num_nodes(lat.n_steps))]
+    for i in range(lat.n_steps - 1, -1, -1):
+        dm = lat.children(mart.at(i + 1)) - mart.at(i)[:, None]
+        vals.insert(0, lat.expect(i, vals[0]) + (dm * dm) @ lat.step_probs(i))
+    return AdaptedProcess(tuple(vals))
+
+
+def utility(lat, x, dev, level):
+    """Mean-minus-deviation evaluation E[x | F_level] - D_level."""
+    from devlat import RandomVariable, cond_exp
+
+    lat._check_level(level)
+    ce = cond_exp(lat, x, level).at(level)
+    d = dev.at(level)
+    if ce.shape != d.shape:
+        raise ValueError("payoff and deviation process live on different lattices")
+    return RandomVariable(ce - d, level)
+
+
+def constancy_spread(dev, level):
+    """Max minus min of the deviation values across the nodes of one level."""
+    v = dev.at(level)
+    return float(v.max() - v.min())

@@ -27,7 +27,6 @@ from devlat import (
     axiom_report,
     build_lattice,
     check_driver,
-    conditional_variance,
     cvar_nu,
     deterministic_d0,
     eval_driver,
@@ -46,7 +45,8 @@ from devlat import (
 from devlat.cli import main as cli_main
 from devlat.representation import RepresentingPair
 
-from oracles import brute_force_min, cvar_by_segments, numeric_infconv_value, var_by_scan
+from oracles import brute_force_min, conditional_variance, cvar_by_segments, \
+    numeric_infconv_value, var_by_scan
 
 EMPTY = JumpMeasure.empty()
 

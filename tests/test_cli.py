@@ -99,6 +99,18 @@ def test_share_command(tmp_path):
     assert len(transfer) == 17
 
 
+def test_a_share_job_builds_one_split_plan(tmp_path, monkeypatch):
+    """The summary's ``share_factor`` is read from the solve's own plan."""
+    calls = []
+    build = devlat.sharing._split_plan
+    monkeypatch.setattr(devlat.sharing, "_split_plan", lambda *a: calls.append(a) or build(*a))
+    cfg = _base_config(tmp_path, share={
+        "payoff_a": "X", "payoff_b": "Y", "driver_a": "gA", "driver_b": "gB"})
+    assert main(["share", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "share_summary.json").read_text())["share_factor"] == 0.75
+
+
 def test_share_argmins_are_the_reported_share_factor(tmp_path):
     """A common-base ``Variance`` pair: every row of ``share_argmins.csv`` is
     the reported ``share_factor`` times the total's integrand, bit for bit."""
@@ -660,6 +672,41 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, command, path, value):
                  "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert list(out.glob("*")) == []
+
+
+#: (command, key path, value): a JSON integer of 401 digits, beyond float
+#: range, in each numeric key that a float is made of
+BEYOND_FLOAT = [
+    ("deviation", ["drivers", "g", "alpha"], 10 ** 400),
+    ("deviation", ["drivers", "gA", "gamma"], -10 ** 400),
+    ("build", ["lattice", "grid", "horizon"], 10 ** 400),
+    ("build", ["lattice", "grid", "times"], [0.0, 0.5, 10 ** 400]),
+    ("build", ["lattice", "noise", "jumps", "marks"], [-1.0, -10 ** 400]),
+    ("build", ["lattice", "noise", "jumps", "intensities"], [0.25, 10 ** 400]),
+    ("law-probe", ["law_probe", "law_tol"], 10 ** 400),
+]
+
+
+@pytest.mark.parametrize("command, path, value", BEYOND_FLOAT,
+                         ids=[path[-1] for _, path, _ in BEYOND_FLOAT])
+def test_a_number_beyond_float_range_exits_1_naming_its_key(tmp_path, capsys, command,
+                                                            path, value):
+    cfg = json.loads(_base_config(
+        tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE},
+        deviation={"payoff": "X", "driver": "g"},
+        law_probe={"driver": "g", "pairs": [["X", "X"]]},
+    ).read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "config.json"), "--out", str(out),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{path[-1]}'" in err and "Traceback" not in err
     assert list(out.glob("*")) == []
 
 

@@ -1,8 +1,8 @@
 """Config-surface fuzzing: each command's small valid config with one key
 set to a boundary number, a value of another JSON type, null, a NaN-like
-string, a non-finite float or another payoff or driver. Whatever the value,
-the run exits 0, 1 or 2, never 3 (an internal error), and a run that exits 1
-writes no artifact.
+string, a non-finite float, an integer beyond float range or another payoff
+or driver. Whatever the value, the run exits 0, 1 or 2, never 3 (an internal
+error), and a run that exits 1 writes no artifact.
 
 The base lattice has two steps with two jump marks under a 64-leaf budget,
 and the solver budget is small, so a mutation that turns the share into a
@@ -59,6 +59,8 @@ VALUES = [
     # boundary numbers, JSON's and Python's json's
     0, -1, 1, 2, 3, 64, 65, 2**31, 2**63, -2**63 - 1, 10**12, 0.0, -0.0, 0.5, -2.5,
     1e-300, 1e308, float("nan"), float("inf"), float("-inf"),
+    # integers beyond float range
+    10**400, -10**400,
     # other JSON types and null
     None, True, False, "", "x", [], {}, [0], [1, 2], [[0, 1]], [[[1.0]]], [0, 1, 2],
     [[1.0], [0.5]], [0.5, "x"],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,24 +18,23 @@ from devlat import (
     assemble,
     axiom_report,
     build_lattice,
-    conditional_variance,
-    constancy_spread,
     deterministic_d0,
     evaluate,
     evaluate_recursive,
     law_probe,
+    recursion_gap,
     permute_paths,
     represent,
     supermartingale_slack,
     terminal_brownian,
-    utility,
 )
 import devlat.deviation as deviation
 from devlat.deviation import AxiomReport, LawMismatchError
 from devlat.drivers import CheckOutcome, ValidityReport
 from devlat.representation import RepresentingPair
 
-from oracles import conditional_variance_by_paths
+from oracles import conditional_variance, conditional_variance_by_paths, constancy_spread, \
+    utility
 
 
 def _zero_pair(lat, mean=0.0):
@@ -136,6 +136,19 @@ def test_block_recursion_takes_the_driver_at_the_origin_in_one_call(jump_lattice
     assert len(calls) == 4 + 1 and calls.count((1, 4)) == 1
     want = evaluate_recursive(jump_lattice, Variance(1.3), pair, [0, 1, 3, 4])
     assert all(np.array_equal(rec.at(i), want.at(i)) for i in range(5))
+
+
+def test_recursion_gap_is_the_normal_partition_and_the_largest_level_gap(jump_lattice, rng):
+    x = RandomVariable(rng.normal(size=jump_lattice.num_nodes(4)), 4)
+    pair = represent(jump_lattice, x)
+    driver = NormCD(1.0, 1.0)
+    dev = evaluate(jump_lattice, driver, pair)
+    part, gap = recursion_gap(jump_lattice, driver, pair, dev, [4, 2, 0, 2])
+    rec = evaluate_recursive(jump_lattice, driver, pair, [0, 2, 4])
+    assert part == [0, 2, 4]
+    assert gap == max(float(np.max(np.abs(dev.at(i) - rec.at(i)))) for i in range(5))
+    with pytest.raises(ValueError, match="must include levels 0 and n"):
+        recursion_gap(jump_lattice, driver, pair, dev, [0, 2])
 
 
 def test_recursion_partition_validation(binomial4):
@@ -442,3 +455,18 @@ def test_axiom_report_refusals_name_their_cause(binomial4, payoffs, mixtures, me
     x = terminal_brownian(binomial4)
     with pytest.raises(ValueError, match=f"^{message}$"):
         axiom_report(binomial4, Variance(1.0), [x] * payoffs, mixtures=mixtures)
+
+
+@pytest.mark.parametrize("mixtures, message", [
+    (65, "'mixtures' = 65 is over the max_nodes budget 64"),
+    (62, "'mixtures' = 62 gives 4160 probe cells, over 64 x the max_nodes budget 64 = 4096"),
+])
+def test_axiom_report_refuses_its_budget_before_drawing(monkeypatch, mixtures, message):
+    """Mixtures over ``max_nodes``, or ``(mixtures + 3) x leaves`` probe
+    cells over 64 times it, are refused before any payoff is read or drawn."""
+    lat = build_lattice(TimeGrid.uniform(6, 1.0), NoiseModel.brownian(1), max_nodes=64)
+    x = terminal_brownian(lat)
+    monkeypatch.setattr(deviation, "martingale", None)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        axiom_report(lat, Variance(1.0), [x, x], mixtures=mixtures)

@@ -21,6 +21,7 @@ from devlat import (
     driver_to_dict,
     eval_driver,
     infconv_value,
+    probe_count,
     subgradient,
     var_nu,
 )
@@ -238,6 +239,36 @@ def test_missing_subgradient_oracle_is_a_vacuous_pass():
     assert report.all_passed()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 2), st.integers(1, 3), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_probe_count_is_the_probe_block_laid_out(d, m, width, samples, seed):
+    """``probe_count`` is rows x columns of ``_probe_points``'s block, and
+    both refuse a block of the origin alone."""
+    nu = JumpMeasure(tuple((j + 1.0,) * width for j in range(m)), (0.5,) * m)
+    rng = np.random.default_rng(seed)
+    if d == 0 and m == 0:
+        for count in (lambda: probe_count(nu, d, samples),
+                      lambda: drivers._probe_points(nu, d, samples, rng)):
+            with pytest.raises(ValueError, match="probes only the origin"):
+                count()
+        return
+    H, Ht = drivers._probe_points(nu, d, samples, rng)
+    assert (H.shape[1], Ht.shape[1]) == (d, m) and len(H) == len(Ht)
+    assert probe_count(nu, d, samples) == len(H) * (d + m)
+
+
+@pytest.mark.parametrize("d, samples, message", [
+    (-1, 5, "'d' must be >= 0, got -1"),
+    (1, 0, "'samples' must be >= 1, got 0"),
+])
+def test_probe_count_refuses_a_malformed_block(d, samples, message):
+    with pytest.raises(ValueError, match=message):
+        probe_count(NU, d, samples)
+    with pytest.raises(ValueError, match=message):
+        check_driver(Variance(1.0), NU, sample_count=samples, d=d)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "variance"},
     {"kind": "variance", "alpha": None},
@@ -248,6 +279,8 @@ def test_missing_subgradient_oracle_is_a_vacuous_pass():
     {"kind": "infconv", "a": {"kind": "variance", "alpha": 1.0}},
     {"kind": ["variance"], "alpha": 1.0},
     {"kind": {"variance": 1}, "alpha": 1.0},
+    {"kind": "variance", "alpha": 10 ** 400},
+    {"kind": "scaled", "gamma": -10 ** 400, "base": {"kind": "variance", "alpha": 1.0}},
 ])
 def test_malformed_driver_specs_raise_value_error(spec):
     with pytest.raises(ValueError):

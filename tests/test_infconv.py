@@ -14,15 +14,21 @@ from devlat import (
     CVaRJump,
     InfConv,
     JumpMeasure,
+    NoiseModel,
     NormCD,
+    RandomVariable,
     Scaled,
+    SharingProblem,
     SolverConfig,
+    TimeGrid,
     Variance,
+    build_lattice,
     eval_driver,
     infconv_split,
     infconv_value,
     proportional_share_factor,
     sharing,
+    solve_sharing,
 )
 
 from oracles import (
@@ -317,7 +323,8 @@ def fixed_share_pairs(draw):
     if kind == "common" or nested:
         bases = st.one_of(
             positive.map(Variance),
-            st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(lambda cd: NormCD(*cd)),
+            st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).filter(any)
+            .map(lambda cd: NormCD(*cd)),
             st.floats(0.05, 1.0).map(CVaRJump),
         )
         base = InfConv(draw(bases), draw(bases)) if nested else draw(bases)
@@ -354,3 +361,24 @@ def test_share_factor_is_the_applied_split(pair, data):
     Z, Zt = infconv_split(g_a, g_b, 0.0, H, Ht, nu)
     assert Z.tobytes() == (f * H).tobytes()
     assert Zt.tobytes() == (f * Ht).tobytes()
+
+
+#: two steps of dt 0.25 under a total intensity of 2, so every ``CVaRJump``
+#: level the pair strategies draw lies inside (0, 2)
+SHARE_LATTICE = build_lattice(TimeGrid.uniform(2, 0.5),
+                              NoiseModel(1, JumpMeasure(((-1.0,), (2.0,)), (0.6, 1.4))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(fixed_share_pairs().map(lambda p: p[:2]), cases().map(lambda c: c[:2])),
+       st.integers(0, 2**32 - 1))
+def test_solution_share_factor_is_the_pair_reading(pair, seed):
+    """``SharingSolution.share_factor``, read from the solve's own split plan,
+    is ``proportional_share_factor`` of the pair, a fraction or None."""
+    g_a, g_b = pair
+    lat, rng = SHARE_LATTICE, np.random.default_rng(seed)
+    x_a, x_b = (RandomVariable(rng.normal(size=lat.num_nodes(2)), 2) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # unbounded pairs overflow
+        sol = solve_sharing(lat, SharingProblem(x_a, x_b, g_a, g_b))
+    assert sol.share_factor == proportional_share_factor(g_a, g_b)

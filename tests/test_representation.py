@@ -23,7 +23,6 @@ from devlat import (
     cond_exp,
     evaluate,
     evaluate_recursive,
-    lift_analytic,
     represent,
     supermartingale_slack,
     terminal_brownian,
@@ -33,7 +32,7 @@ from devlat.lattice import _martingale_levels
 from devlat.representation import _project
 
 from oracles import conditional_mean_by_paths, enumerate_paths, evaluate_recursive_reference, \
-    normal_equations_projector, project_by_normal_equations
+    lift_analytic, normal_equations_projector, project_by_normal_equations
 
 
 def _zero_pair(lat, mean=0.0):

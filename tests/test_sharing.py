@@ -20,7 +20,6 @@ from devlat import (
     assemble,
     build_lattice,
     check_driver,
-    conditional_variance,
     evaluate,
     infconv_split,
     infconv_value,
@@ -34,8 +33,8 @@ import devlat.sharing as sharing
 from devlat.deviation import _accumulate
 from devlat.representation import RepresentingPair
 from devlat.sharing import certificate_gaps
-from oracles import brute_force_min, certificate_gap_by_node, numeric_infconv_value, \
-    residual_check_reference, solve_sharing_per_level
+from oracles import brute_force_min, certificate_gap_by_node, conditional_variance, \
+    numeric_infconv_value, residual_check_reference, solve_sharing_per_level
 
 EMPTY = JumpMeasure.empty()
 NU = JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7))

@@ -23,12 +23,22 @@ No pool job reaches the one-point entry points either, nor a failing
 trip, both CVaR functions, ``infconv_value`` on a closed-form and a numeric
 pair, and ``check_driver`` reports of the built-in kinds and of ``Custom``
 drivers that fail; a differing probe digest counts as a differing pool digest.
+
+Each checkout also runs the CLI on fixed malformed configs and digests each
+run's exit code and stderr (``refusal_digests``): the ``axioms`` budgets, the
+``check-driver`` probe block, a partition without level n and a 401-digit
+integer in each of seven numeric keys. The rows in ``EXIT_3_TO_1`` may go
+from exit 3 (an ``OverflowError`` traceback) to exit 1; any other differing
+refusal digest counts as a differing pool digest.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -166,10 +176,81 @@ def split_digests(devlat) -> dict:
     return digests
 
 
+#: the config every refusal mutates: a two-step jump lattice, two payoffs,
+#: a variance and a scaled driver, and one block per command
+REFUSAL_BASE = {
+    "seed": 7,
+    "lattice": {"grid": {"n": 2, "horizon": 1.0},
+                "noise": {"d": 1, "jumps": {"marks": [-1.0, 2.0], "intensities": [0.25, 0.5]}}},
+    "payoffs": {"X": {"kind": "expression", "expr": "W + C1"},
+                "Y": {"kind": "expression", "expr": "W**2"}},
+    "drivers": {"g": {"kind": "variance", "alpha": 1.0},
+                "gs": {"kind": "scaled", "gamma": 2.0,
+                       "base": {"kind": "variance", "alpha": 1.0}}},
+    "deviation": {"payoff": "X", "driver": "g"},
+    "axioms": {"driver": "g", "payoffs": ["X", "Y"], "mixtures": 5},
+    "law_probe": {"driver": "g", "pairs": [["X", "X"]]},
+    "check_driver": {"driver": "g", "samples": 20},
+}
+
+#: name -> (command, {key path: value}) of each malformed config
+REFUSALS = {
+    "axioms/mixtures-over-max-nodes": ("axioms", {
+        ("lattice", "max_nodes"): 100, ("axioms", "mixtures"): 101}),
+    "axioms/probe-cells-over-64-max-nodes": ("axioms", {
+        ("lattice", "grid", "n"): 6, ("lattice", "noise"): {"d": 1},
+        ("payoffs", "X", "expr"): "W", ("lattice", "max_nodes"): 64,
+        ("axioms", "mixtures"): 62}),
+    "check-driver/wide": ("check-driver", {
+        ("lattice", "noise"): {"d": 1}, ("check_driver", "d"): 100000}),
+    "check-driver/many-samples": ("check-driver", {("check_driver", "samples"): 10 ** 12}),
+    "check-driver/negative-d": ("check-driver", {
+        ("lattice", "noise"): {"d": 1}, ("check_driver", "d"): -1}),
+    "check-driver/origin-only": ("check-driver", {
+        ("lattice", "noise"): {"d": 1}, ("check_driver", "d"): 0}),
+    "check-driver/no-samples": ("check-driver", {
+        ("lattice", "noise"): {"d": 1}, ("check_driver", "samples"): 0}),
+    "deviation/partition-without-n": ("deviation", {("deviation", "partition"): [0, 1]}),
+    "overflow/alpha": ("deviation", {("drivers", "g", "alpha"): 10 ** 400}),
+    "overflow/gamma": ("deviation", {("drivers", "gs", "gamma"): 10 ** 400}),
+    "overflow/horizon": ("build", {("lattice", "grid", "horizon"): 10 ** 400}),
+    "overflow/times": ("build", {("lattice", "grid", "times"): [0.0, 0.5, 10 ** 400]}),
+    "overflow/marks": ("build", {("lattice", "noise", "jumps", "marks"): [-1.0, 10 ** 400]}),
+    "overflow/intensities": ("build", {
+        ("lattice", "noise", "jumps", "intensities"): [0.25, 10 ** 400]}),
+    "overflow/law_tol": ("law-probe", {("law_probe", "law_tol"): 10 ** 400}),
+}
+
+#: refusal rows that may go from exit 3 at the parent to exit 1 at the change
+EXIT_3_TO_1 = {f"refusal/{name}" for name in REFUSALS if name.startswith("overflow/")}
+
+
+def refusal_digests(devlat) -> dict:
+    """``{key: [exit code, sha256 of stderr]}`` of one CLI run per malformed
+    config of ``REFUSALS``, each in a fresh temporary directory."""
+    digests = {}
+    for name, (command, changes) in REFUSALS.items():
+        cfg = copy.deepcopy(REFUSAL_BASE)
+        for path, value in changes.items():
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        with tempfile.TemporaryDirectory(prefix="compare_refusals_") as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = devlat.cli.main([command, "--config", str(config),
+                                        "--out", str(Path(tmp) / "out"), "--quiet"])
+        digests[f"refusal/{name}"] = [code, hashlib.sha256(err.getvalue().encode()).hexdigest()]
+    return digests
+
+
 def collect(checkout: Path) -> dict:
     """``{"digests": {key: digest}, "failures": {key: error}, "splits": {key:
-    digest}}`` of every pool job and numeric split, run in this process from
-    ``checkout``."""
+    digest}, "refusals": {key: [code, digest]}}`` of every pool job, numeric
+    split, probe and refusal, run in this process from ``checkout``."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
     from worker import Runner, setup
@@ -187,7 +268,8 @@ def collect(checkout: Path) -> dict:
                     else:
                         digests[record["key"]] = record["digest"]
     return {"digests": digests, "failures": failures,
-            "splits": {**split_digests(devlat), **probe_digests(devlat)}}
+            "splits": {**split_digests(devlat), **probe_digests(devlat)},
+            "refusals": refusal_digests(devlat)}
 
 
 def run_checkout(checkout: Path) -> dict:
@@ -227,7 +309,20 @@ def main(argv: list[str]) -> int:
         keys = [key for key in splits if key.startswith(prefix)]
         same = sum(key not in split_differ for key in keys)
         print(f"{same}/{len(keys)} {label} digests identical")
-    return 1 if differ or split_differ or failed else 0
+    refusals = sorted(parent["refusals"].keys() | change["refusals"].keys())
+    declared, refusal_differ = [], []
+    for key in refusals:
+        was, now = parent["refusals"].get(key), change["refusals"].get(key)
+        if was == now:
+            continue
+        if key in EXIT_3_TO_1 and was and now and (was[0], now[0]) == (3, 1):
+            declared.append(key)
+        else:
+            refusal_differ.append(key)
+            print(f"DIFFERS {key}")
+    print(f"{len(refusals) - len(refusal_differ) - len(declared)}/{len(refusals)} refusal "
+          f"digests identical, {len(declared)} declared exit 3 -> 1")
+    return 1 if differ or split_differ or refusal_differ or failed else 0
 
 
 if __name__ == "__main__":
