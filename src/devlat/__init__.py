@@ -17,7 +17,6 @@ from .lattice import (
     RandomVariable,
     TimeGrid,
     build_lattice,
-    cond_exp,
     finite_number,
     law,
     law_distance,
@@ -67,14 +66,11 @@ from .optim import (
     minimize,
 )
 from .sharing import (
-    ResidualRiskReport,
     SharingProblem,
     SharingSolution,
     infconv_split,
     infconv_value,
     proportional_share_factor,
-    proportional_transfer,
-    residual_check,
     solve_sharing,
 )
 

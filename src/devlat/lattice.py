@@ -26,7 +26,6 @@ __all__ = [
     "build_lattice",
     "finite_number",
     "martingale",
-    "cond_exp",
     "law",
     "law_distance",
     "permute_paths",
@@ -484,20 +483,6 @@ def _martingale_levels(lat: Lattice, values: np.ndarray, level: int, lo: int = 0
     for i in range(level - 1, lo - 1, -1):
         vals[i] = lat.expect(i, vals[i + 1])
     return tuple(vals)
-
-
-def cond_exp(lat: Lattice, x: RandomVariable, level: int) -> AdaptedProcess:
-    """Adapted process of E[x | F_level].
-
-    Backward probability-weighted averaging below ``level``; subtree-constant
-    broadcast above it. Feeding the result's ``as_random_variable()`` back in
-    repeats the identical backward arithmetic, so the tower property holds
-    bit-exactly.
-    """
-    lat._check_level(level)
-    cut = min(level, x.level)
-    return AdaptedProcess(_martingale_levels(lat, martingale(lat, x).at(cut), cut),
-                          measurable_level=cut)
 
 
 # -- laws ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .lattice import finite_number
+
 __all__ = [
     "SolverConfig",
     "NumericError",
@@ -45,13 +47,16 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
                     or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
-        for name, strict in (("tolerance", True), ("attain_tolerance", False),
-                             ("residual_tolerance", False)):
+                raise ValueError(f"{name!r} must be an integer >= {low}")
+        # each tolerance by the one rule for a number read from JSON; the
+        # residual threshold may also be +inf, its default
+        for name, strict, kind in (("tolerance", True, "a finite number > 0"),
+                                   ("attain_tolerance", False, "a finite number >= 0"),
+                                   ("residual_tolerance", False, "a number >= 0 or Infinity")):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not (value > 0 if strict else value >= 0):
-                raise ValueError(f"{name} must be a number {'>' if strict else '>='} 0")
+            number = finite_number(value) or (name == "residual_tolerance" and value == math.inf)
+            if not number or not (value > 0 if strict else value >= 0):
+                raise ValueError(f"{name!r} must be {kind}")
 
 
 @dataclass(frozen=True)

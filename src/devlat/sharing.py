@@ -27,21 +27,18 @@ import numpy as np
 from .deviation import _accumulate, _levels
 from .drivers import (CVaRJump, DriverSpec, InfConv, NormCD, Scaled, Variance, _as_vec,
                       _jump_vec, _row_times)
-from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable, _check_positive
+from .lattice import AdaptedProcess, JumpMeasure, Lattice, RandomVariable
 from .optim import NumericError, SolverConfig, _better, minimize
 from .representation import RepresentingPair, assemble, represent
 
 __all__ = [
     "SharingProblem",
     "SharingSolution",
-    "ResidualRiskReport",
     "infconv_split",
     "infconv_value",
     "certificate_gaps",
     "solve_sharing",
     "proportional_share_factor",
-    "proportional_transfer",
-    "residual_check",
 ]
 
 
@@ -86,7 +83,6 @@ class SharingSolution:
     d0_b: float
     max_residual: float
     total_pair: RepresentingPair
-    jumps: JumpMeasure
 
 
 # -- one normal form: a pair as owner-tagged scaled atoms ---------------------------
@@ -440,90 +436,5 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
         d0_b=d0_b,
         max_residual=max_res,
         total_pair=pair,
-        jumps=nu,
     )
 
-
-def proportional_transfer(gamma_a: float, gamma_b: float, x_a: RandomVariable,
-                          x_b: RandomVariable) -> RandomVariable:
-    """Closed-form transfer for common-base scaled drivers:
-    gamma_b/(gamma_a+gamma_b) * x_a - gamma_a/(gamma_a+gamma_b) * x_b."""
-    _check_positive("risk tolerances", gamma_a, gamma_b)
-    total = gamma_a + gamma_b
-    return (gamma_b / total) * x_a - (gamma_a / total) * x_b
-
-
-@dataclass(frozen=True)
-class ResidualRiskReport:
-    """Corner structure of the optimal splits versus origin-smoothness of the
-    drivers. When either driver is differentiable at the origin and the total
-    position is nonconstant, an interior split must exist somewhere."""
-
-    skipped: bool
-    smooth_a: bool
-    smooth_b: bool
-    premise_met: bool
-    interior_node_exists: bool
-    corner_share_nodes: int
-    corner_complement_nodes: int
-    min_share_norm: float
-    min_complement_norm: float
-    nodes_checked: int
-    passed: bool
-    note: str = ""
-
-
-def _smooth_at_origin(driver: DriverSpec, d: int, nu: JumpMeasure) -> bool:
-    """Shrinking finite differences decide whether the subgradient at the
-    origin is the singleton {0} (all one-sided slopes vanish in the limit).
-    Every probe, ``±eps`` along each coordinate for three ``eps``, goes
-    through one ``value_batch`` call."""
-    dims = d + nu.m
-    eps = np.array([1e-4, 1e-5, 1e-6])
-    steps = np.vstack([np.eye(dims), -np.eye(dims)])
-    probes = (eps[:, None, None] * steps).reshape(-1, dims)
-    values = driver.value_batch(0.0, probes[:, :d], probes[:, d:], nu)
-    ratios = np.max(np.abs(values).reshape(len(eps), -1), axis=1, initial=0.0) / eps
-    return bool(ratios[-1] <= 1e-4 and ratios[-1] <= 0.5 * ratios[0] + 1e-12)
-
-
-def residual_check(sol: SharingSolution, prob: SharingProblem,
-                   margin: float = 1e-8) -> ResidualRiskReport:
-    """Check that no agent with an origin-smooth driver is stripped of all risk.
-
-    Classifies the split of every node with a nonzero total integrand as a
-    corner (all risk to one side, within ``margin``) or interior, for all
-    levels at once.
-    """
-    pair = sol.total_pair
-    nu = sol.jumps
-    d = pair.H[0].shape[1]
-    full = np.vstack([np.hstack(blocks) for blocks in zip(pair.H, pair.Htilde)])
-    if np.max(np.abs(full), initial=0.0) <= 1e-12:
-        return ResidualRiskReport(True, False, False, False, False, 0, 0,
-                                  math.inf, math.inf, 0, True,
-                                  "total position constant; nothing to share")
-
-    smooth_a = _smooth_at_origin(prob.driver_a, d, nu)
-    smooth_b = _smooth_at_origin(prob.driver_b, d, nu)
-    premise = smooth_a or smooth_b
-
-    z = np.vstack([np.hstack(blocks) for blocks in zip(sol.argmin_H, sol.argmin_Ht)])
-    total, share, comp = np.linalg.norm(np.stack([full, z, full - z]), axis=2)
-    live = total > 1e-9
-    share, comp = share[live], comp[live]
-    corner_share = share <= margin
-    corner_comp = ~corner_share & (comp <= margin)
-    interior = bool(np.any(~corner_share & ~corner_comp))
-
-    if not premise:
-        note = "no driver is differentiable at the origin; corners permitted"
-        passed = True
-    else:
-        passed = interior
-        note = "" if interior else "origin-smooth driver but only corner splits found"
-    return ResidualRiskReport(False, smooth_a, smooth_b, premise, interior,
-                              int(corner_share.sum()), int(corner_comp.sum()),
-                              float(share.min(initial=math.inf)),
-                              float(comp.min(initial=math.inf)),
-                              int(live.sum()), passed, note)

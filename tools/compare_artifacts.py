@@ -27,9 +27,10 @@ drivers that fail; a differing probe digest counts as a differing pool digest.
 Each checkout also runs the CLI on fixed malformed configs and digests each
 run's exit code and stderr (``refusal_digests``): the ``axioms`` budgets, the
 ``check-driver`` probe block, a partition without level n and a 401-digit
-integer in each of seven numeric keys. The rows in ``EXIT_3_TO_1`` may go
-from exit 3 (an ``OverflowError`` traceback) to exit 1; any other differing
-refusal digest counts as a differing pool digest.
+integer in each of seven numeric keys and, beside a numeric share pair, in
+each of the solver's three tolerances. The rows of ``EXIT_CHANGES`` may go
+from their declared exit at the parent to their declared exit at the change;
+any other differing refusal digest counts as a differing pool digest.
 """
 
 from __future__ import annotations
@@ -219,10 +220,25 @@ REFUSALS = {
     "overflow/intensities": ("build", {
         ("lattice", "noise", "jumps", "intensities"): [0.25, 10 ** 400]}),
     "overflow/law_tol": ("law-probe", {("law_probe", "law_tol"): 10 ** 400}),
+    # a share whose every node takes the numeric split, cvar_jump(0.4) against
+    # gs, under a budget too small to attain the optimum (exit 2 at the parent)
+    **{f"overflow/{key}": ("share", {
+        ("drivers", "gc"): {"kind": "cvar_jump", "a": 0.4},
+        ("share",): {"payoff_a": "X", "payoff_b": "Y", "driver_a": "gc", "driver_b": "gs"},
+        ("solver",): {"max_iterations": 30, "stall_window": 10, "polish_iterations": 5,
+                      key: 10 ** 400}})
+       for key in ("tolerance", "attain_tolerance", "residual_tolerance")},
 }
 
-#: refusal rows that may go from exit 3 at the parent to exit 1 at the change
-EXIT_3_TO_1 = {f"refusal/{name}" for name in REFUSALS if name.startswith("overflow/")}
+#: refusal rows whose exit code changes on purpose: (exit at the parent,
+#: exit at the change); a 401-digit integer was once an ``OverflowError``
+#: traceback (exit 3) or, in a tolerance, a number the solve compared
+EXIT_CHANGES = {
+    **{f"refusal/overflow/{key}": (3, 1) for key in (
+        "alpha", "gamma", "horizon", "times", "marks", "intensities", "law_tol", "tolerance")},
+    "refusal/overflow/attain_tolerance": (0, 1),
+    "refusal/overflow/residual_tolerance": (2, 1),
+}
 
 
 def refusal_digests(devlat) -> dict:
@@ -315,13 +331,13 @@ def main(argv: list[str]) -> int:
         was, now = parent["refusals"].get(key), change["refusals"].get(key)
         if was == now:
             continue
-        if key in EXIT_3_TO_1 and was and now and (was[0], now[0]) == (3, 1):
+        if was and now and EXIT_CHANGES.get(key) == (was[0], now[0]):
             declared.append(key)
         else:
             refusal_differ.append(key)
             print(f"DIFFERS {key}")
     print(f"{len(refusals) - len(refusal_differ) - len(declared)}/{len(refusals)} refusal "
-          f"digests identical, {len(declared)} declared exit 3 -> 1")
+          f"digests identical, {len(declared)} declared exit changes")
     return 1 if differ or split_differ or refusal_differ or failed else 0
 
 
