@@ -47,10 +47,16 @@ def _accumulate(lat: Lattice, node_values, lo: int = 0) -> tuple:
     """Backward sum of per-node values times dt, zero at the last level: each
     node holds the conditional expectation of its children's sums plus its
     own value * dt; levels ``lo..hi`` from the values of steps ``lo..hi-1``,
-    where ``hi = lo + len(node_values)`` (the horizon by default)."""
+    where ``hi = lo + len(node_values)`` (the horizon by default). Level
+    ``hi - 1`` is its own values times dt; ``+ 0.0`` turns a -0.0 into +0.0,
+    as adding the expectation of the zero level would. The values may hold
+    several payoffs side by side."""
     hi = lo + len(node_values)
-    vals = [None] * hi + [lat.spread(np.zeros(len(node_values[-1])))]
-    for i in range(hi - 1, lo - 1, -1):
+    last = node_values[-1]
+    payoffs = len(last) // lat.num_nodes(hi - 1)
+    vals = [None] * (hi - 1) + [last * lat.step_dt(hi - 1) + 0.0,
+                                np.zeros(payoffs * lat.num_nodes(hi))]
+    for i in range(hi - 2, lo - 1, -1):
         vals[i] = lat.expect(i, vals[i + 1]) + node_values[i - lo] * lat.step_dt(i)
     return tuple(vals)
 

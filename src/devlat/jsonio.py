@@ -7,12 +7,15 @@ identical inputs produce byte-identical artifacts. The JSON layout is that of
 ``csv.writer`` (comma-separated, ``\\r\\n`` line ends).
 
 Each artifact (all ``ColumnTable``s of one ``canonical_json`` call, or one
-CSV) is one ``_fold`` and one ``"".join``: each literal of a row is joined to
-the cell before it once per distinct text, not once per row, so a row costs
-one str per variable column, and tables of one row layout are folded as one.
-The float cells share one dedup by bit pattern; the row numbers with the
-literal after them, and each CSV row's ``level,node,`` text, are formatted
-once per process. ``write_artifacts`` writes them all, 64 KiB at a time.
+CSV) is rendered by ``_fill`` from a text skeleton of its tables: every
+literal, every int text and each CSV row's ``level,node,`` text in row order,
+each literal joined to the cell before it, with a slot for each float cell.
+The first render of a layout (its literals and column kinds, row counts and
+int columns' bytes) builds the skeleton, and later renders reuse it; at most
+``_SKELETON_CAP`` are kept. A render forms only its float cells: one sort of
+their bit patterns, one ``float.__repr__`` per distinct pattern, joined once
+to each literal that follows it, then one ``"".join``. ``write_artifacts``
+writes the texts, 64 KiB at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import errno
 import math
 import os
 import stat
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -48,13 +51,18 @@ _NON_FINITE = "non-finite float in JSON payload"
 
 #: per suffix, or per (prefix, suffix) with a prefix, the texts of the row
 #: numbers 0, 1, ... each between that prefix and suffix, read-only; each grown
-#: to the largest number asked for with them and shared by every later artifact
+#: to the largest number asked for with them and shared by every later skeleton
 _ROW_TEXTS: dict = {}
 #: the text of each row number to its number, for the payoff reader; grown in
 #: order to the most leaves read, so its first keys are the texts of 0, 1, ...
 _ROW_NUMBERS: dict = {}
 #: the texts of no rows, the table of a prefix and suffix not yet asked for
 _NO_TEXTS = np.empty(0, dtype=object)
+#: the most artifact layouts whose skeletons are kept; a new one past it
+#: drops the oldest
+_SKELETON_CAP = 8
+#: each layout key of ``_fill`` to its ``_skeleton``, oldest first
+_SKELETONS: dict = {}
 #: the characters ``_write_file`` encodes and writes at once
 _CHUNK = 1 << 16
 
@@ -65,8 +73,8 @@ def _row_texts(rows: int, suffix: str, prefix: str = "") -> np.ndarray:
     key = (prefix, suffix) if prefix else suffix
     table = _ROW_TEXTS.get(key, _NO_TEXTS)
     if len(table) < rows:
-        table = np.array([*table, *(prefix + int.__repr__(k) + suffix
-                                    for k in range(len(table), rows))], dtype=object)
+        table = np.array([*table, *[f"{prefix}{k}{suffix}" for k in range(len(table), rows)]],
+                         dtype=object)
         table.flags.writeable = False
         _ROW_TEXTS[key] = table
     return table[:rows]
@@ -78,31 +86,27 @@ def _int_texts(col: np.ndarray, suffix: str) -> np.ndarray:
     length (row numbers)."""
     top = int(col.max())
     if col.min() < 0 or top >= len(col):
-        return np.array([int.__repr__(k) + suffix for k in col.tolist()], dtype=object)
+        return np.array([f"{k}{suffix}" for k in col.tolist()], dtype=object)
     return _row_texts(top + 1, suffix)[col]
 
 
-def _fold(tables: list, finite: bool = False) -> list[list]:
-    """The text of each ``(n, pieces)`` of ``tables`` as strs to join: ``n``
-    rows, each the concatenation of ``pieces``, where a str is a literal in
-    every row and an (n,) int, float or object array holds each row's cell
-    (an object array holds its cells' texts, used as they are, so no literal
-    may follow it).
+def _skeleton(tables: list) -> tuple:
+    """The skeleton of ``tables`` (as ``_fill`` takes them): ``(texts, gaps,
+    columns, suffix_of, suffixes)``. ``texts`` is every fixed text in order,
+    with None in the gap before each table, the gap after the last and each
+    float slot; ``gaps`` indexes the gaps. ``columns`` holds each float
+    column's ``(slots, start, stop)``: the slice of ``texts`` that float cells
+    ``start..stop-1`` fill. Float cell ``i`` is followed by
+    ``suffixes[suffix_of[i]]`` (an object array of the distinct literals).
 
-    Each literal is folded into the cell before it, and the literal a row
-    starts with (its lead) into the previous row's last cell; so a row costs
-    one str per array, and each literal is joined once per distinct text, not
-    once per row. Tables of one layout (one lead, and one kind and literal
-    after each cell) are stacked into one, whose rows are cut back into the
-    tables at the end; a table of no rows, or of literals only, stands alone.
-    The float cells of all ``tables`` share one dedup by bit pattern (``-0.0``
-    and each NaN keep their own text): each pattern is formatted once and
-    joined once to each literal that follows it; int cells come from
-    ``_int_texts``. A table of rows starts with its lead; a table of none is
-    ``[]``. With ``finite``, a NaN or infinity raises ``ValueError``.
-    """
-    rotated, layouts = [], {}  # each layout to the tables that have it
-    for at, (n, pieces) in enumerate(tables):
+    Each literal of a row is joined to the cell before it, and the literals a
+    row starts with, after the separator, to the previous row's last cell; a
+    table's first literals stand alone. So a row holds one text per cell: an
+    int cell's from ``_int_texts`` or ``_row_texts``, a float cell's a slot.
+    A table of no rows has no text, one of literals only one text."""
+    texts, gaps, columns, suffix_of, suffixes = [None], [0], [], [], {}
+    floats = 0  # the float cells so far
+    for n, sep, pieces in tables:
         lead, cells = "", []
         for p in pieces if n else ():
             if isinstance(p, str):
@@ -112,59 +116,96 @@ def _fold(tables: list, finite: bool = False) -> list[list]:
                     lead += p
             else:
                 cells.append([p, ""])
-        if cells:
-            cells[-1][1] += lead
-            layouts.setdefault((lead, *((c.dtype.kind, s) for c, s in cells)), []).append(at)
-        rotated.append((n, lead, cells))
-    stacked, floats = [], []
-    for members in layouts.values():
-        _, lead, cells = rotated[members[0]]
-        if len(members) > 1:
-            cells = [[np.concatenate([rotated[at][2][j][0] for at in members]), suffix]
-                     for j, (_, suffix) in enumerate(cells)]
-        stacked.append((lead, cells))
-        for cell in cells:
-            kind = cell[0].dtype.kind
-            if kind == "f":
-                floats.append(cell)
-            elif kind != "O":
-                cell[0] = _int_texts(*cell)
-    bits = np.concatenate([np.empty(0), *(c for c, _ in floats)],
-                          dtype=np.float64).view(np.uint64)
-    patterns, inverse = np.unique(bits, return_inverse=True)
-    if finite and not np.isfinite(patterns.view(np.float64)).all():
-        raise ValueError(_NON_FINITE)
-    reprs = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
-                     dtype=object)
-    ends = [*accumulate(c.size for c, _ in floats)]
-    inverses = [inverse[start:end] for start, end in zip([0, *ends], ends)]
-    used: dict = {}  # each suffix to the patterns it follows
-    for (_, suffix), at in zip(floats, inverses):
-        if suffix not in used:
-            used[suffix] = np.zeros(len(reprs), dtype=bool)
-        used[suffix][at] = True
-    texts = {}
-    for suffix, mask in used.items():
-        texts[suffix] = np.empty(len(reprs), dtype=object)
-        texts[suffix][mask] = reprs[mask] + suffix
-    for cell, at in zip(floats, inverses):
-        cell[0] = texts[cell[1]][at]
-    out = [[lead * n] if n else [] for n, lead, _ in rotated]  # literals only, or no rows
-    for (lead, cells), members in zip(stacked, layouts.values()):
-        k = len(cells)
-        flat = np.empty(1 + len(cells[0][0]) * k, dtype=object)
-        grid = flat[1:].reshape(-1, k)
-        for j, (cell, _) in enumerate(cells):
-            grid[:, j] = cell
-        flat = flat.tolist()
-        start = 0
-        for at in members:
-            end = start + rotated[at][0] * k
-            text = flat[start:end + 1]  # the row before's last cell, then the rows
-            text[0] = lead
-            text[-1] = text[-1][:len(text[-1]) - len(lead)]  # the last row has no next
-            out[at] = text
-            start = end
+        if not cells:
+            texts += [sep.join(repeat(lead, n))] if n else []
+        else:
+            last = cells[-1][1]  # the last row's last literal: no row follows
+            cells[-1][1] += sep + lead
+            k, at = len(cells), len(texts) + 1
+            rows = [None] * (n * k)
+            for j, (cell, suffix) in enumerate(cells):
+                if isinstance(cell, tuple):
+                    rows[j::k] = _row_texts(n, suffix, *cell).tolist()
+                elif cell.dtype.kind != "f":
+                    rows[j::k] = _int_texts(cell, suffix).tolist()
+                else:
+                    columns.append((slice(at + j, at + n * k, k), floats, floats + n))
+                    floats += n
+                    suffix_of.append(np.full(n, suffixes.setdefault(suffix, len(suffixes))))
+                    if j == k - 1:
+                        suffix_of[-1][-1] = suffixes.setdefault(last, len(suffixes))
+            if rows[-1] is not None:  # an int cell ends the row
+                rows[-1] = rows[-1][:len(rows[-1]) - len(sep + lead)]
+            texts += [lead, *rows]
+        gaps.append(len(texts))
+        texts.append(None)
+    return (texts, gaps, columns, np.concatenate([np.empty(0, dtype=np.intp), *suffix_of]),
+            np.array([*suffixes], dtype=object))
+
+
+def _fill(gaps: list, tables: list, finite: bool = False) -> list[str]:
+    """The strs to join for ``gaps[0]``, the text of the first of ``tables``,
+    ``gaps[1]`` and so on to ``gaps[-1]``. Each ``(n, sep, pieces)`` of
+    ``tables`` is ``n`` rows joined by ``sep``, each row the concatenation of
+    ``pieces``: a str is a literal in every row, a 1-tuple ``(prefix,)`` each
+    row's number after ``prefix``, and an (n,) int or float array each row's
+    cell. The caller joins the strs once this call's temporaries are freed:
+    with the artifact's one large allocation made above them in the heap,
+    glibc's malloc handed that memory back to the OS after every render and
+    faulted it in again at the next (112 minor faults per ``dev-wide`` job,
+    glibc 2.36).
+
+    The tables' ``_skeleton`` is kept in ``_SKELETONS`` under their layout
+    (each table's row count, separator, literals and row-number prefixes,
+    with None for each array; then the arrays' dtypes) and the bytes of
+    their int columns. A render fills its float slots: the cells' bit
+    patterns are sorted once and deduplicated (``-0.0`` and each NaN keep
+    their own text), and each pattern is formatted once and joined once to
+    each literal that follows it. With ``finite``, a NaN or infinity raises
+    ``ValueError``.
+    """
+    layout, dtypes, ints, floats = [], [], [], []
+    for n, sep, pieces in tables:
+        row = [n, sep]
+        for p in pieces:
+            if isinstance(p, np.ndarray):
+                row.append(None)
+                dtypes.append(p.dtype)
+                (floats if p.dtype.kind == "f" else ints).append(p)
+            else:
+                row.append(p)
+        layout.append(tuple(row))
+    key = (*layout, *dtypes, b"".join([c.tobytes() for c in ints]))
+    skeleton = _SKELETONS.get(key)
+    if skeleton is None:
+        if len(_SKELETONS) >= _SKELETON_CAP:
+            _SKELETONS.pop(next(iter(_SKELETONS)), None)
+        skeleton = _SKELETONS[key] = _skeleton(tables)
+    texts, at_gaps, columns, suffix_of, suffixes = skeleton
+    out = texts.copy()
+    for at, text in zip(at_gaps, gaps):
+        out[at] = text
+    bits = np.concatenate([np.empty(0), *floats], dtype=np.float64).view(np.uint64)
+    if len(bits):
+        ordered = np.sort(bits)
+        first = np.empty(len(bits), dtype=bool)  # the first of each run of one pattern
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        patterns = ordered[first]
+        if finite and not np.isfinite(patterns.view(np.float64)).all():
+            raise ValueError(_NON_FINITE)
+        # each cell's suffix and pattern as one code: suffix * patterns + pattern
+        codes = suffix_of * len(patterns) + np.searchsorted(patterns, bits)
+        used = np.zeros(len(suffixes) * len(patterns), dtype=bool)
+        used[codes] = True
+        suffix, pattern = np.divmod(np.flatnonzero(used), len(patterns))
+        reprs = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
+                         dtype=object)
+        joined = np.empty(len(used), dtype=object)
+        joined[used] = reprs[pattern] + suffixes[suffix]
+        cells = joined[codes].tolist()
+        for slots, start, stop in columns:
+            out[slots] = cells[start:stop]
     return out
 
 
@@ -174,7 +215,7 @@ class ColumnTable:
     ``columns`` maps each key to an (n,) array (a scalar per row) or an
     (n, k) array (a list of k per row). Integer columns print as ints, float
     columns as ``float.__repr__``. ``canonical_json`` renders it exactly as it
-    would the equivalent list of dicts, as part of its artifact's ``_fold``.
+    would the equivalent list of dicts, as one of its artifact's ``_fill`` tables.
     """
 
     def __init__(self, columns: dict):
@@ -187,10 +228,10 @@ class ColumnTable:
         self.n = shapes.pop()
 
     def _pieces(self, nl: str) -> list:
-        """One row of the table's JSON as ``_fold`` pieces, starting with the
-        comma that separates it from the row before; ``nl`` as in ``_render``."""
+        """One row of the table's JSON as ``_fill`` pieces; ``nl`` as in
+        ``_render``."""
         row_nl, cell_nl, item_nl = nl + "  ", nl + "    ", nl + "      "
-        pieces: list = ["," + row_nl + "{"]
+        pieces: list = [row_nl + "{"]
         for at, key in enumerate(sorted(self.columns)):
             col = self.columns[key]
             pieces.append("," * (at > 0) + cell_nl + encode_basestring_ascii(key) + ": ")
@@ -266,7 +307,7 @@ def canonical_json(obj) -> str:
 
     Accepts dicts (keys are stringified), lists, tuples, numpy arrays and
     scalars, strings, bools, None and ``ColumnTable``s; a NaN or infinity
-    raises ``ValueError``. All tables of ``obj`` form one text table.
+    raises ``ValueError``. The tables of ``obj`` are rendered by one ``_fill``.
     """
     out: list = []
     _render(obj, "\n", out)
@@ -277,31 +318,23 @@ def canonical_json(obj) -> str:
     if bad := [c.dtype for t, _ in tables for c in t.columns.values()
                if c.dtype.kind not in "iuf"]:
         raise TypeError(f"cannot serialise a {bad[0]} column")
-    texts, parts = iter(_fold([(t.n, t._pieces(nl)) for t, nl in tables], finite=True)), []
+    gaps, run, rows = [], [], []  # the texts between the tables of rows
     for item in out:
         if isinstance(item, str):
-            parts.append(item)
-        elif text := next(texts):
-            text[0] = "[" + text[0][1:]  # the first row follows no other
-            parts += text
-            parts.append(item[1] + "]")
+            run.append(item)
+        elif item[0].n:
+            gaps.append("".join([*run, "["]))
+            run = [item[1] + "]"]
+            rows.append((item[0].n, ",", item[0]._pieces(item[1])))
         else:
-            parts.append("[]")
-    return "".join(parts)
+            run.append("[]")
+    return "".join(_fill([*gaps, "".join(run)], rows, finite=True))
 
 
-def _csv(header: list[str], first: np.ndarray, columns: list) -> str:
-    """CSV text (a default ``csv.writer``'s bytes, ``repr(float)`` cells) with
-    ``header`` and one row per text of ``first``, each row's leading cells
-    and the comma after them (or its ``\r\n``, if ``columns`` is empty),
-    then a cell of each (n,) float array of ``columns``."""
-    pieces = [first]
-    for col in columns:
-        pieces += [col, ","]
-    if columns:
-        pieces[-1] = "\r\n"
-    (rows,) = _fold([(len(first), pieces)])
-    return "".join([",".join(header) + "\r\n", *rows])
+def _csv(header: list[str], tables: list) -> str:
+    """CSV text (a default ``csv.writer``'s bytes, ``repr(float)`` cells):
+    ``header``, then the rows of ``tables`` as ``_fill`` takes them."""
+    return "".join(_fill([",".join(header) + "\r\n", *repeat("", len(tables))], tables))
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
@@ -351,21 +384,22 @@ def pair_to_dict(pair: RepresentingPair) -> dict:
 def process_csv(values_per_level, columns=("value",)) -> str:
     """Per-node dump with header level,node,<columns>: one row per node, in
     level then node order. Each level's values are (nodes,) for one column,
-    or (nodes, len(columns)). Each row's ``level,node,`` text comes from one
-    ``_row_texts`` table per level."""
-    values = [np.asarray(vals, dtype=float).reshape(len(vals), len(columns))
-              for vals in values_per_level]
-    end = "," if columns else "\r\n"
-    first = np.concatenate([_NO_TEXTS, *(_row_texts(len(v), end, f"{i},")
-                                         for i, v in enumerate(values))])
-    cells = np.concatenate([np.empty((0, len(columns))), *values])
-    return _csv(["level", "node", *columns], first, [*cells.T])
+    or (nodes, len(columns)). Each level is one table, whose rows start with
+    their ``level,node,`` text."""
+    tables = []
+    for i, vals in enumerate(values_per_level):
+        cells = np.asarray(vals, dtype=float).reshape(len(vals), len(columns))
+        pieces: list = [(f"{i},",)]
+        for col in cells.T:
+            pieces += [",", col]
+        tables.append((len(cells), "", [*pieces, "\r\n"]))
+    return _csv(["level", "node", *columns], tables)
 
 
 def payoff_csv(x: RandomVariable) -> str:
     """Terminal payoff dump with header leaf,value."""
     values = np.asarray(x.values, dtype=float)
-    return _csv(["leaf", "value"], _row_texts(len(values), ","), [values])
+    return _csv(["leaf", "value"], [(len(values), "", [("",), ",", values, "\r\n"])])
 
 
 def _write_file(path, text: str) -> None:

@@ -8,8 +8,8 @@ so does the numeric inf-convolution of a pair as given, the reference for the
 closed-form splits. The artifact references at the end are the
 node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
-batched quantiles, laws, permutations, driver checks, block recursion and axiom
-probes replace, and the level-by-level loop that the stacked sharing solve
+batched quantiles, laws, permutations, driver checks, backward sum, block
+recursion and axiom probes replace, and the level-by-level loop that the stacked sharing solve
 replaces. Last come the former library helpers that only the tests call,
 the residual-risk check of criterion 09 among them.
 """
@@ -711,6 +711,18 @@ def check_driver_reference(spec, nu, sample_count=200, seed=0, d=1):
         subgradient_consistency=subgrad,
         samples_used=len(pts),
     )
+
+
+def accumulate_reference(lat, node_values, lo=0):
+    """``deviation._accumulate`` from a zero level: levels ``lo..hi`` of the
+    backward sum of the values of steps ``lo..hi-1`` times dt, level ``hi``
+    zeros spread from the last step's nodes, each level the expectation of
+    the one after it plus its own values times dt."""
+    hi = lo + len(node_values)
+    vals = [None] * hi + [lat.spread(np.zeros(len(node_values[-1])))]
+    for i in range(hi - 1, lo - 1, -1):
+        vals[i] = lat.expect(i, vals[i + 1]) + node_values[i - lo] * lat.step_dt(i)
+    return tuple(vals)
 
 
 def evaluate_recursive_reference(lat, driver, pair, partition):

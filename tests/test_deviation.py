@@ -33,8 +33,8 @@ from devlat.deviation import AxiomReport, LawMismatchError
 from devlat.drivers import CheckOutcome, ValidityReport
 from devlat.representation import RepresentingPair
 
-from oracles import conditional_variance, conditional_variance_by_paths, constancy_spread, \
-    utility
+from oracles import accumulate_reference, conditional_variance, \
+    conditional_variance_by_paths, constancy_spread, utility
 
 
 def _zero_pair(lat, mean=0.0):
@@ -136,6 +136,24 @@ def test_block_recursion_takes_the_driver_at_the_origin_in_one_call(jump_lattice
     assert len(calls) == 4 + 1 and calls.count((1, 4)) == 1
     want = evaluate_recursive(jump_lattice, Variance(1.3), pair, [0, 1, 3, 4])
     assert all(np.array_equal(rec.at(i), want.at(i)) for i in range(5))
+
+
+@pytest.mark.parametrize("payoffs", [1, 3])
+@pytest.mark.parametrize("lo, hi", [(0, 4), (2, 4), (0, 3), (1, 2), (3, 4)])
+def test_accumulate_matches_the_sum_from_a_zero_level_bit_for_bit(jump_lattice, rng,
+                                                                  payoffs, lo, hi):
+    """Starting at the last step keeps every bit of the sum from a zero level,
+    for one payoff or several side by side, on windows that end before the
+    horizon too: a -0.0 among the last step's values still reads +0.0."""
+    values = [rng.normal(size=payoffs * jump_lattice.num_nodes(i)) for i in range(lo, hi)]
+    values[-1][::3] = -0.0
+    values[0][0] = -0.0
+    got = deviation._accumulate(jump_lattice, values, lo)
+    want = accumulate_reference(jump_lattice, values, lo)
+    assert got[:lo] == want[:lo] == (None,) * lo and len(got) == len(want) == hi + 1
+    for a, b in zip(got[lo:], want[lo:]):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert not np.signbit(got[hi - 1][::3]).any()
 
 
 def test_recursion_gap_is_the_normal_partition_and_the_largest_level_gap(jump_lattice, rng):

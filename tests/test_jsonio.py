@@ -777,7 +777,7 @@ def test_the_write_guard_sees_every_write(source, writes):
     assert bool(_writes(ast.parse(source))) == writes
 
 
-def test_row_texts_are_shared_across_artifacts_of_any_length(tmp_path, monkeypatch):
+def test_row_texts_are_shared_across_artifacts_of_any_length(tmp_path, monkeypatch, skeletons):
     """The row-number texts grow to the longest artifact and are sliced for
     shorter ones: every artifact in a long, short, long sequence keeps its
     reference bytes, and the shared texts are read-only."""
@@ -800,7 +800,8 @@ def test_row_texts_are_shared_across_artifacts_of_any_length(tmp_path, monkeypat
         jsonio._ROW_TEXTS[","][0] = "1"
 
 
-def test_row_texts_per_suffix_hold_across_suffixes_and_indentation(tmp_path, monkeypatch):
+def test_row_texts_per_suffix_hold_across_suffixes_and_indentation(tmp_path, monkeypatch,
+                                                                   skeletons):
     """Row numbers between different literals come from one table per
     literal, or per prefix and literal: CSV rows (one table per level), one
     table at two indentations (its row numbers, and its last int column, each
@@ -837,6 +838,106 @@ def test_row_texts_per_suffix_hold_across_suffixes_and_indentation(tmp_path, mon
     for table in jsonio._ROW_TEXTS.values():
         with pytest.raises(ValueError, match="read-only"):
             table[0] = "1"
+
+
+# -- one skeleton per layout, key and cap ---------------------------------------------
+
+
+@pytest.fixture
+def skeletons(monkeypatch):
+    """An empty skeleton cache for the test; returned to read it."""
+    cache: dict = {}
+    monkeypatch.setattr(jsonio, "_SKELETONS", cache)
+    return cache
+
+
+def _artifacts(lat, rng, tmp):
+    """The four per-node artifacts of ``lat`` and their reference texts,
+    filled with values drawn from ``rng``; the references are written in
+    ``tmp``."""
+    d, m = lat.noise.d, lat.noise.jumps.m
+    levels = [lat.num_nodes(i) for i in range(lat.n_steps + 1)]
+    steps = levels[:-1]
+    pair = RepresentingPair(float(rng.normal()), tuple(rng.normal(size=(k, d)) for k in steps),
+                            tuple(rng.normal(size=(k, m)) for k in steps),
+                            tuple(rng.normal(size=k) for k in steps))
+    values, leaves = [rng.normal(size=k) for k in levels], rng.normal(size=levels[-1])
+    got = [canonical_json(pair_to_dict(pair)), canonical_json(lattice_to_dict(lat)),
+           process_csv(values), payoff_csv(RandomVariable(leaves, lat.n_steps))]
+    want = [canonical_json_reference(pair_to_dict_reference(pair)),
+            canonical_json_reference(lattice_to_dict_reference(lat))]
+    process_csv_reference(tmp / "process.csv", values)
+    payoff_csv_reference(tmp / "payoff.csv", leaves)
+    want += [(tmp / name).read_bytes().decode() for name in ("process.csv", "payoff.csv")]
+    return got, want
+
+
+def test_lattices_of_one_layout_in_turn_keep_their_bytes(skeletons, tmp_path):
+    """n = 3, 4 and 3 again: the second n = 3 render reuses the first's
+    skeletons (one per artifact and row count) and keeps its bytes."""
+    rng = np.random.default_rng(3)
+    for n, kept in ((3, 4), (4, 8), (3, 8)):
+        lat = build_lattice(TimeGrid.uniform(n, 1.0), NoiseModel.brownian(1))
+        got, want = _artifacts(lat, rng, tmp_path)
+        assert got == want and len(skeletons) == kept
+
+
+def test_int_columns_are_part_of_the_skeleton_key(skeletons):
+    """Two branchings at equal n: lattice.json's level tables have equal row
+    counts and literals but other ``nodes`` ints, so each gets its own
+    skeleton; rendering them in turn keeps both texts."""
+    binomial = build_lattice(TimeGrid.uniform(3, 1.0), NoiseModel.brownian(1))
+    jumps = build_lattice(TimeGrid.uniform(3, 1.0),
+                          NoiseModel(1, JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))))
+    docs = [{"levels": lattice_to_dict(lat)["levels"]} for lat in (binomial, jumps)]
+    assert [doc["levels"].n for doc in docs] == [4, 4]
+    for doc in (*docs, *docs):
+        assert canonical_json(doc) == canonical_json_reference(_as_rows(doc))
+    assert len(skeletons) == 2
+
+
+def test_more_layouts_than_the_cap_drop_the_oldest(skeletons, tmp_path):
+    """Past ``_SKELETON_CAP`` layouts the oldest skeleton is dropped, and a
+    layout rendered again after its skeleton was dropped keeps its bytes."""
+    rng = np.random.default_rng(4)
+    blocks = [rng.normal(size=(rows, 2)) for rows in range(1, jsonio._SKELETON_CAP + 3)]
+    for block in (*blocks, blocks[0], blocks[-1]):
+        process_csv_reference(tmp_path / "ref.csv", [block], columns=("a", "b"))
+        assert process_csv([block], columns=("a", "b")).encode() == \
+            (tmp_path / "ref.csv").read_bytes()
+        assert len(skeletons) <= jsonio._SKELETON_CAP
+    assert len(skeletons) == jsonio._SKELETON_CAP
+
+
+def test_empty_tables_and_signed_zeros_on_repeat_renders(skeletons, tmp_path):
+    """A table of no rows beside tables of rows, and a CSV level of no nodes,
+    rendered twice with other values: each render keeps its reference bytes,
+    and -0.0 keeps its own text wherever it moves."""
+    for signs in ([0.0, -0.0, 1.5], [-0.0, 0.0, -0.0]):
+        cells = np.array(signs)
+        doc = {"empty": ColumnTable({"x": np.zeros(0), "k": np.arange(0)}),
+               "rows": ColumnTable({"x": cells, "k": np.arange(3)}),
+               "wide": ColumnTable({"x": np.stack([cells, cells[::-1]], axis=1)})}
+        text = canonical_json(doc)
+        assert text == canonical_json_reference(_as_rows(doc))
+        assert text.count("-0.0") == 3 * int(np.signbit(cells).sum())
+        levels = [cells[:1], np.zeros(0), cells]
+        process_csv_reference(tmp_path / "ref.csv", levels)
+        assert process_csv(levels).encode() == (tmp_path / "ref.csv").read_bytes()
+    assert len(skeletons) == 2
+
+
+def test_a_nan_is_refused_on_a_repeat_render(skeletons):
+    """A layout whose skeleton is cached still refuses a NaN or infinity in
+    its float cells, and renders finite cells right after."""
+    table = ColumnTable({"x": np.array([0.5, 1.5]), "k": np.arange(2)})
+    assert canonical_json([table]) == canonical_json_reference(_as_rows([table]))
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json([ColumnTable({"x": np.array([0.5, bad]), "k": np.arange(2)})])
+    again = ColumnTable({"x": np.array([2.5, -0.0]), "k": np.arange(2)})
+    assert canonical_json([again]) == canonical_json_reference(_as_rows([again]))
+    assert len(skeletons) == 1
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -37,6 +37,12 @@ a temporary directory.
    paths, 10 per batch. Rewriting fixed texts faults no page however they
    are encoded; rendering each text afresh, as a job does, is what shows
    the faults that a bytes copy of a whole artifact brings.
+3. **First renders**, each in a fresh subprocess per checkout (``FIRST_ROUNDS``
+   rounds, the checkouts taking turns as above): the first call of the
+   ``deviation.csv``, ``integrands.json`` and ``share_argmins.csv`` renders
+   after the process set up its inputs, which builds the texts the renderer
+   keeps per layout. A one-shot ``devlat`` run pays this cost, never the
+   repeat render's.
 
 Every line prints the median and the quartiles of the per-call times in ms,
 and the median of the minor page faults per call (``ru_minflt``), which
@@ -68,6 +74,8 @@ GAPS = {"10ms": 0.010, "0ms": 0.0}
 LOADS = 10
 REWRITES = 3
 RENDERS = 10
+#: fresh processes per checkout for each first render
+FIRST_ROUNDS = 10
 LEAVES_N = 10  # binomial n = 10: 1,024 leaves, the share-closed lattice
 DEV_N = 12  # binomial n = 12: the dev-wide lattice
 
@@ -141,9 +149,10 @@ def write_protocol(tmp: Path) -> None:
 
 class Worker:
     """One checkout's loader, writer and renderers, set up once; ``run(key)``
-    times one batch of calls and returns the per-call seconds."""
+    times one batch of calls and returns the per-call seconds. With ``warm``,
+    every call is made once at set-up."""
 
-    def __init__(self, checkout: Path, tmp: Path):
+    def __init__(self, checkout: Path, tmp: Path, warm: bool = True):
         sys.path.insert(0, str(checkout / "src"))
         import numpy as np
         from devlat import NoiseModel, RandomVariable, Scaled, SharingProblem, TimeGrid, \
@@ -206,21 +215,30 @@ class Worker:
         argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
         self.calls[f"render share_argmins.csv n={LEAVES_N}"] = (
             lambda: process_csv(argmins, columns=("z1",)), RENDERS, 0.0)
-        for call, _, _ in self.calls.values():
+        for call, _, _ in self.calls.values() if warm else ():
             call()  # warm-up; each artifact now exists
+
+    def time(self, key: str) -> list:
+        """One call's seconds and minor page faults."""
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        self.calls[key][0]()
+        seconds = time.perf_counter() - t0
+        return [seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults]
 
     def run(self, key: str) -> list[list]:
         """Per call: its seconds and its minor page faults."""
-        call, count, gap = self.calls[key]
+        _, count, gap = self.calls[key]
         samples = []
         for _ in range(count):
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            t0 = time.perf_counter()
-            call()
-            seconds = time.perf_counter() - t0
-            samples.append([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
+            samples.append(self.time(key))
             time.sleep(gap)
         return samples
+
+
+#: the renders timed as a fresh process's first call
+FIRST_RENDERS = (f"render deviation.csv n={DEV_N}", f"render integrands.json n={DEV_N}",
+                 f"render share_argmins.csv n={LEAVES_N}")
 
 
 def serve(checkout: Path) -> None:
@@ -233,9 +251,36 @@ def serve(checkout: Path) -> None:
             print(json.dumps(worker.run(line.strip())), flush=True)
 
 
+def first(checkout: Path, key: str) -> None:
+    """Print one JSON line: the seconds and faults of ``key``'s first call."""
+    with tempfile.TemporaryDirectory(prefix="bench_io_") as tmp:
+        print(json.dumps(Worker(checkout, Path(tmp), warm=False).time(key)))
+
+
+def _report(label: str, checkouts: list, batches: list, keys, rounds: int) -> None:
+    """Print each checkout's per-call summary of ``keys`` and, for two
+    checkouts, in how many of ``rounds`` batches the second one's median
+    beats the first one's."""
+    for checkout, by_key in zip(checkouts, batches):
+        print(f"\n{checkout}")
+        for key in keys:
+            samples = [s for batch in by_key[key] for s in batch]
+            faults = statistics.median(f for _, f in samples)
+            print(f"  {label}{key:<38} {summary([t for t, _ in samples])}   minflt {faults:6.1f}")
+    if len(batches) == 2:
+        print(f"\nbatches where {checkouts[1]} is faster than {checkouts[0]}")
+        for key in keys:
+            wins = sum(statistics.median(t for t, _ in b) > statistics.median(t for t, _ in a)
+                       for b, a in zip(batches[0][key], batches[1][key]))
+            print(f"  {label}{key:<38} {wins}/{rounds}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--serve":
         serve(Path(argv[1]).resolve())
+        return 0
+    if len(argv) == 3 and argv[0] == "--first":
+        first(Path(argv[1]).resolve(), argv[2])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path,
@@ -263,18 +308,17 @@ def main(argv: list[str]) -> int:
         for w in workers:
             w.stdin.close()
             w.wait()
-    for checkout, by_key in zip(args.checkouts, batches):
-        print(f"\n{checkout}")
-        for key, runs in by_key.items():
-            samples = [s for batch in runs for s in batch]
-            faults = statistics.median(f for _, f in samples)
-            print(f"  {key:<38} {summary([t for t, _ in samples])}   minflt {faults:6.1f}")
-    if len(batches) == 2:
-        print(f"\nbatches where {args.checkouts[1]} is faster than {args.checkouts[0]}")
-        for key in keys:
-            wins = sum(statistics.median(t for t, _ in b) > statistics.median(t for t, _ in a)
-                       for b, a in zip(batches[0][key], batches[1][key]))
-            print(f"  {key:<38} {wins}/{args.rounds}")
+    _report("", args.checkouts, batches, keys, args.rounds)
+    firsts = [{key: [] for key in FIRST_RENDERS} for _ in args.checkouts]
+    for r in range(FIRST_ROUNDS):
+        for key in FIRST_RENDERS:
+            sides = range(len(args.checkouts))
+            for i in (sides if r % 2 == 0 else reversed(sides)):
+                proc = subprocess.run([sys.executable, __file__, "--first",
+                                       str(args.checkouts[i].resolve()), key],
+                                      env=env, capture_output=True, text=True, check=True)
+                firsts[i][key].append([json.loads(proc.stdout)])
+    _report("first ", args.checkouts, firsts, FIRST_RENDERS, FIRST_ROUNDS)
     return 0
 
 

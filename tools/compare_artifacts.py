@@ -24,6 +24,15 @@ trip, both CVaR functions, ``infconv_value`` on a closed-form and a numeric
 pair, and ``check_driver`` reports of the built-in kinds and of ``Custom``
 drivers that fail; a differing probe digest counts as a differing pool digest.
 
+A pool run renders one lattice shape per workload, so each checkout also
+renders the per-node artifacts of several lattices in turn in one process
+(``render_digests``): binomial n = 3, 4 and 3 again, a jump lattice of n = 3
+(the level table's row counts of binomial n = 3, other ``nodes`` ints), more
+CSV layouts than a per-layout text cache would keep, tables of no rows and
+-0.0 cells, and a NaN refused on a repeat render. A text rendered from a
+stale cached layout shows up as a render digest that differs between the
+checkouts, and counts as a differing pool digest.
+
 Each checkout also runs the CLI on fixed malformed configs and digests each
 run's exit code and stderr (``refusal_digests``): the ``axioms`` budgets, the
 ``check-driver`` probe block, a partition without level n and a 401-digit
@@ -177,6 +186,60 @@ def split_digests(devlat) -> dict:
     return digests
 
 
+def render_digests(devlat) -> dict:
+    """``{key: sha256}`` of the per-node artifacts (``integrands.json``,
+    ``lattice.json`` and its level table alone, ``deviation.csv``, a payoff
+    CSV) of binomial n = 3, 4, 3 and a jump lattice of n = 3, rendered in
+    turn in one process with seeded values holding -0.0; of 25 two-column
+    CSV blocks of 1..24 rows and the first again; of a document with a table
+    of no rows, twice; and of the message of a NaN refused on a repeat
+    render. Public names only."""
+    from devlat.jsonio import ColumnTable, canonical_json, lattice_to_dict, pair_to_dict, \
+        payoff_csv, process_csv
+
+    grid = devlat.TimeGrid.uniform
+    lattices = {
+        "binomial3": devlat.build_lattice(grid(3, 1.0), devlat.NoiseModel.brownian(1)),
+        "binomial4": devlat.build_lattice(grid(4, 1.0), devlat.NoiseModel.brownian(1)),
+        "jumps3": devlat.build_lattice(grid(3, 1.0), devlat.NoiseModel(
+            1, devlat.JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5)))),
+    }
+    digests = {}
+    for at, name in enumerate(["binomial3", "binomial4", "binomial3", "jumps3", "binomial3"]):
+        lat, rng = lattices[name], np.random.default_rng(at)
+        d, m = lat.noise.d, lat.noise.jumps.m
+        sizes = [lat.num_nodes(i) for i in range(lat.n_steps + 1)]
+
+        def draw(*shape):
+            cells = rng.normal(size=shape)
+            cells.flat[::5] = -0.0
+            return cells
+
+        pair = devlat.RepresentingPair(0.25, tuple(draw(k, d) for k in sizes[:-1]),
+                                       tuple(draw(k, m) for k in sizes[:-1]),
+                                       tuple(draw(k) for k in sizes[:-1]))
+        texts = {"integrands": canonical_json(pair_to_dict(pair)),
+                 "lattice": canonical_json(lattice_to_dict(lat)),
+                 "levels": canonical_json({"levels": lattice_to_dict(lat)["levels"]}),
+                 "deviation": process_csv([draw(k) for k in sizes]),
+                 "payoff": payoff_csv(devlat.RandomVariable(draw(sizes[-1]), lat.n_steps))}
+        for kind, text in texts.items():
+            digests[f"render/{at}-{name}/{kind}"] = _digest(text)
+    rng = np.random.default_rng(99)
+    blocks = [rng.normal(size=(rows, 2)) for rows in range(1, 25)]
+    for at, block in enumerate([*blocks, blocks[0]]):
+        digests[f"render/block/{at}"] = _digest(process_csv([block], columns=("a", "b")))
+    for at, cells in enumerate(([0.5, -0.0], [-0.0, 1.5])):
+        doc = {"empty": ColumnTable({"x": np.zeros(0)}),
+               "rows": ColumnTable({"x": np.array(cells), "k": np.arange(2)})}
+        digests[f"render/empty/{at}"] = _digest(canonical_json(doc))
+    try:
+        canonical_json({"rows": ColumnTable({"x": np.array([np.nan, 0.5]), "k": np.arange(2)})})
+    except ValueError as exc:
+        digests["render/nan-repeat"] = _digest(str(exc))
+    return digests
+
+
 #: the config every refusal mutates: a two-step jump lattice, two payoffs,
 #: a variance and a scaled driver, and one block per command
 REFUSAL_BASE = {
@@ -266,7 +329,7 @@ def refusal_digests(devlat) -> dict:
 def collect(checkout: Path) -> dict:
     """``{"digests": {key: digest}, "failures": {key: error}, "splits": {key:
     digest}, "refusals": {key: [code, digest]}}`` of every pool job, numeric
-    split, probe and refusal, run in this process from ``checkout``."""
+    split, probe, render and refusal, run in this process from ``checkout``."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
     from worker import Runner, setup
@@ -284,7 +347,8 @@ def collect(checkout: Path) -> dict:
                     else:
                         digests[record["key"]] = record["digest"]
     return {"digests": digests, "failures": failures,
-            "splits": {**split_digests(devlat), **probe_digests(devlat)},
+            "splits": {**split_digests(devlat), **probe_digests(devlat),
+                       **render_digests(devlat)},
             "refusals": refusal_digests(devlat)}
 
 
@@ -321,7 +385,8 @@ def main(argv: list[str]) -> int:
     same = len(keys) - len(differ)
     failed = len(parent["failures"]) + len(change["failures"])
     print(f"{same}/{len(keys)} digests identical, {failed} oracle failures")
-    for label, prefix in (("numeric split", "split/"), ("probe", "probe/")):
+    for label, prefix in (("numeric split", "split/"), ("probe", "probe/"),
+                          ("render", "render/")):
         keys = [key for key in splits if key.startswith(prefix)]
         same = sum(key not in split_differ for key in keys)
         print(f"{same}/{len(keys)} {label} digests identical")
