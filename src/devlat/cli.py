@@ -91,13 +91,21 @@ def _get(obj: dict, key: str, kind: str, where: str = "config", default=_MISSING
 
 
 def _load_config(path: str) -> dict:
+    """The config file's JSON object, read as UTF-8. Anything but a regular
+    file is refused before it is opened, so a FIFO never blocks the run."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(p.read_text())
+        if not p.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        cfg = json.loads(p.read_bytes().decode("utf-8"))
+    except OSError as exc:  # such as a path too long for the file system
+        raise ConfigError(f"config file cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -139,13 +147,25 @@ def _build_noise(obj: dict) -> NoiseModel:
         return NoiseModel(d, JumpMeasure(tuple(marks), tuple(intensities)))
 
 
+#: the latest lattice ``_build_lattice`` returned: (its block's ``repr``, the lattice)
+_latest: tuple | None = None
+
+
 def _build_lattice(cfg: dict) -> Lattice:
+    """The lattice of the config's ``lattice`` block; a block whose ``repr``
+    is the previous call's returns that call's lattice. ``repr`` tells
+    ``-0.0`` from ``0.0``, ``true`` from ``1`` and ``1`` from ``1.0``, which
+    ``==`` does not; only the latest block is kept."""
+    global _latest
     block = _get(cfg, "lattice", "an object")
-    noise = _build_noise(_get(block, "noise", "an object", "lattice"))
-    max_nodes = _get(block, "max_nodes", "an integer", "lattice", DEFAULT_MAX_NODES)
-    grid = _build_grid(_get(block, "grid", "an object", "lattice"), noise, max_nodes)
-    with _refused("lattice"):
-        return build_lattice(grid, noise, max_nodes)
+    key = repr(block)
+    if _latest is None or _latest[0] != key:
+        noise = _build_noise(_get(block, "noise", "an object", "lattice"))
+        max_nodes = _get(block, "max_nodes", "an integer", "lattice", DEFAULT_MAX_NODES)
+        grid = _build_grid(_get(block, "grid", "an object", "lattice"), noise, max_nodes)
+        with _refused("lattice"):
+            _latest = (key, build_lattice(grid, noise, max_nodes))
+    return _latest[1]
 
 
 def _parse_drivers(cfg: dict) -> tuple[SolverConfig, dict]:

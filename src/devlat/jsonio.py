@@ -20,8 +20,10 @@ writes the texts, 64 KiB at a time.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import errno
+import io
 import math
 import os
 import stat
@@ -63,6 +65,12 @@ _NO_TEXTS = np.empty(0, dtype=object)
 _SKELETON_CAP = 8
 #: each layout key of ``_fill`` to its ``_skeleton``, oldest first
 _SKELETONS: dict = {}
+#: the most (pattern, suffix) texts a render may join that no cell uses: a
+#: render within it joins every pair, as finding the used ones takes numpy
+#: calls that cost about as much as this many joins (a 7-row, 3-column CSV)
+_SPARE_JOINS = 64
+#: the decoder of the payoff reader, UTF-8 as ``write_artifacts`` writes
+_UTF8 = codecs.getincrementaldecoder("utf-8")
 #: the characters ``_write_file`` encodes and writes at once
 _CHUNK = 1 << 16
 
@@ -161,8 +169,9 @@ def _fill(gaps: list, tables: list, finite: bool = False) -> list[str]:
     their int columns. A render fills its float slots: the cells' bit
     patterns are sorted once and deduplicated (``-0.0`` and each NaN keep
     their own text), and each pattern is formatted once and joined once to
-    each literal that follows it. With ``finite``, a NaN or infinity raises
-    ``ValueError``.
+    each literal that follows it; to every literal, used with it or not, if
+    that joins at most ``_SPARE_JOINS`` texts that no cell uses. With
+    ``finite``, a NaN or infinity raises ``ValueError``.
     """
     layout, dtypes, ints, floats = [], [], [], []
     for n, sep, pieces in tables:
@@ -185,8 +194,8 @@ def _fill(gaps: list, tables: list, finite: bool = False) -> list[str]:
     out = texts.copy()
     for at, text in zip(at_gaps, gaps):
         out[at] = text
-    bits = np.concatenate([np.empty(0), *floats], dtype=np.float64).view(np.uint64)
-    if len(bits):
+    if columns:  # a float cell to fill
+        bits = np.concatenate(floats, dtype=np.float64).view(np.uint64)
         ordered = np.sort(bits)
         first = np.empty(len(bits), dtype=bool)  # the first of each run of one pattern
         first[0] = True
@@ -196,13 +205,16 @@ def _fill(gaps: list, tables: list, finite: bool = False) -> list[str]:
             raise ValueError(_NON_FINITE)
         # each cell's suffix and pattern as one code: suffix * patterns + pattern
         codes = suffix_of * len(patterns) + np.searchsorted(patterns, bits)
-        used = np.zeros(len(suffixes) * len(patterns), dtype=bool)
-        used[codes] = True
-        suffix, pattern = np.divmod(np.flatnonzero(used), len(patterns))
         reprs = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
                          dtype=object)
-        joined = np.empty(len(used), dtype=object)
-        joined[used] = reprs[pattern] + suffixes[suffix]
+        if (len(suffixes) - 1) * len(patterns) <= _SPARE_JOINS:
+            joined = (reprs + suffixes[:, None]).ravel()  # every pair, used or not
+        else:  # only the pairs a cell uses
+            used = np.zeros(len(suffixes) * len(patterns), dtype=bool)
+            used[codes] = True
+            suffix, pattern = np.divmod(np.flatnonzero(used), len(patterns))
+            joined = np.empty(len(used), dtype=object)
+            joined[used] = reprs[pattern] + suffixes[suffix]
         cells = joined[codes].tolist()
         for slots, start, stop in columns:
             out[slots] = cells[start:stop]
@@ -461,7 +473,10 @@ def write_payoff_csv(path: Path, x: RandomVariable) -> None:
 def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     """Read a terminal payoff written as leaf,value rows (any leaf order).
 
-    Every row is one ``leaf,value`` pair of unquoted cells; blank lines are
+    The file's bytes are read at once and decoded once as UTF-8, the
+    encoding ``write_artifacts`` writes; ``\\r\\n`` and a lone ``\\r`` end a
+    line as ``\\n`` does, as in a text-mode read. Every row is one
+    ``leaf,value`` pair of unquoted cells; blank lines are
     skipped, and each leaf must appear exactly once. One numpy pass over the
     body's bytes checks the row shape (a comma and a newline are one byte
     each in UTF-8; with the newlines that end blank lines dropped, commas and
@@ -476,10 +491,12 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     few values; hashing every text would slow a payoff that does not).
     """
     leaves = lat.num_nodes(lat.n_steps)
-    with open(path) as fh:
-        header = fh.readline()
-        body = fh.read()
-    if [h.strip() for h in header.rstrip("\n").split(",")[:2]] != ["leaf", "value"]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # text mode's decoder, in one call: each \r\n and lone \r read as \n
+    text = io.IncrementalNewlineDecoder(_UTF8(), translate=True).decode(data, final=True)
+    header, _, body = text.partition("\n")
+    if [h.strip() for h in header.split(",")[:2]] != ["leaf", "value"]:
         raise ValueError(f"{path}: expected header 'leaf,value'")
     if body and body[-1] != "\n":
         body += "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -256,6 +257,7 @@ class Lattice:
         self._basis = [tables[dt][2] for dt in steps]
         #: (path functional, level) -> its read-only per-node table
         self._leaf_tables: dict[tuple[str, int], np.ndarray] = {}
+        self._rows: tuple | None = None  # ``_level_rows``, once formed
 
     # -- structure -----------------------------------------------------------
 
@@ -342,6 +344,20 @@ class Lattice:
             table.flags.writeable = False
             self._leaf_tables[name, level] = table
         return table
+
+    def _level_rows(self) -> tuple:
+        """The nodes of levels ``0..n-1`` stacked as the rows of one array in
+        level order, as the share solve lays them out: ``(times, bounds,
+        zeros)``, each row's time, each level's ``(lo, hi)`` rows and each
+        level's zero per node. Formed on the first request and then kept on
+        the lattice, read-only."""
+        if self._rows is None:
+            sizes = [self.branching ** i for i in range(self.n_steps)]
+            times, zeros = np.repeat(self.times[:-1], sizes), np.zeros(sizes[-1])
+            times.flags.writeable = zeros.flags.writeable = False
+            self._rows = (times, tuple(pairwise(accumulate(sizes, initial=0))),
+                          tuple(zeros[:k] for k in sizes))
+        return self._rows
 
     def brownian_states(self, level: int) -> np.ndarray:
         """Accumulated Brownian state per node, shape (nodes, d)."""

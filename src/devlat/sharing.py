@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, pairwise
+from functools import cache, reduce
 
 import numpy as np
 
@@ -313,6 +312,16 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
     return float(value[0]), (Z[0], Zt[0])
 
 
+@cache
+def _probe_steps(width: int) -> np.ndarray:
+    """The coordinate directions ``certificate_gaps`` probes in a split of
+    ``width`` entries, each ``+e_j`` and then each ``-e_j``; read-only, one
+    per width."""
+    steps = np.vstack([np.eye(width), -np.eye(width)])
+    steps.flags.writeable = False
+    return steps
+
+
 def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
                      H: np.ndarray, Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
                      nu: JumpMeasure) -> tuple[np.ndarray, ...]:
@@ -332,8 +341,7 @@ def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
     points = np.hstack([Z, Zt])
     n, p = points.shape
     eps = 1e-7 * (1.0 + _row_norms(points))
-    steps = np.vstack([np.eye(p), -np.eye(p)])
-    probes = points + steps[:, None, :] * eps[:, None]
+    probes = points + _probe_steps(p)[:, None, :] * eps[:, None]
     stack = np.vstack([points, probes.reshape(-1, p)])
     k = 2 * p + 1
     t = t if np.ndim(t) == 0 else np.tile(t, k)
@@ -353,12 +361,15 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     level are the rows of one: ``_split_plan`` is built once, and one
     ``_apply`` and one ``certificate_gaps`` call take every level's rows,
     stacked, with each row's time; the results are cut back into levels. The
-    node values are the objective at the split. When representation
-    residuals are nonzero (jump lattices) the solve runs on the projected
-    integrands and the largest residual is attached rather than silently
-    dropped; configure ``solver.residual_tolerance`` to make it fatal
-    (``NumericError``). A pair whose inf-convolution is unbounded below
-    (``_unbounded``) is never attained, whatever its certificate reads.
+    row layout (each row's time, each level's bounds and its zero residuals
+    for ``assemble``) is the lattice's ``_level_rows``, formed at the first
+    share on a lattice and read-only. The node values are the objective at
+    the split. When representation residuals are nonzero (jump lattices) the
+    solve runs on the projected integrands and the largest residual is
+    attached rather than silently dropped; configure
+    ``solver.residual_tolerance`` to make it fatal (``NumericError``). A pair
+    whose inf-convolution is unbounded below (``_unbounded``) is never
+    attained, whatever its certificate reads.
 
     The price and the welfare changes come from the split itself, with no
     further representation: B's post-transfer position ``y* - price`` has the
@@ -384,8 +395,7 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
             f"threshold {cfg.residual_tolerance:.3g}"
         )
 
-    sizes = [lat.num_nodes(i) for i in range(lat.n_steps)]
-    t = np.concatenate([np.full(k, lat.times[i]) for i, k in enumerate(sizes)])
+    t, bounds, zero_res = lat._level_rows()
     H, Ht = np.vstack(pair.H), np.vstack(pair.Htilde)
     plan = _split_plan(g_a, g_b)
     Z, Zt = _apply(plan, t, H, Ht, nu, cfg)
@@ -394,7 +404,6 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     unbounded = _unbounded(g_a, g_b, nu)
     attained = certificate_gap <= cfg.attain_tolerance and bool(np.isfinite(values).all()) \
         and not unbounded
-    bounds = list(pairwise(accumulate(sizes, initial=0)))
     arg_H, arg_Ht, parts_a, parts_b, node_vals = (
         tuple(rows[lo:hi] for lo, hi in bounds) for rows in (Z, Zt, part_a, part_b, values))
 
@@ -403,7 +412,6 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
     dev_a = float(_accumulate(lat, parts_a)[0][0])
     dev_b = float(_accumulate(lat, parts_b)[0][0])
 
-    zero_res = tuple(np.zeros(k) for k in sizes)
     y_star = assemble(lat, RepresentingPair(0.0, arg_H, arg_Ht, zero_res))
     y_tilde = y_star - prob.x_b
 

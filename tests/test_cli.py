@@ -266,6 +266,60 @@ def test_build_writes_each_configs_own_signed_zeros(tmp_path, order):
         assert len(re.findall(r"-0\.0[,\n]", want)) == signs.count(-1.0)
 
 
+#: lattice blocks in pairs that ``==`` cannot tell apart, though one
+#: builds another lattice or is refused: a signed-zero time or mark, a
+#: ``true`` Brownian dimension and a node budget under the leaf count
+_GRID = {"grid": {"n": 2, "horizon": 1.0}}
+TWIN_BLOCKS = {
+    "time": [{"grid": {"times": [t0, 0.5, 1.0]}, "noise": {"d": 1}} for t0 in (0.0, -0.0)],
+    "mark": [{**_GRID, "noise": {"d": 1, "jumps": {"marks": [[c0, 1.0]], "intensities": [0.5]}}}
+             for c0 in (-0.0, 0.0)],
+    "d": [{**_GRID, "noise": {"d": d}} for d in (1, True)],
+    "max_nodes": [{**_GRID, "noise": {"d": 1}, "max_nodes": k} for k in (4, 3)],
+}
+
+
+def _main_in_a_fresh_process(argv: list) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a new interpreter, which fails the test if it hangs."""
+    src = str(Path(devlat.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from devlat.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _build_run(config: Path, out: Path, fresh: bool = False) -> tuple:
+    """The exit code and ``lattice.json`` bytes of a ``build`` run, in this
+    process or in a fresh one."""
+    argv = ["build", "--config", str(config), "--out", str(out), "--quiet"]
+    code = _main_in_a_fresh_process(argv).returncode if fresh else main(argv)
+    return code, (out / "lattice.json").read_bytes() if code == 0 else None
+
+
+@pytest.mark.parametrize("blocks", TWIN_BLOCKS.values(), ids=list(TWIN_BLOCKS))
+def test_twin_lattice_blocks_in_turn_build_as_a_fresh_process_does(tmp_path, blocks, capsys):
+    """The CLI keeps the lattice of the latest ``lattice`` block; two blocks
+    equal under ``==`` run in turn must each give a fresh process's exit code
+    and bytes, the second block's refusal after a hit on the first included."""
+    configs = []
+    for k, block in enumerate(blocks):
+        configs.append(tmp_path / f"config{k}.json")
+        configs[-1].write_text(json.dumps({"lattice": block}))
+    fresh = [_build_run(c, tmp_path / f"fresh{k}", fresh=True) for k, c in enumerate(configs)]
+    assert fresh[0][0] == 0 and fresh[0] != fresh[1]
+    for run, k in enumerate([0, 0, 1, 0, 1, 1]):
+        assert _build_run(configs[k], tmp_path / f"run{run}") == fresh[k], (run, k)
+    capsys.readouterr()
+
+
+def test_a_repeated_lattice_block_reuses_its_lattice():
+    block = {"grid": {"n": 2, "horizon": 1.0}, "noise": JUMP_NOISE}
+    lat = devlat.cli._build_lattice({"lattice": block})
+    assert devlat.cli._build_lattice(json.loads(json.dumps({"lattice": block}))) is lat
+    other = devlat.cli._build_lattice({"lattice": {**block, "max_nodes": 36}})
+    assert other is not lat and other.max_nodes == 36
+
+
 def test_axioms_mixtures_at_the_node_budget_run(tmp_path):
     cfg = _base_config(tmp_path, lattice={"grid": {"n": 2, "horizon": 1.0},
                                           "noise": JUMP_NOISE, "max_nodes": 100},
@@ -1024,12 +1078,8 @@ def test_a_fifo_at_an_artifact_path_is_replaced_without_blocking(tmp_path):
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     out.mkdir()
     os.mkfifo(out / "transfer.csv")
-    src = str(Path(devlat.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = "import sys; from devlat.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "share", "--config", str(cfg), "--out", str(out),
-         "--quiet"], env=env, capture_output=True, text=True, timeout=60)
+    proc = _main_in_a_fresh_process(
+        ["share", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert proc.returncode == 0, proc.stderr
     assert _share(cfg, fresh) == 0
     assert (out / "transfer.csv").is_file()

@@ -3,7 +3,8 @@ set to a boundary number, a value of another JSON type, null, a NaN-like
 string, a non-finite float, an integer beyond float range or another payoff
 or driver. Whatever the value, the run exits 0, 1 or 2, never 3 (an internal
 error), and a run that exits 1 writes no artifact. Failures found by hand,
-which the sampled grid may miss, run as fixed cases that must exit 1.
+which the sampled grid may miss, run as fixed cases that must exit 1, as do
+config files that cannot be read as a JSON document.
 
 The base lattice has two steps with two jump marks under a 64-leaf budget,
 and the solver budget is small, so a mutation that turns the share into a
@@ -15,6 +16,9 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import devlat.cli
 from devlat.cli import main
 from devlat.optim import SolverConfig
 
@@ -168,6 +173,43 @@ HAND_FOUND = [
                          ids=[".".join(path) for _, path, _ in HAND_FOUND])
 def test_a_hand_found_failure_exits_1_and_writes_nothing(command, path, value):
     assert _run_mutated(command, path, value) == 1
+
+
+def _fifo(tmp: Path) -> Path:
+    os.mkfifo(tmp / "config.json")
+    return tmp / "config.json"
+
+
+def _written(tmp: Path, data: bytes) -> Path:
+    (tmp / "config.json").write_bytes(data)
+    return tmp / "config.json"
+
+
+#: config files found by hand that the reader must refuse: a FIFO (reading
+#: one blocks until a writer comes), a name longer than the file system
+#: takes (``Path.is_file`` raises ``OSError``), a document nested deeper than
+#: the JSON parser recurses and bytes that are not UTF-8
+CONFIG_FILES = {
+    "fifo": _fifo,
+    "name-too-long": lambda tmp: tmp / ("x" * 5000),
+    "nested-too-deeply": lambda tmp: _written(tmp, b"[" * 100_000),
+    "not-utf-8": lambda tmp: _written(tmp, b'{"seed": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("make", CONFIG_FILES.values(), ids=list(CONFIG_FILES))
+def test_a_hand_found_config_file_exits_1_naming_the_config(make, tmp_path):
+    """Run in a subprocess, so that a read that blocks fails the test."""
+    config, out = make(tmp_path), tmp_path / "out"
+    src = str(Path(devlat.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from devlat.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "build", "--config", str(config), "--out", str(out),
+         "--quiet"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: config ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(BLOCKS))

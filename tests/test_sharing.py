@@ -28,6 +28,7 @@ from devlat import (
     terminal_brownian,
 )
 import devlat.sharing as sharing
+from devlat.lattice import Lattice
 from devlat.deviation import _accumulate
 from devlat.representation import RepresentingPair
 from devlat.sharing import certificate_gaps
@@ -125,6 +126,40 @@ def test_infconv_driver_is_valid(jump_lattice):
     spec2 = InfConv(NormCD(2.0, 1.0), NormCD(1.0, 2.0))
     report2 = check_driver(spec2, NU, sample_count=60, seed=4, d=1)
     assert report2.all_passed()
+
+
+def test_the_share_row_layout_is_read_only_and_kept_per_lattice(rng):
+    """The stacked rows ``solve_sharing`` reads (each row's time, each
+    level's row bounds, its zero residuals) stay on each lattice, read-only;
+    two lattices used in turn keep their own, equal to a fresh recomputation,
+    and solve as a lattice built afresh does."""
+    jumps = JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))
+    shapes = [(TimeGrid((0.0, 0.1, 0.35, 1.0)), NoiseModel(1, jumps)),
+              (TimeGrid.uniform(4, 1.0), NoiseModel.brownian(2))]
+    lats = [build_lattice(*shape) for shape in shapes]
+    for _ in range(2):
+        for lat, shape in zip(lats, shapes):
+            times, bounds, zeros = rows = lat._level_rows()
+            assert lat._level_rows() is rows
+            sizes = [lat.num_nodes(i) for i in range(lat.n_steps)]
+            want = np.concatenate([np.full(k, lat.times[i]) for i, k in enumerate(sizes)])
+            assert times.dtype == want.dtype and times.tobytes() == want.tobytes()
+            ends = np.cumsum(sizes).tolist()
+            assert bounds == tuple(zip([0, *ends[:-1]], ends))
+            assert [z.dtype for z in zeros] == [np.dtype(float)] * len(sizes)
+            assert [z.tobytes() for z in zeros] == [np.zeros(k).tobytes() for k in sizes]
+            for a in (times, *zeros):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 1.0
+            leaves = lat.num_nodes(lat.n_steps)
+            prob = SharingProblem(RandomVariable(rng.normal(size=leaves), lat.n_steps),
+                                  RandomVariable(rng.normal(size=leaves), lat.n_steps),
+                                  Variance(1.0), NormCD(1.0, 2.0))
+            got, fresh = solve_sharing(lat, prob), solve_sharing(Lattice(*shape), prob)
+            for a, b in [(got.y_tilde_star.values, fresh.y_tilde_star.values),
+                         *zip(got.argmin_H + got.argmin_Ht, fresh.argmin_H + fresh.argmin_Ht),
+                         *zip(got.infconv_d.values, fresh.infconv_d.values)]:
+                assert a.tobytes() == b.tobytes()
 
 
 def test_solve_sharing_quadratic_halves_variance(binomial4, rng):

@@ -23,20 +23,24 @@ a temporary directory.
    the terminal Brownian state ``W_T``, so 11 distinct values) and once with
    all values distinct; and the pool payoff twice more, with its rows
    shuffled (the leaf lookup path) and with four blank lines (the filtered
-   split), which no benchmark file has; 10 loads per batch; ``write_artifacts``
-   rerunning one 700 KB and one 400 B artifact into the same path, and a
-   ``dev-wide`` job's set of three (700 KB, 163 KB and 300 B) into the same
-   paths, 3 reruns per batch with a 10 ms gap; and the render of the text
+   split), which no benchmark file has; and a 36-leaf payoff of the
+   ``share-numeric`` jump lattice, where a load is mostly fixed cost; 10
+   loads per batch; ``write_artifacts`` rerunning one 700 KB and one 400 B
+   artifact into the same path, and a ``dev-wide`` job's set of three
+   (700 KB, 163 KB and 300 B) into the same paths, 3 reruns per batch with
+   a 10 ms gap; and the render of the text
    of a ``dev-wide`` job (binomial n = 12, a ``Variance`` deviation of a function of ``W_T``:
    ``process_csv`` of its values and ``canonical_json(pair_to_dict(...))``
    of its integrands), of the same CSV with every value distinct (no pool
    artifact is like it, but the render pays per distinct value), and of a
    ``share-closed`` job's argmins CSV (binomial n = 10, two scaled
-   ``Variance`` drivers), 10 renders per batch; and the ``dev-wide`` job's
-   two texts rendered afresh and written with a small summary into the same
-   paths, 10 per batch. Rewriting fixed texts faults no page however they
-   are encoded; rendering each text afresh, as a job does, is what shows
-   the faults that a bytes copy of a whole artifact brings.
+   ``Variance`` drivers) and of a ``share-numeric`` job's (7 rows, 3
+   columns: ``NormCD`` against ``Variance`` on the jump lattice), 10
+   renders per batch; and the ``dev-wide`` job's two texts rendered afresh
+   and written with a small summary into the same paths, 10 per batch.
+   Rewriting fixed texts faults no page however they are encoded; rendering
+   each text afresh, as a job does, is what shows the faults that a bytes
+   copy of a whole artifact brings.
 3. **First renders**, each in a fresh subprocess per checkout (``FIRST_ROUNDS``
    rounds, the checkouts taking turns as above): the first call of the
    ``deviation.csv``, ``integrands.json`` and ``share_argmins.csv`` renders
@@ -78,6 +82,7 @@ RENDERS = 10
 FIRST_ROUNDS = 10
 LEAVES_N = 10  # binomial n = 10: 1,024 leaves, the share-closed lattice
 DEV_N = 12  # binomial n = 12: the dev-wide lattice
+JUMP_N = 2  # two steps with two jump marks: the share-numeric lattice, 36 leaves
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -155,8 +160,9 @@ class Worker:
     def __init__(self, checkout: Path, tmp: Path, warm: bool = True):
         sys.path.insert(0, str(checkout / "src"))
         import numpy as np
-        from devlat import NoiseModel, RandomVariable, Scaled, SharingProblem, TimeGrid, \
-            Variance, build_lattice, evaluate, represent, solve_sharing, terminal_brownian
+        from devlat import JumpMeasure, NoiseModel, NormCD, RandomVariable, Scaled, \
+            SharingProblem, TimeGrid, Variance, build_lattice, evaluate, represent, \
+            solve_sharing, terminal_brownian
         from devlat.jsonio import canonical_json, load_payoff_csv, pair_to_dict, \
             process_csv, write_artifacts
 
@@ -167,12 +173,20 @@ class Worker:
                    "distinct": np.random.default_rng(11).normal(size=len(w))}
         order = np.random.default_rng(13).permutation(len(w)).tolist()
         blanks = set(range(0, len(w), len(w) // 4))  # a blank line before these rows
-        files = {"pool": (payoffs["pool"], range(len(w)), ()),
-                 "distinct": (payoffs["distinct"], range(len(w)), ()),
-                 "pool shuffled": (payoffs["pool"], order, ()),
-                 "pool blank lines": (payoffs["pool"], range(len(w)), blanks)}
+        # the share-numeric lattice: binomial steps with two jump marks, 36 leaves
+        jump_lat = build_lattice(TimeGrid.uniform(JUMP_N, 1.0), NoiseModel(
+            1, JumpMeasure(((-1.0,), (2.0,)), (0.25, 0.5))))
+        w_j = terminal_brownian(jump_lat).values
+        n1, n2 = jump_lat.jump_counts(JUMP_N).T
+        jump_payoffs = (0.62 * w_j - 0.35 * n1 + 0.81 * n2 - 0.27 * w_j ** 2,
+                        -0.44 * w_j + 0.58 * n1 - 0.19 * n2 + 0.33 * w_j * n2)
+        files = {"pool": (payoffs["pool"], range(len(w)), (), lat),
+                 "distinct": (payoffs["distinct"], range(len(w)), (), lat),
+                 "pool shuffled": (payoffs["pool"], order, (), lat),
+                 "pool blank lines": (payoffs["pool"], range(len(w)), blanks, lat),
+                 f"jump n={JUMP_N}": (jump_payoffs[0], range(len(w_j)), (), jump_lat)}
         self.calls = {}
-        for name, (values, leaves, blank) in files.items():
+        for name, (values, leaves, blank, on) in files.items():
             path = tmp / f"{name.replace(' ', '_')}.csv"
             cells = values.tolist()
             with open(path, "w", newline="") as fh:
@@ -180,8 +194,8 @@ class Worker:
                     "\r\n" * (leaf in blank) + f"{leaf},{cells[leaf]!r}\r\n"
                     for leaf in leaves))
             distinct = len(set(cells))
-            self.calls[f"load {name} ({distinct} distinct)"] = (
-                lambda path=path: load_payoff_csv(path, lat), LOADS, 0.0)
+            self.calls[f"load {name} ({len(cells)} leaves, {distinct} distinct)"] = (
+                lambda path=path, on=on: load_payoff_csv(path, on), LOADS, 0.0)
         for size_name, size in SIZES.items():
             artifact = [(tmp / f"artifact_{size_name}.csv", _text(size))]
             self.calls[f"write_artifacts {size_name} rerun"] = (
@@ -215,6 +229,13 @@ class Worker:
         argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
         self.calls[f"render share_argmins.csv n={LEAVES_N}"] = (
             lambda: process_csv(argmins, columns=("z1",)), RENDERS, 0.0)
+        x_a, x_b = (RandomVariable(x, JUMP_N) for x in jump_payoffs)
+        sol = solve_sharing(jump_lat, SharingProblem(x_a=x_a, x_b=x_b, driver_a=NormCD(0.9, 1.1),
+                                                     driver_b=Variance(1.2)))
+        jump_argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
+        self.calls[f"render share_argmins.csv jump n={JUMP_N}"] = (
+            lambda: process_csv(jump_argmins, columns=("z1", "ztilde1", "ztilde2")),
+            RENDERS, 0.0)
         for call, _, _ in self.calls.values() if warm else ():
             call()  # warm-up; each artifact now exists
 
@@ -266,13 +287,13 @@ def _report(label: str, checkouts: list, batches: list, keys, rounds: int) -> No
         for key in keys:
             samples = [s for batch in by_key[key] for s in batch]
             faults = statistics.median(f for _, f in samples)
-            print(f"  {label}{key:<38} {summary([t for t, _ in samples])}   minflt {faults:6.1f}")
+            print(f"  {label}{key:<52} {summary([t for t, _ in samples])}   minflt {faults:6.1f}")
     if len(batches) == 2:
         print(f"\nbatches where {checkouts[1]} is faster than {checkouts[0]}")
         for key in keys:
             wins = sum(statistics.median(t for t, _ in b) > statistics.median(t for t, _ in a)
                        for b, a in zip(batches[0][key], batches[1][key]))
-            print(f"  {label}{key:<38} {wins}/{rounds}")
+            print(f"  {label}{key:<52} {wins}/{rounds}")
 
 
 def main(argv: list[str]) -> int:

@@ -37,9 +37,11 @@ Each checkout also runs the CLI on fixed malformed configs and digests each
 run's exit code and stderr (``refusal_digests``): the ``axioms`` budgets, the
 ``check-driver`` probe block, a partition without level n and a 401-digit
 integer in each of seven numeric keys and, beside a numeric share pair, in
-each of the solver's three tolerances. The rows of ``EXIT_CHANGES`` may go
-from their declared exit at the parent to their declared exit at the change;
-any other differing refusal digest counts as a differing pool digest.
+each of the solver's three tolerances; and a config path too long for the
+file system and a config nested deeper than the JSON parser recurses. The
+rows of ``EXIT_CHANGES`` may go from their declared exit at the parent to
+their declared exit at the change; any other differing refusal digest counts
+as a differing pool digest.
 """
 
 from __future__ import annotations
@@ -293,21 +295,31 @@ REFUSALS = {
        for key in ("tolerance", "attain_tolerance", "residual_tolerance")},
 }
 
+#: name -> the bytes of each config file the reader must refuse, None for a
+#: name too long for the file system; each run as ``build``
+CONFIG_FILES = {
+    "config/name-too-long": None,
+    "config/nested-too-deeply": b"[" * 100_000,
+}
+
 #: refusal rows whose exit code changes on purpose: (exit at the parent,
 #: exit at the change); a 401-digit integer was once an ``OverflowError``
-#: traceback (exit 3) or, in a tolerance, a number the solve compared
+#: traceback (exit 3) or, in a tolerance, a number the solve compared, and
+#: both config files an ``OSError`` or a ``RecursionError`` traceback
 EXIT_CHANGES = {
     **{f"refusal/overflow/{key}": (3, 1) for key in (
         "alpha", "gamma", "horizon", "times", "marks", "intensities", "law_tol", "tolerance")},
     "refusal/overflow/attain_tolerance": (0, 1),
     "refusal/overflow/residual_tolerance": (2, 1),
+    **{f"refusal/{name}": (3, 1) for name in CONFIG_FILES},
 }
 
 
 def refusal_digests(devlat) -> dict:
     """``{key: [exit code, sha256 of stderr]}`` of one CLI run per malformed
-    config of ``REFUSALS``, each in a fresh temporary directory."""
-    digests = {}
+    config of ``REFUSALS`` and per config file of ``CONFIG_FILES``, each in a
+    fresh temporary directory."""
+    runs = {}
     for name, (command, changes) in REFUSALS.items():
         cfg = copy.deepcopy(REFUSAL_BASE)
         for path, value in changes.items():
@@ -315,9 +327,14 @@ def refusal_digests(devlat) -> dict:
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
+        runs[name] = (command, json.dumps(cfg).encode())
+    runs.update((name, ("build", data)) for name, data in CONFIG_FILES.items())
+    digests = {}
+    for name, (command, data) in runs.items():
         with tempfile.TemporaryDirectory(prefix="compare_refusals_") as tmp:
-            config = Path(tmp) / "config.json"
-            config.write_text(json.dumps(cfg))
+            config = Path(tmp) / ("config.json" if data is not None else "x" * 5000)
+            if data is not None:
+                config.write_bytes(data)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = devlat.cli.main([command, "--config", str(config),
