@@ -65,10 +65,6 @@ _NO_TEXTS = np.empty(0, dtype=object)
 _SKELETON_CAP = 8
 #: each layout key of ``_fill`` to its ``_skeleton``, oldest first
 _SKELETONS: dict = {}
-#: the most (pattern, suffix) texts a render may join that no cell uses: a
-#: render within it joins every pair, as finding the used ones takes numpy
-#: calls that cost about as much as this many joins (a 7-row, 3-column CSV)
-_SPARE_JOINS = 64
 #: the decoder of the payoff reader, UTF-8 as ``write_artifacts`` writes
 _UTF8 = codecs.getincrementaldecoder("utf-8")
 #: the characters ``_write_file`` encodes and writes at once
@@ -168,10 +164,11 @@ def _fill(gaps: list, tables: list, finite: bool = False) -> list[str]:
     with None for each array; then the arrays' dtypes) and the bytes of
     their int columns. A render fills its float slots: the cells' bit
     patterns are sorted once and deduplicated (``-0.0`` and each NaN keep
-    their own text), and each pattern is formatted once and joined once to
-    each literal that follows it; to every literal, used with it or not, if
-    that joins at most ``_SPARE_JOINS`` texts that no cell uses. With
-    ``finite``, a NaN or infinity raises ``ValueError``.
+    their own text), and each pattern is formatted once. A cell's text is
+    its pattern's joined to the literal that follows it, by the fewer joins:
+    each pattern to every literal, used with it or not, when that is at most
+    one join per cell, and else one join per cell. With ``finite``, a NaN or
+    infinity raises ``ValueError``.
     """
     layout, dtypes, ints, floats = [], [], [], []
     for n, sep, pieces in tables:
@@ -203,19 +200,14 @@ def _fill(gaps: list, tables: list, finite: bool = False) -> list[str]:
         patterns = ordered[first]
         if finite and not np.isfinite(patterns.view(np.float64)).all():
             raise ValueError(_NON_FINITE)
-        # each cell's suffix and pattern as one code: suffix * patterns + pattern
-        codes = suffix_of * len(patterns) + np.searchsorted(patterns, bits)
+        pattern_of = np.searchsorted(patterns, bits)
         reprs = np.array([*map(float.__repr__, patterns.view(np.float64).tolist())],
                          dtype=object)
-        if (len(suffixes) - 1) * len(patterns) <= _SPARE_JOINS:
-            joined = (reprs + suffixes[:, None]).ravel()  # every pair, used or not
-        else:  # only the pairs a cell uses
-            used = np.zeros(len(suffixes) * len(patterns), dtype=bool)
-            used[codes] = True
-            suffix, pattern = np.divmod(np.flatnonzero(used), len(patterns))
-            joined = np.empty(len(used), dtype=object)
-            joined[used] = reprs[pattern] + suffixes[suffix]
-        cells = joined[codes].tolist()
+        if len(suffixes) * len(patterns) <= len(bits):  # every (suffix, pattern) pair
+            joined = (reprs + suffixes[:, None]).ravel()
+            cells = joined[suffix_of * len(patterns) + pattern_of].tolist()
+        else:  # every cell
+            cells = (reprs[pattern_of] + suffixes[suffix_of]).tolist()
         for slots, start, stop in columns:
             out[slots] = cells[start:stop]
     return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -312,16 +312,6 @@ def infconv_value(g_a: DriverSpec, g_b: DriverSpec, t: float, h, htilde,
     return float(value[0]), (Z[0], Zt[0])
 
 
-@cache
-def _probe_steps(width: int) -> np.ndarray:
-    """The coordinate directions ``certificate_gaps`` probes in a split of
-    ``width`` entries, each ``+e_j`` and then each ``-e_j``; read-only, one
-    per width."""
-    steps = np.vstack([np.eye(width), -np.eye(width)])
-    steps.flags.writeable = False
-    return steps
-
-
 def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
                      H: np.ndarray, Ht: np.ndarray, Z: np.ndarray, Zt: np.ndarray,
                      nu: JumpMeasure) -> tuple[np.ndarray, ...]:
@@ -341,7 +331,8 @@ def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
     points = np.hstack([Z, Zt])
     n, p = points.shape
     eps = 1e-7 * (1.0 + _row_norms(points))
-    probes = points + _probe_steps(p)[:, None, :] * eps[:, None]
+    steps = np.vstack([np.eye(p), -np.eye(p)])
+    probes = points + steps[:, None, :] * eps[:, None]
     stack = np.vstack([points, probes.reshape(-1, p)])
     k = 2 * p + 1
     t = t if np.ndim(t) == 0 else np.tile(t, k)

@@ -10,8 +10,9 @@ node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
 batched quantiles, laws, permutations, driver checks, backward sum, block
 recursion and axiom probes replace, and the level-by-level loop that the stacked sharing solve
-replaces. Last come the former library helpers that only the tests call,
-the residual-risk check of criterion 09 among them.
+replaces. Then come the former library helpers that only the tests call,
+the residual-risk check of criterion 09 among them, and last the CLI run in a
+fresh interpreter, the reference for runs in a process that kept state.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -1073,3 +1078,15 @@ def residual_check_reference(sol, prob, nu, margin=1e-8):
     passed = interior if premise else True
     return ResidualRiskReport(False, smooth_a, smooth_b, premise, interior, corner_share,
                               corner_comp, min_share, min_comp, checked, passed)
+
+
+def main_in_a_fresh_process(argv: list) -> subprocess.CompletedProcess:
+    """``devlat.cli.main(argv)`` in a new interpreter, which fails the test if
+    it hangs."""
+    import devlat
+
+    src = str(Path(devlat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from devlat.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)

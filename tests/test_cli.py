@@ -3,8 +3,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +16,7 @@ from devlat.cli import main
 from devlat.jsonio import canonical_json, lattice_to_dict, write_payoff_csv
 from devlat.lattice import Lattice
 from devlat.representation import RepresentingPair
+from oracles import main_in_a_fresh_process
 
 #: dyadic jump lattice of the sharing tests: d=1, marks (-1, 2), n=2
 JUMP_NOISE = {"d": 1, "jumps": {"marks": [-1.0, 2.0], "intensities": [0.25, 0.5]}}
@@ -279,20 +278,11 @@ TWIN_BLOCKS = {
 }
 
 
-def _main_in_a_fresh_process(argv: list) -> subprocess.CompletedProcess:
-    """``main(argv)`` in a new interpreter, which fails the test if it hangs."""
-    src = str(Path(devlat.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = "import sys; from devlat.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-
-
 def _build_run(config: Path, out: Path, fresh: bool = False) -> tuple:
     """The exit code and ``lattice.json`` bytes of a ``build`` run, in this
     process or in a fresh one."""
     argv = ["build", "--config", str(config), "--out", str(out), "--quiet"]
-    code = _main_in_a_fresh_process(argv).returncode if fresh else main(argv)
+    code = main_in_a_fresh_process(argv).returncode if fresh else main(argv)
     return code, (out / "lattice.json").read_bytes() if code == 0 else None
 
 
@@ -1078,7 +1068,7 @@ def test_a_fifo_at_an_artifact_path_is_replaced_without_blocking(tmp_path):
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     out.mkdir()
     os.mkfifo(out / "transfer.csv")
-    proc = _main_in_a_fresh_process(
+    proc = main_in_a_fresh_process(
         ["share", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert proc.returncode == 0, proc.stderr
     assert _share(cfg, fresh) == 0

@@ -17,8 +17,6 @@ import dataclasses
 import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -26,9 +24,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import devlat.cli
 from devlat.cli import main
 from devlat.optim import SolverConfig
+from oracles import main_in_a_fresh_process
 
 BASE = {
     "seed": 3,
@@ -201,12 +199,8 @@ CONFIG_FILES = {
 def test_a_hand_found_config_file_exits_1_naming_the_config(make, tmp_path):
     """Run in a subprocess, so that a read that blocks fails the test."""
     config, out = make(tmp_path), tmp_path / "out"
-    src = str(Path(devlat.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = "import sys; from devlat.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "build", "--config", str(config), "--out", str(out),
-         "--quiet"], env=env, capture_output=True, text=True, timeout=60)
+    proc = main_in_a_fresh_process(["build", "--config", str(config), "--out", str(out),
+                                    "--quiet"])
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: config ") and proc.stderr.count("\n") == 1
     assert not out.exists()

@@ -31,8 +31,10 @@ a temporary directory.
    a 10 ms gap; and the render of the text
    of a ``dev-wide`` job (binomial n = 12, a ``Variance`` deviation of a function of ``W_T``:
    ``process_csv`` of its values and ``canonical_json(pair_to_dict(...))``
-   of its integrands), of the same CSV with every value distinct (no pool
-   artifact is like it, but the render pays per distinct value), and of a
+   of its integrands), of the same CSV and integrands with every value
+   distinct (no pool artifact is like them, but the render pays per distinct
+   value; the two JSONs sit on either side of ``_fill``'s choice between one
+   join per literal and pattern and one join per cell), and of a
    ``share-closed`` job's argmins CSV (binomial n = 10, two scaled
    ``Variance`` drivers) and of a ``share-numeric`` job's (7 rows, 3
    columns: ``NormCD`` against ``Variance`` on the jump lattice), 10
@@ -160,9 +162,9 @@ class Worker:
     def __init__(self, checkout: Path, tmp: Path, warm: bool = True):
         sys.path.insert(0, str(checkout / "src"))
         import numpy as np
-        from devlat import JumpMeasure, NoiseModel, NormCD, RandomVariable, Scaled, \
-            SharingProblem, TimeGrid, Variance, build_lattice, evaluate, represent, \
-            solve_sharing, terminal_brownian
+        from devlat import JumpMeasure, NoiseModel, NormCD, RandomVariable, \
+            RepresentingPair, Scaled, SharingProblem, TimeGrid, Variance, build_lattice, \
+            evaluate, represent, solve_sharing, terminal_brownian
         from devlat.jsonio import canonical_json, load_payoff_csv, pair_to_dict, \
             process_csv, write_artifacts
 
@@ -216,6 +218,11 @@ class Worker:
         distinct = [rng.normal(size=len(v)) for v in dev.values]
         self.calls[f"render distinct csv n={DEV_N}"] = (
             lambda: process_csv(distinct), RENDERS, 0.0)
+        distinct_pair = RepresentingPair(
+            pair.mean, tuple(rng.normal(size=h.shape) for h in pair.H), pair.Htilde,
+            tuple(np.abs(rng.normal(size=r.shape)) for r in pair.residuals))
+        self.calls[f"render distinct integrands.json n={DEV_N}"] = (
+            lambda: canonical_json(pair_to_dict(distinct_pair)), RENDERS, 0.0)
         self.calls[f"render and write dev-wide n={DEV_N}"] = (
             lambda: write_artifacts([
                 (tmp / "job_integrands.json", canonical_json(pair_to_dict(pair))),
