@@ -14,6 +14,7 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -28,7 +29,7 @@ from .deviation import axiom_report, evaluate, law_probe, recursion_gap, \
     supermartingale_slack
 from .drivers import check_driver, driver_from_dict, probe_count
 from .jsonio import canonical_json, lattice_to_dict, load_payoff_csv, \
-    pair_to_dict, payoff_csv, process_csv, write_artifacts
+    pair_to_dict, payoff_csv, process_csv, read_regular_file, write_artifacts
 from .lattice import DEFAULT_MAX_NODES, JumpMeasure, Lattice, NoiseModel, \
     RandomVariable, TimeGrid, build_lattice, finite_number
 from .optim import NumericError, SolverConfig
@@ -90,15 +91,20 @@ def _get(obj: dict, key: str, kind: str, where: str = "config", default=_MISSING
     return value
 
 
+#: the errors of reading a config path that mean no config file is there:
+#: no such path, a loop of links, or a file that is not regular
+_NO_CONFIG = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EISDIR, errno.EINVAL})
+
+
 def _load_config(path: str) -> dict:
-    """The config file's JSON object, read as UTF-8. Anything but a regular
-    file is refused before it is opened, so a FIFO never blocks the run."""
-    p = Path(path)
+    """The config file's JSON object, read as UTF-8 by ``read_regular_file``,
+    which refuses anything but a regular file before reading it, so a FIFO
+    never blocks the run."""
     try:
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = json.loads(p.read_bytes().decode("utf-8"))
+        cfg = json.loads(read_regular_file(path).decode("utf-8"))
     except OSError as exc:  # such as a path too long for the file system
+        if exc.errno in _NO_CONFIG:
+            raise ConfigError(f"config file not found: {path}") from exc
         raise ConfigError(f"config file cannot be read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
@@ -452,7 +458,7 @@ def cmd_share(cfg, lat, seed, config_dir):
         "D0_b_standalone": sol.d0_b,
     }
     d, m = lat.noise.d, lat.noise.jumps.m
-    argmins = [np.hstack([h, ht]) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
+    argmins = [np.concatenate([h, ht], axis=1) for h, ht in zip(sol.argmin_H, sol.argmin_Ht)]
     columns = [f"z{i + 1}" for i in range(d)] + [f"ztilde{j + 1}" for j in range(m)]
     if not sol.attained:
         print("inf-convolution unbounded below" if sol.unbounded

@@ -27,7 +27,7 @@ import io
 import math
 import os
 import stat
-from itertools import islice, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -47,6 +47,7 @@ __all__ = [
     "write_process_csv",
     "write_payoff_csv",
     "load_payoff_csv",
+    "read_regular_file",
 ]
 
 _NON_FINITE = "non-finite float in JSON payload"
@@ -55,8 +56,8 @@ _NON_FINITE = "non-finite float in JSON payload"
 #: numbers 0, 1, ... each between that prefix and suffix, read-only; each grown
 #: to the largest number asked for with them and shared by every later skeleton
 _ROW_TEXTS: dict = {}
-#: the text of each row number to its number, for the payoff reader; grown in
-#: order to the most leaves read, so its first keys are the texts of 0, 1, ...
+#: the text of each row number to its number, for the payoff reader's leaf
+#: lookup; grown in order to the most leaves looked up
 _ROW_NUMBERS: dict = {}
 #: the texts of no rows, the table of a prefix and suffix not yet asked for
 _NO_TEXTS = np.empty(0, dtype=object)
@@ -462,52 +463,103 @@ def write_payoff_csv(path: Path, x: RandomVariable) -> None:
     write_artifacts([(path, payoff_csv(x))])
 
 
+def read_regular_file(path) -> bytes:
+    """The bytes of the regular file at ``path``, read without blocking.
+
+    The file is opened ``O_RDONLY | O_NONBLOCK``, so a FIFO opens at once
+    instead of waiting for a writer, and ``os.fstat`` of the open file is
+    checked before any read: a directory raises ``IsADirectoryError``, and
+    any other file that is not regular (a FIFO, a device, a socket) an
+    ``OSError`` with ``errno.EINVAL``, each naming ``path``. ``os.read`` is
+    then called until the end of the file, each call asking for at most the
+    size ``fstat`` gave plus one byte: a file that does not change is read by
+    one call and its end seen by the next, and no buffer much larger than the
+    file is allocated.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(errno.EINVAL, "Not a regular file", str(path))
+        chunks = []
+        while chunk := os.read(fd, st.st_size + 1):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
+def _texts_length(rows: int) -> int:
+    """The characters of ``_row_texts(rows, ",")``: a comma and a digit per
+    row, and one more digit per row from each power of ten on."""
+    total, power = 2 * rows, 10
+    while power < rows:
+        total += rows - power
+        power *= 10
+    return total
+
+
 def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     """Read a terminal payoff written as leaf,value rows (any leaf order).
 
-    The file's bytes are read at once and decoded once as UTF-8, the
-    encoding ``write_artifacts`` writes; ``\\r\\n`` and a lone ``\\r`` end a
-    line as ``\\n`` does, as in a text-mode read. Every row is one
-    ``leaf,value`` pair of unquoted cells; blank lines are
-    skipped, and each leaf must appear exactly once. One numpy pass over the
-    body's bytes checks the row shape (a comma and a newline are one byte
-    each in UTF-8; with the newlines that end blank lines dropped, commas and
+    The file's bytes are read by ``read_regular_file`` (a FIFO or a device is
+    refused, never waited on) and decoded once as UTF-8, the encoding
+    ``write_artifacts`` writes; ``\\r\\n`` and a lone ``\\r`` end a line as
+    ``\\n`` does, as in a text-mode read. Every row is one ``leaf,value``
+    pair of unquoted cells; blank lines are skipped, and each leaf must
+    appear exactly once.
+
+    A file in leaf order, as ``payoff_csv`` writes it, is recognised by its
+    row prefixes. The body is split once into rows, and one
+    ``str.removeprefix`` per row strips from row k the text ``"k,"`` of the
+    writer's own row-number table (``_row_texts``). The file is in order
+    exactly when it has one row per leaf, every prefix came off (the
+    stripped rows are as long as the body less its newlines and the
+    prefixes) and the body holds one comma per leaf; then every row is one
+    ``leaf,value`` pair in leaf order, and the stripped rows are the value
+    texts.
+
+    Any other file takes the general path. One numpy pass over the body's
+    bytes checks the row shape (a comma and a newline are one byte each in
+    UTF-8; with the newlines that end blank lines dropped, commas and
     newlines alternate, starting with a comma), and one ``str.split`` gives
-    the cells. Leaf texts that are the row numbers in order, as
-    ``payoff_csv`` writes them, are proved by one list comparison with the
-    first keys of ``_ROW_NUMBERS``, and the values parsed are the payoff.
-    Otherwise each leaf text is looked up in ``_ROW_NUMBERS``, only another
-    spelling (``+3``, ``03``) goes through ``int``, and the values are
-    stored with one indexed assignment. If the first 64 value texts repeat
-    one, each distinct text is parsed once (a payoff on the tree often takes
-    few values; hashing every text would slow a payoff that does not).
+    the cells. Each leaf text is looked up in ``_ROW_NUMBERS``, only another
+    spelling (``+3``, ``03``) goes through ``int``, and the values are stored
+    with one indexed assignment. On either path, if the first 64 value texts
+    repeat one, each distinct text is parsed once (a payoff on the tree often
+    takes few values; hashing every text would slow a payoff that does not).
     """
     leaves = lat.num_nodes(lat.n_steps)
-    with open(path, "rb") as fh:
-        data = fh.read()
     # text mode's decoder, in one call: each \r\n and lone \r read as \n
-    text = io.IncrementalNewlineDecoder(_UTF8(), translate=True).decode(data, final=True)
+    text = io.IncrementalNewlineDecoder(_UTF8(), translate=True).decode(
+        read_regular_file(path), final=True)
     header, _, body = text.partition("\n")
     if [h.strip() for h in header.split(",")[:2]] != ["leaf", "value"]:
         raise ValueError(f"{path}: expected header 'leaf,value'")
     if body and body[-1] != "\n":
         body += "\n"
-    raw = np.frombuffer(body.encode(), np.uint8)
-    ends = raw == 10  # the line ends, less those of blank lines:
-    ends[1:] &= raw[:-1] != 10  # a newline after a newline,
-    ends[:1] = False  # or one that starts the body
-    seps = raw[ends | (raw == 44)]
-    if not ((seps[0::2] == 44).all() and (seps[1::2] == 10).all()):
-        raise ValueError(f"{path}: every row must be one 'leaf,value' pair")
-    if body.count("\n") > len(seps) // 2:  # blank lines, dropped
-        body = "".join(row + "\n" for row in body.split("\n") if row)
-    cells = body.replace("\n", ",").split(",")[:-1]
-    leaf_texts, texts = cells[0::2], cells[1::2]
-    known = len(_ROW_NUMBERS)
-    _ROW_NUMBERS.update(zip(map(int.__repr__, range(known, leaves)), range(known, leaves)))
-    # the row numbers in order: each leaf once, so no lookup, check or scatter
-    in_order = leaf_texts == [*islice(_ROW_NUMBERS, leaves)]
-    if not in_order:
+    rows = body.split("\n")
+    rows.pop()  # the empty text after the last newline
+    index = None  # each row's leaf; None for the rows in leaf order
+    texts = [*map(str.removeprefix, rows, _row_texts(leaves, ","))] \
+        if len(rows) == leaves else None
+    if texts is None or body.count(",") != leaves \
+            or len("".join(texts)) != len(body) - leaves - _texts_length(leaves):
+        raw = np.frombuffer(body.encode(), np.uint8)
+        ends = raw == 10  # the line ends, less those of blank lines:
+        ends[1:] &= raw[:-1] != 10  # a newline after a newline,
+        ends[:1] = False  # or one that starts the body
+        seps = raw[ends | (raw == 44)]
+        if not ((seps[0::2] == 44).all() and (seps[1::2] == 10).all()):
+            raise ValueError(f"{path}: every row must be one 'leaf,value' pair")
+        if body.count("\n") > len(seps) // 2:  # blank lines, dropped
+            body = "".join(row + "\n" for row in rows if row)
+        cells = body.replace("\n", ",").split(",")[:-1]
+        leaf_texts, texts = cells[0::2], cells[1::2]
+        known = len(_ROW_NUMBERS)
+        _ROW_NUMBERS.update(zip(map(int.__repr__, range(known, leaves)), range(known, leaves)))
         try:
             index = list(map(_ROW_NUMBERS.__getitem__, leaf_texts))
         except KeyError:  # another spelling, such as "+3", "03" or "-1"
@@ -519,7 +571,7 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     parse = float if len(set(head)) == len(head) else \
         {t: float(t) for t in dict.fromkeys(texts)}.__getitem__
     values = np.fromiter(map(parse, texts), float, len(texts))
-    if in_order:
+    if index is None:
         return RandomVariable(values, lat.n_steps)
     leaf = np.array(index, dtype=np.int64)
     counts = np.bincount(leaf, minlength=leaves)

@@ -64,7 +64,8 @@ def represent(lat: Lattice, x: RandomVariable) -> RepresentingPair:
         remainder = dm - beta @ lat.step_basis(i)[0].T
         H.append(beta[:, :d])
         Ht.append(beta[:, d:])
-        res.append(np.sqrt(np.clip((remainder * remainder) @ lat.step_probs(i), 0.0, None)))
+        # a probability-weighted sum of squares: +0.0 or more, or NaN
+        res.append(np.sqrt((remainder * remainder) @ lat.step_probs(i)))
     return RepresentingPair(float(mart[0][0]), tuple(H), tuple(Ht), tuple(res))
 
 
@@ -105,7 +106,7 @@ def assemble(lat: Lattice, pair: RepresentingPair) -> RandomVariable:
     v = np.array([pair.mean])
     for i in range(lat.n_steps):
         phi = lat.step_basis(i)[0]
-        steps = np.hstack([pair.H[i], pair.Htilde[i]])
+        steps = np.concatenate([pair.H[i], pair.Htilde[i]], axis=1)
         v = lat.extend(v, steps @ phi.T)
     return RandomVariable(v, lat.n_steps)
 

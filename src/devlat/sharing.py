@@ -261,7 +261,7 @@ def _apply(parts: tuple, t: float | np.ndarray, H: np.ndarray, Ht: np.ndarray,
     (_, rules), *rest = parts
     if not rest:
         return _share_block(rules[0], H), _share_block(rules[1], Ht, nu.intensity_array)
-    X, d, cfg = np.hstack([H, Ht]), H.shape[1], cfg or SolverConfig()
+    X, d, cfg = np.concatenate([H, Ht], axis=1), H.shape[1], cfg or SolverConfig()
     amounts = np.empty((len(X), len(parts), X.shape[1]))
     for v, t_v in enumerate(_row_times(t, len(X))):
         amounts[v] = _joint_split([part[0] for part in parts], t_v, X[v], d, nu, cfg)
@@ -327,17 +327,18 @@ def certificate_gaps(g_a: DriverSpec, g_b: DriverSpec, t: float | np.ndarray,
     subdifferentials intersecting. All rows and probes go through one
     ``value_batch`` call per driver.
     """
-    d = H.shape[1]
-    points = np.hstack([Z, Zt])
+    d, m = H.shape[1], Ht.shape[1]
+    points = np.concatenate([Z, Zt], axis=1)
     n, p = points.shape
     eps = 1e-7 * (1.0 + _row_norms(points))
-    steps = np.vstack([np.eye(p), -np.eye(p)])
+    steps = np.concatenate([np.eye(p), -np.eye(p)])
     probes = points + steps[:, None, :] * eps[:, None]
-    stack = np.vstack([points, probes.reshape(-1, p)])
+    stack = np.concatenate([points, probes.reshape(-1, p)])
     k = 2 * p + 1
     t = t if np.ndim(t) == 0 else np.tile(t, k)
-    part_a = g_a.value_batch(t, np.tile(H, (k, 1)) - stack[:, :d],
-                             np.tile(Ht, (k, 1)) - stack[:, d:], nu)
+    # A's rows: each row's own integrands less each of its k points, in point-major order
+    part_a = g_a.value_batch(t, (H - stack[:, :d].reshape(k, n, d)).reshape(k * n, d),
+                             (Ht - stack[:, d:].reshape(k, n, m)).reshape(k * n, m), nu)
     part_b = g_b.value_batch(t, stack[:, :d], stack[:, d:], nu)
     values = (part_a + part_b).reshape(k, n)
     f0 = values[0]
@@ -387,7 +388,7 @@ def solve_sharing(lat: Lattice, prob: SharingProblem) -> SharingSolution:
         )
 
     t, bounds, zero_res = lat._level_rows()
-    H, Ht = np.vstack(pair.H), np.vstack(pair.Htilde)
+    H, Ht = np.concatenate(pair.H), np.concatenate(pair.Htilde)
     plan = _split_plan(g_a, g_b)
     Z, Zt = _apply(plan, t, H, Ht, nu, cfg)
     part_a, part_b, values, gaps = certificate_gaps(g_a, g_b, t, H, Ht, Z, Zt, nu)

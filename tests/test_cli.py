@@ -424,6 +424,24 @@ def test_missing_config_exits_1(tmp_path):
     assert main(["build", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+def _link_loop(tmp: Path) -> Path:
+    os.symlink(tmp / "config.json", tmp / "config.json")
+    return tmp / "config.json"
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: tmp / "nope.json",
+    lambda tmp: tmp,
+    lambda tmp: tmp / "nope" / "config.json",
+    _link_loop,
+], ids=["missing", "directory", "missing_directory", "link_loop"])
+def test_a_config_path_naming_no_regular_file_exits_1_as_not_found(tmp_path, capsys, make):
+    config = make(tmp_path)
+    assert main(["build", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: config file not found: {config}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("not json", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     ("[]", "config root must be a JSON object"),

@@ -206,6 +206,29 @@ def test_a_hand_found_config_file_exits_1_naming_the_config(make, tmp_path):
     assert not out.exists()
 
 
+#: payoff paths found by hand that the reader must refuse, each made by its
+#: function at the path and refused with its message: a FIFO (opening one to
+#: read once blocked the run until a writer came) and a directory
+PAYOFF_FILES = {
+    "fifo": (os.mkfifo, "[Errno 22] Not a regular file"),
+    "directory": (os.mkdir, "[Errno 21] Is a directory"),
+}
+
+
+@pytest.mark.parametrize("make, message", PAYOFF_FILES.values(), ids=list(PAYOFF_FILES))
+def test_a_hand_found_payoff_file_exits_1_and_writes_nothing(make, message, tmp_path):
+    """Run in a subprocess, so that a read that blocks fails the test."""
+    make(tmp_path / "pay.csv")
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({**BASE, **BLOCKS["deviation"], "payoffs": {
+        **BASE["payoffs"], "X": {"kind": "csv", "path": "pay.csv"}}}))
+    proc = main_in_a_fresh_process(["deviation", "--config", str(config), "--out", str(out),
+                                    "--quiet"])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: payoff 'X': {message}: {str(tmp_path / 'pay.csv')!r}\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", sorted(BLOCKS))
 def test_out_naming_an_existing_file_exits_1_and_keeps_it(command, tmp_path):
     config = tmp_path / "config.json"

@@ -604,6 +604,72 @@ def test_payoff_csv_leaf_spellings_parse_as_int_does(tmp_path, monkeypatch, spel
         {str(k): k for k in range(8)}
 
 
+#: in-order payoff files of a 4-leaf lattice, each with one kind of line end,
+#: and whether the reader finds their leaves by the row prefixes alone
+IN_ORDER_FILES = {
+    "lf": ("leaf,value\n0,1.0\n1,2.0\n2,3.0\n3,4.0\n", True),
+    "crlf": ("leaf,value\r\n0,1.0\r\n1,2.0\r\n2,3.0\r\n3,4.0\r\n", True),
+    "cr": ("leaf,value\r0,1.0\r1,2.0\r2,3.0\r3,4.0\r", True),
+    "no_final_newline": ("leaf,value\n0,1.0\n1,2.0\n2,3.0\n3,4.0", True),
+    # "00," is not the prefix "0,": the leaf is looked up, misses and goes through int
+    "leaf_00_in_place": ("leaf,value\n00,1.0\n1,2.0\n2,3.0\n3,4.0\n", False),
+}
+
+
+@pytest.mark.parametrize("text, by_prefix", IN_ORDER_FILES.values(), ids=list(IN_ORDER_FILES))
+def test_payoff_csv_in_leaf_order_is_read_by_its_row_prefixes(tmp_path, monkeypatch, text,
+                                                              by_prefix):
+    """Rows that start with ``0,``, ``1,``, ... in turn, one comma each, give
+    the reference's bits with no lookup in the row-number table, whatever
+    their line ends; a leaf spelled ``00`` in its place takes the lookup."""
+    monkeypatch.setattr(jsonio, "_ROW_NUMBERS", _CountingTable())
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
+    path = tmp_path / "payoff.csv"
+    path.write_bytes(text.encode())
+    got = load_payoff_csv(path, lat).values
+    assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
+    assert got.tobytes() == np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
+    assert (jsonio._ROW_NUMBERS.lookups == 0) == by_prefix
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 10])
+def test_payoff_csv_written_by_payoff_csv_is_read_by_its_row_prefixes(tmp_path, monkeypatch,
+                                                                      n):
+    """Up to the 1,024 leaves of a ``share-closed`` payoff (row numbers of
+    one to four digits), ``payoff_csv``'s own file is read without a lookup."""
+    monkeypatch.setattr(jsonio, "_ROW_NUMBERS", _CountingTable())
+    lat = build_lattice(TimeGrid.uniform(n, 1.0), NoiseModel.brownian(1))
+    x = RandomVariable(np.random.default_rng(n).normal(size=2 ** n), n)
+    path = tmp_path / "payoff.csv"
+    write_payoff_csv(path, x)
+    assert load_payoff_csv(path, lat).values.tobytes() == x.values.tobytes()
+    assert jsonio._ROW_NUMBERS.lookups == 0
+
+
+def test_the_prefix_length_is_that_of_the_row_texts():
+    """The prefix test counts the prefixes' characters instead of summing
+    them; a miscount would send every file of that many leaves to the
+    general path."""
+    for rows in [*range(1, 120), 999, 1000, 1001, 1024, 10000, 10001]:
+        assert jsonio._texts_length(rows) == sum(map(len, jsonio._row_texts(rows, ",")))
+
+
+@pytest.mark.parametrize("body", [
+    "0,1.0\n1,2.0,9\n2\n3,4.0\n",  # one comma per row on average, a prefix missing
+    "0,1.0\n1,2.0,9\n2,3.0\n3,4.0\n",  # every prefix, a comma too many
+], ids=["a_prefix_missing", "a_second_comma"])
+def test_payoff_csv_rows_of_every_prefix_need_one_comma_each(tmp_path, body):
+    """The prefix test needs both of its counts: with one row per leaf, a row
+    without its prefix and a row with a second comma each take the general
+    path, whose shape check refuses them."""
+    lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
+    path = tmp_path / "payoff.csv"
+    path.write_text("leaf,value\n" + body)
+    with pytest.raises(ValueError) as info:
+        load_payoff_csv(path, lat)
+    assert str(info.value) == f"{path}: every row must be one 'leaf,value' pair"
+
+
 def test_payoff_csv_value_texts_keep_their_own_bits(tmp_path):
     """Each text is parsed once, and texts of one value give that value's bits:
     ``1.0``, ``1.00`` and ``1e0`` alike, ``0.0`` and ``-0.0`` apart."""

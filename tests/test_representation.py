@@ -22,6 +22,7 @@ from devlat import (
     build_lattice,
     evaluate,
     evaluate_recursive,
+    martingale,
     represent,
     supermartingale_slack,
     terminal_brownian,
@@ -225,6 +226,47 @@ def test_represent_inverts_assemble(lat, seed):
         np.testing.assert_allclose(back.H[i], pair.H[i], rtol=0, atol=1e-10)
         np.testing.assert_allclose(back.Htilde[i], pair.Htilde[i], rtol=0, atol=1e-10)
         assert back.residuals[i].max() <= 1e-10
+
+
+def _clipped_residuals(lat, x):
+    """``represent``'s residuals by its former formula: ``np.sqrt(np.clip(...,
+    0.0, None))`` of each remainder's probability-weighted sum of squares."""
+    mart = martingale(lat, x).values
+    out = []
+    for i in range(lat.n_steps):
+        phi, proj = lat.step_basis(i)
+        dm = lat.children(mart[i + 1]) - mart[i][:, None]
+        remainder = dm - (dm @ proj) @ phi.T
+        out.append(np.sqrt(np.clip((remainder * remainder) @ lat.step_probs(i), 0.0, None)))
+    return out
+
+
+#: (d, jumps) of a binomial, a two-dimensional Brownian and a two-mark jump lattice
+RESIDUAL_NOISES = [(1, JumpMeasure.empty()), (2, JumpMeasure.empty()),
+                   (1, JumpMeasure(((-1.0,), (2.0,)), (0.3, 0.7)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RESIDUAL_NOISES), st.integers(1, 3),
+       st.sampled_from(["normal", "constant", "zero", "negative zero"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_residuals_are_the_clipped_root_bit_for_bit(noise, n, kind, seed):
+    """A probability-weighted sum of squares is never below +0.0 and a NaN
+    passes ``np.clip`` as it is, so the clip did nothing: the residuals are
+    the former code's bit for bit, and a zero payoff's are exact +0.0."""
+    lat = build_lattice(TimeGrid.uniform(n, 0.25 * n), NoiseModel(*noise))
+    rng = np.random.default_rng(seed)
+    leaves = lat.num_nodes(n)
+    values = {"normal": lambda: rng.normal(size=leaves),
+              "constant": lambda: np.full(leaves, rng.normal()),
+              "zero": lambda: np.zeros(leaves),
+              "negative zero": lambda: np.full(leaves, -0.0)}[kind]()
+    x = RandomVariable(values, n)
+    got = represent(lat, x).residuals
+    want = _clipped_residuals(lat, x)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+    if kind.endswith("zero"):
+        assert all(r.tobytes() == np.zeros(len(r)).tobytes() for r in got)
 
 
 # -- the closed-form projector against the normal equations ----------------------

@@ -18,16 +18,18 @@ every job's output against the workload's oracle; a failing job stops the
 tool. Each reported pass times only the ``devlat`` call of each job, as
 ``perfbench/worker.py`` does, without the reference block that scales those
 times. Per pass it takes ``jobs_per_s`` (jobs over the summed job seconds)
-and the median job time. It prints each side's median and quartiles of both
-over the passes, and the change/parent ratio of each pair of passes: its
-median and quartiles, and in how many pairs the change was faster. Jobs read
-and write only under a temporary directory per side.
+the median job time and the p90 job time (nearest rank, as
+``perfbench/run.py``'s ``percentile``). It prints each side's median and
+quartiles of the three over the passes, and the change/parent ratio of each
+pair of passes: its median and quartiles, and in how many pairs the change
+was faster. Jobs read and write only under a temporary directory per side.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -84,6 +86,12 @@ def serve(checkout: Path, workload: str, seed: int, passes: int) -> None:
                   flush=True)
 
 
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile, the rule of ``perfbench/run.py``'s."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
@@ -125,15 +133,19 @@ def main(argv: list[str]) -> int:
             w.wait()
     rates = [[len(p) / sum(p) for p in side] for side in runs]
     medians = [[statistics.median(p) for p in side] for side in runs]
+    p90s = [[percentile(p, 90) for p in side] for side in runs]
     print(f"workload {args.workload}  seed {args.seed}  {args.passes} passes of "
           f"{pass_jobs} jobs per checkout, taken in turns")
-    for label, checkout, rate, med in zip(("parent", "change"), sides, rates, medians):
+    for label, checkout, rate, med, p90 in zip(("parent", "change"), sides, rates, medians,
+                                               p90s):
         q1, m, q3 = quartiles(rate)
-        p1, p, p3 = (v * 1e3 for v in quartiles(med))
-        print(f"{label} {checkout}\n  jobs_per_s median {m:9.2f}  q1 {q1:9.2f}  q3 {q3:9.2f}"
-              f"\n  job_s_p50  median {p:9.4f} ms  q1 {p1:9.4f}  q3 {p3:9.4f}")
+        print(f"{label} {checkout}\n  jobs_per_s median {m:9.2f}  q1 {q1:9.2f}  q3 {q3:9.2f}")
+        for name, times in (("job_s_p50", med), ("job_s_p90", p90)):
+            p1, p, p3 = (v * 1e3 for v in quartiles(times))
+            print(f"  {name}  median {p:9.4f} ms  q1 {p1:9.4f}  q3 {p3:9.4f}")
     for name, (parent, change), higher in (("jobs_per_s", rates, True),
-                                           ("job_s_p50", medians, False)):
+                                           ("job_s_p50", medians, False),
+                                           ("job_s_p90", p90s, False)):
         ratios = [c / p for p, c in zip(parent, change)]
         wins = sum((r > 1.0) if higher else (r < 1.0) for r in ratios)
         q1, m, q3 = quartiles(ratios)
