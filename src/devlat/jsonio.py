@@ -56,9 +56,6 @@ _NON_FINITE = "non-finite float in JSON payload"
 #: numbers 0, 1, ... each between that prefix and suffix, read-only; each grown
 #: to the largest number asked for with them and shared by every later skeleton
 _ROW_TEXTS: dict = {}
-#: the text of each row number to its number, for the payoff reader's leaf
-#: lookup; grown in order to the most leaves looked up
-_ROW_NUMBERS: dict = {}
 #: the texts of no rows, the table of a prefix and suffix not yet asked for
 _NO_TEXTS = np.empty(0, dtype=object)
 #: the most artifact layouts whose skeletons are kept; a new one past it
@@ -521,13 +518,10 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
     ``leaf,value`` pair in leaf order, and the stripped rows are the value
     texts.
 
-    Any other file takes the general path. One numpy pass over the body's
-    bytes checks the row shape (a comma and a newline are one byte each in
-    UTF-8; with the newlines that end blank lines dropped, commas and
-    newlines alternate, starting with a comma), and one ``str.split`` gives
-    the cells. Each leaf text is looked up in ``_ROW_NUMBERS``, only another
-    spelling (``+3``, ``03``) goes through ``int``, and the values are stored
-    with one indexed assignment. On either path, if the first 64 value texts
+    Any other file takes the fallback parse: each non-blank row is split at
+    its commas and must give two cells, each leaf text goes through ``int``
+    (so ``+3`` and ``03`` are leaf 3), and the values are stored with one
+    indexed assignment. On either path, if the first 64 value texts
     repeat one, each distinct text is parsed once (a payoff on the tree often
     takes few values; hashing every text would slow a payoff that does not).
     """
@@ -547,23 +541,11 @@ def load_payoff_csv(path: Path, lat: Lattice) -> RandomVariable:
         if len(rows) == leaves else None
     if texts is None or body.count(",") != leaves \
             or len("".join(texts)) != len(body) - leaves - _texts_length(leaves):
-        raw = np.frombuffer(body.encode(), np.uint8)
-        ends = raw == 10  # the line ends, less those of blank lines:
-        ends[1:] &= raw[:-1] != 10  # a newline after a newline,
-        ends[:1] = False  # or one that starts the body
-        seps = raw[ends | (raw == 44)]
-        if not ((seps[0::2] == 44).all() and (seps[1::2] == 10).all()):
+        cells = [row.split(",") for row in rows if row]
+        if any(len(cell) != 2 for cell in cells):
             raise ValueError(f"{path}: every row must be one 'leaf,value' pair")
-        if body.count("\n") > len(seps) // 2:  # blank lines, dropped
-            body = "".join(row + "\n" for row in rows if row)
-        cells = body.replace("\n", ",").split(",")[:-1]
-        leaf_texts, texts = cells[0::2], cells[1::2]
-        known = len(_ROW_NUMBERS)
-        _ROW_NUMBERS.update(zip(map(int.__repr__, range(known, leaves)), range(known, leaves)))
-        try:
-            index = list(map(_ROW_NUMBERS.__getitem__, leaf_texts))
-        except KeyError:  # another spelling, such as "+3", "03" or "-1"
-            index = [_ROW_NUMBERS[t] if t in _ROW_NUMBERS else int(t) for t in leaf_texts]
+        index = [int(leaf) for leaf, _ in cells]
+        texts = [value for _, value in cells]
         if index and (min(index) < 0 or max(index) >= leaves):
             first = next(k for k in index if not 0 <= k < leaves)
             raise ValueError(f"{path}: leaf index {first} outside 0..{leaves - 1}")

@@ -374,30 +374,10 @@ class Lattice:
                                 lambda i: self._basis[i][0][:, self.noise.d:])
 
 
-#: the latest ``build_lattice`` call: (its arguments' key, its lattice)
-_latest: tuple | None = None
-
-
-def _build_key(grid: TimeGrid, noise: NoiseModel, max_nodes: int) -> tuple:
-    """The arguments of a build to the bit: ``float.hex`` tells ``-0.0`` from
-    ``0.0``, which equal floats (and so equal dataclasses) do not."""
-    jumps = noise.jumps
-    return (tuple(map(float.hex, grid.times)), noise.d,
-            tuple(tuple(map(float.hex, x)) for x in jumps.marks),
-            tuple(map(float.hex, jumps.intensities)), max_nodes)
-
-
 def build_lattice(grid: TimeGrid, noise: NoiseModel,
                   max_nodes: int = DEFAULT_MAX_NODES) -> Lattice:
-    """Build the event tree for a grid and noise model, within a node budget.
-
-    A call with the bit-identical arguments of the previous one returns that
-    call's lattice, leaf tables included; the module keeps that one only."""
-    global _latest
-    key = _build_key(grid, noise, max_nodes)
-    if _latest is None or _latest[0] != key:
-        _latest = (key, Lattice(grid, noise, max_nodes=max_nodes))
-    return _latest[1]
+    """Build the event tree for a grid and noise model, within a node budget."""
+    return Lattice(grid, noise, max_nodes=max_nodes)
 
 
 # -- random variables and adapted processes ----------------------------------

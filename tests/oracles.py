@@ -8,7 +8,7 @@ so does the numeric inf-convolution of a pair as given, the reference for the
 closed-form splits. The artifact references at the end are the
 node-by-node JSON and CSV writers the level-batched emitters must match byte
 for byte, followed by the one-row, one-point and one-node loops that the
-batched quantiles, laws, permutations, driver checks, backward sum, block
+batched quantiles, laws, driver checks, backward sum, block
 recursion and axiom probes replace, and the level-by-level loop that the stacked sharing solve
 replaces. Then come the former library helpers that only the tests call,
 the residual-risk check of criterion 09 among them, and last the CLI run in a
@@ -596,26 +596,6 @@ def law_reference(lat, x, merge_tol=None):
         probs.append(mass)
         i = j
     return Distribution(np.array(atoms), np.array(probs))
-
-
-def permute_paths_reference(lat, x, rng):
-    """Probability-preserving path permutation, node by node: at every node
-    each group of equal edge probability is shuffled by ``rng.permutation``."""
-    from devlat import RandomVariable
-
-    b = lat.branching
-    sigma = np.zeros(1, dtype=np.int64)
-    for i in range(lat.n_steps):
-        probs = lat.step_probs(i)
-        groups = [np.flatnonzero(probs == q) for q in np.unique(probs)]
-        nxt = np.empty(len(sigma) * b, dtype=np.int64)
-        for v in range(len(sigma)):
-            pi = np.arange(b)
-            for g in groups:
-                pi[g] = g[rng.permutation(len(g))]
-            nxt[v * b : (v + 1) * b] = sigma[v] * b + pi
-        sigma = nxt
-    return RandomVariable(x.values[sigma], x.level)
 
 
 def _probe_points_reference(nu, d, sample_count, rng):

@@ -528,10 +528,10 @@ def test_payoff_csv_skips_blank_lines_anywhere(tmp_path):
     ("0,1.0\n1,2.0\n2,x\n3,4.0\n+9,1\n", "{path}: leaf index 9 outside 0..3"),
     ("0,1.0\n1,2.0\n2,3\n0x3,4.0\n", "invalid literal for int() with base 10: '0x3'"),
     ("0,1.0\n1,2.0\n2,3.0\n3,4.0\n03,5.0\n", "{path}: leaf 3 appears more than once"),
-    # shapes the byte pass refuses: a bare row between blank lines, two commas
-    # then none (as many commas as rows), two rows on the first line (cells
-    # that would pair up), a bad unterminated last row, a bad row after a
-    # leading blank line
+    # shapes refused before any cell is parsed: a bare row between blank
+    # lines, two commas then none (as many commas as rows), two rows on the
+    # first line (cells that would pair up), a bad unterminated last row, a
+    # bad row after a leading blank line
     ("0,1.0\n1,2.0\n\n2\n\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
     ("0,1.0\n1,2.0,3\n2\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
     ("0,1.0,1,2.0\n2,3.0\n3,4.0\n", "{path}: every row must be one 'leaf,value' pair"),
@@ -565,27 +565,25 @@ def test_payoff_csv_reports_first_leaf_out_of_range(tmp_path):
         load_payoff_csv(path, lat)
 
 
-class _CountingTable(dict):
-    """A row-number table that counts the leaf texts looked up in it."""
+def _int_calls(monkeypatch) -> list:
+    """The texts ``jsonio`` passes to ``int``, counted through a module-global
+    shadow of the builtin."""
+    calls = []
 
-    lookups = 0
+    def counting(text):
+        calls.append(text)
+        return int(text)
 
-    def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
+    monkeypatch.setattr(jsonio, "int", counting, raising=False)
+    return calls
 
 
 @pytest.mark.parametrize("spelling", ["+{}", "0{}", " {}", "{} ", "{}"])
-@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
-def test_payoff_csv_leaf_spellings_parse_as_int_does(tmp_path, monkeypatch, spelling,
-                                                     cold):
+def test_payoff_csv_leaf_spellings_parse_as_int_does(tmp_path, monkeypatch, spelling):
     """Leaf texts other than a row number's own (every other leaf here) go
-    through ``int``, whether or not the row-number table has grown yet, in
-    shuffled and in leaf order. Cold, the table counts its lookups: leaf
-    order in the row numbers' own texts takes none, on a lattice of as many
-    leaves as the table holds and on one of fewer."""
-    if cold:
-        monkeypatch.setattr(jsonio, "_ROW_NUMBERS", _CountingTable())
+    through ``int``, in shuffled and in leaf order. Leaf order in the row
+    numbers' own texts calls ``int`` for no row, any other file for each."""
+    calls = _int_calls(monkeypatch)
     values = (np.arange(8) / 3).tolist()
     path = tmp_path / "payoff.csv"
     for n, order in [(3, (5, 0, 3, 6, 1, 7, 2, 4)), (3, range(8)), (2, range(4))]:
@@ -593,15 +591,12 @@ def test_payoff_csv_leaf_spellings_parse_as_int_does(tmp_path, monkeypatch, spel
         path.write_text("leaf,value\n" + "".join(
             f"{(spelling if leaf % 2 else '{}').format(leaf)},{values[leaf]!r}\n"
             for leaf in order))
-        lookups = getattr(jsonio._ROW_NUMBERS, "lookups", None)
+        before = len(calls)
         got = load_payoff_csv(path, lat).values
         assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
         assert got.tobytes() == np.array(values[:len(order)]).tobytes()
-        if cold:
-            in_order = spelling == "{}" and isinstance(order, range)
-            assert (jsonio._ROW_NUMBERS.lookups == lookups) == in_order
-    assert {t: dict.__getitem__(jsonio._ROW_NUMBERS, t) for t in map(str, range(8))} == \
-        {str(k): k for k in range(8)}
+        in_order = spelling == "{}" and isinstance(order, range)
+        assert len(calls) - before == (0 if in_order else len(order))
 
 
 #: in-order payoff files of a 4-leaf lattice, each with one kind of line end,
@@ -611,7 +606,7 @@ IN_ORDER_FILES = {
     "crlf": ("leaf,value\r\n0,1.0\r\n1,2.0\r\n2,3.0\r\n3,4.0\r\n", True),
     "cr": ("leaf,value\r0,1.0\r1,2.0\r2,3.0\r3,4.0\r", True),
     "no_final_newline": ("leaf,value\n0,1.0\n1,2.0\n2,3.0\n3,4.0", True),
-    # "00," is not the prefix "0,": the leaf is looked up, misses and goes through int
+    # "00," is not the prefix "0,": every leaf of the file goes through int
     "leaf_00_in_place": ("leaf,value\n00,1.0\n1,2.0\n2,3.0\n3,4.0\n", False),
 }
 
@@ -620,36 +615,36 @@ IN_ORDER_FILES = {
 def test_payoff_csv_in_leaf_order_is_read_by_its_row_prefixes(tmp_path, monkeypatch, text,
                                                               by_prefix):
     """Rows that start with ``0,``, ``1,``, ... in turn, one comma each, give
-    the reference's bits with no lookup in the row-number table, whatever
-    their line ends; a leaf spelled ``00`` in its place takes the lookup."""
-    monkeypatch.setattr(jsonio, "_ROW_NUMBERS", _CountingTable())
+    the reference's bits with no ``int`` call, whatever their line ends; a
+    leaf spelled ``00`` in its place makes one call per row."""
+    calls = _int_calls(monkeypatch)
     lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
     path = tmp_path / "payoff.csv"
     path.write_bytes(text.encode())
     got = load_payoff_csv(path, lat).values
     assert got.tobytes() == load_payoff_csv_reference(path, lat).values.tobytes()
     assert got.tobytes() == np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
-    assert (jsonio._ROW_NUMBERS.lookups == 0) == by_prefix
+    assert len(calls) == (0 if by_prefix else 4)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 7, 10])
 def test_payoff_csv_written_by_payoff_csv_is_read_by_its_row_prefixes(tmp_path, monkeypatch,
                                                                       n):
     """Up to the 1,024 leaves of a ``share-closed`` payoff (row numbers of
-    one to four digits), ``payoff_csv``'s own file is read without a lookup."""
-    monkeypatch.setattr(jsonio, "_ROW_NUMBERS", _CountingTable())
+    one to four digits), ``payoff_csv``'s own file is read without ``int``."""
+    calls = _int_calls(monkeypatch)
     lat = build_lattice(TimeGrid.uniform(n, 1.0), NoiseModel.brownian(1))
     x = RandomVariable(np.random.default_rng(n).normal(size=2 ** n), n)
     path = tmp_path / "payoff.csv"
     write_payoff_csv(path, x)
     assert load_payoff_csv(path, lat).values.tobytes() == x.values.tobytes()
-    assert jsonio._ROW_NUMBERS.lookups == 0
+    assert calls == []
 
 
 def test_the_prefix_length_is_that_of_the_row_texts():
     """The prefix test counts the prefixes' characters instead of summing
     them; a miscount would send every file of that many leaves to the
-    general path."""
+    fallback parse."""
     for rows in [*range(1, 120), 999, 1000, 1001, 1024, 10000, 10001]:
         assert jsonio._texts_length(rows) == sum(map(len, jsonio._row_texts(rows, ",")))
 
@@ -660,8 +655,8 @@ def test_the_prefix_length_is_that_of_the_row_texts():
 ], ids=["a_prefix_missing", "a_second_comma"])
 def test_payoff_csv_rows_of_every_prefix_need_one_comma_each(tmp_path, body):
     """The prefix test needs both of its counts: with one row per leaf, a row
-    without its prefix and a row with a second comma each take the general
-    path, whose shape check refuses them."""
+    without its prefix and a row with a second comma each take the fallback
+    parse, whose shape check refuses them."""
     lat = build_lattice(TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1))
     path = tmp_path / "payoff.csv"
     path.write_text("leaf,value\n" + body)

@@ -390,30 +390,6 @@ def test_the_method_cache_guard_sees_every_cache(decorator, caches):
     assert _method_caches(ast.parse(f"@{decorator}\ndef f():\n    pass\n")) == []
 
 
-def _signed_zero_builds():
-    """Arguments that equal floats cannot tell apart: a grid starting at
-    ``0.0`` or ``-0.0``, and a mark whose first component is either."""
-    return [(TimeGrid((t0, 0.5, 1.0)), NoiseModel(1, JumpMeasure(((c0, 1.0),), (0.5,))))
-            for t0 in (0.0, -0.0) for c0 in (0.0, -0.0)]
-
-
-@pytest.mark.parametrize("order", [1, -1])
-def test_build_lattice_reuses_only_the_bit_identical_latest_build(order):
-    builds = _signed_zero_builds()[::order]
-    seen = []
-    for grid, noise in builds:
-        lat = build_lattice(grid, noise)
-        assert build_lattice(TimeGrid(grid.times), NoiseModel(noise.d, noise.jumps)) is lat
-        assert all(lat is not other for other in seen)
-        assert math.copysign(1.0, lat.times[0]) == math.copysign(1.0, grid.times[0])
-        mark = lat.noise.jumps.marks[0][0]
-        assert math.copysign(1.0, mark) == math.copysign(1.0, noise.jumps.marks[0][0])
-        seen.append(lat)
-    # one entry only: the first build was evicted and is built afresh
-    again = build_lattice(*builds[0])
-    assert again is not seen[0] and again.times == seen[0].times
-
-
 def test_build_lattice_keys_on_the_node_budget():
     grid, noise = TimeGrid.uniform(2, 1.0), NoiseModel.brownian(1)
     assert build_lattice(grid, noise).max_nodes == 1_000_000

@@ -22,8 +22,8 @@ a temporary directory.
    as the benchmark writes them, once with a pool-style payoff (a function of
    the terminal Brownian state ``W_T``, so 11 distinct values) and once with
    all values distinct; and the pool payoff twice more, with its rows
-   shuffled (the leaf lookup path) and with four blank lines (the filtered
-   split), which no benchmark file has; and a 36-leaf payoff of the
+   shuffled and with four blank lines (each the fallback parse), which no
+   benchmark file has; and a 36-leaf payoff of the
    ``share-numeric`` jump lattice, where a load is mostly fixed cost; 10
    loads per batch; ``write_artifacts`` rerunning one 700 KB and one 400 B
    artifact into the same path, and a ``dev-wide`` job's set of three

@@ -33,6 +33,13 @@ CSV layouts than a per-layout text cache would keep, tables of no rows and
 stale cached layout shows up as a render digest that differs between the
 checkouts, and counts as a differing pool digest.
 
+Every pool payoff file is in leaf order, so each checkout also loads a fixed
+corpus of payoff files with ``load_payoff_csv`` (``load_digests``): in leaf
+order with every line end, shuffled, with blank lines, with leaf spellings
+other than the row numbers' own, malformed, and with values beyond the
+finite floats. Each digest is of the loaded bits or of the exception's type
+and message; a differing load digest counts as a differing pool digest.
+
 Each checkout also runs the CLI on fixed malformed configs and digests each
 run's exit code and stderr (``refusal_digests``): the ``axioms`` budgets, the
 ``check-driver`` probe block, a partition without level n and a 401-digit
@@ -242,6 +249,78 @@ def render_digests(devlat) -> dict:
     return digests
 
 
+#: the body of each payoff file of ``load_digests`` after its header, on the
+#: binomial lattice of n = 2 (4 leaves) unless the name says n = 4
+LOAD_BODIES = {
+    "order/lf": "0,1.0\n1,2.0\n2,3.0\n3,4.0\n",
+    "order/crlf": "0,1.0\r\n1,2.0\r\n2,3.0\r\n3,4.0\r\n",
+    "order/cr": "0,1.0\r1,2.0\r2,3.0\r3,4.0\r",
+    "order/no-final-newline": "0,1.0\n1,2.0\n2,3.0\n3,4.0",
+    "order/repeated-values": "0,0.5\n1,-0.0\n2,0.5\n3,0.0\n",
+    "shuffled/lf": "3,4.0\n1,2.0\n0,1.0\n2,3.0\n",
+    "shuffled/crlf": "2,3.0\r\n0,1.0\r\n3,4.0\r\n1,2.0\r\n",
+    "shuffled/repeated-values": "1,0.5\n3,0.5\n0,-0.0\n2,0.5\n",
+    "blank/first": "\n0,1.0\n1,2.0\n2,3.0\n3,4.0\n",
+    "blank/between": "0,1.0\n1,2.0\n\n2,3.0\n3,4.0\n",
+    "blank/last": "0,1.0\n1,2.0\n2,3.0\n3,4.0\n\n",
+    "blank/everywhere": "\n\n0,1.0\n\n1,2.0\n2,3.0\r\n\r\n\r3,4.0\n\n",
+    "blank/shuffled": "\r\n2,3.0\n0,1.0\n\n3,4.0\n1,2.0",
+    **{f"spelling/{name}": f"0,1.0\n1,2.0\n2,3.0\n{leaf},4.0\n"
+       for name, leaf in (("plus", "+3"), ("zero", "03"), ("space-before", " 3"),
+                          ("space-after", "3 "), ("arabic-indic", "\u0663"))},
+    "spelling/underscore-n4": "".join(f"{k if k != 10 else '1_0'},{k / 4}\n" for k in range(16)),
+    # the bodies of tests/test_jsonio.py::test_payoff_csv_rejects_malformed_rows
+    **{f"malformed/{at}": body for at, body in enumerate([
+        "", "-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n",
+        "0,1.0\n1,2.0\n2,3.0\n3,4.0\n2,5.0\n", "0,1.0\n1,2.0\n2.5,3.0\n3,4.0\n",
+        "0,1.0\n1,2.0\n2,x\n3,4.0\n", "0,1.0\n1,2.0\n2\n3,4.0\n",
+        "0,1.0\n1,2.0\n2,3.0,7\n3,4.0\n", "0,1.0\n1,y\n2,x\n3,4.0\n",
+        "0,1.0\n1,y\n2,1.0\n3,x\n", "0,1.0\n1,2.0\n2,x\n3,4.0\n+9,1\n",
+        "0,1.0\n1,2.0\n2,3\n0x3,4.0\n", "0,1.0\n1,2.0\n2,3.0\n3,4.0\n03,5.0\n",
+        "0,1.0\n1,2.0\n\n2\n\n3,4.0\n", "0,1.0\n1,2.0,3\n2\n3,4.0\n",
+        "0,1.0,1,2.0\n2,3.0\n3,4.0\n", "0,1.0\n1,2.0\n2,3.0\n3",
+        "\n0\n1,2.0\n2,3.0\n3,4.0\n", "0,1.0\n1,2.0\n0,3.0\n1,4.0\n",
+        "1,1.0\n1,2.0\n2,3.0\n3,4.0\n", "0,1.0\n1,2.0\n2,3.0\n2,4.0\n"])},
+    **{f"nonfinite/{value}/{order}": "".join(f"{k},{value if k == 2 else k}\n" for k in leaves)
+       for value in ("nan", "inf", "1e999")
+       for order, leaves in (("order", range(4)), ("shuffled", (3, 0, 2, 1)))},
+}
+
+
+def load_digests(devlat) -> dict:
+    """``{key: sha256}`` of ``load_payoff_csv`` on each file of
+    ``LOAD_BODIES`` and on 1,024-leaf files of pool-style and of distinct
+    values, in leaf order and shuffled: of the loaded bits, or of the
+    exception's type and message with the file's path replaced by
+    ``{path}``. Public names only."""
+    from devlat.jsonio import load_payoff_csv
+
+    def lattice(n):
+        return devlat.build_lattice(devlat.TimeGrid.uniform(n, 1.0),
+                                    devlat.NoiseModel.brownian(1))
+
+    lattices = {2: lattice(2), 4: lattice(4), 10: lattice(10)}
+    rng = np.random.default_rng(11)
+    pool = rng.choice(np.array(["0.1", "-2.5e-3", "7"]), size=1024).tolist()
+    distinct = [repr(v) for v in rng.normal(size=1024).tolist()]
+    files = {name: (4 if name.endswith("-n4") else 2, body)
+             for name, body in LOAD_BODIES.items()}
+    for kind, values in (("pool", pool), ("distinct", distinct)):
+        for order, leaves in (("order", range(1024)), ("shuffled", rng.permutation(1024))):
+            files[f"n10/{kind}/{order}"] = (10, "".join(f"{k},{values[k]}\n" for k in leaves))
+    digests = {}
+    with tempfile.TemporaryDirectory(prefix="compare_loads_") as tmp:
+        path = Path(tmp) / "payoff.csv"
+        for name, (n, body) in files.items():
+            path.write_bytes(f"leaf,value\n{body}".encode())
+            try:
+                part = load_payoff_csv(path, lattices[n]).values
+            except (ValueError, OSError) as exc:
+                part = f"{type(exc).__name__}: {str(exc).replace(str(path), '{path}')}"
+            digests[f"load/{name}"] = _digest(part)
+    return digests
+
+
 #: the config every refusal mutates: a two-step jump lattice, two payoffs,
 #: a variance and a scaled driver, and one block per command
 REFUSAL_BASE = {
@@ -346,7 +425,8 @@ def refusal_digests(devlat) -> dict:
 def collect(checkout: Path) -> dict:
     """``{"digests": {key: digest}, "failures": {key: error}, "splits": {key:
     digest}, "refusals": {key: [code, digest]}}`` of every pool job, numeric
-    split, probe, render and refusal, run in this process from ``checkout``."""
+    split, probe, render, payoff load and refusal, run in this process from
+    ``checkout``."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
     from worker import Runner, setup
@@ -365,7 +445,7 @@ def collect(checkout: Path) -> dict:
                         digests[record["key"]] = record["digest"]
     return {"digests": digests, "failures": failures,
             "splits": {**split_digests(devlat), **probe_digests(devlat),
-                       **render_digests(devlat)},
+                       **render_digests(devlat), **load_digests(devlat)},
             "refusals": refusal_digests(devlat)}
 
 
@@ -403,7 +483,7 @@ def main(argv: list[str]) -> int:
     failed = len(parent["failures"]) + len(change["failures"])
     print(f"{same}/{len(keys)} digests identical, {failed} oracle failures")
     for label, prefix in (("numeric split", "split/"), ("probe", "probe/"),
-                          ("render", "render/")):
+                          ("render", "render/"), ("load", "load/")):
         keys = [key for key in splits if key.startswith(prefix)]
         same = sum(key not in split_differ for key in keys)
         print(f"{same}/{len(keys)} {label} digests identical")
